@@ -19,7 +19,7 @@ import sys
 from . import codes, eulerian3, formulas, graph as graphmod, toric
 from .errors import GraphCodesError, ResourceRefused
 from .gfq import make_field
-from .monomials import format_monomial
+from .monomials import format_monomial, grevlex_key
 
 SCHEMA = 1
 
@@ -68,14 +68,6 @@ def _load_graph(args):
 
 class UsageError(GraphCodesError):
     pass
-
-
-def _emit(out, payload, human):
-    if payload.get("_json_only"):
-        out.write(json.dumps({k: v for k, v in payload.items() if k != "_json_only"},
-                             sort_keys=True) + "\n")
-    else:
-        out.write(human + "\n")
 
 
 def _graph_ident(G, args):
@@ -199,7 +191,7 @@ def _cmd_ternary(args, out):
         human = "\n".join(" ".join(str(i) for i in j) or "(empty)" for j in joins) or "(none)"
     else:  # basis
         mons = sorted(eulerian3.standard_monomials(G, args.d),
-                      key=eulerian3.grevlex_key, reverse=True)
+                      key=grevlex_key, reverse=True)
         payload = {"d": args.d, "basis": [format_monomial(m) for m in mons]}
         human = "\n".join(format_monomial(m) for m in mons) or "(none)"
     if args.as_json:
@@ -311,7 +303,8 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
             rows.append(_row("non-bipartite lower bound", True, lo <= delta, d=d))
 
     reg = codes.regularity_index(X)
-    rows.append(_row("hilbert plateau value", X.m, dims.get(reg, codes.dimension(X, reg))))
+    plateau = dims[reg] if reg in dims else codes.dimension(X, reg)
+    rows.append(_row("hilbert plateau value", X.m, plateau))
     if q >= 3:
         if is_torus:
             rows.append(_row("reg torus",
@@ -377,7 +370,7 @@ def build_parser():
     _add_common(p, q=True, cap=True)
     p.set_defaults(handler=_cmd_length)
 
-    p = sub.add_parser("dim", help="dim C_X(d) by exact rank")
+    p = sub.add_parser("dim", help="dim C_X(d) by counting distinct characters")
     _add_common(p, q=True, d=True, cap=True)
     p.set_defaults(handler=_cmd_dim)
 
@@ -423,7 +416,7 @@ def run_command(argv, out=None):
     except ResourceRefused as exc:
         out.write(f"refused: {exc} (required: {exc.required})\n")
         return 3
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         out.write(f"usage error: {exc}\n")
         return 2
     except GraphCodesError as exc:

@@ -1,13 +1,19 @@
-"""Brute-force code parameters: exact rank, regularity plateau, minimum
+"""Brute-force code parameters: dimension, regularity plateau, minimum
 distance by enumeration, and per-degree profiles.
 
-Rank and reduced row-echelon form use exact GF(q) elimination with
-deterministic pivoting (first nonzero column, smallest row index), so
-generator matrices are reproducible.  Minimum distance enumerates one
-representative per projective class of the message space; when the dual
-code is smaller, its weight distribution is enumerated instead and
-transformed (MacWilliams), which is exact and far cheaper near the
-plateau.  Both routes stay independent of every closed-form formula.
+X is a subgroup of the torus, so each evaluation row P -> P^a / P_1^d is a
+group character of X, and distinct characters are linearly independent
+(Dedekind-Artin).  The dimension of C_X(d) is therefore the number of
+distinct rows of the evaluation matrix, and those rows, one per distinct
+character in lexicographic order, form a reproducible generator matrix.
+Exact GF(q) elimination (`rref`) is left to the dual code's null space and,
+through `rank`, to the tests as an independent oracle.
+
+Minimum distance enumerates one representative per projective class of
+the message space; when the dual code is smaller, its weight distribution
+is enumerated instead and transformed (MacWilliams), which is exact and far
+cheaper near the plateau.  Both routes stay independent of every
+closed-form formula.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ def rref(M, F):
     if R.ndim != 2:
         raise ValueError("matrix expected")
     rows, cols = R.shape
-    prime = F.e == 1
     add, mul, neg, inv = F.add_table, F.mul_table, F.neg_table, F.inv_table
     pivots = []
     r = 0
@@ -60,19 +65,13 @@ def rref(M, F):
             R[[r, pr]] = R[[pr, r]]
         scale = int(inv[R[r, c]])
         if scale != 1:
-            if prime:
-                R[r] = (R[r] * scale) % F.q
-            else:
-                R[r] = mul[scale, R[r]]
+            R[r] = mul[scale, R[r]]
         col = R[:, c].copy()
         col[r] = 0
         nzr = np.nonzero(col)[0]
         if nzr.size:
-            if prime:
-                R[nzr] = (R[nzr] - col[nzr, None] * R[r][None, :]) % F.q
-            else:
-                prod = mul[col[nzr][:, None], R[r][None, :]]
-                R[nzr] = add[R[nzr], neg[prod]]
+            prod = mul[col[nzr][:, None], R[r][None, :]]
+            R[nzr] = add[R[nzr], neg[prod]]
         pivots.append(c)
         r += 1
     return R[:r].astype(np.int16), pivots
@@ -99,20 +98,25 @@ def null_space(M, F):
 class CodeInstance:
     X: object
     d: int
-    generator: np.ndarray  # RREF, rows independent
+    generator: np.ndarray  # one row per distinct character, rows independent
     k: int
     m: int
 
 
+def characters(X, d, cap=DEFAULT_MONOMIAL_CAP):
+    """The distinct rows of the evaluation matrix, lexicographically sorted:
+    one row per distinct degree-d character of X, a basis of C_X(d)."""
+    return np.unique(evaluation_matrix(X, d, cap=cap), axis=0)
+
+
 def code_instance(X, d, cap=DEFAULT_MONOMIAL_CAP):
-    M = evaluation_matrix(X, d, cap=cap)
-    G, pivots = rref(M, X.F)
-    return CodeInstance(X=X, d=d, generator=G, k=len(pivots), m=X.m)
+    G = characters(X, d, cap=cap)
+    return CodeInstance(X=X, d=d, generator=G, k=G.shape[0], m=X.m)
 
 
 def dimension(X, d, cap=DEFAULT_MONOMIAL_CAP):
-    """dim C_X(d): exact rank of the evaluation matrix."""
-    return rank(evaluation_matrix(X, d, cap=cap), X.F)
+    """dim C_X(d): the number of distinct degree-d characters of X."""
+    return characters(X, d, cap=cap).shape[0]
 
 
 def regularity_index(X, cap=DEFAULT_MONOMIAL_CAP):

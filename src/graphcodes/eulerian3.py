@@ -15,15 +15,7 @@ from itertools import combinations
 
 from .errors import CapExceeded
 from .graph import enumerate_eulerian
-from .monomials import (  # noqa: F401  (re-exported monomial-order API)
-    divides,
-    from_support,
-    grevlex_cmp,
-    grevlex_key,
-    grevlex_less,
-    squarefree_monomials,
-    support,
-)
+from .monomials import divides, from_support, grevlex_less, squarefree_monomials
 
 DEFAULT_CYCLE_CAP = 1 << 20
 DEFAULT_SEARCH_CAP = 1 << 24

@@ -173,9 +173,6 @@ class FieldSpec:
     def add(self, a, b):
         return int(self.add_table[a, b])
 
-    def sub(self, a, b):
-        return int(self.add_table[a, self.neg_table[b]])
-
     def neg(self, a):
         return int(self.neg_table[a])
 

@@ -17,8 +17,6 @@ from itertools import product
 
 from .errors import CapExceeded, InvalidParams, NotADecomposition, NotNested, NotOpen
 
-EdgeSubset = frozenset
-
 
 @dataclass(frozen=True)
 class Graph:

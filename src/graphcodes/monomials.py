@@ -15,10 +15,6 @@ def degree(m):
     return sum(m)
 
 
-def is_squarefree(m):
-    return all(e <= 1 for e in m)
-
-
 def support(m):
     """1-based variable indices with nonzero exponent, as a frozenset."""
     return frozenset(i + 1 for i, e in enumerate(m) if e)

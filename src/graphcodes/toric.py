@@ -38,7 +38,11 @@ def normalize_point(coords, F):
 
 class ToricSet:
     """A finite set of torus points in P^{s-1} over GF(q), canonically
-    sorted.  `arr` is the (m, s) array of normalized coordinates."""
+    sorted.  `arr` is the (m, s) array of normalized coordinates.
+
+    The set must be a subgroup of the torus, as `parameterize` and
+    `torus_points` always produce: the code parameters count distinct
+    characters of X, which equals the dimension only on a group."""
 
     def __init__(self, F, s, arr, graph=None):
         self.F = F

@@ -2,6 +2,8 @@ import io
 import json
 import os
 
+import pytest
+
 from graphcodes.cli import run_command, verify
 from graphcodes.graph import build_family, parse_graph
 
@@ -91,6 +93,21 @@ def test_usage_errors():
     assert status == 2
     status, text = run(["dim", "--q", "3", "--d", "1"])  # no graph source
     assert status == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--family", "cycle", "--params", "4", "--q", "3", "--d", "-1"],
+    ["length", "--family", "cycle", "--params", "4", "--q", "3", "--seed-order", "a,b"],
+    ["length", "--graph", "/nonexistent/graph.txt", "--q", "3"],
+    ["length", "--graph", "{bad_header}", "--q", "3"],
+])
+def test_bad_input_is_a_usage_error(argv, tmp_path):
+    bad_header = tmp_path / "bad.graph"
+    bad_header.write_text("3 x\n1 2\n")
+    argv = [a.format(bad_header=bad_header) for a in argv]
+    status, text = run(argv)
+    assert status == 2
+    assert text.startswith("usage error: ")
 
 
 def test_seed_order_invariance():

@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcodes.codes import (
     _macwilliams_min_weight,
@@ -15,8 +19,8 @@ from graphcodes.codes import (
 )
 from graphcodes.errors import BudgetExceeded
 from graphcodes.gfq import make_field
-from graphcodes.graph import build_family
-from graphcodes.toric import parameterize, torus_points
+from graphcodes.graph import Graph, build_family
+from graphcodes.toric import evaluation_matrix, parameterize, torus_points
 
 
 def test_rref_gf5():
@@ -140,3 +144,36 @@ def test_profile_mds_p1_gf5():
     T = torus_points(2, make_field(5))
     for r in distance_profile(T, 3)[1:]:
         assert r.delta == r.singleton  # MDS at every degree up to q - 3
+
+
+@st.composite
+def toric_sets(draw, max_source=81):
+    """A toric set from a random simple graph (n <= 5, s <= 6) or a small
+    projective torus (s <= 4), over a field with q in {2, 3, 4, 5, 7, 8, 9}.
+    The source torus has at most max_source points, which keeps the rank
+    oracle to a fraction of a second per example."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    F = make_field(q)
+    top = max(k for k in range(5) if (q - 1) ** k <= max_source)
+    if draw(st.booleans()):
+        return torus_points(draw(st.integers(1, 1 + min(3, top))), F)
+    n = draw(st.integers(2, 1 + top))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.permutations(pairs))[: draw(st.integers(1, min(6, len(pairs))))]
+    return parameterize(Graph(n, tuple(edges)), F)
+
+
+@given(X=toric_sets())
+@settings(max_examples=100, deadline=None)
+def test_character_count_matches_rank_oracle(X):
+    # Distinct characters against exact elimination, at every degree up to
+    # the plateau: the count is the rank, and the generator's rows are
+    # independent and span the same code as the full evaluation matrix.
+    F = X.F
+    for d in range(regularity_index(X) + 1):
+        M = evaluation_matrix(X, d)
+        k = dimension(X, d)
+        assert k == rank(M, F)
+        G = code_instance(X, d).generator
+        assert rank(G, F) == k
+        assert rank(np.vstack([G, M]), F) == k
