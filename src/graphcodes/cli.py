@@ -248,9 +248,17 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
     multiparts = graphmod.is_complete_multipartite(G)
     connected = summary.b0 == 1
 
-    dims = {}
+    # One code instance per degree, through d_max and on to the plateau.
+    dims, insts = [], {}
+    for inst in codes.code_instances(X):
+        dims.append(inst.k)
+        if inst.d <= d_max:
+            insts[inst.d] = inst
+        if inst.d >= d_max and inst.k == X.m:
+            break
+    reg = dims.index(X.m)
+
     for d in range(d_max + 1):
-        dims[d] = codes.dimension(X, d)
         if is_torus and q >= 3:
             rows.append(_row("dim torus formula", formulas.k_formula(s, d, q),
                              dims[d], d=d))
@@ -271,7 +279,7 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
     prev = None
     for d in range(1, d_max + 1):
         try:
-            delta = codes.minimum_distance(X, d, budget=budget)
+            delta = codes.code_distance(insts[d], budget=budget)
         except ResourceRefused as exc:
             rows.append(_skip("mindist brute force",
                               f"requires {exc.required}", d=d))
@@ -302,9 +310,7 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
             lo = formulas.mindist_nonbipartite_lower(G.n, d, q)
             rows.append(_row("non-bipartite lower bound", True, lo <= delta, d=d))
 
-    reg = codes.regularity_index(X)
-    plateau = dims[reg] if reg in dims else codes.dimension(X, reg)
-    rows.append(_row("hilbert plateau value", X.m, plateau))
+    rows.append(_row("hilbert plateau value", X.m, dims[reg]))
     if q >= 3:
         if is_torus:
             rows.append(_row("reg torus",
@@ -412,6 +418,9 @@ def run_command(argv, out=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
+        for name in ("d", "dmax"):
+            if getattr(args, name, 0) < 0:
+                raise UsageError(f"--{name} must be non-negative")
         return args.handler(args, out)
     except ResourceRefused as exc:
         out.write(f"refused: {exc} (required: {exc.required})\n")

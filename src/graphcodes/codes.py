@@ -13,14 +13,19 @@ Minimum distance enumerates one representative per projective class of
 the message space; when the dual code is smaller, its weight distribution
 is enumerated instead and transformed (MacWilliams), which is exact and far
 cheaper near the plateau.  Both routes stay independent of every
-closed-form formula.
+closed-form formula, and both read their weights from one kernel: a span
+table holds all q^r combinations of the last r generator rows (r as large
+as a fixed cell bound allows), every other coefficient is enumerated as a
+"high" vector h, and wt(h + l) over the table rows l is the count of
+positions where l differs from -h.  A block of the search is thus one byte
+comparison; the add/mul tables only build the span table and the high
+vectors, with no fork on the kind of q.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import count, islice
 from math import comb
 
 import numpy as np
@@ -29,19 +34,7 @@ from .errors import BudgetExceeded, MonotonicityViolation
 from .toric import DEFAULT_MONOMIAL_CAP, evaluation_matrix
 
 DEFAULT_BUDGET = 5 * 10**7
-_CHUNK = 1 << 15
-
-
-def worker_count():
-    """Workers for the distance search; env GRAPHCODES_THREADS, 0 = auto."""
-    raw = os.environ.get("GRAPHCODES_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        value = min(4, os.cpu_count() or 1)
-    return value
+_CELLS = 1 << 20  # compared cells per block of the distance search
 
 
 def rref(M, F):
@@ -119,103 +112,95 @@ def dimension(X, d, cap=DEFAULT_MONOMIAL_CAP):
     return characters(X, d, cap=cap).shape[0]
 
 
+def code_instances(X, cap=DEFAULT_MONOMIAL_CAP):
+    """code_instance(X, d) for d = 0, 1, 2, ...; raises
+    MonotonicityViolation when the Hilbert function fails to increase
+    strictly before it reaches |X|."""
+    previous = None
+    for d in count():
+        inst = code_instance(X, d, cap=cap)
+        if previous is not None and previous < X.m and inst.k <= previous:
+            raise MonotonicityViolation(
+                f"dimension {inst.k} at degree {d} does not exceed {previous}"
+            )
+        yield inst
+        previous = inst.k
+
+
 def regularity_index(X, cap=DEFAULT_MONOMIAL_CAP):
     """Smallest d at which the dimension reaches |X|; asserts the Hilbert
     function is strictly increasing before the plateau."""
-    previous = None
-    d = 0
-    while True:
-        dim = dimension(X, d, cap=cap)
-        if previous is not None and dim <= previous:
-            raise MonotonicityViolation(
-                f"dimension {dim} at degree {d} does not exceed {previous}"
-            )
-        if dim == X.m:
-            return d
-        previous = dim
-        d += 1
+    return next(inst.d for inst in code_instances(X, cap=cap) if inst.k == X.m)
 
 
-def _class_chunks(q, r, chunk=_CHUNK):
-    total = q**r
-    starts = range(0, total, chunk)
-    pows = (q ** np.arange(r - 1, -1, -1, dtype=np.int64)) if r else None
-    for lo in starts:
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        if r == 0:
-            yield np.zeros((1, 0), dtype=np.int64)
-        else:
-            yield (idx[:, None] // pows[None, :]) % q
+def _spans(base, rows, F, limit):
+    """Yield base + c @ rows for every c in GF(q)^len(rows), as uint8 blocks
+    of at most `limit` rows (limit >= 1).  The first row is the most
+    significant digit of the enumeration order, so the first q^t rows of a
+    single block are base plus the span of the last t rows."""
+    if len(rows) == 0:
+        yield base.astype(np.uint8)[None, :]
+        return
+    add, mul = F.add_table, F.mul_table
+    tail = F.q ** (len(rows) - 1)
+    if tail > limit:
+        for c in range(F.q):
+            yield from _spans(add[base, mul[c, rows[0]]], rows[1:], F, limit)
+        return
+    low = next(_spans(base, rows[1:], F, tail))
+    step = limit // tail  # coefficients of rows[0] per block
+    for c in range(0, F.q, step):
+        multiples = mul[c : c + step, rows[0]]
+        yield add[multiples[:, None, :], low[None, :, :]].reshape(-1, base.size).astype(np.uint8)
 
 
-def _encode_chunk(lead_row, tail_rows, coeffs, F):
-    """Codewords lead_row + coeffs @ tail_rows over GF(q)."""
-    if F.e == 1:
-        cw = coeffs.astype(np.float64) @ tail_rows.astype(np.float64)
-        cw += lead_row.astype(np.float64)[None, :]
-        return (cw % F.q).astype(np.int64)
-    mul, add = F.mul_table, F.add_table
-    out = np.broadcast_to(lead_row.astype(np.int64), (coeffs.shape[0], lead_row.size)).copy()
-    for j in range(tail_rows.shape[0]):
-        prod = mul[coeffs[:, j][:, None], tail_rows[j][None, :]]
-        out = add[out, prod]
-    return out
+def _class_weights(G, F):
+    """Hamming weights of one codeword per projective class of the code
+    spanned by G (first nonzero message coordinate 1), in blocks of at most
+    _CELLS compared cells (or one codeword, when that is longer).
+
+    A codeword is h + l: l is a row of a span table holding all q^r
+    combinations of the last r generator rows, and h is the lead row plus a
+    combination of the rows between.  wt(h + l) = #{j : -l_j != h_j}, so
+    with the table negated once a block is one byte comparison, the same
+    for every q."""
+    k, m = G.shape
+    q = F.q
+    G = G.astype(np.uint8)  # byte comparisons against the uint8 table
+    r = 0
+    while r < k - 1 and q ** (r + 1) * m <= _CELLS:
+        r += 1
+    table = next(_spans(np.zeros(m, dtype=np.uint8), G[k - r :], F, q**r))
+    neg_low = F.neg_table.astype(np.uint8)[table]
+    batch = max(1, _CELLS // neg_low.size)  # high vectors per comparison
+    for lead in range(k):
+        free = k - 1 - lead
+        if free <= r:
+            yield np.count_nonzero(neg_low[: q**free] != G[lead], axis=1)
+            continue
+        for high in _spans(G[lead], G[lead + 1 : k - r], F, batch):
+            yield np.count_nonzero(neg_low[None, :, :] != high[:, None, :], axis=2).ravel()
 
 
 def _min_weight_enum(G, F):
-    """Minimum weight over nonzero codewords, one representative per
-    projective class (first nonzero message coordinate fixed to 1)."""
-    k, m = G.shape
-    q = F.q
-    best = m + 1
-
-    def jobs():
-        for lead in range(k):
-            for coeffs in _class_chunks(q, k - 1 - lead):
-                yield lead, coeffs
-
-    def run(job):
-        lead, coeffs = job
-        cw = _encode_chunk(G[lead], G[lead + 1 :], coeffs, F)
-        return int((cw != 0).sum(axis=1).min())
-
-    workers = worker_count()
-    if workers > 1:
-        # Bounded submission window keeps memory flat; min() is
-        # order-independent, so the result is worker-count invariant.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = set()
-            for job in jobs():
-                pending.add(pool.submit(run, job))
-                if len(pending) >= 2 * workers:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    best = min(best, *(f.result() for f in done))
-                    if best == 1:
-                        break
-            for f in pending:
-                best = min(best, f.result())
-    else:
-        for job in jobs():
-            best = min(best, run(job))
-            if best == 1:
-                break
+    """Minimum weight over the nonzero codewords spanned by G."""
+    best = G.shape[1]
+    for weights in _class_weights(G, F):
+        best = min(best, int(weights.min()))
+        if best == 1:
+            break
     return best
 
 
 def _weight_distribution(G, F):
     """Exact weight distribution of the code spanned by G (all codewords)."""
-    k, m = G.shape
-    q = F.q
-    counts = np.zeros(m + 1, dtype=object)
-    counts[0] = 1
-    for lead in range(k):
-        for coeffs in _class_chunks(q, k - 1 - lead):
-            cw = _encode_chunk(G[lead], G[lead + 1 :], coeffs, F)
-            weights = (cw != 0).sum(axis=1)
-            binc = np.bincount(weights, minlength=m + 1)
-            counts += binc.astype(object) * (q - 1)
-    return [int(c) for c in counts]
+    m = G.shape[1]
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for weights in _class_weights(G, F):
+        counts += np.bincount(weights, minlength=m + 1)
+    dist = [int(c) * (F.q - 1) for c in counts]  # q - 1 scalings per class
+    dist[0] += 1  # the zero message
+    return dist
 
 
 def _macwilliams_min_weight(H, F, k):
@@ -243,17 +228,22 @@ def _macwilliams_min_weight(H, F, k):
 
 
 def minimum_distance(X, d, budget=DEFAULT_BUDGET, cap=DEFAULT_MONOMIAL_CAP):
-    """Exact minimum Hamming weight of C_X(d).
+    """Exact minimum Hamming weight of C_X(d)."""
+    return code_distance(code_instance(X, d, cap=cap), budget=budget)
+
+
+def code_distance(inst, budget=DEFAULT_BUDGET):
+    """Exact minimum Hamming weight of a code instance.
 
     Enumerates projective message classes on whichever side of the code
     (primal or dual) is smaller; refuses with the required class count when
     both exceed the budget.  A full code (k = m) trivially has distance 1.
     """
-    inst = code_instance(X, d, cap=cap)
     k, m = inst.k, inst.m
     if k == m:
         return 1
-    q = X.F.q
+    F = inst.X.F
+    q = F.q
     primal = (q**k - 1) // (q - 1)
     dual = (q ** (m - k) - 1) // (q - 1)
     needed = min(primal, dual)
@@ -262,9 +252,9 @@ def minimum_distance(X, d, budget=DEFAULT_BUDGET, cap=DEFAULT_MONOMIAL_CAP):
             f"{needed} message classes required, budget is {budget}", required=needed
         )
     if primal <= dual:
-        return _min_weight_enum(inst.generator, X.F)
-    H = rref(null_space(inst.generator, X.F), X.F)[0]
-    return _macwilliams_min_weight(H, X.F, k)
+        return _min_weight_enum(inst.generator, F)
+    H = rref(null_space(inst.generator, F), F)[0]
+    return _macwilliams_min_weight(H, F, k)
 
 
 @dataclass
@@ -284,13 +274,13 @@ def distance_profile(X, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_MONOMIAL_CAP):
     rows = []
     reg_seen = None
     prev_delta = None
-    for d in range(d_max + 1):
-        dim = dimension(X, d, cap=cap)
+    for inst in islice(code_instances(X, cap=cap), d_max + 1):
+        d, dim = inst.d, inst.k
         singleton = X.m - dim + 1
         if reg_seen is None and dim == X.m:
             reg_seen = d
         try:
-            delta = minimum_distance(X, d, budget=budget, cap=cap)
+            delta = code_distance(inst, budget=budget)
             skipped = None
         except BudgetExceeded as exc:
             delta = None

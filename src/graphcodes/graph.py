@@ -223,8 +223,26 @@ def enumerate_eulerian(G, even_edge_count_only=False, cap=1 << 20):
 #       edges are listed hub-1 to hub-2, path by path.
 
 
+# Parameter counts of the built-in families: (fewest, most or None).
+_ARITY = {
+    "path": (1, 1),
+    "cycle": (1, 1),
+    "complete": (1, 1),
+    "complete_bipartite": (2, 2),
+    "complete_multipartite": (2, None),
+    "parallel_composition": (2, None),
+}
+
+
 def build_family(family, params):
     params = list(params)
+    if family not in _ARITY:
+        raise InvalidParams(f"unknown family {family!r}")
+    lo, hi = _ARITY[family]
+    if len(params) < lo or (hi is not None and len(params) > hi):
+        wanted = f"{lo}" if lo == hi else f"at least {lo}"
+        noun = "parameter" if wanted == "1" else "parameters"
+        raise ValueError(f"{family} takes {wanted} {noun}, got {len(params)}")
     if any(p < 1 for p in params):
         raise InvalidParams("family parameters must be positive")
     if family == "path":
@@ -247,8 +265,6 @@ def build_family(family, params):
             a + b, tuple((i, a + j) for i in range(1, a + 1) for j in range(1, b + 1))
         )
     if family == "complete_multipartite":
-        if len(params) < 2:
-            raise InvalidParams("at least two parts are required")
         n = sum(params)
         part = {}
         v = 1
@@ -267,8 +283,6 @@ def build_family(family, params):
         return Graph(n, edges)
     if family == "parallel_composition":
         ks = params
-        if len(ks) < 2:
-            raise InvalidParams("parallel composition needs at least two paths")
         if sum(1 for k in ks if k == 1) > 1:
             raise InvalidParams("two paths of length 1 would create a multi-edge")
         edges = []
@@ -281,7 +295,6 @@ def build_family(family, params):
             next_v += k - 1
             edges.extend((chain[i], chain[i + 1]) for i in range(k))
         return Graph(next_v - 1, tuple(edges))
-    raise InvalidParams(f"unknown family {family!r}")
 
 
 def _ear_edges(G, path):

@@ -1,11 +1,13 @@
 import io
 import json
-import os
 
 import pytest
 
+from graphcodes import codes
 from graphcodes.cli import run_command, verify
+from graphcodes.gfq import make_field
 from graphcodes.graph import build_family, parse_graph
+from graphcodes.toric import parameterize
 
 
 def run(argv):
@@ -100,6 +102,9 @@ def test_usage_errors():
     ["length", "--family", "cycle", "--params", "4", "--q", "3", "--seed-order", "a,b"],
     ["length", "--graph", "/nonexistent/graph.txt", "--q", "3"],
     ["length", "--graph", "{bad_header}", "--q", "3"],
+    ["ternary", "dim", "--family", "cycle", "--params", "4", "--d", "-1"],
+    ["profile", "--family", "cycle", "--params", "4", "--q", "3", "--dmax", "-1"],
+    ["verify", "--family", "cycle", "--params", "4", "--q", "3", "--dmax", "-1"],
 ])
 def test_bad_input_is_a_usage_error(argv, tmp_path):
     bad_header = tmp_path / "bad.graph"
@@ -130,20 +135,45 @@ def test_repeated_runs_identical():
     assert run(argv) == run(argv)
 
 
-def test_worker_count_invariance():
+def test_mindist_invariant_under_repeat_and_reorder():
     argv = ["mindist", "--family", "cycle", "--params", "6", "--q", "5", "--d", "1"]
-    old = os.environ.get("GRAPHCODES_THREADS")
-    try:
-        os.environ["GRAPHCODES_THREADS"] = "1"
-        one = run(argv)
-        os.environ["GRAPHCODES_THREADS"] = "3"
-        three = run(argv)
-    finally:
-        if old is None:
-            os.environ.pop("GRAPHCODES_THREADS", None)
-        else:
-            os.environ["GRAPHCODES_THREADS"] = old
-    assert one == three
+    first = run(argv)
+    assert first == (0, "186\n")
+    assert run(argv) == first
+    assert run(argv + ["--seed-order", "6,5,4,3,2,1"]) == first
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("cycle", [], "cycle takes 1 parameter, got 0"),
+    ("path", [2, 3], "path takes 1 parameter, got 2"),
+    ("complete", [], "complete takes 1 parameter, got 0"),
+    ("complete_bipartite", [2], "complete_bipartite takes 2 parameters, got 1"),
+    ("complete_multipartite", [2], "complete_multipartite takes at least 2 parameters, got 1"),
+    ("parallel_composition", [], "parallel_composition takes at least 2 parameters, got 0"),
+])
+def test_family_names_the_parameter_count(family, params, message):
+    argv = ["length", "--family", family, "--q", "3"]
+    if params:
+        argv += ["--params", *map(str, params)]
+    assert run(argv) == (2, f"usage error: {message}\n")
+
+
+def test_verify_builds_one_code_per_degree(monkeypatch):
+    calls = []
+    real = codes.characters
+
+    def counted(X, d, **kwargs):
+        calls.append(d)
+        return real(X, d, **kwargs)
+
+    monkeypatch.setattr(codes, "characters", counted)
+    report = verify(build_family("cycle", [6]), 3, 4)
+    assert report["ok"] and report["regularity"] == 2
+    assert sorted(calls) == sorted(set(calls)) == [0, 1, 2, 3, 4]
+    calls.clear()
+    X = parameterize(build_family("complete_bipartite", [2, 3]), make_field(4))
+    assert len(codes.distance_profile(X, 3)) == 4
+    assert sorted(calls) == sorted(set(calls)) == [0, 1, 2, 3]
 
 
 def test_verify_json_round_trips():

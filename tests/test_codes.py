@@ -1,13 +1,17 @@
-from itertools import combinations
+from itertools import combinations, product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcodes import codes
 from graphcodes.codes import (
+    _class_weights,
     _macwilliams_min_weight,
     _min_weight_enum,
+    _weight_distribution,
     code_instance,
     dimension,
     distance_profile,
@@ -18,6 +22,7 @@ from graphcodes.codes import (
     rref,
 )
 from graphcodes.errors import BudgetExceeded
+from graphcodes.formulas import mindist_torus_formula
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family
 from graphcodes.toric import evaluation_matrix, parameterize, torus_points
@@ -110,16 +115,62 @@ def test_mindist_budget_refusal():
 
 def test_primal_and_dual_routes_agree():
     # Same distances whether computed by message enumeration or by the
-    # MacWilliams transform of the dual distribution.
-    F = make_field(3)
-    T = torus_points(3, F)
-    for d in range(1, 5):
-        inst = code_instance(T, d)
-        primal = _min_weight_enum(inst.generator, F)
-        H = rref(null_space(inst.generator, F), F)[0]
-        if H.shape[0]:
-            assert primal == _macwilliams_min_weight(H, F, inst.k)
-        assert primal == minimum_distance(T, d)
+    # MacWilliams transform of the dual distribution.  The tori are small
+    # enough for both sides to be enumerated at every degree.
+    for q, s in ((3, 3), (4, 3), (8, 2), (9, 2)):
+        F = make_field(q)
+        T = torus_points(s, F)
+        for d in range(1, regularity_index(T) + 1):
+            inst = code_instance(T, d)
+            primal = _min_weight_enum(inst.generator, F)
+            H = rref(null_space(inst.generator, F), F)[0]
+            if H.shape[0]:
+                assert primal == _macwilliams_min_weight(H, F, inst.k)
+            assert primal == minimum_distance(T, d)
+
+
+def _brute_weight_distribution(G, F):
+    k, m = G.shape
+    dist = [0] * (m + 1)
+    for message in product(range(F.q), repeat=k):
+        word = [0] * m
+        for c, row in zip(message, G.tolist()):
+            word = [F.add(w, F.mul(c, g)) for w, g in zip(word, row)]
+        dist[sum(1 for w in word if w)] += 1
+    return dist
+
+
+@st.composite
+def generators(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 7))
+    G = np.array(draw(st.lists(st.integers(0, q - 1), min_size=k * m, max_size=k * m)),
+                 dtype=np.int16).reshape(k, m)
+    # A small cell bound forces the recursive high vectors, the batched
+    # comparison and the empty span table; the default keeps one table.
+    cells = draw(st.sampled_from([1, m, 3 * m, q * m + 1, codes._CELLS]))
+    return make_field(q), G, cells
+
+
+@given(case=generators())
+@settings(max_examples=80, deadline=None)
+def test_weight_distribution_matches_scalar_brute_force(case):
+    F, G, cells = case
+    k, m = G.shape
+    with patch.object(codes, "_CELLS", cells):
+        blocks = list(_class_weights(G, F))
+        assert sum(len(b) for b in blocks) == (F.q**k - 1) // (F.q - 1)
+        assert all(len(b) * m <= max(cells, m) for b in blocks)
+        assert _weight_distribution(G, F) == _brute_weight_distribution(G, F)
+
+
+def test_large_length_torus_gf64():
+    # m = 3969, k = 3: the span table covers only the last generator row
+    # (64 x 3969 cells), so the search batches high vectors, four per
+    # comparison.
+    T = torus_points(3, make_field(64))
+    assert minimum_distance(T, 1) == mindist_torus_formula(3, 1, 64)
 
 
 def test_profile_torus_p2_gf5():
