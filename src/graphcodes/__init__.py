@@ -23,6 +23,7 @@ from .errors import (
     NotNested,
     NotOpen,
     UnsupportedFamily,
+    UnsupportedField,
 )
 from .gfq import FieldSpec, make_field
 from .graph import (
@@ -55,6 +56,7 @@ __all__ = [
     "NotOpen",
     "ToricSet",
     "UnsupportedFamily",
+    "UnsupportedField",
     "build_family",
     "cycle_space_basis",
     "dimension",

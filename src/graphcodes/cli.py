@@ -6,8 +6,10 @@ ternary {dim,reg,joins,basis}, family, verify.  Graphs come from a file
 the edge ordering.  Human-readable output by default, stable JSON with
 --json (top-level "schema": 1).
 
-Exit codes: 0 ok, 1 verify found a FAIL, 2 usage error, 3 a cap or budget
-refused the computation (the required amount is printed).
+Exit codes: 0 ok, 1 verify found a FAIL or a domain error, 2 usage error,
+3 a cap or budget refused the computation (the required amount is printed).
+Under --json an error is printed as {"schema": 1, "error": {"type", "message"}},
+plus "required" for a refusal.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def _add_graph_args(p):
 def _add_common(p, q=False, d=False, dmax=False, budget=False, cap=False):
     _add_graph_args(p)
     if q:
-        p.add_argument("--q", type=int, required=True, help="field size (prime power)")
+        p.add_argument("--q", type=int, required=True, help="field size (prime power <= 256)")
     if d:
         p.add_argument("--d", type=int, required=True, help="degree")
     if dmax:
@@ -423,14 +425,22 @@ def run_command(argv, out=None):
                 raise UsageError(f"--{name} must be non-negative")
         return args.handler(args, out)
     except ResourceRefused as exc:
-        out.write(f"refused: {exc} (required: {exc.required})\n")
-        return 3
+        return _fail(args, out, 3, exc, f"refused: {exc} (required: {exc.required})")
     except (UsageError, ValueError, OSError) as exc:
-        out.write(f"usage error: {exc}\n")
-        return 2
+        return _fail(args, out, 2, exc, f"usage error: {exc}")
     except GraphCodesError as exc:
-        out.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 1
+        return _fail(args, out, 1, exc, f"error: {type(exc).__name__}: {exc}")
+
+
+def _fail(args, out, status, exc, text):
+    """Report exc as text, or as a schema-1 JSON error object under --json."""
+    if getattr(args, "as_json", False):
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, ResourceRefused):
+            error["required"] = exc.required
+        text = json.dumps({"schema": SCHEMA, "error": error}, sort_keys=True)
+    out.write(text + "\n")
+    return status
 
 
 def main():

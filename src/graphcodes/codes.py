@@ -253,8 +253,7 @@ def code_distance(inst, budget=DEFAULT_BUDGET):
         )
     if primal <= dual:
         return _min_weight_enum(inst.generator, F)
-    H = rref(null_space(inst.generator, F), F)[0]
-    return _macwilliams_min_weight(H, F, k)
+    return _macwilliams_min_weight(null_space(inst.generator, F), F, k)
 
 
 @dataclass

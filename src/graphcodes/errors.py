@@ -9,6 +9,10 @@ class NotAPrimePower(GraphCodesError):
     pass
 
 
+class UnsupportedField(GraphCodesError):
+    """A field size above the largest supported q (256)."""
+
+
 class DivisionByZero(GraphCodesError, ZeroDivisionError):
     pass
 

@@ -6,17 +6,21 @@ carries full log/antilog tables with respect to a fixed primitive element,
 plus dense q x q addition and multiplication tables so that row operations
 can be vectorized with numpy fancy indexing.
 
-The construction is deterministic: for e > 1 the reducing polynomial is the
-irreducible monic of degree e over GF(p) with the smallest integer encoding
-of its non-leading coefficients, and the primitive element is the
-smallest-encoded generator of the multiplicative group.
+Every q goes through one construction on the (q, e) digit matrix of the
+elements: addition and negation are digit-wise mod p, and a * b is the
+digit-wise sum of b_i * (x^i * a), where multiplying by x shifts the digits
+up and reduces the carried top digit by the reducing polynomial.  That
+polynomial is the irreducible monic of degree e over GF(p) with the smallest
+integer encoding of its non-leading coefficients (x itself for a prime
+field), and the primitive element is the smallest-encoded generator of the
+multiplicative group.  The construction is deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivisionByZero, NotAPrimePower
+from .errors import DivisionByZero, NotAPrimePower, UnsupportedField
 
 MAX_Q = 256
 
@@ -50,15 +54,6 @@ def _poly_mod(num, den, p):
     return [c % p for c in num[:dd]]
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
 def _digits(x, p, e):
     out = []
     for _ in range(e):
@@ -89,11 +84,22 @@ def _is_irreducible(poly, p):
 
 
 def _find_irreducible(p, e):
-    for enc in range(p**e):
-        poly = _digits(enc, p, e) + [1]
-        if _is_irreducible(poly, p):
-            return poly
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    """The monic irreducible of degree e with the smallest encoding; x for e = 1."""
+    return next(poly for poly in _monic_polys(e, p) if _is_irreducible(poly, p))
+
+
+def _find_primitive(mul):
+    """The smallest generator g of GF(q)^* and its powers g^0, ..., g^(q-2)."""
+    q = len(mul)
+    for g in range(1, q):
+        powers = [1]
+        x = g
+        while x != 1:
+            powers.append(x)
+            x = int(mul[x, g])
+        if len(powers) == q - 1:
+            return g, powers
+    raise AssertionError("no primitive element found")  # unreachable
 
 
 class FieldSpec:
@@ -101,6 +107,8 @@ class FieldSpec:
 
     Attributes:
         q, p, e: field size, characteristic, extension degree.
+        reducing_poly: coefficients (low to high) of the monic irreducible
+            polynomial of degree e defining the field; (0, 1) when e = 1.
         add_table, mul_table: dense (q, q) int16 tables.
         neg_table, inv_table: (q,) int16 tables (inv_table[0] is 0, unused).
         exp_table: (q-1,) powers of the primitive element.
@@ -109,64 +117,38 @@ class FieldSpec:
 
     def __init__(self, q):
         if q > MAX_Q:
-            raise NotAPrimePower(f"q = {q} exceeds the supported maximum {MAX_Q}")
+            raise UnsupportedField(f"q = {q} exceeds the supported maximum {MAX_Q}")
         p, e = _factor_prime_power(q)
         self.q = q
         self.p = p
         self.e = e
+        self.reducing_poly = tuple(_find_irreducible(p, e))
 
-        if e == 1:
-            self.reducing_poly = None
-            a = np.arange(q, dtype=np.int64)
-            self.add_table = ((a[:, None] + a[None, :]) % q).astype(np.int16)
-            self.mul_table = ((a[:, None] * a[None, :]) % q).astype(np.int16)
-            self.neg_table = ((-a) % q).astype(np.int16)
-        else:
-            self.reducing_poly = tuple(_find_irreducible(p, e))
-            digs = [_digits(x, p, e) for x in range(q)]
-            add = np.zeros((q, q), dtype=np.int16)
-            mul = np.zeros((q, q), dtype=np.int16)
-            for x in range(q):
-                for y in range(x, q):
-                    s = _undigits([(dx + dy) % p for dx, dy in zip(digs[x], digs[y])], p)
-                    add[x, y] = add[y, x] = s
-                    prod = _poly_mod(_poly_mul(digs[x], digs[y], p), self.reducing_poly, p)
-                    m = _undigits(prod, p)
-                    mul[x, y] = mul[y, x] = m
-            self.add_table = add
-            self.mul_table = mul
-            self.neg_table = np.array(
-                [_undigits([(-d) % p for d in digs[x]], p) for x in range(q)],
-                dtype=np.int16,
-            )
+        place = p ** np.arange(e)
+        digits = np.arange(q)[:, None] // place % p
+        # shifts[i] holds the digits of x^i * a in row a, and the digits of
+        # a * b are sum_i b_i * shifts[i][a] mod p.
+        shifts = [digits]
+        low = np.array(self.reducing_poly[:e])
+        for _ in range(e - 1):
+            a = shifts[-1]
+            up = np.pad(a[:, :-1], ((0, 0), (1, 0)))
+            shifts.append((up - a[:, -1:] * low) % p)
+        prod = np.einsum("bi,iaj->abj", digits, np.stack(shifts)) % p
+        self.add_table = (((digits[:, None] + digits) % p) @ place).astype(np.int16)
+        self.mul_table = (prod @ place).astype(np.int16)
+        self.neg_table = ((-digits % p) @ place).astype(np.int16)
 
-        self.primitive = self._find_primitive()
-        exp = np.zeros(q - 1, dtype=np.int16)
+        self.primitive, powers = _find_primitive(self.mul_table)
+        exp = np.array(powers, dtype=np.int16)
         log = np.full(q, -1, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = int(self.mul_table[x, self.primitive])
+        log[exp] = np.arange(q - 1)
         self.exp_table = exp
         self.log_table = log
 
         inv = np.zeros(q, dtype=np.int16)
         inv[1:] = exp[(-log[1:]) % (q - 1)]
         self.inv_table = inv
-
-    def _find_primitive(self):
-        if self.q == 2:
-            return 1
-        for g in range(2, self.q):
-            x = g
-            order = 1
-            while x != 1:
-                x = int(self.mul_table[x, g])
-                order += 1
-            if order == self.q - 1:
-                return g
-        raise AssertionError("no primitive element found")  # unreachable
 
     # Scalar operations.  Hot paths index the tables directly with numpy.
 
@@ -210,7 +192,8 @@ _field_cache: dict[int, FieldSpec] = {}
 
 
 def make_field(q):
-    """Deterministic GF(q) construction; raises NotAPrimePower otherwise."""
+    """Deterministic GF(q) construction; raises UnsupportedField for
+    q > 256 and NotAPrimePower for any other q that is not a prime power."""
     F = _field_cache.get(q)
     if F is None:
         F = _field_cache[q] = FieldSpec(q)

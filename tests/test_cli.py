@@ -90,6 +90,26 @@ def test_budget_refusal_exit_code():
     assert "required" in text
 
 
+@pytest.mark.parametrize("argv, status, plain, error", [
+    (["length", "--family", "cycle", "--params", "3", "--q", "257"], 1,
+     "error: UnsupportedField: q = 257 exceeds the supported maximum 256\n",
+     {"type": "UnsupportedField", "message": "q = 257 exceeds the supported maximum 256"}),
+    (["dim", "--family", "cycle", "--params", "4", "--q", "3", "--d", "-1"], 2,
+     "usage error: --d must be non-negative\n",
+     {"type": "UsageError", "message": "--d must be non-negative"}),
+    (["mindist", "--family", "cycle", "--params", "6", "--q", "5", "--d", "1",
+      "--budget", "10"], 3,
+     "refused: 3906 message classes required, budget is 10 (required: 3906)\n",
+     {"type": "BudgetExceeded", "message": "3906 message classes required, budget is 10",
+      "required": 3906}),
+])
+def test_errors_as_text_and_json(argv, status, plain, error):
+    assert run(argv) == (status, plain)
+    json_status, text = run(argv + ["--json"])
+    assert json_status == status
+    assert json.loads(text) == {"schema": 1, "error": error}
+
+
 def test_usage_errors():
     status, _ = run(["dim", "--family", "cycle", "--params", "6", "--q", "3"])  # no --d
     assert status == 2
