@@ -250,15 +250,12 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
     multiparts = graphmod.is_complete_multipartite(G)
     connected = summary.b0 == 1
 
-    # One code instance per degree, through d_max and on to the plateau.
-    dims, insts = [], {}
-    for inst in codes.code_instances(X):
-        dims.append(inst.k)
-        if inst.d <= d_max:
-            insts[inst.d] = inst
-        if inst.d >= d_max and inst.k == X.m:
-            break
-    reg = dims.index(X.m)
+    # Dims up to the plateau from the character counts; a generator only
+    # for the degrees through d_max.
+    dims = codes.hilbert_function(X)
+    reg = len(dims) - 1
+    dims += [X.m] * (d_max - reg)
+    insts = [codes.code_instance(X, d) for d in range(d_max + 1)]
 
     for d in range(d_max + 1):
         if is_torus and q >= 3:

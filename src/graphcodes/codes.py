@@ -1,13 +1,22 @@
 """Brute-force code parameters: dimension, regularity plateau, minimum
 distance by enumeration, and per-degree profiles.
 
-X is a subgroup of the torus, so each evaluation row P -> P^a / P_1^d is a
-group character of X, and distinct characters are linearly independent
-(Dedekind-Artin).  The dimension of C_X(d) is therefore the number of
-distinct rows of the evaluation matrix, and those rows, one per distinct
-character in lexicographic order, form a reproducible generator matrix.
-Exact GF(q) elimination (`rref`) is left to the dual code's null space and,
-through `rank`, to the tests as an independent oracle.
+X is the image of a source torus T = (GF(q)^*)^r under a monomial map with
+exponent matrix B (`ToricSet.exponents`), so each function t^a / t_1^d on X
+is a group character, and it pulls back injectively to the character
+B a - d b_1 of T, an element of (Z/(q-1))^r.  Distinct characters are
+linearly independent (Dedekind-Artin), so dim C_X(d) is the number of
+distinct such vectors.  They are counted as a boolean set over the group:
+T_0 = {0} and T_{d+1} is the union of the translates T_d + (b_k - b_1), a
+sumset iteration that is the single source of the Hilbert function
+(`dimension`, `regularity_index`, `hilbert_function`).  It builds no
+evaluation matrix, and its work, s (q-1)^r per degree, is bounded by the
+point cap `parameterize` already enforces on the source torus.  The
+generator of C_X(d) is one row per element c of T_d, the values g^(c . l)
+at the logs l of each point's preimage, capped in cells before it is
+allocated.  Exact GF(q) elimination (`rref`) is left to the dual code's
+null space and, through `rank` and `toric.evaluation_matrix`, to the tests
+as an independent oracle.
 
 Minimum distance enumerates one representative per projective class of
 the message space; when the dual code is smaller, its weight distribution
@@ -30,10 +39,10 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded, MonotonicityViolation
-from .toric import DEFAULT_MONOMIAL_CAP, evaluation_matrix
+from .errors import BudgetExceeded, CapExceeded, MonotonicityViolation
 
 DEFAULT_BUDGET = 5 * 10**7
+DEFAULT_CELL_CAP = 10**7  # generator cells (k * m)
 _CELLS = 1 << 20  # compared cells per block of the distance search
 
 
@@ -96,41 +105,83 @@ class CodeInstance:
     m: int
 
 
-def characters(X, d, cap=DEFAULT_MONOMIAL_CAP):
-    """The distinct rows of the evaluation matrix, lexicographically sorted:
-    one row per distinct degree-d character of X, a basis of C_X(d)."""
-    return np.unique(evaluation_matrix(X, d, cap=cap), axis=0)
+def _sumsets(X):
+    """Yield (T_d, |T_d|) for d = 0, 1, ... up to the plateau |T_d| = |X|.
 
-
-def code_instance(X, d, cap=DEFAULT_MONOMIAL_CAP):
-    G = characters(X, d, cap=cap)
-    return CodeInstance(X=X, d=d, generator=G, k=G.shape[0], m=X.m)
-
-
-def dimension(X, d, cap=DEFAULT_MONOMIAL_CAP):
-    """dim C_X(d): the number of distinct degree-d characters of X."""
-    return characters(X, d, cap=cap).shape[0]
-
-
-def code_instances(X, cap=DEFAULT_MONOMIAL_CAP):
-    """code_instance(X, d) for d = 0, 1, 2, ...; raises
-    MonotonicityViolation when the Hilbert function fails to increase
-    strictly before it reaches |X|."""
-    previous = None
-    for d in count():
-        inst = code_instance(X, d, cap=cap)
-        if previous is not None and previous < X.m and inst.k <= previous:
+    T_d is a boolean array over the character group (Z/(q-1))^r of the
+    source torus marking the pullbacks B a - d b_1 (|a| = d) of the degree-d
+    characters t^a / t_1^d of X, where b_k are the columns of
+    X.exponents.  T_0 = {0}, and T_{d+1} is the union of the translates
+    T_d + (b_k - b_1): the sumset S_{d+1} = U_k (S_d + b_k) of the vectors
+    B a, moved by -d b_1 so that the sets nest.  Raises
+    MonotonicityViolation when a step fails to grow the set before it
+    reaches |X|."""
+    q1 = X.F.q - 1
+    B = X.exponents
+    r = B.shape[0]
+    zero = (0,) * r
+    steps = {tuple(b) for b in ((B[:, 1:] - B[:, :1]) % q1).T.tolist()} - {zero}
+    T = np.zeros((q1,) * r, dtype=bool)
+    T[zero] = True
+    k = 1
+    for d in count(1):
+        yield T, k
+        if k == X.m:
+            return
+        grown = T.copy()
+        for b in steps:
+            grown |= np.roll(T, b, tuple(range(r)))
+        previous, k = k, int(np.count_nonzero(grown))
+        if k <= previous:
             raise MonotonicityViolation(
-                f"dimension {inst.k} at degree {d} does not exceed {previous}"
+                f"dimension {k} at degree {d} does not exceed {previous}"
             )
-        yield inst
-        previous = inst.k
+        T = grown
 
 
-def regularity_index(X, cap=DEFAULT_MONOMIAL_CAP):
+def _sumset(X, d):
+    """(T_d, dim C_X(d)); from the plateau on T_d no longer changes."""
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    for T, k in islice(_sumsets(X), d + 1):
+        pass
+    return T, k
+
+
+def hilbert_function(X):
+    """[dim C_X(0), ..., dim C_X(reg)]: the Hilbert function up to and
+    including its first value |X|."""
+    return [k for _, k in _sumsets(X)]
+
+
+def dimension(X, d):
+    """dim C_X(d): the number of distinct degree-d characters of X."""
+    return _sumset(X, d)[1]
+
+
+def regularity_index(X):
     """Smallest d at which the dimension reaches |X|; asserts the Hilbert
     function is strictly increasing before the plateau."""
-    return next(inst.d for inst in code_instances(X, cap=cap) if inst.k == X.m)
+    return len(hilbert_function(X)) - 1
+
+
+def characters(X, d, cap=DEFAULT_CELL_CAP):
+    """One row per distinct degree-d character of X, in group-index order of
+    T_d: the row of c is P -> g^(c . l(P)), l(P) the logs of P's preimage.
+    The rows are a basis of C_X(d).  Refuses before allocating when the
+    k x m generator exceeds cap cells."""
+    T, k = _sumset(X, d)
+    if k * X.m > cap:
+        raise CapExceeded(
+            f"generator needs {k * X.m} cells, cap is {cap}", required=k * X.m
+        )
+    logs = np.argwhere(T) @ X.preimage_logs.T
+    return X.F.exp_table[logs % (X.F.q - 1)]
+
+
+def code_instance(X, d, cap=DEFAULT_CELL_CAP):
+    G = characters(X, d, cap=cap)
+    return CodeInstance(X=X, d=d, generator=G, k=G.shape[0], m=X.m)
 
 
 def _spans(base, rows, F, limit):
@@ -227,7 +278,7 @@ def _macwilliams_min_weight(H, F, k):
     return next(w for w in range(1, m + 1) if A[w] > 0)
 
 
-def minimum_distance(X, d, budget=DEFAULT_BUDGET, cap=DEFAULT_MONOMIAL_CAP):
+def minimum_distance(X, d, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
     """Exact minimum Hamming weight of C_X(d)."""
     return code_distance(code_instance(X, d, cap=cap), budget=budget)
 
@@ -265,7 +316,7 @@ class ProfileRow:
     skipped: str | None = None
 
 
-def distance_profile(X, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_MONOMIAL_CAP):
+def distance_profile(X, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
     """Per-degree (dim, delta, Singleton bound) records for d = 0..d_max,
     with laws asserted: the Singleton bound, strict decrease of delta until
     it reaches 1, and delta = 1 from the regularity plateau on.  Budget
@@ -273,8 +324,9 @@ def distance_profile(X, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_MONOMIAL_CAP):
     rows = []
     reg_seen = None
     prev_delta = None
-    for inst in islice(code_instances(X, cap=cap), d_max + 1):
-        d, dim = inst.d, inst.k
+    for d in range(d_max + 1):
+        inst = code_instance(X, d, cap=cap)
+        dim = inst.k
         singleton = X.m - dim + 1
         if reg_seen is None and dim == X.m:
             reg_seen = d

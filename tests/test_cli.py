@@ -110,6 +110,21 @@ def test_errors_as_text_and_json(argv, status, plain, error):
     assert json.loads(text) == {"schema": 1, "error": error}
 
 
+def test_generator_cap_is_a_refusal():
+    # C3 over GF(256) at d = 20: 231 characters on 65025 points, past the
+    # default generator cap, refused before the search or any allocation.
+    X = parameterize(build_family("cycle", [3]), make_field(256))
+    required = codes.dimension(X, 20) * X.m
+    assert required > codes.DEFAULT_CELL_CAP
+    status, text = run(["mindist", "--family", "cycle", "--params", "3",
+                        "--q", "256", "--d", "20", "--json"])
+    assert status == 3
+    assert json.loads(text)["error"] == {
+        "type": "CapExceeded", "required": required,
+        "message": f"generator needs {required} cells, cap is {codes.DEFAULT_CELL_CAP}",
+    }
+
+
 def test_usage_errors():
     status, _ = run(["dim", "--family", "cycle", "--params", "6", "--q", "3"])  # no --d
     assert status == 2

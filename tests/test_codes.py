@@ -15,17 +15,23 @@ from graphcodes.codes import (
     code_instance,
     dimension,
     distance_profile,
+    hilbert_function,
     minimum_distance,
     null_space,
     rank,
     regularity_index,
     rref,
 )
-from graphcodes.errors import BudgetExceeded
-from graphcodes.formulas import mindist_torus_formula
+from graphcodes.errors import BudgetExceeded, CapExceeded, MonotonicityViolation
+from graphcodes.formulas import (
+    RegFamily,
+    dim_complete_bipartite,
+    mindist_torus_formula,
+    reg_closed_form,
+)
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family
-from graphcodes.toric import evaluation_matrix, parameterize, torus_points
+from graphcodes.toric import ToricSet, evaluation_matrix, parameterize, torus_points
 
 
 def test_rref_gf5():
@@ -200,9 +206,11 @@ def test_profile_mds_p1_gf5():
 @st.composite
 def toric_sets(draw, max_source=81):
     """A toric set from a random simple graph (n <= 5, s <= 6) or a small
-    projective torus (s <= 4), over a field with q in {2, 3, 4, 5, 7, 8, 9}.
-    The source torus has at most max_source points, which keeps the rank
-    oracle to a fraction of a second per example."""
+    projective torus (s <= 4, s = 1 included), over a field with q in
+    {2, 3, 4, 5, 7, 8, 9}.  Graph edges are drawn among all n vertices, so
+    isolated vertices and several components (b0 > 1) occur.  The source
+    torus has at most max_source points, which keeps the rank oracle to a
+    fraction of a second per example."""
     q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
     F = make_field(q)
     top = max(k for k in range(5) if (q - 1) ** k <= max_source)
@@ -214,17 +222,60 @@ def toric_sets(draw, max_source=81):
     return parameterize(Graph(n, tuple(edges)), F)
 
 
-@given(X=toric_sets())
+@given(X=toric_sets(), data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_character_count_matches_rank_oracle(X):
-    # Distinct characters against exact elimination, at every degree up to
-    # the plateau: the count is the rank, and the generator's rows are
-    # independent and span the same code as the full evaluation matrix.
+def test_character_count_matches_rank_oracle(X, data):
+    # The character count against the evaluation matrix, at every degree up
+    # to the plateau: it is the number of distinct evaluation rows and the
+    # exact rank, and the generator's rows are those distinct rows, hence
+    # independent and spanning the same code as the full matrix.
     F = X.F
-    for d in range(regularity_index(X) + 1):
+    dims = hilbert_function(X)
+    for d, k in enumerate(dims):
         M = evaluation_matrix(X, d)
-        k = dimension(X, d)
-        assert k == rank(M, F)
+        distinct = np.unique(M, axis=0)
+        assert k == dimension(X, d) == distinct.shape[0] == rank(M, F)
         G = code_instance(X, d).generator
+        assert G.shape[0] == k
+        assert np.array_equal(np.unique(G, axis=0), distinct)
         assert rank(G, F) == k
         assert rank(np.vstack([G, M]), F) == k
+    assert dims[-1] == X.m and dimension(X, len(dims)) == X.m
+    if X.graph is not None:
+        perm = data.draw(st.permutations(range(1, X.s + 1)))
+        H = X.graph.reorder_edges(list(perm))
+        assert hilbert_function(parameterize(H, F)) == dims
+
+
+def test_generator_cap_refuses_before_allocation():
+    X = parameterize(build_family("complete_bipartite", [2, 3]), make_field(7))
+    k = dimension(X, 4)
+    assert code_instance(X, 4, cap=k * X.m).k == k
+    with pytest.raises(CapExceeded) as exc:
+        code_instance(X, 4, cap=k * X.m - 1)
+    assert exc.value.required == k * X.m
+
+
+def test_stalled_hilbert_function_is_a_violation():
+    # Every point listed twice: the character set fills the 4-element group
+    # of the source torus, stalls below |X| = 8, and the iteration says so.
+    T = torus_points(2, make_field(5))
+    X = ToricSet(T.F, T.s, np.vstack([T.arr, T.arr]), T.exponents,
+                 np.vstack([T.preimage_logs, T.preimage_logs]))
+    with pytest.raises(MonotonicityViolation):
+        regularity_index(X)
+
+
+def test_regularity_k5_gf7_baseline():
+    # Past 1.7 GB and unfinished after ten minutes through the evaluation
+    # matrix; the sumset stays on the 6^4-element source character group.
+    X = parameterize(build_family("complete", [5]), make_field(7))
+    assert regularity_index(X) == reg_closed_form(RegFamily("complete", (5,)), 7) == 10
+
+
+def test_dimension_k33_gf8_baseline():
+    # d = 9 alone took 227 s through the evaluation matrix (24310 x 2401).
+    X = parameterize(build_family("complete_bipartite", [3, 3]), make_field(8))
+    dims = hilbert_function(X)
+    assert dims == [dim_complete_bipartite(3, 3, d, 8) for d in range(len(dims))]
+    assert dims[-1] == X.m and dimension(X, 9) == dims[9]

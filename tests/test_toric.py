@@ -130,3 +130,26 @@ def test_toric_set_closed_under_pointwise_product():
 def test_normalize_point_general_position():
     F = make_field(5)
     assert normalize_point((3, 0, 2, 0), F) == (4, 0, 1, 0)
+
+
+@pytest.mark.parametrize("X", [
+    parameterize(build_family("complete", [4]), make_field(8)),
+    parameterize(two_triangles(), make_field(5)),
+    parameterize(build_family("path", [3]), make_field(9)),
+    torus_points(3, make_field(7)),
+    torus_points(1, make_field(4)),
+], ids=["K4-GF8", "two-triangles-GF5", "P3-GF9", "torus3-GF7", "torus1-GF4"])
+def test_source_map_reaches_every_point(X):
+    # Each point is phi of its recorded preimage: the coordinates t^{b_k}
+    # computed by hand from the preimage logs, normalized by the last one.
+    F = X.F
+    assert X.preimage_logs.shape == (X.m, X.exponents.shape[0])
+    for point, logs in zip(X.points, X.preimage_logs.tolist()):
+        t = [F.exp_table[l] for l in logs]
+        image = []
+        for column in X.exponents.T.tolist():
+            value = 1
+            for ti, e in zip(t, column):
+                value = F.mul(value, F.pow(int(ti), e))
+            image.append(value)
+        assert normalize_point(image, F) == point
