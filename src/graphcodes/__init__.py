@@ -36,7 +36,7 @@ from .graph import (
     summarize,
     validate_ear_decomposition,
 )
-from .toric import ToricSet, evaluation_matrix, expected_length, parameterize, torus_points
+from .toric import ToricSet, expected_length, parameterize, torus_points
 
 __all__ = [
     "BudgetExceeded",
@@ -62,7 +62,6 @@ __all__ = [
     "dimension",
     "distance_profile",
     "enumerate_eulerian",
-    "evaluation_matrix",
     "expected_length",
     "make_field",
     "minimum_distance",

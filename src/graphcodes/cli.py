@@ -18,12 +18,11 @@ import argparse
 import json
 import sys
 
-from . import codes, eulerian3, formulas, graph as graphmod, toric
+from . import codes, eulerian3, graph as graphmod, toric
 from .errors import GraphCodesError, ResourceRefused
 from .gfq import make_field
 from .monomials import format_monomial, grevlex_key
-
-SCHEMA = 1
+from .verify import SCHEMA, verify
 
 
 def _add_graph_args(p):
@@ -213,131 +212,6 @@ def _cmd_family(args, out):
         G = G.reorder_edges(perm)
     out.write(graphmod.format_graph(G))
     return 0
-
-
-# Verification harness: recompute everything by brute force, attach every
-# applicable closed form, and mark each row PASS / FAIL / SKIPPED(reason).
-
-
-def _row(check, expected, actual, d=None):
-    status = "PASS" if expected == actual else "FAIL"
-    row = {"check": check, "expected": expected, "actual": actual, "status": status}
-    if d is not None:
-        row["d"] = d
-    return row
-
-
-def _skip(check, reason, d=None):
-    row = {"check": check, "status": f"SKIPPED({reason})"}
-    if d is not None:
-        row["d"] = d
-    return row
-
-
-def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP):
-    """Cross-check every applicable closed form against brute force."""
-    F = make_field(q)
-    rows = []
-    summary = graphmod.summarize(G)
-    X = toric.parameterize(G, F, cap=cap)  # asserts the length theorem itself
-    rows.append(_row("length", toric.expected_length(summary, F), X.m))
-
-    s = G.s
-    is_torus = X.m == (q - 1) ** (s - 1)
-    kab = graphmod.is_complete_bipartite(G)
-    half_cycle = graphmod.is_even_cycle(G)
-    n_complete = graphmod.is_complete(G)
-    multiparts = graphmod.is_complete_multipartite(G)
-    connected = summary.b0 == 1
-
-    # Dims up to the plateau from the character counts; a generator only
-    # for the degrees through d_max.
-    dims = codes.hilbert_function(X)
-    reg = len(dims) - 1
-    dims += [X.m] * (d_max - reg)
-    insts = [codes.code_instance(X, d) for d in range(d_max + 1)]
-
-    for d in range(d_max + 1):
-        if is_torus and q >= 3:
-            rows.append(_row("dim torus formula", formulas.k_formula(s, d, q),
-                             dims[d], d=d))
-        if kab and q >= 3:
-            a, b = kab
-            rows.append(_row("dim complete bipartite",
-                             formulas.dim_complete_bipartite(a, b, d, q),
-                             dims[d], d=d))
-        if half_cycle and q == 3:
-            rows.append(_row("dim even cycle ternary",
-                             formulas.dim_even_cycle_ternary(half_cycle, d),
-                             dims[d], d=d))
-        if q == 3:
-            rows.append(_row("dim ternary parity joins",
-                             eulerian3.dim_ternary(G, d), dims[d], d=d))
-
-    deltas = {}
-    prev = None
-    for d in range(1, d_max + 1):
-        try:
-            delta = codes.code_distance(insts[d], budget=budget)
-        except ResourceRefused as exc:
-            rows.append(_skip("mindist brute force",
-                              f"requires {exc.required}", d=d))
-            prev = None
-            continue
-        deltas[d] = delta
-        singleton = X.m - dims[d] + 1
-        rows.append(_row("singleton bound", True, delta <= singleton, d=d))
-        if prev is not None:
-            ok = delta < prev if prev > 1 else delta == 1
-            rows.append(_row("strict decrease", True, ok, d=d))
-        prev = delta
-        if is_torus and q >= 3:
-            rows.append(_row("mindist torus formula",
-                             formulas.mindist_torus_formula(s, d, q), delta, d=d))
-        if kab and q >= 3 and min(kab) >= 2:
-            a, b = kab
-            rows.append(_row("mindist complete bipartite",
-                             formulas.mindist_complete_bipartite(a, b, d, q),
-                             delta, d=d))
-        if connected and summary.bipartite and q >= 3:
-            parts = graphmod.bipartition(G)
-            a, b = len(parts[0]), len(parts[1])
-            if min(a, b) >= 2:
-                lo, hi = formulas.mindist_bipartite_bounds(a, b, d, q)
-                rows.append(_row("bipartite bounds", True, lo <= delta <= hi, d=d))
-        if connected and not summary.bipartite and q >= 3:
-            lo = formulas.mindist_nonbipartite_lower(G.n, d, q)
-            rows.append(_row("non-bipartite lower bound", True, lo <= delta, d=d))
-
-    rows.append(_row("hilbert plateau value", X.m, dims[reg]))
-    if q >= 3:
-        if is_torus:
-            rows.append(_row("reg torus",
-                             formulas.reg_closed_form(formulas.RegFamily("torus", (s,)), q), reg))
-        if kab:
-            rows.append(_row("reg complete bipartite",
-                             formulas.reg_closed_form(formulas.RegFamily("complete_bipartite", kab), q), reg))
-        if n_complete and n_complete > 3:
-            rows.append(_row("reg complete",
-                             formulas.reg_closed_form(formulas.RegFamily("complete", (n_complete,)), q), reg))
-        if half_cycle:
-            rows.append(_row("reg even cycle",
-                             formulas.reg_closed_form(formulas.RegFamily("even_cycle", (half_cycle,)), q), reg))
-        if multiparts and G.n > 3:
-            rows.append(_row("reg complete multipartite",
-                             formulas.reg_closed_form(formulas.RegFamily("complete_multipartite", multiparts), q), reg))
-    if q == 3:
-        mu, _ = eulerian3.max_parity_join(G)
-        rows.append(_row("reg ternary (mu - 1)", mu - 1, reg))
-
-    for d in range(reg, d_max + 1):
-        if d in deltas:
-            rows.append(_row("delta = 1 past plateau", 1, deltas[d], d=d))
-
-    failed = any(r["status"] == "FAIL" for r in rows)
-    return {"schema": SCHEMA, "q": q, "d_max": d_max, "length": X.m,
-            "regularity": reg, "degenerate": X.degenerate,
-            "rows": rows, "ok": not failed}
 
 
 def _cmd_verify(args, out):

@@ -13,22 +13,24 @@ sumset iteration that is the single source of the Hilbert function
 evaluation matrix, and its work, s (q-1)^r per degree, is bounded by the
 point cap `parameterize` already enforces on the source torus.  The
 generator of C_X(d) is one row per element c of T_d, the values g^(c . l)
-at the logs l of each point's preimage, capped in cells before it is
-allocated.  Exact GF(q) elimination (`rref`) is left to the dual code's
-null space and, through `rank` and `toric.evaluation_matrix`, to the tests
-as an independent oracle.
+at the logs l of each point's preimage (`characters`).
 
 Minimum distance enumerates one representative per projective class of
 the message space; when the dual code is smaller, its weight distribution
 is enumerated instead and transformed (MacWilliams), which is exact and far
-cheaper near the plateau.  Both routes stay independent of every
-closed-form formula, and both read their weights from one kernel: a span
-table holds all q^r combinations of the last r generator rows (r as large
-as a fixed cell bound allows), every other coefficient is enumerated as a
-"high" vector h, and wt(h + l) over the table rows l is the count of
+cheaper near the plateau.  The dual is a character code as well: it is
+spanned by the characters in H outside -T_d, H the plateau set of every
+character of X (see `code_distance`), so neither side needs GF(q)
+elimination.  The side, the generator cap and the class budget are decided
+from k and m before any matrix exists.  Both routes stay independent of
+every closed-form formula, and both read their weights from one kernel: a
+span table holds all q^r combinations of the last r generator rows (r as
+large as a fixed cell bound allows), every other coefficient is enumerated
+as a "high" vector h, and wt(h + l) over the table rows l is the count of
 positions where l differs from -h.  A block of the search is thus one byte
 comparison; the add/mul tables only build the span table and the high
-vectors, with no fork on the kind of q.
+vectors, with no fork on the kind of q.  Exact rank and null spaces stay in
+the tests (`tests/oracle.py`) as an independent check.
 """
 
 from __future__ import annotations
@@ -42,67 +44,29 @@ import numpy as np
 from .errors import BudgetExceeded, CapExceeded, MonotonicityViolation
 
 DEFAULT_BUDGET = 5 * 10**7
-DEFAULT_CELL_CAP = 10**7  # generator cells (k * m)
+DEFAULT_CELL_CAP = 10**7  # cells of the generator built: k or m - k rows, m columns
 _CELLS = 1 << 20  # compared cells per block of the distance search
-
-
-def rref(M, F):
-    """Reduced row-echelon form over GF(q).  Returns (R, pivot columns);
-    R keeps only the nonzero rows, so len(pivots) is the rank."""
-    R = np.array(M, dtype=np.int64)
-    if R.ndim != 2:
-        raise ValueError("matrix expected")
-    rows, cols = R.shape
-    add, mul, neg, inv = F.add_table, F.mul_table, F.neg_table, F.inv_table
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        scale = int(inv[R[r, c]])
-        if scale != 1:
-            R[r] = mul[scale, R[r]]
-        col = R[:, c].copy()
-        col[r] = 0
-        nzr = np.nonzero(col)[0]
-        if nzr.size:
-            prod = mul[col[nzr][:, None], R[r][None, :]]
-            R[nzr] = add[R[nzr], neg[prod]]
-        pivots.append(c)
-        r += 1
-    return R[:r].astype(np.int16), pivots
-
-
-def rank(M, F):
-    return len(rref(M, F)[1])
-
-
-def null_space(M, F):
-    """Basis of the right null space of M over GF(q), as rows."""
-    R, pivots = rref(M, F)
-    cols = np.asarray(M).shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int16)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = F.neg_table[R[r, fc]]
-    return basis
 
 
 @dataclass
 class CodeInstance:
+    """C_X(d) by its characters, before any matrix is built."""
+
     X: object
     d: int
-    generator: np.ndarray  # one row per distinct character, rows independent
-    k: int
-    m: int
+    T: np.ndarray  # the set T_d of degree-d characters, over (Z/(q-1))^r
+    k: int  # |T_d| = dim C_X(d)
+
+    @property
+    def m(self):
+        return self.X.m
+
+    def dual(self):
+        """The set of the m - k characters of H outside -T_d; their rows
+        are a basis of C_X(d)^perp (see `code_distance`)."""
+        for H, _ in _sumsets(self.X):
+            pass
+        return H & ~_negated(self.T)
 
 
 def _sumsets(X):
@@ -139,15 +103,6 @@ def _sumsets(X):
         T = grown
 
 
-def _sumset(X, d):
-    """(T_d, dim C_X(d)); from the plateau on T_d no longer changes."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    for T, k in islice(_sumsets(X), d + 1):
-        pass
-    return T, k
-
-
 def hilbert_function(X):
     """[dim C_X(0), ..., dim C_X(reg)]: the Hilbert function up to and
     including its first value |X|."""
@@ -156,7 +111,7 @@ def hilbert_function(X):
 
 def dimension(X, d):
     """dim C_X(d): the number of distinct degree-d characters of X."""
-    return _sumset(X, d)[1]
+    return code_instance(X, d).k
 
 
 def regularity_index(X):
@@ -165,23 +120,29 @@ def regularity_index(X):
     return len(hilbert_function(X)) - 1
 
 
-def characters(X, d, cap=DEFAULT_CELL_CAP):
-    """One row per distinct degree-d character of X, in group-index order of
-    T_d: the row of c is P -> g^(c . l(P)), l(P) the logs of P's preimage.
-    The rows are a basis of C_X(d).  Refuses before allocating when the
-    k x m generator exceeds cap cells."""
-    T, k = _sumset(X, d)
-    if k * X.m > cap:
-        raise CapExceeded(
-            f"generator needs {k * X.m} cells, cap is {cap}", required=k * X.m
-        )
-    logs = np.argwhere(T) @ X.preimage_logs.T
+def characters(X, S):
+    """One row per element c of the boolean set S over (Z/(q-1))^r, in
+    group-index order: the row of c is P -> g^(c . l(P)), l(P) the logs of
+    P's preimage.  Distinct characters, so the rows are independent; for
+    S = T_d they are a basis of C_X(d)."""
+    logs = np.argwhere(S) @ X.preimage_logs.T
     return X.F.exp_table[logs % (X.F.q - 1)]
 
 
-def code_instance(X, d, cap=DEFAULT_CELL_CAP):
-    G = characters(X, d, cap=cap)
-    return CodeInstance(X=X, d=d, generator=G, k=G.shape[0], m=X.m)
+def code_instance(X, d):
+    """C_X(d), with the sumset iterated up to d only."""
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    for T, k in islice(_sumsets(X), d + 1):
+        pass
+    return CodeInstance(X, d, T, k)
+
+
+def _negated(S):
+    """The set -S = {-c : c in S} over (Z/(q-1))^r: flipping an axis maps
+    c to q - 2 - c, and a roll by one then to -c."""
+    axes = tuple(range(S.ndim))
+    return np.roll(np.flip(S, axes), 1, axes)
 
 
 def _spans(base, rows, F, limit):
@@ -280,15 +241,22 @@ def _macwilliams_min_weight(H, F, k):
 
 def minimum_distance(X, d, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
     """Exact minimum Hamming weight of C_X(d)."""
-    return code_distance(code_instance(X, d, cap=cap), budget=budget)
+    return code_distance(code_instance(X, d), budget=budget, cap=cap)
 
 
-def code_distance(inst, budget=DEFAULT_BUDGET):
+def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
     """Exact minimum Hamming weight of a code instance.
 
     Enumerates projective message classes on whichever side of the code
-    (primal or dual) is smaller; refuses with the required class count when
-    both exceed the budget.  A full code (k = m) trivially has distance 1.
+    (primal or dual) is smaller.  The side, the cap on its generator cells
+    and then the budget on its classes are checked from k and m alone,
+    before any matrix is built; only the chosen side is built.  A full code
+    (k = m) has distance 1 and builds nothing.
+
+    The dual side is a character code too: m = |X| divides (q-1)^r, so
+    m != 0 in GF(q), and the characters satisfy <chi_a, chi_b> = m [a + b = 0].
+    C_X(d)^perp is therefore spanned by the m - k characters of H, the
+    plateau set, that lie outside -T_d.
     """
     k, m = inst.k, inst.m
     if k == m:
@@ -297,14 +265,19 @@ def code_distance(inst, budget=DEFAULT_BUDGET):
     q = F.q
     primal = (q**k - 1) // (q - 1)
     dual = (q ** (m - k) - 1) // (q - 1)
+    rows = k if primal <= dual else m - k
+    if rows * m > cap:
+        raise CapExceeded(
+            f"generator needs {rows * m} cells, cap is {cap}", required=rows * m
+        )
     needed = min(primal, dual)
     if needed > budget:
         raise BudgetExceeded(
             f"{needed} message classes required, budget is {budget}", required=needed
         )
     if primal <= dual:
-        return _min_weight_enum(inst.generator, F)
-    return _macwilliams_min_weight(null_space(inst.generator, F), F, k)
+        return _min_weight_enum(characters(inst.X, inst.T), F)
+    return _macwilliams_min_weight(characters(inst.X, inst.dual()), F, k)
 
 
 @dataclass
@@ -325,13 +298,13 @@ def distance_profile(X, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
     reg_seen = None
     prev_delta = None
     for d in range(d_max + 1):
-        inst = code_instance(X, d, cap=cap)
+        inst = code_instance(X, d)
         dim = inst.k
         singleton = X.m - dim + 1
         if reg_seen is None and dim == X.m:
             reg_seen = d
         try:
-            delta = code_distance(inst, budget=budget)
+            delta = code_distance(inst, budget=budget, cap=cap)
             skipped = None
         except BudgetExceeded as exc:
             delta = None

@@ -11,10 +11,6 @@ from __future__ import annotations
 from itertools import combinations
 
 
-def degree(m):
-    return sum(m)
-
-
 def support(m):
     """1-based variable indices with nonzero exponent, as a frozenset."""
     return frozenset(i + 1 for i, e in enumerate(m) if e)
@@ -49,29 +45,6 @@ def grevlex_less(m1, m2):
 def grevlex_key(m):
     """Sort key: ascending order under this key is ascending grevlex."""
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def count_degree_monomials(s, d):
-    from math import comb
-
-    return comb(s + d - 1, d)
-
-
-def degree_monomials(s, d):
-    """All degree-d monomials in s variables, descending grevlex
-    (t_1^d first)."""
-    out = []
-    # Stars and bars: bar positions determine the exponent vector.
-    for bars in combinations(range(d + s - 1), s - 1):
-        prev = -1
-        exps = []
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(d + s - 2 - prev)
-        out.append(tuple(exps))
-    out.sort(key=grevlex_key, reverse=True)
-    return out
 
 
 def squarefree_monomials(s, d):

@@ -6,8 +6,9 @@ field encoding and kept in lexicographic row order.  Construction of a
 toric set enumerates the source torus, maps each point through the edge
 monomials, normalizes, deduplicates, and cross-checks the count against
 the closed-form length; the toric set keeps that source map, which is all
-the code parameters need (see `ToricSet`).  The evaluation matrix stays as
-an independent oracle for the tests.
+the code parameters need (see `ToricSet`).  The evaluation matrix of all
+degree-d monomials is built only by the tests, as an independent oracle
+(`tests/oracle.py`).
 """
 
 from __future__ import annotations
@@ -18,24 +19,8 @@ import numpy as np
 
 from .errors import CapExceeded, LengthMismatch
 from .graph import summarize
-from .monomials import count_degree_monomials, degree_monomials
 
 DEFAULT_POINT_CAP = 10**7
-DEFAULT_MONOMIAL_CAP = 10**6
-
-
-def normalize_point(coords, F):
-    """Scale so the last nonzero coordinate is 1; rejects the zero vector."""
-    coords = list(coords)
-    last = None
-    for i in range(len(coords) - 1, -1, -1):
-        if coords[i] != 0:
-            last = i
-            break
-    if last is None:
-        raise ValueError("projective point cannot be the zero vector")
-    scale = F.inv(coords[last])
-    return tuple(F.mul(c, scale) for c in coords)
 
 
 class ToricSet:
@@ -161,19 +146,3 @@ def parameterize(G, F, cap=DEFAULT_POINT_CAP):
         )
     return ToricSet(F, s, arr, incidence[:-1], logs[first, :-1], graph=G)
 
-
-def evaluation_matrix(X, d, cap=DEFAULT_MONOMIAL_CAP):
-    """Rows = degree-d monomials (descending grevlex), columns = points of X;
-    entry = f(P) / t_1^d(P).  Representative-independent on the torus."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    F = X.F
-    q = F.q
-    nmon = count_degree_monomials(X.s, d)
-    if nmon > cap:
-        raise CapExceeded(f"{nmon} monomials needed, cap is {cap}", required=nmon)
-    mons = degree_monomials(X.s, d)
-    A = np.array(mons, dtype=np.int64).reshape(nmon, X.s)
-    logs = F.log_table[X.arr.astype(np.int64)]  # all coordinates nonzero
-    raw = A @ logs.T - d * logs[:, 0][None, :]
-    return F.exp_table[raw % (q - 1)].astype(np.int16)

@@ -1,0 +1,120 @@
+"""Exact linear algebra and evaluation matrices over GF(q), kept as an
+independent oracle for the tests.
+
+The package computes every code parameter from characters of the source
+torus and never eliminates; these routes recompute the same quantities the
+textbook way: the evaluation matrix of all degree-d monomials, its rank by
+Gaussian elimination, and the dual code as a null space.
+"""
+
+from itertools import combinations
+from math import comb
+
+import numpy as np
+
+from graphcodes.errors import CapExceeded
+from graphcodes.monomials import grevlex_key
+
+DEFAULT_MONOMIAL_CAP = 10**6
+
+
+def rref(M, F):
+    """Reduced row-echelon form over GF(q).  Returns (R, pivot columns);
+    R keeps only the nonzero rows, so len(pivots) is the rank."""
+    R = np.array(M, dtype=np.int64)
+    if R.ndim != 2:
+        raise ValueError("matrix expected")
+    rows, cols = R.shape
+    add, mul, neg, inv = F.add_table, F.mul_table, F.neg_table, F.inv_table
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            R[[r, pr]] = R[[pr, r]]
+        scale = int(inv[R[r, c]])
+        if scale != 1:
+            R[r] = mul[scale, R[r]]
+        col = R[:, c].copy()
+        col[r] = 0
+        nzr = np.nonzero(col)[0]
+        if nzr.size:
+            prod = mul[col[nzr][:, None], R[r][None, :]]
+            R[nzr] = add[R[nzr], neg[prod]]
+        pivots.append(c)
+        r += 1
+    return R[:r].astype(np.int16), pivots
+
+
+def rank(M, F):
+    return len(rref(M, F)[1])
+
+
+def null_space(M, F):
+    """Basis of the right null space of M over GF(q), as rows."""
+    R, pivots = rref(M, F)
+    cols = np.asarray(M).shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int16)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[i, pc] = F.neg_table[R[r, fc]]
+    return basis
+
+
+def count_degree_monomials(s, d):
+    return comb(s + d - 1, d)
+
+
+def degree_monomials(s, d):
+    """All degree-d monomials in s variables, descending grevlex
+    (t_1^d first)."""
+    out = []
+    # Stars and bars: bar positions determine the exponent vector.
+    for bars in combinations(range(d + s - 1), s - 1):
+        prev = -1
+        exps = []
+        for b in bars:
+            exps.append(b - prev - 1)
+            prev = b
+        exps.append(d + s - 2 - prev)
+        out.append(tuple(exps))
+    out.sort(key=grevlex_key, reverse=True)
+    return out
+
+
+def normalize_point(coords, F):
+    """Scale so the last nonzero coordinate is 1; rejects the zero vector."""
+    coords = list(coords)
+    last = None
+    for i in range(len(coords) - 1, -1, -1):
+        if coords[i] != 0:
+            last = i
+            break
+    if last is None:
+        raise ValueError("projective point cannot be the zero vector")
+    scale = F.inv(coords[last])
+    return tuple(F.mul(c, scale) for c in coords)
+
+
+def evaluation_matrix(X, d, cap=DEFAULT_MONOMIAL_CAP):
+    """Rows = degree-d monomials (descending grevlex), columns = points of X;
+    entry = f(P) / t_1^d(P).  Representative-independent on the torus."""
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    F = X.F
+    q = F.q
+    nmon = count_degree_monomials(X.s, d)
+    if nmon > cap:
+        raise CapExceeded(f"{nmon} monomials needed, cap is {cap}", required=nmon)
+    mons = degree_monomials(X.s, d)
+    A = np.array(mons, dtype=np.int64).reshape(nmon, X.s)
+    logs = F.log_table[X.arr.astype(np.int64)]  # all coordinates nonzero
+    raw = A @ logs.T - d * logs[:, 0][None, :]
+    return F.exp_table[raw % (q - 1)].astype(np.int16)

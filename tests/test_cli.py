@@ -125,6 +125,31 @@ def test_generator_cap_is_a_refusal():
     }
 
 
+def test_verify_generator_cap_is_a_refusal(monkeypatch):
+    # C3 over GF(256) with a budget of 10 classes: d = 1..16 are skipped by
+    # the budget, and d = 17 (171 characters on 65025 points) exceeds the
+    # default generator cap, which stops verify with exit 3.  Nothing is
+    # built for any of these degrees.
+    X = parameterize(build_family("cycle", [3]), make_field(256))
+    required = codes.dimension(X, 17) * X.m
+    assert codes.dimension(X, 16) * X.m <= codes.DEFAULT_CELL_CAP < required
+    builds = []
+    monkeypatch.setattr(codes, "characters", lambda *args: builds.append(args))
+    status, text = run(["verify", "--family", "cycle", "--params", "3",
+                        "--q", "256", "--dmax", "17", "--budget", "10", "--json"])
+    assert status == 3 and builds == []
+    assert json.loads(text)["error"] == {
+        "type": "CapExceeded", "required": required,
+        "message": f"generator needs {required} cells, cap is {codes.DEFAULT_CELL_CAP}",
+    }
+    report = verify(build_family("cycle", [3]), 256, 16, budget=10)
+    assert report["schema"] == 1 and report["ok"] and builds == []
+    assert [r["status"] for r in report["rows"] if r["check"] == "mindist brute force"] == [
+        f"SKIPPED(requires {(256 ** codes.dimension(X, d) - 1) // 255})"
+        for d in range(1, 17)
+    ]
+
+
 def test_usage_errors():
     status, _ = run(["dim", "--family", "cycle", "--params", "6", "--q", "3"])  # no --d
     assert status == 2
@@ -194,21 +219,33 @@ def test_family_names_the_parameter_count(family, params, message):
 
 
 def test_verify_builds_one_code_per_degree(monkeypatch):
-    calls = []
-    real = codes.characters
+    # A degree builds at most one matrix, the side it enumerates, and none
+    # when it is refused, when k = m, or (in verify) at d = 0.
+    degrees, builds = [], []
+    real_distance, real_characters = codes.code_distance, codes.characters
 
-    def counted(X, d, **kwargs):
-        calls.append(d)
-        return real(X, d, **kwargs)
+    def distance(inst, **kwargs):
+        degrees.append(inst.d)
+        return real_distance(inst, **kwargs)
 
-    monkeypatch.setattr(codes, "characters", counted)
+    def characters(X, S):
+        builds.append(degrees[-1])
+        return real_characters(X, S)
+
+    monkeypatch.setattr(codes, "code_distance", distance)
+    monkeypatch.setattr(codes, "characters", characters)
     report = verify(build_family("cycle", [6]), 3, 4)
     assert report["ok"] and report["regularity"] == 2
-    assert sorted(calls) == sorted(set(calls)) == [0, 1, 2, 3, 4]
-    calls.clear()
+    assert degrees == [1, 2, 3, 4] and builds == [1]
+    degrees.clear()
+    builds.clear()
+    report = verify(build_family("cycle", [6]), 5, 1, budget=10)
+    assert report["ok"] and degrees == [1] and builds == []
+    degrees.clear()
     X = parameterize(build_family("complete_bipartite", [2, 3]), make_field(4))
+    assert codes.hilbert_function(X) == [1, 6, 18, 24, 27]
     assert len(codes.distance_profile(X, 3)) == 4
-    assert sorted(calls) == sorted(set(calls)) == [0, 1, 2, 3]
+    assert degrees == builds == [0, 1, 2, 3]
 
 
 def test_verify_json_round_trips():

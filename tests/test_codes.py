@@ -12,26 +12,26 @@ from graphcodes.codes import (
     _macwilliams_min_weight,
     _min_weight_enum,
     _weight_distribution,
+    characters,
     code_instance,
     dimension,
     distance_profile,
     hilbert_function,
     minimum_distance,
-    null_space,
-    rank,
     regularity_index,
-    rref,
 )
 from graphcodes.errors import BudgetExceeded, CapExceeded, MonotonicityViolation
 from graphcodes.formulas import (
     RegFamily,
     dim_complete_bipartite,
+    mindist_complete_bipartite,
     mindist_torus_formula,
     reg_closed_form,
 )
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family
-from graphcodes.toric import ToricSet, evaluation_matrix, parameterize, torus_points
+from graphcodes.toric import ToricSet, parameterize, torus_points
+from oracle import evaluation_matrix, null_space, rank, rref
 
 
 def test_rref_gf5():
@@ -120,19 +120,33 @@ def test_mindist_budget_refusal():
 
 
 def test_primal_and_dual_routes_agree():
-    # Same distances whether computed by message enumeration or by the
-    # MacWilliams transform of the dual distribution.  The tori are small
-    # enough for both sides to be enumerated at every degree.
+    # Same distances whether computed by message enumeration, by the
+    # MacWilliams transform of the character dual's distribution, or by that
+    # of the oracle null space.  The tori are small enough for both sides to
+    # be enumerated at every degree.
     for q, s in ((3, 3), (4, 3), (8, 2), (9, 2)):
         F = make_field(q)
         T = torus_points(s, F)
         for d in range(1, regularity_index(T) + 1):
             inst = code_instance(T, d)
-            primal = _min_weight_enum(inst.generator, F)
-            H = rref(null_space(inst.generator, F), F)[0]
-            if H.shape[0]:
-                assert primal == _macwilliams_min_weight(H, F, inst.k)
+            G = characters(T, inst.T)
+            primal = _min_weight_enum(G, F)
+            if inst.k < inst.m:
+                D = characters(T, inst.dual())
+                assert primal == _macwilliams_min_weight(D, F, inst.k)
+                assert primal == _macwilliams_min_weight(null_space(G, F), F, inst.k)
             assert primal == minimum_distance(T, d)
+    # K_{2,3} over GF(7) at d = 9, k = 210 of m = 216: only the six-row
+    # character dual is enumerated, and the closed form and the oracle null
+    # space of the 210 x 216 generator give the same value.
+    F = make_field(7)
+    X = parameterize(build_family("complete_bipartite", [2, 3]), F)
+    inst = code_instance(X, 9)
+    assert (inst.k, inst.m) == (210, 216)
+    expected = mindist_complete_bipartite(2, 3, 9, 7)
+    assert minimum_distance(X, 9) == expected
+    N = null_space(characters(X, inst.T), F)
+    assert _macwilliams_min_weight(N, F, inst.k) == expected
 
 
 def _brute_weight_distribution(G, F):
@@ -235,7 +249,7 @@ def test_character_count_matches_rank_oracle(X, data):
         M = evaluation_matrix(X, d)
         distinct = np.unique(M, axis=0)
         assert k == dimension(X, d) == distinct.shape[0] == rank(M, F)
-        G = code_instance(X, d).generator
+        G = characters(X, code_instance(X, d).T)
         assert G.shape[0] == k
         assert np.array_equal(np.unique(G, axis=0), distinct)
         assert rank(G, F) == k
@@ -247,13 +261,86 @@ def test_character_count_matches_rank_oracle(X, data):
         assert hilbert_function(parameterize(H, F)) == dims
 
 
-def test_generator_cap_refuses_before_allocation():
+def _gf_inner_products(A, B, F):
+    """A @ B.T over GF(q), summed column by column through the tables."""
+    products = F.mul_table[A[:, None, :], B[None, :, :]]
+    acc = np.zeros(products.shape[:2], dtype=np.int64)
+    for j in range(products.shape[2]):
+        acc = F.add_table[acc, products[:, :, j]]
+    return acc
+
+
+@given(X=toric_sets())
+@settings(max_examples=60, deadline=None)
+def test_character_dual_matches_null_space_oracle(X):
+    # At every degree up to the plateau + 1 the m - k characters of H
+    # outside -T_d are orthogonal to the k primal characters, both sides
+    # have full rank, and they span the oracle null space (so the weight
+    # distributions agree; compared directly where enumeration is cheap).
+    F = X.F
+    for d in range(len(hilbert_function(X)) + 1):
+        inst = code_instance(X, d)
+        k, m = inst.k, inst.m
+        G = characters(X, inst.T)
+        assert rank(G, F) == k
+        if k == m:
+            continue
+        D = characters(X, inst.dual())
+        assert D.shape == (m - k, m)
+        assert not _gf_inner_products(G, D, F).any()
+        assert rank(D, F) == m - k
+        N = null_space(G, F)
+        assert rank(np.vstack([D, N]), F) == m - k
+        if F.q ** (m - k) <= 10**5:
+            assert _weight_distribution(D, F) == _weight_distribution(N, F)
+
+
+def _count_builds(monkeypatch):
+    """Record the row count of every matrix `codes.characters` builds."""
+    built = []
+    real = codes.characters
+
+    def counted(X, S):
+        rows = real(X, S)
+        built.append(rows.shape[0])
+        return rows
+
+    monkeypatch.setattr(codes, "characters", counted)
+    return built
+
+
+def test_generator_cap_refuses_before_allocation(monkeypatch):
+    # d = 1 takes the primal side; the cap counts its k x m cells and is
+    # checked before anything is built.
     X = parameterize(build_family("complete_bipartite", [2, 3]), make_field(7))
-    k = dimension(X, 4)
-    assert code_instance(X, 4, cap=k * X.m).k == k
+    k = dimension(X, 1)
+    assert 2 * k <= X.m
+    built = _count_builds(monkeypatch)
     with pytest.raises(CapExceeded) as exc:
-        code_instance(X, 4, cap=k * X.m - 1)
+        minimum_distance(X, 1, cap=k * X.m - 1)
     assert exc.value.required == k * X.m
+    assert built == []
+    assert minimum_distance(X, 1, cap=k * X.m) == mindist_complete_bipartite(2, 3, 1, 7)
+    assert built == [k]
+
+
+def test_refusal_builds_nothing(monkeypatch):
+    # K4 over GF(4) at d = 2: k = 19 of m = 27, so the dual side (8 rows,
+    # 21845 classes) is the smaller one; the budget refuses it from k and m.
+    X = parameterize(build_family("complete", [4]), make_field(4))
+    built = _count_builds(monkeypatch)
+    with pytest.raises(BudgetExceeded) as exc:
+        minimum_distance(X, 2, budget=2000)
+    assert exc.value.required == 21845
+    assert built == []
+    # The cap is checked first, on the 8 x 27 dual generator.
+    with pytest.raises(CapExceeded) as exc:
+        minimum_distance(X, 2, budget=2000, cap=8 * 27 - 1)
+    assert exc.value.required == 8 * 27
+    assert built == []
+    # At the plateau the distance is 1, with no matrix at all.
+    assert minimum_distance(X, regularity_index(X), cap=0) == 1
+    assert built == []
 
 
 def test_stalled_hilbert_function_is_a_violation():
