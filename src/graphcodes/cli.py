@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import codes, eulerian3, graph as graphmod, toric
-from .errors import GraphCodesError, ResourceRefused
+from .errors import GraphCodesError, LengthMismatch, ResourceRefused
 from .gfq import make_field
 from .monomials import format_monomial, grevlex_key
 from .verify import SCHEMA, verify
@@ -47,7 +47,8 @@ def _add_common(p, q=False, d=False, dmax=False, budget=False, cap=False):
                        help="message-class budget for distance enumeration")
     if cap:
         p.add_argument("--cap", type=int, default=toric.DEFAULT_POINT_CAP,
-                       help="enumeration cap (torus tuples)")
+                       help="cap on |X|, the points of the toric set (checked "
+                       "before anything of that size is allocated)")
     p.add_argument("--json", action="store_true", dest="as_json")
 
 
@@ -104,13 +105,19 @@ def _cmd_summarize(args, out):
 def _cmd_length(args, out):
     G = _load_graph(args)
     X = _toric_set(G, args)
+    length = toric.count_points(X)
+    expected = toric.expected_length(graphmod.summarize(G), X.F)
+    if length != expected:
+        raise LengthMismatch(
+            f"enumerated {length} distinct points but the length formula gives {expected}"
+        )
     if args.as_json:
         out.write(json.dumps({
             "schema": SCHEMA, "graph": _graph_ident(G, args), "q": args.q,
-            "length": X.m, "degenerate": X.degenerate,
+            "length": length, "degenerate": X.degenerate,
         }, sort_keys=True) + "\n")
     else:
-        out.write(f"{X.m}\n")
+        out.write(f"{length}\n")
     return 0
 
 
@@ -245,7 +252,8 @@ def build_parser():
     _add_common(p)
     p.set_defaults(handler=_cmd_summarize)
 
-    p = sub.add_parser("length", help="|X| by enumeration (checked against the formula)")
+    p = sub.add_parser("length", help="|X|: its distinct points, listed from the "
+                       "group structure of X and counted against the formula")
     _add_common(p, q=True, cap=True)
     p.set_defaults(handler=_cmd_length)
 

@@ -6,27 +6,30 @@ exponent matrix B (`ToricSet.exponents`), so each function t^a / t_1^d on X
 is a group character, and it pulls back injectively to the character
 B a - d b_1 of T, an element of (Z/(q-1))^r.  Distinct characters are
 linearly independent (Dedekind-Artin), so dim C_X(d) is the number of
-distinct such vectors.  They are counted as a boolean set over the group:
-T_0 = {0} and T_{d+1} is the union of the translates T_d + (b_k - b_1), a
-sumset iteration that is the single source of the Hilbert function
-(`dimension`, `regularity_index`, `hilbert_function`).  It builds no
-evaluation matrix, and its work, s (q-1)^r per degree, is bounded by the
-point cap `parameterize` already enforces on the source torus.  The
-generator of C_X(d) is one row per element c of T_d, the values g^(c . l)
-at the logs l of each point's preimage (`characters`).
+distinct such vectors.  They all lie in the subgroup spanned by the steps
+b_k - b_1, which has |X| elements and which `ToricSet.character_group`
+writes as a grid Z/d_1 + ... + Z/d_k of |X| cells.  The vectors are counted
+as a boolean set over that grid: T_0 = {0} and T_{d+1} is the union of the
+translates T_d + (b_k - b_1), a sumset iteration that is the single source
+of the Hilbert function (`dimension`, `regularity_index`,
+`hilbert_function`).  It builds no evaluation matrix and lists no point,
+and its work, s |X| cells per degree, is bounded by the point cap
+`parameterize` enforces on |X|.  The generator of C_X(d) is one row per
+element of T_d: mapped back to its vector c in (Z/(q-1))^r, its row holds
+the values g^(c . l) at the logs l of each point's preimage (`characters`).
 
 Minimum distance enumerates one representative per projective class of
 the message space; when the dual code is smaller, its weight distribution
 is enumerated instead and transformed (MacWilliams), which is exact and far
 cheaper near the plateau.  The dual is a character code as well: it is
-spanned by the characters in H outside -T_d, H the plateau set of every
-character of X (see `code_distance`), so neither side needs GF(q)
-elimination.  The side, the generator cap and the class budget are decided
-from k and m before any matrix exists.  Both routes stay independent of
-every closed-form formula, and both read their weights from one kernel: a
-span table holds all q^r combinations of the last r generator rows (r as
-large as a fixed cell bound allows), every other coefficient is enumerated
-as a "high" vector h, and wt(h + l) over the table rows l is the count of
+spanned by the characters outside -T_d, the grid holding every character
+of X (see `code_distance`), so neither side needs GF(q) elimination.  The
+side, the generator cap and the class budget are decided from k and m
+before any matrix exists.  Both routes stay independent of every
+closed-form formula, and both read their weights from one kernel: a span
+table holds all q^r combinations of the last r generator rows (r as large
+as a fixed cell bound allows), every other coefficient is enumerated as a
+"high" vector h, and wt(h + l) over the table rows l is the count of
 positions where l differs from -h.  A block of the search is thus one byte
 comparison; the add/mul tables only build the span table and the high
 vectors, with no fork on the kind of q.  Exact rank and null spaces stay in
@@ -54,7 +57,7 @@ class CodeInstance:
 
     X: object
     d: int
-    T: np.ndarray  # the set T_d of degree-d characters, over (Z/(q-1))^r
+    T: np.ndarray  # the set T_d of degree-d characters, over X.character_group
     k: int  # |T_d| = dim C_X(d)
 
     @property
@@ -62,30 +65,26 @@ class CodeInstance:
         return self.X.m
 
     def dual(self):
-        """The set of the m - k characters of H outside -T_d; their rows
-        are a basis of C_X(d)^perp (see `code_distance`)."""
-        for H, _ in _sumsets(self.X):
-            pass
-        return H & ~_negated(self.T)
+        """The set of the m - k characters outside -T_d; their rows are a
+        basis of C_X(d)^perp (see `code_distance`)."""
+        return ~_negated(self.T)
 
 
 def _sumsets(X):
     """Yield (T_d, |T_d|) for d = 0, 1, ... up to the plateau |T_d| = |X|.
 
-    T_d is a boolean array over the character group (Z/(q-1))^r of the
-    source torus marking the pullbacks B a - d b_1 (|a| = d) of the degree-d
-    characters t^a / t_1^d of X, where b_k are the columns of
-    X.exponents.  T_0 = {0}, and T_{d+1} is the union of the translates
-    T_d + (b_k - b_1): the sumset S_{d+1} = U_k (S_d + b_k) of the vectors
-    B a, moved by -d b_1 so that the sets nest.  Raises
-    MonotonicityViolation when a step fails to grow the set before it
-    reaches |X|."""
-    q1 = X.F.q - 1
-    B = X.exponents
-    r = B.shape[0]
-    zero = (0,) * r
-    steps = {tuple(b) for b in ((B[:, 1:] - B[:, :1]) % q1).T.tolist()} - {zero}
-    T = np.zeros((q1,) * r, dtype=bool)
+    T_d is a boolean array over the grid of X.character_group marking the
+    pullbacks B a - d b_1 (|a| = d) of the degree-d characters t^a / t_1^d
+    of X, where b_k are the columns of X.exponents.  T_0 = {0}, and T_{d+1}
+    is the union of the translates T_d + (b_k - b_1): the sumset
+    S_{d+1} = U_k (S_d + b_k) of the vectors B a, moved by -d b_1 so that
+    the sets nest.  Raises MonotonicityViolation when a step fails to grow
+    the set before it reaches |X|."""
+    group = X.character_group
+    axes = tuple(range(len(group.orders)))
+    zero = (0,) * len(axes)
+    steps = {tuple(b) for b in group.gens.T.tolist()} - {zero}
+    T = np.zeros(group.orders, dtype=bool)
     T[zero] = True
     k = 1
     for d in count(1):
@@ -94,7 +93,7 @@ def _sumsets(X):
             return
         grown = T.copy()
         for b in steps:
-            grown |= np.roll(T, b, tuple(range(r)))
+            grown |= np.roll(T, b, axes)
         previous, k = k, int(np.count_nonzero(grown))
         if k <= previous:
             raise MonotonicityViolation(
@@ -121,12 +120,14 @@ def regularity_index(X):
 
 
 def characters(X, S):
-    """One row per element c of the boolean set S over (Z/(q-1))^r, in
-    group-index order: the row of c is P -> g^(c . l(P)), l(P) the logs of
-    P's preimage.  Distinct characters, so the rows are independent; for
-    S = T_d they are a basis of C_X(d)."""
-    logs = np.argwhere(S) @ X.preimage_logs.T
-    return X.F.exp_table[logs % (X.F.q - 1)]
+    """One row per element of the boolean set S over the grid of
+    X.character_group, in grid-index order: the element is mapped back to
+    its vector c in (Z/(q-1))^r, and its row is P -> g^(c . l(P)), l(P) the
+    logs of P's preimage.  Distinct characters, so the rows are
+    independent; for S = T_d they are a basis of C_X(d)."""
+    q1 = X.F.q - 1
+    c = np.argwhere(S) @ X.character_group.embed.T % q1
+    return X.F.exp_table[c @ X.preimage_logs.T % q1]
 
 
 def code_instance(X, d):
@@ -139,8 +140,8 @@ def code_instance(X, d):
 
 
 def _negated(S):
-    """The set -S = {-c : c in S} over (Z/(q-1))^r: flipping an axis maps
-    c to q - 2 - c, and a roll by one then to -c."""
+    """The set -S = {-c : c in S} over the grid Z/d_1 + ... + Z/d_k:
+    flipping axis i maps c to d_i - 1 - c, and a roll by one then to -c."""
     axes = tuple(range(S.ndim))
     return np.roll(np.flip(S, axes), 1, axes)
 
@@ -255,8 +256,8 @@ def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
 
     The dual side is a character code too: m = |X| divides (q-1)^r, so
     m != 0 in GF(q), and the characters satisfy <chi_a, chi_b> = m [a + b = 0].
-    C_X(d)^perp is therefore spanned by the m - k characters of H, the
-    plateau set, that lie outside -T_d.
+    C_X(d)^perp is therefore spanned by the m - k characters of X, the
+    cells of the character grid, that lie outside -T_d.
     """
     k, m = inst.k, inst.m
     if k == m:

@@ -38,8 +38,9 @@ class NotNested(GraphCodesError):
 
 
 class LengthMismatch(GraphCodesError):
-    """Internal consistency failure: enumerated point count disagrees with
-    the closed-form length.  Indicates a bug, never swallowed."""
+    """Internal consistency failure: the group order of X, or the number of
+    distinct points listed from it, disagrees with the closed-form length.
+    Indicates a bug, never swallowed."""
 
 
 class MonotonicityViolation(GraphCodesError):

@@ -38,8 +38,8 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
     F = make_field(q)
     rows = []
     summary = graphmod.summarize(G)
-    X = toric.parameterize(G, F, cap=cap)  # asserts the length theorem itself
-    rows.append(_row("length", toric.expected_length(summary, F), X.m))
+    X = toric.parameterize(G, F, cap=cap)  # asserts the group order itself
+    rows.append(_row("length", toric.expected_length(summary, F), toric.count_points(X)))
 
     s = G.s
     is_torus = X.m == (q - 1) ** (s - 1)

@@ -1,10 +1,13 @@
-"""Exact linear algebra and evaluation matrices over GF(q), kept as an
-independent oracle for the tests.
+"""Exact linear algebra, evaluation matrices and source-torus enumeration
+over GF(q), kept as an independent oracle for the tests.
 
-The package computes every code parameter from characters of the source
-torus and never eliminates; these routes recompute the same quantities the
-textbook way: the evaluation matrix of all degree-d monomials, its rank by
-Gaussian elimination, and the dual code as a null space.
+The package computes every code parameter from characters of X, written on
+a grid of |X| cells, and never eliminates nor enumerates the source torus;
+these routes recompute the same quantities the textbook way: the points by
+mapping every source tuple, the Hilbert function as a sumset over the whole
+character group (Z/(q-1))^r of the source torus, the evaluation matrix of
+all degree-d monomials, its rank by Gaussian elimination, and the dual code
+as a null space.
 """
 
 from itertools import combinations
@@ -118,3 +121,41 @@ def evaluation_matrix(X, d, cap=DEFAULT_MONOMIAL_CAP):
     logs = F.log_table[X.arr.astype(np.int64)]  # all coordinates nonzero
     raw = A @ logs.T - d * logs[:, 0][None, :]
     return F.exp_table[raw % (q - 1)].astype(np.int16)
+
+
+def source_torus_points(X):
+    """X.arr by enumeration: all (q-1)^r tuples of the source torus, mapped
+    through the exponent matrix, normalized so the last coordinate is 1,
+    deduplicated and sorted."""
+    F = X.F
+    q1 = F.q - 1
+    r = X.exponents.shape[0]
+    idx = np.arange(q1**r, dtype=np.int64)
+    pows = q1 ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    logs = (idx[:, None] // pows[None, :]) % q1
+    img = logs @ X.exponents
+    img = (img - img[:, -1:]) % q1
+    return np.unique(F.exp_table[img].astype(np.int16), axis=0)
+
+
+def source_torus_hilbert_function(X):
+    """[dim C_X(0), ..., dim C_X(reg)] as a sumset over the whole character
+    group (Z/(q-1))^r of the source torus: T_0 = {0}, T_{d+1} the union of
+    the translates T_d + (b_k - b_1), until |T_d| stops growing."""
+    q1 = X.F.q - 1
+    B = X.exponents
+    r = B.shape[0]
+    zero = (0,) * r
+    steps = {tuple(b) for b in ((B[:, 1:] - B[:, :1]) % q1).T.tolist()} - {zero}
+    T = np.zeros((q1,) * r, dtype=bool)
+    T[zero] = True
+    dims = [1]
+    while True:
+        grown = T.copy()
+        for b in steps:
+            grown |= np.roll(T, b, tuple(range(r)))
+        k = int(np.count_nonzero(grown))
+        if k == dims[-1]:
+            return dims
+        dims.append(k)
+        T = grown

@@ -1,13 +1,14 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from graphcodes import codes
 from graphcodes.cli import run_command, verify
 from graphcodes.gfq import make_field
 from graphcodes.graph import build_family, parse_graph
-from graphcodes.toric import parameterize
+from graphcodes.toric import ToricSet, parameterize
 
 
 def run(argv):
@@ -20,6 +21,38 @@ def test_length_hexagon_gf5():
     status, text = run(["length", "--family", "cycle", "--params", "6", "--q", "5"])
     assert status == 0
     assert text.strip() == "256"
+
+
+def test_length_past_the_source_torus():
+    # 242^3 source tuples were refused at the default cap; X has 242^2 points.
+    status, text = run(["length", "--family", "cycle", "--params", "4", "--q", "243",
+                        "--json"])
+    assert status == 0
+    assert json.loads(text)["length"] == 242**2
+
+
+def test_length_counts_distinct_points(monkeypatch):
+    # A listing with one point twice has the right number of rows and the
+    # right group order, but one distinct point too few: the length
+    # subcommand refuses it and verify fails its length row.
+    real = ToricSet.arr.fget
+
+    def doubled(X):
+        arr = real(X)
+        return np.vstack([arr[:-1], arr[:1]])
+
+    monkeypatch.setattr(ToricSet, "arr", property(doubled))
+    status, text = run(["length", "--family", "cycle", "--params", "6", "--q", "5",
+                        "--json"])
+    assert status == 1
+    assert json.loads(text)["error"] == {
+        "type": "LengthMismatch",
+        "message": "enumerated 255 distinct points but the length formula gives 256",
+    }
+    report = verify(build_family("cycle", [6]), 5, 1)
+    assert not report["ok"]
+    assert report["rows"][0] == {"check": "length", "expected": 256, "actual": 255,
+                                 "status": "FAIL"}
 
 
 def test_dim_hexagon_ternary():

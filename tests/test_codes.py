@@ -30,7 +30,7 @@ from graphcodes.formulas import (
 )
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family
-from graphcodes.toric import ToricSet, parameterize, torus_points
+from graphcodes.toric import GroupImage, ToricSet, parameterize, torus_points
 from oracle import evaluation_matrix, null_space, rank, rref
 
 
@@ -88,6 +88,14 @@ def test_dimension_invariant_under_edge_reorder():
     F = make_field(4)
     for d in range(4):
         assert dimension(parameterize(G, F), d) == dimension(parameterize(H, F), d)
+
+
+def test_dimension_and_regularity_list_no_points():
+    # Both read the character grid only; the points of X stay unlisted.
+    X = parameterize(build_family("complete_bipartite", [3, 3]), make_field(8))
+    assert regularity_index(X) == reg_closed_form(RegFamily("complete_bipartite", (3, 3)), 8)
+    assert dimension(X, 4) == dim_complete_bipartite(3, 3, 4, 8)
+    assert not {"_listing", "preimage_logs"} & set(vars(X))
 
 
 def test_regularity_torus_p1_gf5():
@@ -273,7 +281,7 @@ def _gf_inner_products(A, B, F):
 @given(X=toric_sets())
 @settings(max_examples=60, deadline=None)
 def test_character_dual_matches_null_space_oracle(X):
-    # At every degree up to the plateau + 1 the m - k characters of H
+    # At every degree up to the plateau + 1 the m - k characters of the grid
     # outside -T_d are orthogonal to the k primal characters, both sides
     # have full rank, and they span the oracle null space (so the weight
     # distributions agree; compared directly where enumeration is cheap).
@@ -344,18 +352,25 @@ def test_refusal_builds_nothing(monkeypatch):
 
 
 def test_stalled_hilbert_function_is_a_violation():
-    # Every point listed twice: the character set fills the 4-element group
-    # of the source torus, stalls below |X| = 8, and the iteration says so.
+    # Every point listed twice: the point grid gains an axis of order 2 that
+    # moves no point, so m = 8 while X has 4 points and 4 characters.  The
+    # character set fills its 4-cell grid, stalls below m, and the iteration
+    # says so.
     T = torus_points(2, make_field(5))
-    X = ToricSet(T.F, T.s, np.vstack([T.arr, T.arr]), T.exponents,
-                 np.vstack([T.preimage_logs, T.preimage_logs]))
+    P = T.point_group
+    twice = GroupImage((2, *P.orders),
+                       np.hstack([np.zeros_like(P.section[:, :1]), P.section]),
+                       np.hstack([np.zeros_like(P.embed[:, :1]), P.embed]),
+                       np.vstack([np.zeros_like(P.gens[:1]), P.gens]))
+    X = ToricSet(T.F, T.exponents, twice)
+    assert X.m == 8 and np.array_equal(np.unique(X.arr, axis=0), T.arr)
     with pytest.raises(MonotonicityViolation):
         regularity_index(X)
 
 
 def test_regularity_k5_gf7_baseline():
     # Past 1.7 GB and unfinished after ten minutes through the evaluation
-    # matrix; the sumset stays on the 6^4-element source character group.
+    # matrix; the sumset stays on the 6^4-cell character grid.
     X = parameterize(build_family("complete", [5]), make_field(7))
     assert regularity_index(X) == reg_closed_form(RegFamily("complete", (5,)), 7) == 10
 

@@ -1,12 +1,19 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import toric_points_brute, two_triangles
+from graphcodes.codes import hilbert_function
 from graphcodes.errors import CapExceeded
 from graphcodes.gfq import make_field
-from graphcodes.graph import build_family, summarize
-from graphcodes.toric import expected_length, parameterize, torus_points
-from oracle import degree_monomials, evaluation_matrix, normalize_point
+from graphcodes.graph import Graph, build_family, summarize
+from graphcodes.toric import expected_length, group_image, parameterize, torus_points
+from oracle import (degree_monomials, evaluation_matrix, normalize_point,
+                    source_torus_hilbert_function, source_torus_points)
 
 
 def test_torus_points_p1_gf3():
@@ -26,6 +33,23 @@ def test_torus_points_count():
 def test_torus_cap():
     with pytest.raises(CapExceeded):
         torus_points(5, make_field(5), cap=10)
+
+
+def test_cap_counts_points_before_allocation():
+    # K_{4,4} over GF(16): 15^7 source tuples, 15^6 points, over the default
+    # cap.  The refusal comes from the closed-form length, before the
+    # group is computed, with no array of that size (or of any size near it)
+    # allocated first.
+    G, F = build_family("complete_bipartite", [4, 4]), make_field(16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as exc:
+            parameterize(G, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.required == 15**6
+    assert peak < 10**6
 
 
 @pytest.mark.parametrize(
@@ -146,3 +170,60 @@ def test_source_map_reaches_every_point(X):
                 value = F.mul(value, F.pow(int(ti), e))
             image.append(value)
         assert normalize_point(image, F) == point
+
+
+@st.composite
+def source_maps(draw):
+    """A toric set over GF(q), q in {2, 3, 4, 5, 7, 8, 9}, from a random
+    graph on n <= 5 vertices with edges drawn among all of them (so isolated
+    vertices and b0 > 1 occur), a random tree, or a projective torus."""
+    F = make_field(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
+    kind = draw(st.sampled_from(["graph", "tree", "torus"]))
+    if kind == "torus":
+        return torus_points(draw(st.integers(1, 5)), F)
+    n = draw(st.integers(2, 5))
+    if kind == "tree":
+        edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    else:
+        pairs = list(combinations(range(1, n + 1), 2))
+        edges = draw(st.permutations(pairs))[: draw(st.integers(1, len(pairs)))]
+    return parameterize(Graph(n, tuple(edges)), F)
+
+
+@given(X=source_maps())
+@settings(max_examples=150, deadline=None)
+def test_group_points_match_source_torus_enumeration(X):
+    # The points listed from the group, one per cell, against the points
+    # found by mapping every source tuple; the grid Hilbert function against
+    # the sumset over the whole source character group.
+    F, q1 = X.F, X.F.q - 1
+    assert X.arr.dtype == np.int16
+    assert np.array_equal(X.arr, source_torus_points(X))
+    if X.graph is None:
+        assert X.m == q1 ** (X.s - 1)
+    else:
+        assert X.m == expected_length(summarize(X.graph), F)
+        assert set(X.points) == toric_points_brute(X.graph, F)
+    image = X.preimage_logs @ X.exponents
+    assert np.array_equal(F.exp_table[(image - image[:, -1:]) % q1], X.arr)
+    assert X.character_group.size == X.m
+    assert hilbert_function(X) == source_torus_hilbert_function(X)
+
+
+@given(N=st.integers(1, 12), t=st.integers(0, 3), c=st.integers(0, 3), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_group_image_against_enumeration(N, t, c, data):
+    # Any integer matrix, not only incidence rows: the grid has one cell per
+    # element of the image, each cell's section maps onto its embedding, and
+    # gens gives every source element the cell of its image.
+    A = np.array(data.draw(st.lists(st.lists(st.integers(-30, 30), min_size=c, max_size=c),
+                                    min_size=t, max_size=t)), dtype=np.int64).reshape(t, c)
+    image = group_image(A, N)
+    assert all(d > 1 for d in image.orders)
+    sources = np.indices((N,) * c).reshape(c, N**c)
+    assert image.size == len({tuple(col) for col in (A @ sources % N).T.tolist()})
+    cells = np.indices(image.orders).reshape(len(image.orders), image.size)
+    assert np.array_equal(A @ image.section @ cells % N, image.embed @ cells % N)
+    assert len({tuple(col) for col in (image.embed @ cells % N).T.tolist()}) == image.size
+    orders = np.array(image.orders, dtype=np.int64).reshape(-1, 1)
+    assert np.array_equal(image.embed @ (image.gens @ sources % orders) % N, A @ sources % N)
