@@ -2,7 +2,9 @@
 
 Vertices are 1..n and edges e_1..e_s are an ordered sequence of unordered
 pairs; the ordering is part of the value (the ternary theory singles out the
-"last" edge).  Edge subsets are frozensets of 1-based edge indices.
+"last" edge).  At the module surface an edge subset is a frozenset of
+1-based edge indices; inside it, and in `eulerian_masks` for the ternary
+theory, it is an int mask with bit i - 1 standing for edge i.
 
 Graph text format (shared with the CLI): a header line "n s", then s lines
 "u v" (edge order = file order); blank lines and lines starting with "#" are
@@ -77,96 +79,69 @@ class EarDecomposition:
     epsilon: int
 
 
-def summarize(G):
-    """Connected components, per-component 2-colorability, gamma."""
-    color = {}
-    b0 = 0
-    gamma = 0
+def _forest(G):
+    """One breadth-first pass over every component of G.
+
+    Returns (color, up, odd): color[v] is the depth parity of v, up[v] the
+    mask of the tree path from v to the root of its component, and odd[k]
+    whether component k has an edge between equal colors (an odd cycle).
+    """
     adj = G.adjacency()
+    color, up, odd = {}, {}, []
     for start in range(1, G.n + 1):
         if start in color:
             continue
-        b0 += 1
-        odd = False
-        color[start] = 0
+        color[start], up[start] = 0, 0
+        odd.append(False)
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v, _ in adj[u]:
+            for v, ei in adj[u]:
                 if v not in color:
                     color[v] = 1 - color[u]
+                    up[v] = up[u] | 1 << (ei - 1)
                     queue.append(v)
                 elif color[v] == color[u]:
-                    odd = True
-        if odd:
-            gamma += 1
-    return GraphSummary(n=G.n, s=G.s, b0=b0, bipartite=(gamma == 0), gamma=gamma)
+                    odd[-1] = True
+    return color, up, odd
+
+
+def summarize(G):
+    """Connected components, per-component 2-colorability, gamma."""
+    _, _, odd = _forest(G)
+    gamma = sum(odd)
+    return GraphSummary(n=G.n, s=G.s, b0=len(odd), bipartite=(gamma == 0), gamma=gamma)
 
 
 def bipartition(G):
     """2-coloring as (part0, part1) vertex sets, or None if non-bipartite."""
-    summary = summarize(G)
-    if not summary.bipartite:
+    color, _, odd = _forest(G)
+    if any(odd):
         return None
-    color = {}
-    adj = G.adjacency()
-    for start in range(1, G.n + 1):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, _ in adj[u]:
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-    part0 = frozenset(v for v, c in color.items() if c == 0)
-    part1 = frozenset(v for v, c in color.items() if c == 1)
-    return part0, part1
+    return tuple(frozenset(v for v, c in color.items() if c == side) for side in (0, 1))
+
+
+def _cycle_masks(G):
+    """Fundamental cycles of the spanning forest, one per non-tree edge in
+    edge order.  The tree paths of the two ends of edge i differ by exactly
+    edge i when i is a tree edge; otherwise they close a cycle with it."""
+    _, up, _ = _forest(G)
+    basis = []
+    for i, (u, v) in enumerate(G.edges):
+        path = up[u] ^ up[v]
+        if path != 1 << i:
+            basis.append(path | 1 << i)
+    return basis
 
 
 def cycle_space_basis(G):
     """Fundamental cycles of a spanning forest, one per non-tree edge,
     as edge-index subsets.  Length is always s - n + b0."""
-    adj = G.adjacency()
-    parent_edge = {}
-    depth = {}
-    tree_edges = set()
-    for start in range(1, G.n + 1):
-        if start in depth:
-            continue
-        depth[start] = 0
-        parent_edge[start] = None
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, ei in adj[u]:
-                if v not in depth:
-                    depth[v] = depth[u] + 1
-                    parent_edge[v] = (u, ei)
-                    tree_edges.add(ei)
-                    queue.append(v)
-
-    def path_to_root(v):
-        out = set()
-        while parent_edge[v] is not None:
-            u, ei = parent_edge[v]
-            out.add(ei)
-            v = u
-        return out
-
-    basis = []
-    for i, (u, v) in enumerate(G.edges, start=1):
-        if i in tree_edges:
-            continue
-        cyc = path_to_root(u) ^ path_to_root(v)
-        cyc.add(i)
-        basis.append(frozenset(cyc))
-    return basis
+    return [mask_subset(c) for c in _cycle_masks(G)]
 
 
 def subset_mask(subset):
+    """Edge subset -> int mask, bit i - 1 standing for edge i."""
     mask = 0
     for i in subset:
         mask |= 1 << (i - 1)
@@ -174,40 +149,33 @@ def subset_mask(subset):
 
 
 def mask_subset(mask):
-    out = set()
-    i = 1
-    while mask:
-        if mask & 1:
-            out.add(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    """Int mask -> edge subset."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def enumerate_eulerian(G, even_edge_count_only=False, cap=1 << 20):
-    """All nonempty elements of the cycle space, as edge subsets, sorted by
-    subset encoding.  Every emitted subset induces even degree everywhere."""
-    basis = [subset_mask(c) for c in cycle_space_basis(G)]
+def eulerian_masks(G, even_edge_count_only=False, cap=1 << 20):
+    """All nonempty elements of the cycle space as masks, ascending.  The
+    span is built by doubling over the basis, which is independent, so every
+    element appears once."""
+    basis = _cycle_masks(G)
     total = 1 << len(basis)
     if total > cap:
         raise CapExceeded(
             f"cycle space has {total} elements, cap is {cap}", required=total
         )
-    out = []
-    for combo in range(1, total):
-        mask = 0
-        c = combo
-        i = 0
-        while c:
-            if c & 1:
-                mask ^= basis[i]
-            c >>= 1
-            i += 1
-        if even_edge_count_only and mask.bit_count() % 2:
-            continue
-        out.append(mask)
-    out = sorted(set(out))
-    return [mask_subset(m) for m in out]
+    space = [0]
+    for b in basis:
+        space += [x ^ b for x in space]
+    space.sort()
+    if even_edge_count_only:
+        return [m for m in space[1:] if m.bit_count() % 2 == 0]
+    return space[1:]
+
+
+def enumerate_eulerian(G, even_edge_count_only=False, cap=1 << 20):
+    """All nonempty elements of the cycle space, as edge subsets, sorted by
+    subset encoding.  Every emitted subset induces even degree everywhere."""
+    return [mask_subset(m) for m in eulerian_masks(G, even_edge_count_only, cap)]
 
 
 # Family constructors.  Vertex numbering and edge ordering are fixed:
@@ -448,13 +416,12 @@ def is_complete(G):
 
 
 def is_complete_bipartite(G):
-    parts = bipartition(G)
-    if parts is None:
+    color, _, odd = _forest(G)
+    if odd != [False]:
         return None
-    a, b = len(parts[0]), len(parts[1])
-    if summarize(G).b0 == 1 and G.s == a * b:
-        return tuple(sorted((a, b)))
-    return None
+    a = sum(1 for c in color.values() if c == 0)
+    b = G.n - a
+    return tuple(sorted((a, b))) if G.s == a * b else None
 
 
 def is_complete_multipartite(G):

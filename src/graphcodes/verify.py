@@ -48,6 +48,7 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
     n_complete = graphmod.is_complete(G)
     multiparts = graphmod.is_complete_multipartite(G)
     connected = summary.b0 == 1
+    parts = graphmod.bipartition(G)  # None unless bipartite
 
     dims = codes.hilbert_function(X)
     reg = len(dims) - 1
@@ -95,8 +96,7 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
             rows.append(_row("mindist complete bipartite",
                              formulas.mindist_complete_bipartite(a, b, d, q),
                              delta, d=d))
-        if connected and summary.bipartite and q >= 3:
-            parts = graphmod.bipartition(G)
+        if connected and parts and q >= 3:
             a, b = len(parts[0]), len(parts[1])
             if min(a, b) >= 2:
                 lo, hi = formulas.mindist_bipartite_bounds(a, b, d, q)

@@ -1,5 +1,6 @@
 import io
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -92,6 +93,36 @@ def test_ternary_joins_and_basis():
     )
     assert status == 0
     assert set(text.split()) == {"t1*t4", "t2*t4", "t3*t4"}
+
+
+def test_ternary_reg_witness_k6():
+    # The first maximum parity join in depth-first preorder.
+    status, text = run(["ternary", "reg", "--family", "complete", "--params", "6", "--json"])
+    assert status == 0
+    payload = json.loads(text)
+    assert (payload["mu"], payload["reg"], payload["witness"]) == (4, 3, [1, 2, 3, 15])
+
+
+@pytest.mark.parametrize("op, required", [
+    ("dim", sum(comb(40, 20 - 2 * i) for i in range(11))),
+    ("joins", comb(40, 20)),
+    ("basis", comb(40, 20)),
+])
+def test_ternary_scans_refused_before_they_start(op, required):
+    # A path has no even Eulerian subgraph, so every size-d subset is a
+    # candidate checked against nothing: the estimate is the candidate count.
+    status, text = run(["ternary", op, "--family", "path", "--params", "40",
+                        "--d", "20", "--json"])
+    assert status == 3
+    error = json.loads(text)["error"]
+    assert (error["type"], error["required"]) == ("CapExceeded", required)
+
+
+def test_ternary_reg_path_past_the_search_cap():
+    # 2^40 subsets, but the bound cut ends the search after the first descent.
+    status, text = run(["ternary", "reg", "--family", "path", "--params", "40", "--json"])
+    assert status == 0
+    assert json.loads(text)["mu"] == 40
 
 
 def test_family_emits_parseable_graph(tmp_path):

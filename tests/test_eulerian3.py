@@ -2,8 +2,12 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import eulerian_subsets_brute, parity_join_brute, two_triangles
+from graphcodes import eulerian3
+from graphcodes.errors import CapExceeded
 from graphcodes.eulerian3 import (
     dim_ternary,
     enumerate_Jd,
@@ -15,7 +19,7 @@ from graphcodes.eulerian3 import (
 )
 from graphcodes.formulas import k_formula
 from graphcodes.gfq import make_field
-from graphcodes.graph import build_family
+from graphcodes.graph import Graph, build_family
 from graphcodes.monomials import (
     from_support,
     grevlex_cmp,
@@ -198,3 +202,69 @@ def test_reg_ternary_matches_bruteforce():
     for G in (build_family("cycle", [6]), build_family("complete", [4]), two_triangles()):
         X = parameterize(G, F)
         assert reg_ternary(G) == regularity_index(X)
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on n <= 5 vertices with edges drawn among all of them (so
+    isolated vertices and b0 > 1 occur), or a random tree, in a random edge
+    order."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        edges = draw(st.permutations([(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]))
+    else:
+        pairs = list(combinations(range(1, n + 1), 2))
+        edges = draw(st.permutations(pairs))[: draw(st.integers(1, len(pairs)))]
+    return Graph(n, tuple(edges))
+
+
+@given(G=small_graphs(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_ternary_theory_on_random_graphs(G, data):
+    # The parity-join side against the Hilbert function at q = 3, the brute
+    # force parity-join check, and the Groebner side of the B_d <-> J_d map.
+    X = parameterize(G, make_field(3))
+    reg = regularity_index(X)
+    for d in range(reg + 2):
+        assert dim_ternary(G, d) == dimension(X, d)
+    mu, witness = max_parity_join(G)
+    assert mu - 1 == reg
+    evens = eulerian_subsets_brute(G, even_edge_count_only=True)
+    assert len(witness) == mu and parity_join_brute(G, witness, evens)
+    for J in data.draw(st.lists(st.sets(st.integers(1, G.s)), max_size=8)):
+        assert bool(is_parity_join(G, J)) == parity_join_brute(G, J, evens)
+    for d in range(G.s + 1):
+        assert {support(m) for m in standard_monomials(G, d)} == enumerate_Jd(G, d)
+
+
+def test_scans_refuse_before_they_start(monkeypatch):
+    # C_4 has one even Eulerian subgraph (h = 2), a constraint only on
+    # candidates of at least 2 edges.  A scan costs its candidates times
+    # (constraints + 1).
+    G = build_family("cycle", [4])
+    monkeypatch.setattr(eulerian3, "DEFAULT_SEARCH_CAP", 11)
+    for call, required in ((lambda: enumerate_Jd(G, 2), comb(4, 2) * 2),
+                           (lambda: dim_ternary(G, 2), comb(4, 2) * 2 + comb(4, 0)),
+                           (lambda: standard_monomials(G, 2), comb(4, 2) * (3 + 1))):
+        with pytest.raises(CapExceeded) as exc:
+            call()
+        assert exc.value.required == required
+    assert enumerate_Jd(G, 1) == {frozenset({i}) for i in range(1, 5)}
+    assert dim_ternary(G, 1) == 4
+
+
+def test_max_parity_join_counts_nodes_against_the_cap(monkeypatch):
+    G = build_family("complete", [4])
+    monkeypatch.setattr(eulerian3, "DEFAULT_SEARCH_CAP", 3)
+    with pytest.raises(CapExceeded) as exc:
+        max_parity_join(G)
+    assert exc.value.required == 4
+
+
+def test_max_parity_join_bound_cut():
+    # A tree is its own maximum parity join; the bound cut stops every
+    # branch after the first descent.
+    G = build_family("path", [40])
+    assert max_parity_join(G) == (40, frozenset(range(1, 41)))
+    mu, witness = max_parity_join(build_family("complete", [6]))
+    assert (mu, sorted(witness)) == (4, [1, 2, 3, 15])
