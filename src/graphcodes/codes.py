@@ -1,22 +1,20 @@
 """Brute-force code parameters: dimension, regularity plateau, minimum
 distance by enumeration, and per-degree profiles.
 
-X is the image of a source torus T = (GF(q)^*)^r under a monomial map with
-exponent matrix B (`ToricSet.exponents`), so each function t^a / t_1^d on X
-is a group character, and it pulls back injectively to the character
-B a - d b_1 of T, an element of (Z/(q-1))^r.  Distinct characters are
+X is a finite abelian group, written by `ToricSet.point_group` as a grid
+Z/d_1 + ... + Z/d_k of |X| cells, and the same grid indexes its characters
+(the dual of a finite abelian group is isomorphic to it).  Each function
+t^a / t_1^d on X is a character: with w_j the cell of P -> P_j / P_s
+(w_s = 0), it is the cell sum_j a_j w_j - d w_1.  Distinct characters are
 linearly independent (Dedekind-Artin), so dim C_X(d) is the number of
-distinct such vectors.  They all lie in the subgroup spanned by the steps
-b_k - b_1, which has |X| elements and which `ToricSet.character_group`
-writes as a grid Z/d_1 + ... + Z/d_k of |X| cells.  The vectors are counted
-as a boolean set over that grid: T_0 = {0} and T_{d+1} is the union of the
-translates T_d + (b_k - b_1), a sumset iteration that is the single source
-of the Hilbert function (`dimension`, `regularity_index`,
-`hilbert_function`).  It builds no evaluation matrix and lists no point,
-and its work, s |X| cells per degree, is bounded by the point cap
-`parameterize` enforces on |X|.  The generator of C_X(d) is one row per
-element of T_d: mapped back to its vector c in (Z/(q-1))^r, its row holds
-the values g^(c . l) at the logs l of each point's preimage (`characters`).
+distinct such cells.  They are counted as a boolean set over the grid:
+T_0 = {0} and T_{d+1} is the union of the translates T_d + (w_k - w_1), a
+sumset iteration that is the single source of the Hilbert function
+(`dimension`, `regularity_index`, `hilbert_function`).  It builds no
+evaluation matrix and lists no point, and its work, s |X| cells per degree,
+is bounded by the point cap `parameterize` enforces on |X|.  The generator
+of C_X(d) is one row per element of T_d: the character's values at the
+grid cell of each listed point (`characters`).
 
 Minimum distance enumerates one representative per projective class of
 the message space; when the dual code is smaller, its weight distribution
@@ -57,7 +55,7 @@ class CodeInstance:
 
     X: object
     d: int
-    T: np.ndarray  # the set T_d of degree-d characters, over X.character_group
+    T: np.ndarray  # the set T_d of degree-d characters, over X.point_group
     k: int  # |T_d| = dim C_X(d)
 
     @property
@@ -70,20 +68,26 @@ class CodeInstance:
         return ~_negated(self.T)
 
 
+def _scales(X):
+    """e_i = (q - 1) / d_i over the axes d_i of X's point grid."""
+    return np.array([(X.F.q - 1) // d for d in X.point_group.orders], dtype=np.int64)
+
+
 def _sumsets(X):
     """Yield (T_d, |T_d|) for d = 0, 1, ... up to the plateau |T_d| = |X|.
 
-    T_d is a boolean array over the grid of X.character_group marking the
-    pullbacks B a - d b_1 (|a| = d) of the degree-d characters t^a / t_1^d
-    of X, where b_k are the columns of X.exponents.  T_0 = {0}, and T_{d+1}
-    is the union of the translates T_d + (b_k - b_1): the sumset
-    S_{d+1} = U_k (S_d + b_k) of the vectors B a, moved by -d b_1 so that
-    the sets nest.  Raises MonotonicityViolation when a step fails to grow
-    the set before it reaches |X|."""
-    group = X.character_group
-    axes = tuple(range(len(group.orders)))
+    T_d is a boolean array over the point grid of X marking the degree-d
+    characters t^a / t_1^d (|a| = d) of X, the grid being its own dual (see
+    `ToricSet`): w_j = embed_j / e is the character P -> P_j / P_s, and
+    w_s = 0.  T_0 = {0}, and T_{d+1} is the union of the translates
+    T_d + (w_k - w_1).  Raises MonotonicityViolation when a step fails to
+    grow the set before it reaches |X|."""
+    group = X.point_group
+    orders = np.array(group.orders, dtype=np.int64)
+    w = np.vstack([group.embed // _scales(X), np.zeros_like(orders)])
+    axes = tuple(range(len(orders)))
     zero = (0,) * len(axes)
-    steps = {tuple(b) for b in group.gens.T.tolist()} - {zero}
+    steps = {tuple(b) for b in ((w - w[0]) % orders).tolist()} - {zero}
     T = np.zeros(group.orders, dtype=bool)
     T[zero] = True
     k = 1
@@ -120,14 +124,12 @@ def regularity_index(X):
 
 
 def characters(X, S):
-    """One row per element of the boolean set S over the grid of
-    X.character_group, in grid-index order: the element is mapped back to
-    its vector c in (Z/(q-1))^r, and its row is P -> g^(c . l(P)), l(P) the
-    logs of P's preimage.  Distinct characters, so the rows are
-    independent; for S = T_d they are a basis of C_X(d)."""
-    q1 = X.F.q - 1
-    c = np.argwhere(S) @ X.character_group.embed.T % q1
-    return X.F.exp_table[c @ X.preimage_logs.T % q1]
+    """One row per element of the boolean set S over the point grid of X,
+    in grid-index order: the row of the character c is
+    P -> zeta^((c e) . g(P)), g(P) the grid cell of P.  Distinct
+    characters, so the rows are independent; for S = T_d they are a basis
+    of C_X(d)."""
+    return X.F.exp_table[np.argwhere(S) * _scales(X) @ X._cells % (X.F.q - 1)]
 
 
 def code_instance(X, d):
@@ -141,7 +143,10 @@ def code_instance(X, d):
 
 def _negated(S):
     """The set -S = {-c : c in S} over the grid Z/d_1 + ... + Z/d_k:
-    flipping axis i maps c to d_i - 1 - c, and a roll by one then to -c."""
+    flipping axis i maps c to d_i - 1 - c, and a roll by one then to -c.
+    A grid with no axes is {0}, and -0 = 0."""
+    if S.ndim == 0:
+        return S
     axes = tuple(range(S.ndim))
     return np.roll(np.flip(S, axes), 1, axes)
 
@@ -257,7 +262,7 @@ def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
     The dual side is a character code too: m = |X| divides (q-1)^r, so
     m != 0 in GF(q), and the characters satisfy <chi_a, chi_b> = m [a + b = 0].
     C_X(d)^perp is therefore spanned by the m - k characters of X, the
-    cells of the character grid, that lie outside -T_d.
+    cells of the point grid, that lie outside -T_d.
     """
     k, m = inst.k, inst.m
     if k == m:

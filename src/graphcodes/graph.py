@@ -365,24 +365,27 @@ def validate_ear_decomposition(G, ears):
 
 
 def parse_graph(text):
+    """The graph of a file "n s" followed by s lines "u v" (# starts a
+    comment).  A grammar error raises ValueError; a well-formed file that
+    is not a simple graph raises InvalidParams from Graph."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)
     if not lines:
-        raise InvalidParams("empty graph file")
+        raise ValueError("empty graph file")
     header = lines[0].split()
     if len(header) != 2:
-        raise InvalidParams('header must be "n s"')
+        raise ValueError('header must be "n s"')
     n, s = int(header[0]), int(header[1])
     if len(lines) - 1 != s:
-        raise InvalidParams(f"expected {s} edge lines, found {len(lines) - 1}")
+        raise ValueError(f"expected {s} edge lines, found {len(lines) - 1}")
     edges = []
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
-            raise InvalidParams(f"bad edge line: {line!r}")
+            raise ValueError(f"bad edge line: {line!r}")
         edges.append((int(parts[0]), int(parts[1])))
     return Graph(n, tuple(edges))
 

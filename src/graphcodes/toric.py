@@ -9,7 +9,9 @@ the point cap before the form is computed, and the order m = |X| read off
 the form is checked against the closed form, before anything of size m
 exists.  The points themselves are listed from the grid, one cell per
 point, only when a caller needs them; the source torus, (q-1)^r tuples, is
-never enumerated.
+never enumerated.  The one grid also indexes the characters of X (X, a
+finite abelian group, is isomorphic to its dual), so no second form is
+built for them.
 
 Points of the torus in P^{s-1} are normalized so the last coordinate is 1
 (all torus coordinates are nonzero), stored as rows of an integer array in
@@ -38,16 +40,14 @@ class GroupImage:
     integer (t, c) matrix A, as the grid G = Z/d_1 + ... + Z/d_k (each
     d_i > 1) of exactly |image| cells.
 
-    `section` (c, k) maps a grid element g to a source element x = section g
-    mod N, and `embed` = A section (t, k) maps it to the image element A x;
-    g -> A x is one-to-one onto the image.  `gens` (k, c) holds in column j
-    the grid coordinates of A e_j, so x -> gens x mod d is A followed by the
-    inverse of `embed`."""
+    `embed` (t, k) maps a grid element g to its image element embed g mod N,
+    one-to-one onto the image.  Column i of `embed` is a multiple of
+    e_i = N / d_i, so a row of `embed` divided by e is a cell w of G, and
+    g -> zeta^((w e) . g), zeta of order N, is the character that row
+    gives; w -> that character is an isomorphism of G onto its dual."""
 
     orders: tuple
-    section: np.ndarray
     embed: np.ndarray
-    gens: np.ndarray
 
     @property
     def size(self):
@@ -59,16 +59,15 @@ def group_image(A, N):
 
     Unimodular row and column operations (with exact Python ints) bring A
     to a diagonal form U A V = diag(a), a_p = 0 past the rank; no
-    divisibility chain is needed.  U maps the image onto
-    a_1 Z/N + ... + a_t Z/N, and a_p Z/N = e_p Z/N for e_p = gcd(a_p, N), so
-    onto the grid with d_p = N / e_p.  Column p of V has A v_p = a_p u_p,
-    u_p the column p of U^-1, and a_p / e_p is a unit mod d_p, so v_p times
-    its inverse lies over e_p u_p, which gives `section`; `gens` is U A
-    divided row by row by e."""
+    divisibility chain is needed, and only V is kept.  U maps the image
+    onto a_1 Z/N + ... + a_t Z/N, and a_p Z/N = e_p Z/N for
+    e_p = gcd(a_p, N), so onto the grid with d_p = N / e_p.  Column p of V
+    has A v_p = a_p u_p, u_p the column p of U^-1, and a_p / e_p is a unit
+    mod d_p, so A maps v_p times its inverse to e_p u_p mod N: these images
+    are the columns of `embed`, each a multiple of its e_p."""
     A = np.asarray(A, dtype=np.int64)
     t, c = A.shape
     M = A.tolist()
-    U = [[int(i == j) for j in range(t)] for i in range(t)]
     V = [[int(i == j) for j in range(c)] for i in range(c)]
     p = 0
     while p < min(t, c):
@@ -79,7 +78,6 @@ def group_image(A, N):
             break
         _, i, j = min(cells)
         M[p], M[i] = M[i], M[p]
-        U[p], U[i] = U[i], U[p]
         for row in M + V:
             row[p], row[j] = row[j], row[p]
         pivot = M[p][p]
@@ -88,7 +86,6 @@ def group_image(A, N):
             f = M[i][p] // pivot
             if f:
                 M[i] = [a - f * b for a, b in zip(M[i], M[p])]
-                U[i] = [a - f * b for a, b in zip(U[i], U[p])]
             done = done and not M[i][p]
         for j in range(p + 1, c):
             f = M[p][j] // pivot
@@ -99,40 +96,33 @@ def group_image(A, N):
         p += done
     e = [math.gcd(M[i][i], N) for i in range(p)]
     keep = [i for i in range(p) if e[i] < N]
-    orders = tuple(N // e[i] for i in keep)
     units = [pow(M[i][i] // e[i], -1, N // e[i]) for i in keep]
     section = (np.array(V, dtype=object).reshape(c, c)[:, keep] * units % N).astype(np.int64)
-    U = (np.array(U, dtype=object).reshape(t, t) % N).astype(np.int64)
-    UA = U @ A % N
-    gens = np.array([UA[i] // e[i] % (N // e[i]) for i in keep],
-                    dtype=np.int64).reshape(len(keep), c)
-    return GroupImage(orders, section, A @ section % N, gens)
+    return GroupImage(tuple(N // e[i] for i in keep), A @ section % N)
 
 
 class ToricSet:
     """A finite set of torus points in P^{s-1} over GF(q), canonically
     sorted.  `arr` is the (m, s) array of normalized coordinates.
 
-    X carries its source map: X is the image of a source torus
-    T = (GF(q)^*)^r under the monomial map phi(t) = (t^{b_1} : ... : t^{b_s}),
-    a group homomorphism, so X is a subgroup of the torus of P^{s-1}.  The
-    exponent vectors b_k are the columns of the (r, s) matrix B, `exponents`:
-    for a graph r = n - 1 and the rows are the incidence rows of the free
-    vertices (the last vertex is fixed to 1); the torus of P^{s-1} has
-    exponents [I_{s-1} | 0].  In logs, a point is l -> (b_k - b_s) . l for
-    k < s, and `point_group` is the image of that map, m = |X| cells.
-    `preimage_logs` is the (m, r) array of the discrete logs l of one
-    preimage in T of each point, in the row order of `arr`.  Both arrays are
-    built on first use; dimension and regularity never touch them.
+    X is the image of a source torus T = (GF(q)^*)^r under the monomial map
+    phi(t) = (t^{b_1} : ... : t^{b_s}), a group homomorphism, so X is a
+    subgroup of the torus of P^{s-1}.  The exponent vectors b_k are the
+    columns of the (r, s) matrix B, `exponents`: for a graph r = n - 1 and
+    the rows are the incidence rows of the free vertices (the last vertex is
+    fixed to 1); the torus of P^{s-1} has exponents [I_{s-1} | 0].  In logs,
+    a point is l -> (b_k - b_s) . l for k < s, and `point_group` is the
+    image of that map, a grid Z/d_1 + ... + Z/d_k of m = |X| cells, one per
+    point.  The points are listed from the grid on first use, with the cell
+    each one came from (`_cells`); dimension and regularity never list them.
 
-    On X the function t^a / t_1^d (|a| = d) is a character of X, and it
-    pulls back along phi to the character l -> g^((B a - d b_1) . l) of T.
-    phi is onto X, so pulling back is injective: two such functions agree on
-    X exactly when B a = B a' mod (q - 1).  The characters of X therefore
-    form the subgroup of (Z/(q-1))^r spanned by the steps b_k - b_1, which
-    `character_group` writes as a grid of |X| cells, and, distinct
-    characters being linearly independent, the number of degree-d ones is
-    dim C_X(d)."""
+    The same grid indexes the characters of X: a finite abelian group is
+    isomorphic to its dual, the cell w being the character
+    g -> zeta^((w e) . g), e_i = (q - 1) / d_i.  The coordinate ratio
+    P -> P_j / P_s is the character w_j = `point_group.embed`[j] / e, and
+    w_s = 0, so t^a / t_1^d (|a| = d) is the cell sum_j a_j w_j - d w_1;
+    distinct characters being linearly independent, the number of distinct
+    such cells is dim C_X(d)."""
 
     def __init__(self, F, exponents, point_group, graph=None):
         self.F = F
@@ -146,27 +136,17 @@ class ToricSet:
         return self.point_group.size
 
     @cached_property
-    def character_group(self):
-        B = self.exponents
-        return group_image(B[:, 1:] - B[:, :1], self.F.q - 1)
-
-    def _grid_values(self, coeffs):
-        """sum_i coeffs_i g_i mod (q - 1) over the cells g of the point grid,
-        in grid order."""
-        orders = self.point_group.orders
-        v = np.zeros(orders, dtype=np.int64)
-        for a, g in zip(coeffs.tolist(), np.indices(orders, sparse=True)):
-            v += a * g
-        return (v % (self.F.q - 1)).ravel()
-
-    @cached_property
     def _listing(self):
         """(arr, order): one point per cell of the point grid, each log
         coordinate a linear form in the cell's indices, sorted; row i of arr
         is the point of cell order[i]."""
+        orders = self.point_group.orders
         listed = np.ones((self.m, self.s), dtype=np.int16)
-        for k, coeffs in enumerate(self.point_group.embed):
-            listed[:, k] = self.F.exp_table[self._grid_values(coeffs)]
+        for k, coeffs in enumerate(self.point_group.embed.tolist()):
+            logs = np.zeros(orders, dtype=np.int64)
+            for a, g in zip(coeffs, np.indices(orders, sparse=True)):
+                logs += a * g
+            listed[:, k] = self.F.exp_table[(logs % (self.F.q - 1)).ravel()]
         order = np.lexsort(listed.T[::-1])
         return listed[order], order
 
@@ -175,12 +155,10 @@ class ToricSet:
         return self._listing[0]
 
     @cached_property
-    def preimage_logs(self):
-        section = self.point_group.section
-        logs = np.zeros((self.m, section.shape[0]), dtype=np.int64)
-        for j, coeffs in enumerate(section):
-            logs[:, j] = self._grid_values(coeffs)
-        return logs[self._listing[1]]
+    def _cells(self):
+        """(k, m): column i is the grid cell of row i of arr."""
+        orders = self.point_group.orders
+        return np.indices(orders).reshape(len(orders), self.m)[:, self._listing[1]]
 
     @property
     def points(self):

@@ -226,17 +226,42 @@ def test_usage_errors():
     ["length", "--family", "cycle", "--params", "4", "--q", "3", "--seed-order", "a,b"],
     ["length", "--graph", "/nonexistent/graph.txt", "--q", "3"],
     ["length", "--graph", "{bad_header}", "--q", "3"],
+    ["length", "--graph", "{one_token_header}", "--q", "3"],
+    ["length", "--graph", "{empty}", "--q", "3"],
+    ["length", "--graph", "{edge_count}", "--q", "3"],
+    ["length", "--graph", "{three_token_edge}", "--q", "3"],
     ["ternary", "dim", "--family", "cycle", "--params", "4", "--d", "-1"],
     ["profile", "--family", "cycle", "--params", "4", "--q", "3", "--dmax", "-1"],
     ["verify", "--family", "cycle", "--params", "4", "--q", "3", "--dmax", "-1"],
 ])
 def test_bad_input_is_a_usage_error(argv, tmp_path):
-    bad_header = tmp_path / "bad.graph"
-    bad_header.write_text("3 x\n1 2\n")
-    argv = [a.format(bad_header=bad_header) for a in argv]
+    # Every grammar error in a graph file is a usage error.
+    files = {
+        "bad_header": "3 x\n1 2\n",
+        "one_token_header": "3\n1 2\n",
+        "empty": "# nothing but a comment\n",
+        "edge_count": "3 2\n1 2\n",
+        "three_token_edge": "3 1\n1 2 3\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.graph"
+        paths[name].write_text(text)
+    argv = [a.format(**paths) for a in argv]
     status, text = run(argv)
     assert status == 2
     assert text.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("text", ["3 1\n2 2\n", "3 2\n1 2\n2 1\n", "3 1\n1 4\n"],
+                         ids=["loop", "duplicate", "out-of-range"])
+def test_graph_file_that_is_no_simple_graph_is_an_error(text, tmp_path):
+    # Well-formed files that are not simple graphs stay InvalidParams (exit 1).
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    status, out = run(["length", "--graph", str(path), "--q", "3"])
+    assert status == 1
+    assert out.startswith("error: InvalidParams: ")
 
 
 def test_seed_order_invariance():

@@ -91,11 +91,11 @@ def test_dimension_invariant_under_edge_reorder():
 
 
 def test_dimension_and_regularity_list_no_points():
-    # Both read the character grid only; the points of X stay unlisted.
+    # Both read the point grid only; the points of X stay unlisted.
     X = parameterize(build_family("complete_bipartite", [3, 3]), make_field(8))
     assert regularity_index(X) == reg_closed_form(RegFamily("complete_bipartite", (3, 3)), 8)
     assert dimension(X, 4) == dim_complete_bipartite(3, 3, 4, 8)
-    assert not {"_listing", "preimage_logs"} & set(vars(X))
+    assert not {"_listing", "_cells"} & set(vars(X))
 
 
 def test_regularity_torus_p1_gf5():
@@ -353,19 +353,31 @@ def test_refusal_builds_nothing(monkeypatch):
 
 def test_stalled_hilbert_function_is_a_violation():
     # Every point listed twice: the point grid gains an axis of order 2 that
-    # moves no point, so m = 8 while X has 4 points and 4 characters.  The
-    # character set fills its 4-cell grid, stalls below m, and the iteration
-    # says so.
+    # moves no point, so m = 8 while X has 4 points and 4 characters.  No
+    # character moves along the new axis, so the character set fills 4 of
+    # the 8 cells, stalls below m, and the iteration says so.
     T = torus_points(2, make_field(5))
     P = T.point_group
-    twice = GroupImage((2, *P.orders),
-                       np.hstack([np.zeros_like(P.section[:, :1]), P.section]),
-                       np.hstack([np.zeros_like(P.embed[:, :1]), P.embed]),
-                       np.vstack([np.zeros_like(P.gens[:1]), P.gens]))
+    twice = GroupImage((2, *P.orders), np.hstack([np.zeros_like(P.embed[:, :1]), P.embed]))
     X = ToricSet(T.F, T.exponents, twice)
     assert X.m == 8 and np.array_equal(np.unique(X.arr, axis=0), T.arr)
     with pytest.raises(MonotonicityViolation):
         regularity_index(X)
+
+
+@pytest.mark.parametrize("X", [
+    parameterize(build_family("complete", [4]), make_field(2)),
+    torus_points(1, make_field(5)),
+    parameterize(build_family("path", [2]), make_field(2)),
+], ids=["K4-GF2", "torus1-GF5", "P2-GF2"])
+def test_dual_of_a_one_point_set_is_empty(X):
+    # One point, a grid with no axes: -0 = 0, so the dual of C_X(0), the
+    # full code, has no characters and its generator no rows.
+    inst = code_instance(X, 0)
+    assert X.m == 1 and X.point_group.orders == ()
+    assert characters(X, inst.T).tolist() == [[1]]
+    assert characters(X, inst.dual()).shape == (0, 1)
+    assert minimum_distance(X, 0) == 1
 
 
 def test_regularity_k5_gf7_baseline():

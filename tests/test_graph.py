@@ -209,6 +209,26 @@ def test_graph_file_round_trip(c6):
     assert parse_graph(with_comments) == c6
 
 
+_tokens = st.one_of(st.sampled_from(["x", "#", "1.5", "-1", "0", "", "\t"]),
+                   st.integers(-2, 6).map(str))
+_graph_texts = st.one_of(
+    st.text(),
+    st.lists(st.lists(_tokens, max_size=4).map(" ".join), max_size=6).map("\n".join),
+)
+
+
+@given(text=_graph_texts)
+@settings(max_examples=300, deadline=None)
+def test_parse_graph_parses_or_refuses(text):
+    # Any text is a graph, a grammar error (ValueError) or a well-formed
+    # file that is no simple graph (InvalidParams); nothing else escapes.
+    try:
+        G = parse_graph(text)
+    except (ValueError, InvalidParams):
+        return
+    assert parse_graph(format_graph(G)) == G
+
+
 def test_recognizers(c6, k4):
     assert is_even_cycle(c6) == 3
     assert is_even_cycle(build_family("cycle", [5])) is None

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toric_points_brute, two_triangles
-from graphcodes.codes import hilbert_function
+from graphcodes.codes import characters, hilbert_function
 from graphcodes.errors import CapExceeded
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family, summarize
@@ -156,20 +156,24 @@ def test_normalize_point_general_position():
     torus_points(3, make_field(7)),
     torus_points(1, make_field(4)),
 ], ids=["K4-GF8", "two-triangles-GF5", "P3-GF9", "torus3-GF7", "torus1-GF4"])
-def test_source_map_reaches_every_point(X):
-    # Each point is phi of its recorded preimage: the coordinates t^{b_k}
-    # computed by hand from the preimage logs, normalized by the last one.
-    F = X.F
-    assert X.preimage_logs.shape == (X.m, X.exponents.shape[0])
-    for point, logs in zip(X.points, X.preimage_logs.tolist()):
-        t = [F.exp_table[l] for l in logs]
-        image = []
-        for column in X.exponents.T.tolist():
-            value = 1
-            for ti, e in zip(t, column):
-                value = F.mul(value, F.pow(int(ti), e))
-            image.append(value)
-        assert normalize_point(image, F) == point
+def test_grid_cells_are_the_coordinate_ratio_characters(X):
+    # The grid of X is isomorphic to its dual: w_j = embed_j / e is the
+    # character P -> P_j / P_s.  At the cell each listed point came from, w_j
+    # gives the log of P_j / P_s, the ratio taken by scalar field arithmetic,
+    # and its generator row is that ratio at every point.
+    F, q1 = X.F, X.F.q - 1
+    grid = X.point_group
+    e = np.array([q1 // d for d in grid.orders], dtype=np.int64)
+    w = grid.embed // e % np.array(grid.orders, dtype=np.int64)
+    assert X._cells.shape == (len(grid.orders), X.m)
+    for j in range(X.s - 1):
+        onehot = np.zeros(grid.orders, dtype=bool)
+        onehot[tuple(w[j])] = True
+        row = characters(X, onehot)[0].tolist()
+        for point, cell, value in zip(X.points, X._cells.T.tolist(), row):
+            ratio = F.div(point[j], point[-1])
+            assert int(w[j] * e @ cell) % q1 == F.log_table[ratio]
+            assert value == ratio
 
 
 @st.composite
@@ -194,8 +198,8 @@ def source_maps(draw):
 @settings(max_examples=150, deadline=None)
 def test_group_points_match_source_torus_enumeration(X):
     # The points listed from the group, one per cell, against the points
-    # found by mapping every source tuple; the grid Hilbert function against
-    # the sumset over the whole source character group.
+    # found by mapping every source tuple; the Hilbert function over the
+    # point grid against the sumset over the whole source character group.
     F, q1 = X.F, X.F.q - 1
     assert X.arr.dtype == np.int16
     assert np.array_equal(X.arr, source_torus_points(X))
@@ -204,9 +208,11 @@ def test_group_points_match_source_torus_enumeration(X):
     else:
         assert X.m == expected_length(summarize(X.graph), F)
         assert set(X.points) == toric_points_brute(X.graph, F)
-    image = X.preimage_logs @ X.exponents
-    assert np.array_equal(F.exp_table[(image - image[:, -1:]) % q1], X.arr)
-    assert X.character_group.size == X.m
+    # Each row of arr is the image of its own cell, and the m cells of the
+    # grid are m distinct characters of X.
+    assert np.array_equal(F.exp_table[X.point_group.embed @ X._cells % q1], X.arr[:, :-1].T)
+    grid = characters(X, np.ones(X.point_group.orders, dtype=bool))
+    assert len({tuple(row) for row in grid.tolist()}) == X.m
     assert hilbert_function(X) == source_torus_hilbert_function(X)
 
 
@@ -214,16 +220,18 @@ def test_group_points_match_source_torus_enumeration(X):
 @settings(max_examples=200, deadline=None)
 def test_group_image_against_enumeration(N, t, c, data):
     # Any integer matrix, not only incidence rows: the grid has one cell per
-    # element of the image, each cell's section maps onto its embedding, and
-    # gens gives every source element the cell of its image.
+    # element of the image, `embed` maps the cells one-to-one onto exactly
+    # the image, and column i of `embed` is a multiple of N / d_i.
     A = np.array(data.draw(st.lists(st.lists(st.integers(-30, 30), min_size=c, max_size=c),
                                     min_size=t, max_size=t)), dtype=np.int64).reshape(t, c)
     image = group_image(A, N)
     assert all(d > 1 for d in image.orders)
     sources = np.indices((N,) * c).reshape(c, N**c)
-    assert image.size == len({tuple(col) for col in (A @ sources % N).T.tolist()})
+    expected = {tuple(col) for col in (A @ sources % N).T.tolist()}
+    assert image.size == len(expected)
     cells = np.indices(image.orders).reshape(len(image.orders), image.size)
-    assert np.array_equal(A @ image.section @ cells % N, image.embed @ cells % N)
-    assert len({tuple(col) for col in (image.embed @ cells % N).T.tolist()}) == image.size
-    orders = np.array(image.orders, dtype=np.int64).reshape(-1, 1)
-    assert np.array_equal(image.embed @ (image.gens @ sources % orders) % N, A @ sources % N)
+    embedded = [tuple(col) for col in (image.embed @ cells % N).T.tolist()]
+    assert len(set(embedded)) == image.size
+    assert set(embedded) == expected
+    for column, d in zip(image.embed.T.tolist(), image.orders):
+        assert all(a % (N // d) == 0 for a in column)
