@@ -44,7 +44,8 @@ def _add_common(p, q=False, d=False, dmax=False, budget=False, cap=False):
         p.add_argument("--dmax", type=int, required=True, help="maximum degree")
     if budget:
         p.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET,
-                       help="message-class budget for distance enumeration")
+                       help="distance search budget in message classes: "
+                       "Brouwer-Zimmermann messages or shortened-dual classes")
     if cap:
         p.add_argument("--cap", type=int, default=toric.DEFAULT_POINT_CAP,
                        help="cap on |X|, the points of the toric set (checked "

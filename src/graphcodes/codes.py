@@ -1,5 +1,5 @@
-"""Brute-force code parameters: dimension, regularity plateau, minimum
-distance by enumeration, and per-degree profiles.
+"""Exact code parameters: dimension, regularity plateau, minimum distance,
+and per-degree profiles.
 
 X is a finite abelian group, written by `ToricSet.point_group` as a grid
 Z/d_1 + ... + Z/d_k of |X| cells, and the same grid indexes its characters
@@ -16,29 +16,33 @@ is bounded by the point cap `parameterize` enforces on |X|.  The generator
 of C_X(d) is one row per element of T_d: the character's values at the
 grid cell of each listed point (`characters`).
 
-Minimum distance enumerates one representative per projective class of
-the message space; when the dual code is smaller, its weight distribution
-is enumerated instead and transformed (MacWilliams), which is exact and far
-cheaper near the plateau.  The dual is a character code as well: it is
-spanned by the characters outside -T_d, the grid holding every character
-of X (see `code_distance`), so neither side needs GF(q) elimination.  The
-side, the generator cap and the class budget are decided from k and m
-before any matrix exists.  Both routes stay independent of every
-closed-form formula, and both read their weights from one kernel: a span
-table holds all q^r combinations of the last r generator rows (r as large
-as a fixed cell bound allows), every other coefficient is enumerated as a
-"high" vector h, and wt(h + l) over the table rows l is the count of
-positions where l differs from -h.  A block of the search is thus one byte
-comparison; the add/mul tables only build the span table and the high
-vectors, with no fork on the kind of q.  Exact rank and null spaces stay in
-the tests (`tests/oracle.py`) as an independent check.
+Minimum distance uses the translation action of X.  X acts regularly on
+the coordinates, its points, and since chi_c(x + g) = chi_c(g) chi_c(x) the
+action maps C_X(d) and its dual to themselves.  The primal side puts the
+character generator in systematic form on one information set I (the one
+GF(q) elimination in the package, `_systematic`) and runs Brouwer-Zimmermann
+(`_bz_min_weight`): every translate g + I is an information set, so after
+the messages of weight <= w a word not yet seen weighs at least
+ceil(m (w + 1) / k), and the search stops once that reaches the best weight
+found.  The dual is a character code as well, spanned by the characters
+outside -T_d (see `code_distance`); only its words vanishing at the identity
+point are enumerated, transitivity gives the whole weight distribution
+(`_dual_distribution`) and MacWilliams the code's.  The side, the generator
+cap and the budget are decided from k, m and q before any matrix exists,
+and both routes stay independent of every closed-form formula.  Both read
+weights from byte comparisons with no fork on the kind of q: Brouwer-
+Zimmermann compares prefix sums of w - 1 rows with the multiples of a
+later row, and the dual's enumeration compares "high" vectors h with a span
+table of all q^r combinations l of the last r rows (wt(h + l) is the count
+of positions where l differs from -h).  The add/mul tables only build the
+vectors compared.  Exact rank, null spaces and the exhaustive primal search
+stay in the tests (`tests/oracle.py`) as an independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice
-from math import comb
 
 import numpy as np
 
@@ -181,12 +185,14 @@ def _class_weights(G, F):
     combinations of the last r generator rows, and h is the lead row plus a
     combination of the rows between.  wt(h + l) = #{j : -l_j != h_j}, so
     with the table negated once a block is one byte comparison, the same
-    for every q."""
+    for every q.  r is at most half the rows and fits a fixed cell bound:
+    the table and the high vectors, q^r and about q^(k-1-r) gathered rows,
+    then cost far less than the q^(k-1) compared rows."""
     k, m = G.shape
     q = F.q
     G = G.astype(np.uint8)  # byte comparisons against the uint8 table
     r = 0
-    while r < k - 1 and q ** (r + 1) * m <= _CELLS:
+    while r < k // 2 and q ** (r + 1) * m <= _CELLS:
         r += 1
     table = next(_spans(np.zeros(m, dtype=np.uint8), G[k - r :], F, q**r))
     neg_low = F.neg_table.astype(np.uint8)[table]
@@ -200,16 +206,6 @@ def _class_weights(G, F):
             yield np.count_nonzero(neg_low[None, :, :] != high[:, None, :], axis=2).ravel()
 
 
-def _min_weight_enum(G, F):
-    """Minimum weight over the nonzero codewords spanned by G."""
-    best = G.shape[1]
-    for weights in _class_weights(G, F):
-        best = min(best, int(weights.min()))
-        if best == 1:
-            break
-    return best
-
-
 def _weight_distribution(G, F):
     """Exact weight distribution of the code spanned by G (all codewords)."""
     m = G.shape[1]
@@ -221,25 +217,177 @@ def _weight_distribution(G, F):
     return dist
 
 
-def _macwilliams_min_weight(H, F, k):
-    """Minimum weight of the code with dual generator H, via the
-    MacWilliams identity applied to the dual's weight distribution."""
-    m = H.shape[1]
+def _systematic(G, F):
+    """The redundancy part A of G row-reduced over GF(q) to [I_k | A] on an
+    information set I: a message u is the codeword's values on I, and u A
+    its values elsewhere.  A is a C-contiguous uint8 k x (m - k) array; G
+    must have full row rank k."""
+    S = G.astype(np.uint8)
+    k, m = S.shape
+    add, mul = F.add_table, F.mul_table
+    info = []
+    for r in range(k):
+        # Earlier pivot columns are already zero in row r.
+        support = np.flatnonzero(S[r])
+        assert support.size, "generator rows are dependent"
+        p = int(support[0])
+        S[r] = mul[F.inv_table[S[r, p]], S[r]]
+        factors = F.neg_table[S[:, p]]
+        factors[r] = 0
+        rows = np.flatnonzero(factors)
+        S[rows] = add[S[rows], mul[factors[rows, None], S[r]]]
+        info.append(p)
+    return np.ascontiguousarray(np.delete(S, info, axis=1))
+
+
+def _combinations(A, t, F, limit):
+    """Yield (sums, tops) for every combination of t rows of A whose lowest
+    row has coefficient 1 and the others any nonzero one: sums in blocks of
+    at most `limit` rows, tops the index of each combination's highest row,
+    ascending through the whole enumeration (combinations ordered by their
+    highest row, then by the combinations below it)."""
+    k, L = A.shape
+    if t == 1:
+        for i in range(0, k, limit):
+            yield A[i : i + limit], np.arange(i, min(i + limit, k))
+        return
     q = F.q
-    B = _weight_distribution(H, F)
+    add = F.add_table.astype(np.uint8).ravel()  # x + y at x q + y
+    for j in range(t - 1, k):
+        multiples = F.mul_table[np.arange(1, q)[:, None], A[j]].astype(np.uint16)
+        for sums, _ in _combinations(A[:j], t - 1, F, max(1, limit // (q - 1))):
+            step = max(1, limit // len(sums))
+            high = sums.astype(np.uint16) * q  # at most 255 q + 255 < 2^16
+            for c in range(0, q - 1, step):
+                block = add.take(high[:, None, :] + multiples[None, c : c + step])
+                yield block.reshape(-1, L), np.full(block.shape[0] * block.shape[1], j)
+
+
+def _message_weights(A, w, F):
+    """Weights of the codewords u [I_k | A] over the projective messages u of
+    weight w (first nonzero coordinate 1), C(k, w) (q - 1)^(w - 1) of them,
+    in blocks of at most _CELLS compared cells (or one row of A, when that
+    is longer).
+
+    For w > 1 a message is a prefix, a combination of w - 1 rows, plus
+    c A_j for a row j above the prefix's rows; as c runs over the nonzero
+    elements so does -c, so its weight is w plus the positions where the
+    prefix differs from c A_j.  A block is one byte comparison of prefixes
+    against the nonzero multiples of one row, built at most _CELLS cells
+    at a time."""
+    k, L = A.shape
+    if w == 1:
+        for rows, _ in _combinations(A, 1, F, max(1, _CELLS // L)):
+            yield 1 + np.count_nonzero(rows, axis=1)
+        return
+    q = F.q
+    per_row = min(q - 1, max(1, _CELLS // L))  # multiples of a row per comparison
+    for sums, tops in _combinations(A, w - 1, F, max(1, _CELLS // (per_row * L))):
+        for j in range(int(tops[0]) + 1, k):
+            below = sums[: np.searchsorted(tops, j)]
+            for c in range(1, q, per_row):
+                # A 2-D index keeps the multiples C-contiguous; a slice
+                # beside the fancy index would lay them out by column.
+                coefficients = np.arange(c, min(c + per_row, q))[:, None]
+                multiples = F.mul_table[coefficients, A[j]].astype(np.uint8)
+                yield w + np.count_nonzero(below[:, None, :] != multiples[None], axis=2).ravel()
+
+
+def _bz_min_weight(G, F):
+    """Minimum weight of the code spanned by G (k x m, full rank) when a
+    group acting regularly on the m coordinates maps the code to itself
+    (Brouwer-Zimmermann over the translates of one information set).
+
+    Messages on the information set I are enumerated by weight.  Each
+    translate g + I is an information set too, and the translate of a word
+    has the same weight, so once every message of weight < w is done, a
+    word not yet seen weighs at least w on each of the m translates; each
+    coordinate lies in exactly k of them, so the word weighs at least
+    ceil(m w / k).  The search stops when that reaches the best weight,
+    which starts at the Griesmer bound (no [m, k]_q code weighs more)."""
+    k, m = G.shape
+    A = _systematic(G, F)
+    best = _griesmer(k, m, F.q)
+    for w in range(1, k + 1):
+        floor = -(-m * w // k)  # least weight of a word not yet seen
+        if floor >= best:
+            break
+        for weights in _message_weights(A, w, F):
+            best = min(best, int(weights.min()))
+            if floor >= best:
+                break
+    return best
+
+
+def _griesmer(k, m, q):
+    """The Griesmer bound: the largest d with sum_{i<k} ceil(d / q^i) <= m,
+    at least the minimum distance of every [m, k]_q code."""
+
+    def length(d):
+        n, i, power = 0, 0, 1
+        while i < k and power < d:
+            n, i, power = n - (-d // power), i + 1, power * q
+        return n + k - i  # ceil(d / q^i) = 1 once q^i >= d
+
+    lo, hi = 1, m - k + 1  # length(1) = k <= m; Singleton
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if length(mid) <= m else (lo, mid - 1)
+    return lo
+
+
+def _bz_messages(k, m, q):
+    """The most messages `_bz_min_weight` enumerates for an [m, k]_q code:
+    those of weight <= W, W the least w >= 1 with ceil(m (w + 1) / k) above
+    the Griesmer bound, since by then the minimum word is found and the
+    floor exceeds it.  At most (q^k - 1) / (q - 1), the weights <= k."""
+    total, term = 0, k  # term: the C(k, w) (q - 1)^(w - 1) of weight w
+    for w in range(1, max(1, k * _griesmer(k, m, q) // m) + 1):
+        total += term
+        term = term * (k - w) * (q - 1) // (w + 1)
+    return total
+
+
+def _dual_distribution(D, F):
+    """Weight distribution B of the code spanned by the r rows of D, r
+    characters of X, from the r - 1 differences chi_c - chi_c0 alone.
+
+    The differences span the words that vanish at the identity point, where
+    every character is 1.  Translations act regularly on the coordinates
+    and map the code to itself, so each coordinate is zero in the same
+    number B0_w of weight-w words, and counting the zeros of the weight-w
+    words two ways gives B_w (m - w) = m B0_w for w < m; B_m is the rest of
+    the q^r words."""
+    r, m = D.shape
+    B0 = _weight_distribution(F.add_table[D[1:], F.neg_table[D[0]]], F)
+    B = []
+    for w in range(m):
+        Bw, rest = divmod(m * B0[w], m - w)
+        assert not rest, "the translations do not act regularly"
+        B.append(Bw)
+    B.append(F.q**r - sum(B))
+    return B
+
+
+def _macwilliams_min_weight(B, q, k):
+    """Minimum weight of an [m, k]_q code whose dual has the weight
+    distribution B = (B_0, ..., B_m), by the MacWilliams transform
+    A_j = q^(k - m) sum_w B_w K_j(w).  The Krawtchouk values K_j(w) follow
+    the three-term recurrence
+    (j + 1) K_{j+1} = ((m - j)(q - 1) + j - q w) K_j - (q - 1)(m - j + 1) K_{j-1}
+    from K_0 = 1, in exact integers: O(m) per weight of the dual."""
+    m = len(B) - 1
     A = [0] * (m + 1)
-    for j, Bj in enumerate(B):
-        if not Bj:
+    for w, Bw in enumerate(B):
+        if not Bw:
             continue
-        # (x + (q-1)y)^(m-j) * (x - y)^j, coefficients in y.
-        left = [comb(m - j, a) * (q - 1) ** a for a in range(m - j + 1)]
-        right = [comb(j, b) * (-1) ** b for b in range(j + 1)]
-        for a, la in enumerate(left):
-            if not la:
-                continue
-            for b, rb in enumerate(right):
-                A[a + b] += Bj * la * rb
-    scale = q ** (H.shape[0])
+        previous, K = 0, 1
+        for j in range(m + 1):
+            A[j] += Bw * K
+            previous, K = K, (
+                ((m - j) * (q - 1) + j - q * w) * K - (q - 1) * (m - j + 1) * previous
+            ) // (j + 1)
+    scale = q ** (m - k)
     A = [a // scale for a in A]
     assert A[0] == 1 and sum(A) == q**k, "MacWilliams transform sanity check"
     return next(w for w in range(1, m + 1) if A[w] > 0)
@@ -253,37 +401,41 @@ def minimum_distance(X, d, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
 def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
     """Exact minimum Hamming weight of a code instance.
 
-    Enumerates projective message classes on whichever side of the code
-    (primal or dual) is smaller.  The side, the cap on its generator cells
-    and then the budget on its classes are checked from k and m alone,
-    before any matrix is built; only the chosen side is built.  A full code
-    (k = m) has distance 1 and builds nothing.
+    X acts regularly on the coordinates by translation and maps C_X(d) and
+    its dual to themselves (chi_c(x + g) = chi_c(g) chi_c(x)).  The primal
+    side runs Brouwer-Zimmermann over the translates of one information set
+    (`_bz_min_weight`), at most `_bz_messages` messages.  The dual side is a
+    character code: m = |X| divides (q-1)^r, so m != 0 in GF(q), and the
+    characters satisfy <chi_a, chi_b> = m [a + b = 0], so C_X(d)^perp is
+    spanned by the m - k cells of the point grid outside -T_d.  Only the
+    (q^(m-k-1) - 1)/(q - 1) classes of its words vanishing at the identity
+    are enumerated (`_dual_distribution`), then transformed (MacWilliams).
 
-    The dual side is a character code too: m = |X| divides (q-1)^r, so
-    m != 0 in GF(q), and the characters satisfy <chi_a, chi_b> = m [a + b = 0].
-    C_X(d)^perp is therefore spanned by the m - k characters of X, the
-    cells of the point grid, that lie outside -T_d.
+    The side is the cheaper one whose generator (k or m - k rows of m
+    cells) fits the cap, and its count is checked against the budget, all
+    from k, m and q before any matrix is built; only the chosen side is
+    built, and a side over the cap is not even counted.  A full code
+    (k = m) has distance 1 and builds nothing.
     """
     k, m = inst.k, inst.m
     if k == m:
         return 1
+    cells = min(k, m - k) * m  # the smaller generator
+    if cells > cap:
+        raise CapExceeded(f"generator needs {cells} cells, cap is {cap}", required=cells)
     F = inst.X.F
     q = F.q
-    primal = (q**k - 1) // (q - 1)
-    dual = (q ** (m - k) - 1) // (q - 1)
-    rows = k if primal <= dual else m - k
-    if rows * m > cap:
-        raise CapExceeded(
-            f"generator needs {rows * m} cells, cap is {cap}", required=rows * m
-        )
+    out = float("inf")  # the count of a side over the cap
+    primal = _bz_messages(k, m, q) if k * m <= cap else out
+    dual = (q ** (m - k - 1) - 1) // (q - 1) if (m - k) * m <= cap else out
     needed = min(primal, dual)
     if needed > budget:
         raise BudgetExceeded(
             f"{needed} message classes required, budget is {budget}", required=needed
         )
     if primal <= dual:
-        return _min_weight_enum(characters(inst.X, inst.T), F)
-    return _macwilliams_min_weight(characters(inst.X, inst.dual()), F, k)
+        return _bz_min_weight(characters(inst.X, inst.T), F)
+    return _macwilliams_min_weight(_dual_distribution(characters(inst.X, inst.dual()), F), q, k)
 
 
 @dataclass

@@ -2,12 +2,14 @@
 over GF(q), kept as an independent oracle for the tests.
 
 The package computes every code parameter from characters of X, written on
-a grid of |X| cells, and never eliminates nor enumerates the source torus;
+a grid of |X| cells, never enumerates the source torus, and eliminates only
+to put a generator in systematic form for its minimum-distance search;
 these routes recompute the same quantities the textbook way: the points by
 mapping every source tuple, the Hilbert function as a sumset over the whole
 character group (Z/(q-1))^r of the source torus, the evaluation matrix of
-all degree-d monomials, its rank by Gaussian elimination, and the dual code
-as a null space.
+all degree-d monomials, its rank by Gaussian elimination, the dual code as
+a null space, the minimum distance by enumerating every message class, and
+the MacWilliams transform by expanding its polynomials.
 """
 
 from itertools import combinations
@@ -15,6 +17,7 @@ from math import comb
 
 import numpy as np
 
+from graphcodes.codes import _class_weights
 from graphcodes.errors import CapExceeded
 from graphcodes.monomials import grevlex_key
 
@@ -69,6 +72,33 @@ def null_space(M, F):
         for r, pc in enumerate(pivots):
             basis[i, pc] = F.neg_table[R[r, fc]]
     return basis
+
+
+def min_weight_enum(G, F):
+    """Minimum weight over the nonzero codewords spanned by G, every
+    projective message class enumerated."""
+    best = G.shape[1]
+    for weights in _class_weights(G, F):
+        best = min(best, int(weights.min()))
+        if best == 1:
+            break
+    return best
+
+
+def macwilliams(B, q, k):
+    """Weight distribution A of an [m, k]_q code from the distribution B of
+    its dual, expanding (x + (q-1)y)^(m-w) (x - y)^w for every weight w."""
+    m = len(B) - 1
+    A = [0] * (m + 1)
+    for w, Bw in enumerate(B):
+        left = [comb(m - w, a) * (q - 1) ** a for a in range(m - w + 1)]
+        right = [comb(w, b) * (-1) ** b for b in range(w + 1)]
+        for a, la in enumerate(left):
+            for b, rb in enumerate(right):
+                A[a + b] += Bw * la * rb
+    scale = q ** (m - k)
+    assert all(a % scale == 0 for a in A)
+    return [a // scale for a in A]
 
 
 def count_degree_monomials(s, d):

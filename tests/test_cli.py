@@ -163,9 +163,9 @@ def test_budget_refusal_exit_code():
      {"type": "UsageError", "message": "--d must be non-negative"}),
     (["mindist", "--family", "cycle", "--params", "6", "--q", "5", "--d", "1",
       "--budget", "10"], 3,
-     "refused: 3906 message classes required, budget is 10 (required: 3906)\n",
-     {"type": "BudgetExceeded", "message": "3906 message classes required, budget is 10",
-      "required": 3906}),
+     "refused: 1346 message classes required, budget is 10 (required: 1346)\n",
+     {"type": "BudgetExceeded", "message": "1346 message classes required, budget is 10",
+      "required": 1346}),
 ])
 def test_errors_as_text_and_json(argv, status, plain, error):
     assert run(argv) == (status, plain)
@@ -208,9 +208,14 @@ def test_verify_generator_cap_is_a_refusal(monkeypatch):
     }
     report = verify(build_family("cycle", [3]), 256, 16, budget=10)
     assert report["schema"] == 1 and report["ok"] and builds == []
+    # Brouwer-Zimmermann's message counts, each below the (256^k - 1) / 255
+    # classes of an exhaustive search; d = 1 needs the 3 + 3 * 255 messages
+    # of weight <= 2.
+    needed = [codes._bz_messages(codes.dimension(X, d), X.m, 256) for d in range(1, 17)]
+    assert needed[0] == 768
+    assert all(n < (256 ** codes.dimension(X, d) - 1) // 255 for d, n in enumerate(needed, 1))
     assert [r["status"] for r in report["rows"] if r["check"] == "mindist brute force"] == [
-        f"SKIPPED(requires {(256 ** codes.dimension(X, d) - 1) // 255})"
-        for d in range(1, 17)
+        f"SKIPPED(requires {n})" for n in needed
     ]
 
 

@@ -3,14 +3,16 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphcodes import codes
 from graphcodes.codes import (
+    _bz_messages,
+    _bz_min_weight,
     _class_weights,
+    _dual_distribution,
     _macwilliams_min_weight,
-    _min_weight_enum,
     _weight_distribution,
     characters,
     code_instance,
@@ -31,7 +33,7 @@ from graphcodes.formulas import (
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family
 from graphcodes.toric import GroupImage, ToricSet, parameterize, torus_points
-from oracle import evaluation_matrix, null_space, rank, rref
+from oracle import evaluation_matrix, macwilliams, min_weight_enum, null_space, rank, rref
 
 
 def test_rref_gf5():
@@ -124,37 +126,44 @@ def test_mindist_budget_refusal():
     X = parameterize(build_family("cycle", [6]), make_field(5))
     with pytest.raises(BudgetExceeded) as exc:
         minimum_distance(X, 1, budget=10)
-    assert exc.value.required == (5**6 - 1) // 4
+    # Brouwer-Zimmermann: messages of weight <= 4 of the k = 6 rows, since
+    # the translation floor ceil(256 (w + 1) / 6) first passes the Griesmer
+    # bound 202 at w = 4; (5^6 - 1) / 4 = 3906 classes before.
+    assert exc.value.required == 6 + 15 * 4 + 20 * 4**2 + 15 * 4**3 == 1346
 
 
 def test_primal_and_dual_routes_agree():
-    # Same distances whether computed by message enumeration, by the
-    # MacWilliams transform of the character dual's distribution, or by that
-    # of the oracle null space.  The tori are small enough for both sides to
-    # be enumerated at every degree.
+    # Same distances from Brouwer-Zimmermann, from the MacWilliams transform
+    # of the character dual's distribution (recovered from its shortened
+    # code), from that of the oracle null space, and from the exhaustive
+    # search.  The tori are small enough for both sides to be enumerated at
+    # every degree.
     for q, s in ((3, 3), (4, 3), (8, 2), (9, 2)):
         F = make_field(q)
         T = torus_points(s, F)
         for d in range(1, regularity_index(T) + 1):
             inst = code_instance(T, d)
             G = characters(T, inst.T)
-            primal = _min_weight_enum(G, F)
+            primal = _bz_min_weight(G, F)
+            assert primal == min_weight_enum(G, F)
             if inst.k < inst.m:
                 D = characters(T, inst.dual())
-                assert primal == _macwilliams_min_weight(D, F, inst.k)
-                assert primal == _macwilliams_min_weight(null_space(G, F), F, inst.k)
+                assert primal == _macwilliams_min_weight(_dual_distribution(D, F), q, inst.k)
+                N = _weight_distribution(null_space(G, F), F)
+                assert primal == _macwilliams_min_weight(N, q, inst.k)
             assert primal == minimum_distance(T, d)
-    # K_{2,3} over GF(7) at d = 9, k = 210 of m = 216: only the six-row
-    # character dual is enumerated, and the closed form and the oracle null
-    # space of the 210 x 216 generator give the same value.
+    # K_{2,3} over GF(7) at d = 9, k = 210 of m = 216: only the five
+    # differences of the six dual characters are enumerated, and the closed
+    # form and the oracle null space of the 210 x 216 generator give the
+    # same value.
     F = make_field(7)
     X = parameterize(build_family("complete_bipartite", [2, 3]), F)
     inst = code_instance(X, 9)
     assert (inst.k, inst.m) == (210, 216)
     expected = mindist_complete_bipartite(2, 3, 9, 7)
     assert minimum_distance(X, 9) == expected
-    N = null_space(characters(X, inst.T), F)
-    assert _macwilliams_min_weight(N, F, inst.k) == expected
+    N = _weight_distribution(null_space(characters(X, inst.T), F), F)
+    assert _macwilliams_min_weight(N, 7, inst.k) == expected
 
 
 def _brute_weight_distribution(G, F):
@@ -194,9 +203,9 @@ def test_weight_distribution_matches_scalar_brute_force(case):
 
 
 def test_large_length_torus_gf64():
-    # m = 3969, k = 3: the span table covers only the last generator row
-    # (64 x 3969 cells), so the search batches high vectors, four per
-    # comparison.
+    # m = 3969, k = 3: Brouwer-Zimmermann stops after the 3 + 3 * 63
+    # messages of weight <= 2, comparing up to four rows at once with the 63
+    # multiples of a later row (63 x 3966 cells).
     T = torus_points(3, make_field(64))
     assert minimum_distance(T, 1) == mindist_torus_formula(3, 1, 64)
 
@@ -226,14 +235,14 @@ def test_profile_mds_p1_gf5():
 
 
 @st.composite
-def toric_sets(draw, max_source=81):
+def toric_sets(draw, max_source=81, fields=(2, 3, 4, 5, 7, 8, 9)):
     """A toric set from a random simple graph (n <= 5, s <= 6) or a small
     projective torus (s <= 4, s = 1 included), over a field with q in
-    {2, 3, 4, 5, 7, 8, 9}.  Graph edges are drawn among all n vertices, so
-    isolated vertices and several components (b0 > 1) occur.  The source
-    torus has at most max_source points, which keeps the rank oracle to a
-    fraction of a second per example."""
-    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    `fields`.  Graph edges are drawn among all n vertices, so isolated
+    vertices and several components (b0 > 1) occur.  The source torus has
+    at most max_source points, which keeps the rank oracle to a fraction
+    of a second per example."""
+    q = draw(st.sampled_from(fields))
     F = make_field(q)
     top = max(k for k in range(5) if (q - 1) ** k <= max_source)
     if draw(st.booleans()):
@@ -303,6 +312,109 @@ def test_character_dual_matches_null_space_oracle(X):
             assert _weight_distribution(D, F) == _weight_distribution(N, F)
 
 
+def _check_distance_routes(X, S):
+    """Brouwer-Zimmermann and the shortened dual on the code spanned by the
+    characters in S (1 <= |S| < m), against the exhaustive search over the
+    smaller side: every primal class, or the oracle null space's
+    distribution through the textbook MacWilliams sum."""
+    F = X.F
+    q = F.q
+    G = characters(X, S)
+    k, m = G.shape
+    if k <= m - k:
+        expected = min_weight_enum(G, F)
+    else:
+        A = macwilliams(_weight_distribution(null_space(G, F), F), q, k)
+        expected = next(w for w in range(1, m + 1) if A[w])
+    counted = []
+    real = codes._message_weights
+
+    def counting(A, w, F):
+        for weights in real(A, w, F):
+            counted.append(len(weights))
+            yield weights
+
+    with patch.object(codes, "_message_weights", counting):
+        assert _bz_min_weight(G, F) == expected
+    assert sum(counted) <= _bz_messages(k, m, q) <= (q**k - 1) // (q - 1)
+    if m - k <= k:
+        D = characters(X, ~codes._negated(S))
+        B = _dual_distribution(D, F)
+        assert B == _weight_distribution(D, F)
+        assert _macwilliams_min_weight(B, q, k) == expected
+
+
+@given(X=toric_sets(max_source=16, fields=(3, 4, 5, 7, 8, 9)), data=st.data())
+@example(X=torus_points(2, make_field(7)), data=None)
+@settings(max_examples=60, deadline=None)
+def test_distance_routes_match_exhaustive_search(X, data):
+    # On sets small enough for the smaller side to be enumerated whole, at
+    # every degree below the plateau and for a random set of characters
+    # (any set spans a code the translations map to itself):
+    # Brouwer-Zimmermann equals the exhaustive search and enumerates at most
+    # the messages the budget is checked against, and where the dual is the
+    # smaller side its distribution recovered from its shortened code is the
+    # full one.  The projective line's last degree has m - k = 1, an empty
+    # shortened dual.
+    for d in range(len(hilbert_function(X)) - 1):
+        _check_distance_routes(X, code_instance(X, d).T)
+    if data is not None and X.m > 1:
+        cells = data.draw(st.lists(st.booleans(), min_size=X.m, max_size=X.m)
+                          .filter(lambda c: 0 < sum(c) < X.m))
+        _check_distance_routes(X, np.array(cells).reshape(X.point_group.orders))
+
+
+@given(case=generators(), w=st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_message_weights_match_scalar_brute_force(case, w):
+    # Every projective message of weight w on [I | A] (first nonzero
+    # coordinate 1), as a scalar sum, against the blocked byte comparison.
+    F, A, cells = case
+    k, L = A.shape
+    if w > k:
+        return
+    with patch.object(codes, "_CELLS", cells):
+        blocks = list(codes._message_weights(A.astype(np.uint8), w, F))
+    assert all(len(b) * L <= max(cells, L) for b in blocks)
+    expected = []
+    for support in combinations(range(k), w):
+        for tail in product(range(1, F.q), repeat=w - 1):
+            word = [0] * L
+            for c, i in zip((1, *tail), support):
+                word = [F.add(x, F.mul(c, int(a))) for x, a in zip(word, A[i])]
+            expected.append(w + sum(1 for x in word if x))
+    assert sorted(int(x) for b in blocks for x in b) == sorted(expected)
+
+
+def test_griesmer_bound_against_its_definition():
+    # The largest d with sum_{i<k} ceil(d / q^i) <= m, by a scan of every d.
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 256):
+        for m in range(1, 25):
+            for k in range(1, m + 1):
+                lengths = [sum(-(-d // q**i) for i in range(k)) for d in range(1, m + 1)]
+                expected = max(d for d, n in enumerate(lengths, 1) if n <= m)
+                assert codes._griesmer(k, m, q) == expected
+    assert codes._griesmer(6, 256, 5) == 202
+    assert codes._griesmer(3, 65025, 256) == mindist_torus_formula(3, 1, 256)
+
+
+def test_distance_frontier():
+    # C_4 over GF(7) at d = 2, 3 and K_{4,4} over GF(3) at d = 1, against
+    # the closed form.  The smaller exhaustive side needs 6.7e6 to 5.5e12
+    # classes.  d = 3 exceeds the default budget only because its
+    # Griesmer-based count (4.2e9 messages) is far above the 20896
+    # Brouwer-Zimmermann enumerates before the translation floor stops it.
+    C4 = parameterize(build_family("cycle", [4]), make_field(7))
+    assert minimum_distance(C4, 2) == mindist_complete_bipartite(2, 2, 2, 7) == 16
+    with pytest.raises(BudgetExceeded) as exc:
+        minimum_distance(C4, 3)
+    bound = exc.value.required
+    assert bound == _bz_messages(16, 36, 7) and 4 * 10**9 < bound < 5 * 10**9
+    assert minimum_distance(C4, 3, budget=bound) == mindist_complete_bipartite(2, 2, 3, 7) == 9
+    K44 = parameterize(build_family("complete_bipartite", [4, 4]), make_field(3))
+    assert minimum_distance(K44, 1) == mindist_complete_bipartite(4, 4, 1, 3) == 16
+
+
 def _count_builds(monkeypatch):
     """Record the row count of every matrix `codes.characters` builds."""
     built = []
@@ -333,13 +445,15 @@ def test_generator_cap_refuses_before_allocation(monkeypatch):
 
 
 def test_refusal_builds_nothing(monkeypatch):
-    # K4 over GF(4) at d = 2: k = 19 of m = 27, so the dual side (8 rows,
-    # 21845 classes) is the smaller one; the budget refuses it from k and m.
+    # K4 over GF(4) at d = 2: k = 19 of m = 27, so the dual side (8 rows)
+    # is the cheaper one; the budget refuses it from k and m.
     X = parameterize(build_family("complete", [4]), make_field(4))
     built = _count_builds(monkeypatch)
     with pytest.raises(BudgetExceeded) as exc:
         minimum_distance(X, 2, budget=2000)
-    assert exc.value.required == 21845
+    # Its shortened code, the words vanishing at the identity point, has 7
+    # rows: (4^7 - 1) / 3 = 5461 classes (21845 for the full dual).
+    assert exc.value.required == 5461
     assert built == []
     # The cap is checked first, on the 8 x 27 dual generator.
     with pytest.raises(CapExceeded) as exc:
@@ -349,6 +463,28 @@ def test_refusal_builds_nothing(monkeypatch):
     # At the plateau the distance is 1, with no matrix at all.
     assert minimum_distance(X, regularity_index(X), cap=0) == 1
     assert built == []
+
+
+def test_cap_leaves_the_side_that_fits(monkeypatch):
+    # C4 over GF(5) at d = 2: k = 9 of m = 16.  Brouwer-Zimmermann (1497
+    # messages, 9 x 16 cells) is cheaper than the shortened dual (3906
+    # classes, 7 x 16 cells).  A cap between the two generators leaves the
+    # dual, and a cap below both refuses, naming the smaller generator.
+    X = parameterize(build_family("cycle", [4]), make_field(5))
+    built = _count_builds(monkeypatch)
+    with pytest.raises(BudgetExceeded) as exc:
+        minimum_distance(X, 2, budget=0)
+    assert exc.value.required == 1497
+    with pytest.raises(BudgetExceeded) as exc:
+        minimum_distance(X, 2, budget=0, cap=9 * 16 - 1)
+    assert exc.value.required == (5**6 - 1) // 4 == 3906
+    with pytest.raises(CapExceeded) as exc:
+        minimum_distance(X, 2, cap=7 * 16 - 1)
+    assert exc.value.required == 7 * 16
+    assert built == []
+    expected = mindist_complete_bipartite(2, 2, 2, 5)
+    assert minimum_distance(X, 2, cap=9 * 16 - 1) == minimum_distance(X, 2) == expected
+    assert built == [7, 9]
 
 
 def test_stalled_hilbert_function_is_a_violation():
