@@ -85,26 +85,19 @@ def _toric_set(G, args):
     return toric.parameterize(G, F, cap=cap)
 
 
-# Subcommand handlers return (exit_status, text).
+# Subcommand handlers take the graph and the arguments and return
+# (exit_status, payload, text); `run_command` prints the text, or under
+# --json the payload with "schema", "graph" and "q" added.
 
 
-def _cmd_summarize(args, out):
-    G = _load_graph(args)
+def _cmd_summarize(G, args):
     summary = graphmod.summarize(G)
-    if args.as_json:
-        out.write(json.dumps({
-            "schema": SCHEMA, "graph": _graph_ident(G, args),
-            "n": summary.n, "s": summary.s, "b0": summary.b0,
-            "bipartite": summary.bipartite, "gamma": summary.gamma,
-        }, sort_keys=True) + "\n")
-    else:
-        out.write(f"n={summary.n} s={summary.s} b0={summary.b0} "
-                  f"bipartite={summary.bipartite} gamma={summary.gamma}\n")
-    return 0
+    payload = {"n": summary.n, "s": summary.s, "b0": summary.b0,
+               "bipartite": summary.bipartite, "gamma": summary.gamma}
+    return 0, payload, " ".join(f"{key}={value}" for key, value in payload.items())
 
 
-def _cmd_length(args, out):
-    G = _load_graph(args)
+def _cmd_length(G, args):
     X = _toric_set(G, args)
     length = toric.count_points(X)
     expected = toric.expected_length(graphmod.summarize(G), X.F)
@@ -112,80 +105,39 @@ def _cmd_length(args, out):
         raise LengthMismatch(
             f"enumerated {length} distinct points but the length formula gives {expected}"
         )
-    if args.as_json:
-        out.write(json.dumps({
-            "schema": SCHEMA, "graph": _graph_ident(G, args), "q": args.q,
-            "length": length, "degenerate": X.degenerate,
-        }, sort_keys=True) + "\n")
-    else:
-        out.write(f"{length}\n")
-    return 0
+    return 0, {"length": length, "degenerate": X.degenerate}, str(length)
 
 
-def _cmd_dim(args, out):
-    G = _load_graph(args)
-    X = _toric_set(G, args)
-    value = codes.dimension(X, args.d)
-    if args.as_json:
-        out.write(json.dumps({
-            "schema": SCHEMA, "graph": _graph_ident(G, args), "q": args.q,
-            "d": args.d, "dim": value,
-        }, sort_keys=True) + "\n")
-    else:
-        out.write(f"{value}\n")
-    return 0
+def _cmd_dim(G, args):
+    value = codes.dimension(_toric_set(G, args), args.d)
+    return 0, {"d": args.d, "dim": value}, str(value)
 
 
-def _cmd_reg(args, out):
-    G = _load_graph(args)
-    X = _toric_set(G, args)
-    value = codes.regularity_index(X)
-    if args.as_json:
-        out.write(json.dumps({
-            "schema": SCHEMA, "graph": _graph_ident(G, args), "q": args.q,
-            "reg": value,
-        }, sort_keys=True) + "\n")
-    else:
-        out.write(f"{value}\n")
-    return 0
+def _cmd_reg(G, args):
+    value = codes.regularity_index(_toric_set(G, args))
+    return 0, {"reg": value}, str(value)
 
 
-def _cmd_mindist(args, out):
-    G = _load_graph(args)
-    X = _toric_set(G, args)
-    value = codes.minimum_distance(X, args.d, budget=args.budget)
-    if args.as_json:
-        out.write(json.dumps({
-            "schema": SCHEMA, "graph": _graph_ident(G, args), "q": args.q,
-            "d": args.d, "mindist": value,
-        }, sort_keys=True) + "\n")
-    else:
-        out.write(f"{value}\n")
-    return 0
+def _cmd_mindist(G, args):
+    value = codes.minimum_distance(_toric_set(G, args), args.d, budget=args.budget)
+    return 0, {"d": args.d, "mindist": value}, str(value)
 
 
-def _cmd_profile(args, out):
-    G = _load_graph(args)
+def _cmd_profile(G, args):
     X = _toric_set(G, args)
     rows = codes.distance_profile(X, args.dmax, budget=args.budget)
-    if args.as_json:
-        out.write(json.dumps({
-            "schema": SCHEMA, "graph": _graph_ident(G, args), "q": args.q,
-            "length": X.m,
-            "rows": [{"d": r.d, "dim": r.dim, "delta": r.delta,
-                      "singleton": r.singleton, "skipped": r.skipped}
-                     for r in rows],
-        }, sort_keys=True) + "\n")
-    else:
-        out.write(f"{'d':>3} {'dim':>6} {'delta':>8} {'singleton':>10}\n")
-        for r in rows:
-            delta = r.delta if r.delta is not None else f"SKIPPED({r.skipped})"
-            out.write(f"{r.d:>3} {r.dim:>6} {delta!s:>8} {r.singleton:>10}\n")
-    return 0
+    payload = {"length": X.m,
+               "rows": [{"d": r.d, "dim": r.dim, "delta": r.delta,
+                         "singleton": r.singleton, "skipped": r.skipped}
+                        for r in rows]}
+    lines = [f"{'d':>3} {'dim':>6} {'delta':>8} {'singleton':>10}"]
+    for r in rows:
+        delta = r.delta if r.delta is not None else f"SKIPPED({r.skipped})"
+        lines.append(f"{r.d:>3} {r.dim:>6} {delta!s:>8} {r.singleton:>10}")
+    return 0, payload, "\n".join(lines)
 
 
-def _cmd_ternary(args, out):
-    G = _load_graph(args)
+def _cmd_ternary(G, args):
     if args.ternary_op == "dim":
         value = eulerian3.dim_ternary(G, args.d)
         payload = {"dim": value}
@@ -203,42 +155,29 @@ def _cmd_ternary(args, out):
                       key=grevlex_key, reverse=True)
         payload = {"d": args.d, "basis": [format_monomial(m) for m in mons]}
         human = "\n".join(format_monomial(m) for m in mons) or "(none)"
-    if args.as_json:
-        payload.update({"schema": SCHEMA, "graph": _graph_ident(G, args), "q": 3})
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        out.write(human + "\n")
-    return 0
+    payload["q"] = 3
+    return 0, payload, human
 
 
-def _cmd_family(args, out):
+def _cmd_family(G, args):
     if not args.family:
         raise UsageError("--family is required")
-    G = graphmod.build_family(args.family, args.params)
-    if args.seed_order:
-        perm = [int(x) for x in args.seed_order.split(",")]
-        G = G.reorder_edges(perm)
-    out.write(graphmod.format_graph(G))
-    return 0
+    return 0, None, graphmod.format_graph(G).rstrip("\n")
 
 
-def _cmd_verify(args, out):
-    G = _load_graph(args)
+def _cmd_verify(G, args):
     report = verify(G, args.q, args.dmax, budget=args.budget, cap=args.cap)
-    report["graph"] = _graph_ident(G, args)
-    if args.as_json:
-        out.write(json.dumps(report, sort_keys=True) + "\n")
-    else:
-        for r in report["rows"]:
-            d = f" d={r['d']}" if "d" in r else ""
-            if r["status"].startswith("SKIPPED"):
-                out.write(f"{r['status']:>8} {r['check']}{d}\n")
-            else:
-                out.write(f"{r['status']:>8} {r['check']}{d} "
-                          f"expected={r['expected']} actual={r['actual']}\n")
-        out.write(f"{'OK' if report['ok'] else 'FAILED'} "
-                  f"(length={report['length']}, reg={report['regularity']})\n")
-    return 0 if report["ok"] else 1
+    lines = []
+    for r in report["rows"]:
+        d = f" d={r['d']}" if "d" in r else ""
+        if r["status"].startswith("SKIPPED"):
+            lines.append(f"{r['status']:>8} {r['check']}{d}")
+        else:
+            lines.append(f"{r['status']:>8} {r['check']}{d} "
+                         f"expected={r['expected']} actual={r['actual']}")
+    lines.append(f"{'OK' if report['ok'] else 'FAILED'} "
+                 f"(length={report['length']}, reg={report['regularity']})")
+    return (0 if report["ok"] else 1), report, "\n".join(lines)
 
 
 def build_parser():
@@ -303,13 +242,21 @@ def run_command(argv, out=None):
         for name in ("d", "dmax"):
             if getattr(args, name, 0) < 0:
                 raise UsageError(f"--{name} must be non-negative")
-        return args.handler(args, out)
+        G = _load_graph(args)
+        status, payload, text = args.handler(G, args)
     except ResourceRefused as exc:
         return _fail(args, out, 3, exc, f"refused: {exc} (required: {exc.required})")
     except (UsageError, ValueError, OSError) as exc:
         return _fail(args, out, 2, exc, f"usage error: {exc}")
     except GraphCodesError as exc:
         return _fail(args, out, 1, exc, f"error: {type(exc).__name__}: {exc}")
+    if args.as_json:
+        payload.update(schema=SCHEMA, graph=_graph_ident(G, args))
+        if "q" in args:
+            payload["q"] = args.q
+        text = json.dumps(payload, sort_keys=True)
+    out.write(text + "\n")
+    return status
 
 
 def _fail(args, out, status, exc, text):

@@ -10,7 +10,8 @@ linearly independent (Dedekind-Artin), so dim C_X(d) is the number of
 distinct such cells.  They are counted as a boolean set over the grid:
 T_0 = {0} and T_{d+1} is the union of the translates T_d + (w_k - w_1), a
 sumset iteration that is the single source of the Hilbert function
-(`dimension`, `regularity_index`, `hilbert_function`).  It builds no
+(`dimension`, `regularity_index`, `hilbert_function`, and `profile_rows`,
+which takes every degree of a profile from one pass).  It builds no
 evaluation matrix and lists no point, and its work, s |X| cells per degree,
 is bounded by the point cap `parameterize` enforces on |X|.  The generator
 of C_X(d) is one row per element of T_d: the character's values at the
@@ -78,7 +79,8 @@ def _scales(X):
 
 
 def _sumsets(X):
-    """Yield (T_d, |T_d|) for d = 0, 1, ... up to the plateau |T_d| = |X|.
+    """Yield (T_d, |T_d|) for d = 0, 1, ...; from the plateau |T_d| = |X|
+    on, T_d is every cell and is yielded unchanged.
 
     T_d is a boolean array over the point grid of X marking the degree-d
     characters t^a / t_1^d (|a| = d) of X, the grid being its own dual (see
@@ -98,7 +100,7 @@ def _sumsets(X):
     for d in count(1):
         yield T, k
         if k == X.m:
-            return
+            continue
         grown = T.copy()
         for b in steps:
             grown |= np.roll(T, b, axes)
@@ -113,7 +115,11 @@ def _sumsets(X):
 def hilbert_function(X):
     """[dim C_X(0), ..., dim C_X(reg)]: the Hilbert function up to and
     including its first value |X|."""
-    return [k for _, k in _sumsets(X)]
+    dims = []
+    for _, k in _sumsets(X):
+        dims.append(k)
+        if k == X.m:
+            return dims
 
 
 def dimension(X, d):
@@ -140,8 +146,7 @@ def code_instance(X, d):
     """C_X(d), with the sumset iterated up to d only."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    for T, k in islice(_sumsets(X), d + 1):
-        pass
+    T, k = next(islice(_sumsets(X), d, None))
     return CodeInstance(X, d, T, k)
 
 
@@ -414,12 +419,15 @@ def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
     The side is the cheaper one whose generator (k or m - k rows of m
     cells) fits the cap, and its count is checked against the budget, all
     from k, m and q before any matrix is built; only the chosen side is
-    built, and a side over the cap is not even counted.  A full code
-    (k = m) has distance 1 and builds nothing.
+    built, and a side over the cap is not even counted.  Nothing is built
+    for a single character (k = 1), which is zero nowhere and so has
+    distance m, nor for a full code (k = m), whose distance is 1.
     """
     k, m = inst.k, inst.m
     if k == m:
         return 1
+    if k == 1:
+        return m
     cells = min(k, m - k) * m  # the smaller generator
     if cells > cap:
         raise CapExceeded(f"generator needs {cells} cells, cap is {cap}", required=cells)
@@ -444,43 +452,52 @@ class ProfileRow:
     dim: int
     delta: int | None
     singleton: int
-    skipped: str | None = None
+    required: int | None = None  # classes of a search the budget refused
+
+    @property
+    def skipped(self):
+        return None if self.required is None else f"budget: {self.required} classes required"
+
+
+def profile_rows(X, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
+    """Per-degree (dim, delta, Singleton bound) records for d = 0..d_max
+    from one pass of the sumset, with no law checked.  A degree the budget
+    refuses has no delta and records the classes it required."""
+    rows = []
+    for d, (T, k) in enumerate(islice(_sumsets(X), d_max + 1)):
+        inst = CodeInstance(X, d, T, k)
+        try:
+            delta, required = code_distance(inst, budget=budget, cap=cap), None
+        except BudgetExceeded as exc:
+            delta, required = None, exc.required
+        rows.append(ProfileRow(d, k, delta, X.m - k + 1, required))
+    return rows
+
+
+def distance_laws(rows):
+    """Yield (check, d, expected, actual) for each law the distances of
+    profile rows obey: delta within the Singleton bound; delta below the
+    last delta computed while that exceeds 1, and 1 once it is 1; and
+    delta = 1 from the regularity plateau (dim = m, Singleton bound 1) on.
+    A refused degree has no delta and no check."""
+    previous = None
+    for r in rows:
+        if r.delta is None:
+            continue
+        yield "singleton bound", r.d, True, r.delta <= r.singleton
+        if previous is not None:
+            ok = r.delta < previous if previous > 1 else r.delta == 1
+            yield "strict decrease", r.d, True, ok
+        if r.singleton == 1:
+            yield "delta = 1 past plateau", r.d, 1, r.delta
+        previous = r.delta
 
 
 def distance_profile(X, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
-    """Per-degree (dim, delta, Singleton bound) records for d = 0..d_max,
-    with laws asserted: the Singleton bound, strict decrease of delta until
-    it reaches 1, and delta = 1 from the regularity plateau on.  Budget
-    refusals yield a marked row instead of a failure."""
-    rows = []
-    reg_seen = None
-    prev_delta = None
-    for d in range(d_max + 1):
-        inst = code_instance(X, d)
-        dim = inst.k
-        singleton = X.m - dim + 1
-        if reg_seen is None and dim == X.m:
-            reg_seen = d
-        try:
-            delta = code_distance(inst, budget=budget, cap=cap)
-            skipped = None
-        except BudgetExceeded as exc:
-            delta = None
-            skipped = f"budget: {exc.required} classes required"
-        if delta is not None:
-            if delta > singleton:
-                raise AssertionError(
-                    f"Singleton bound violated at d={d}: {delta} > {singleton}"
-                )
-            if prev_delta is not None:
-                if prev_delta > 1 and delta >= prev_delta:
-                    raise AssertionError(
-                        f"minimum distance failed to decrease at d={d}"
-                    )
-                if prev_delta == 1 and delta != 1:
-                    raise AssertionError(f"distance rose above 1 at d={d}")
-            if reg_seen is not None and d >= reg_seen and delta != 1:
-                raise AssertionError(f"distance is {delta} past the plateau at d={d}")
-        prev_delta = delta if delta is not None else prev_delta
-        rows.append(ProfileRow(d=d, dim=dim, delta=delta, singleton=singleton, skipped=skipped))
+    """`profile_rows` with every distance law asserted.  Budget refusals
+    yield a marked row instead of a failure."""
+    rows = profile_rows(X, d_max, budget=budget, cap=cap)
+    for check, d, expected, actual in distance_laws(rows):
+        if actual != expected:
+            raise AssertionError(f"{check} fails at d={d}: expected {expected}, got {actual}")
     return rows

@@ -2,15 +2,15 @@
 every applicable closed form, and mark each row PASS / FAIL /
 SKIPPED(reason).
 
-Dims come from the character count up to the plateau; a distance is
-computed for each degree 1..d_max, and a degree refused by the budget or
-the generator cell cap builds nothing.
+Dims and distances for d = 0..d_max come from one profile pass
+(`codes.profile_rows`), and the distance laws from the list every profile
+obeys (`codes.distance_laws`); a degree refused by the budget or the
+generator cell cap builds nothing.
 """
 
 from __future__ import annotations
 
 from . import codes, eulerian3, formulas, graph as graphmod, toric
-from .errors import BudgetExceeded
 from .gfq import make_field
 
 SCHEMA = 1  # version of the CLI's JSON output
@@ -52,43 +52,32 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
 
     dims = codes.hilbert_function(X)
     reg = len(dims) - 1
-    dims += [X.m] * (d_max - reg)
+    profile = codes.profile_rows(X, d_max, budget=budget)
 
-    for d in range(d_max + 1):
+    for r in profile:
+        d = r.d
         if is_torus and q >= 3:
             rows.append(_row("dim torus formula", formulas.k_formula(s, d, q),
-                             dims[d], d=d))
+                             r.dim, d=d))
         if kab and q >= 3:
             a, b = kab
             rows.append(_row("dim complete bipartite",
                              formulas.dim_complete_bipartite(a, b, d, q),
-                             dims[d], d=d))
+                             r.dim, d=d))
         if half_cycle and q == 3:
             rows.append(_row("dim even cycle ternary",
                              formulas.dim_even_cycle_ternary(half_cycle, d),
-                             dims[d], d=d))
+                             r.dim, d=d))
         if q == 3:
             rows.append(_row("dim ternary parity joins",
-                             eulerian3.dim_ternary(G, d), dims[d], d=d))
-
-    deltas = {}
-    prev = None
-    for d in range(1, d_max + 1):
-        try:
-            delta = codes.code_distance(codes.code_instance(X, d), budget=budget)
-        except BudgetExceeded as exc:
-            rows.append(_skip("mindist brute force",
-                              f"requires {exc.required}", d=d))
-            prev = None
+                             eulerian3.dim_ternary(G, d), r.dim, d=d))
+        delta = r.delta
+        if delta is None:
+            rows.append(_skip("mindist brute force", f"requires {r.required}", d=d))
             continue
-        deltas[d] = delta
-        singleton = X.m - dims[d] + 1
-        rows.append(_row("singleton bound", True, delta <= singleton, d=d))
-        if prev is not None:
-            ok = delta < prev if prev > 1 else delta == 1
-            rows.append(_row("strict decrease", True, ok, d=d))
-        prev = delta
-        if is_torus and q >= 3:
+        if d == 0:  # the closed forms below start at degree 1
+            continue
+        if is_torus and q >= 3 and s >= 2:
             rows.append(_row("mindist torus formula",
                              formulas.mindist_torus_formula(s, d, q), delta, d=d))
         if kab and q >= 3 and min(kab) >= 2:
@@ -104,6 +93,8 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
         if connected and not summary.bipartite and q >= 3:
             lo = formulas.mindist_nonbipartite_lower(G.n, d, q)
             rows.append(_row("non-bipartite lower bound", True, lo <= delta, d=d))
+    rows += [_row(check, expected, actual, d=d)
+             for check, d, expected, actual in codes.distance_laws(profile)]
 
     rows.append(_row("hilbert plateau value", X.m, dims[reg]))
     if q >= 3:
@@ -125,10 +116,6 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
     if q == 3:
         mu, _ = eulerian3.max_parity_join(G)
         rows.append(_row("reg ternary (mu - 1)", mu - 1, reg))
-
-    for d in range(reg, d_max + 1):
-        if d in deltas:
-            rows.append(_row("delta = 1 past plateau", 1, deltas[d], d=d))
 
     failed = any(r["status"] == "FAIL" for r in rows)
     return {"schema": SCHEMA, "q": q, "d_max": d_max, "length": X.m,

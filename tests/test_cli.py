@@ -314,7 +314,7 @@ def test_family_names_the_parameter_count(family, params, message):
 
 def test_verify_builds_one_code_per_degree(monkeypatch):
     # A degree builds at most one matrix, the side it enumerates, and none
-    # when it is refused, when k = m, or (in verify) at d = 0.
+    # when it is refused, when k = m, or at d = 0 (k = 1, distance m).
     degrees, builds = [], []
     real_distance, real_characters = codes.code_distance, codes.characters
 
@@ -330,16 +330,76 @@ def test_verify_builds_one_code_per_degree(monkeypatch):
     monkeypatch.setattr(codes, "characters", characters)
     report = verify(build_family("cycle", [6]), 3, 4)
     assert report["ok"] and report["regularity"] == 2
-    assert degrees == [1, 2, 3, 4] and builds == [1]
+    assert degrees == [0, 1, 2, 3, 4] and builds == [1]
     degrees.clear()
     builds.clear()
     report = verify(build_family("cycle", [6]), 5, 1, budget=10)
-    assert report["ok"] and degrees == [1] and builds == []
+    assert report["ok"] and degrees == [0, 1] and builds == []
     degrees.clear()
     X = parameterize(build_family("complete_bipartite", [2, 3]), make_field(4))
     assert codes.hilbert_function(X) == [1, 6, 18, 24, 27]
     assert len(codes.distance_profile(X, 3)) == 4
-    assert degrees == builds == [0, 1, 2, 3]
+    assert degrees == [0, 1, 2, 3] and builds == [1, 2, 3]
+
+
+@pytest.mark.parametrize("d_max", [0, 2, 6])
+def test_profile_and_verify_take_one_sumset_pass(monkeypatch, d_max):
+    # The profile reads every degree from one pass of the sumset; verify
+    # adds a second, for the Hilbert function up to its plateau.
+    starts = []
+    real_sumsets = codes._sumsets
+
+    def sumsets(X):
+        starts.append(X.m)
+        return real_sumsets(X)
+
+    monkeypatch.setattr(codes, "_sumsets", sumsets)
+    X = parameterize(build_family("cycle", [6]), make_field(3))
+    dims = [1, 6, 16, 16, 16, 16, 16]
+    assert [r.dim for r in codes.distance_profile(X, d_max)] == dims[: d_max + 1]
+    assert len(starts) == 1
+    starts.clear()
+    assert verify(build_family("cycle", [6]), 3, d_max)["ok"]
+    assert len(starts) <= 2
+
+
+def test_planted_law_violation_fails(monkeypatch):
+    # The torus of P^1 over GF(5) is MDS at d = 1: delta = 3 = m - k + 1.
+    # One more breaks the Singleton bound and the decrease from delta(0) = 4.
+    real_distance = codes.code_distance
+
+    def distance(inst, **kwargs):
+        return real_distance(inst, **kwargs) + (inst.d == 1)
+
+    monkeypatch.setattr(codes, "code_distance", distance)
+    G = build_family("path", [2])
+    report = verify(G, 5, 3)
+    assert not report["ok"]
+    assert {(r["check"], r["d"]) for r in report["rows"] if r["status"] == "FAIL"} == {
+        ("singleton bound", 1), ("strict decrease", 1), ("mindist torus formula", 1),
+    }
+    status, text = run(["verify", "--family", "path", "--params", "2", "--q", "5",
+                        "--dmax", "3"])
+    assert status == 1 and text.endswith("FAILED (length=4, reg=3)\n")
+    with pytest.raises(AssertionError, match="singleton bound fails at d=1"):
+        codes.distance_profile(parameterize(G, make_field(5)), 3)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("source", ["family", "file"])
+def test_verify_one_edge_graphs(q, source, tmp_path):
+    # s = 1: X is the one point of the torus of P^0, where the minimum
+    # distance closed form is not defined.
+    if source == "family":
+        graph = ["--family", "path", "--params", "1"]
+    else:
+        path = tmp_path / "one-edge.graph"
+        path.write_text("3 1\n1 2\n")
+        graph = ["--graph", str(path)]
+    status, text = run(["verify", *graph, "--q", str(q), "--dmax", "2", "--json"])
+    assert status == 0
+    report = json.loads(text)
+    assert report["ok"] is True and report["length"] == 1
 
 
 def test_verify_json_round_trips():
