@@ -1,15 +1,14 @@
 """Parameterized linear codes over graphs: evaluation codes on projective
 toric sets parameterized by graph edges over GF(q), their parameters by
 exact brute force, the known closed-form formulas, and cross-verification
-of the two."""
+of the two.
 
-from .codes import (
-    CodeInstance,
-    dimension,
-    distance_profile,
-    minimum_distance,
-    regularity_index,
-)
+The graph and error names are imported with the package.  The names from
+`codes`, `gfq` and `toric`, which need numpy, are imported on first access
+(PEP 562), so a program that uses only graphs never loads numpy."""
+
+import importlib
+
 from .errors import (
     BudgetExceeded,
     CapExceeded,
@@ -25,7 +24,6 @@ from .errors import (
     UnsupportedFamily,
     UnsupportedField,
 )
-from .gfq import FieldSpec, make_field
 from .graph import (
     Graph,
     GraphSummary,
@@ -36,7 +34,35 @@ from .graph import (
     summarize,
     validate_ear_decomposition,
 )
-from .toric import ToricSet, expected_length, parameterize, torus_points
+
+# Public name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    "CodeInstance": "codes",
+    "dimension": "codes",
+    "distance_profile": "codes",
+    "minimum_distance": "codes",
+    "regularity_index": "codes",
+    "FieldSpec": "gfq",
+    "make_field": "gfq",
+    "ToricSet": "toric",
+    "expected_length": "toric",
+    "parameterize": "toric",
+    "torus_points": "toric",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "BudgetExceeded",

@@ -10,19 +10,30 @@ Exit codes: 0 ok, 1 verify found a FAIL or a domain error, 2 usage error,
 3 a cap or budget refused the computation (the required amount is printed).
 Under --json an error is printed as {"schema": 1, "error": {"type", "message"}},
 plus "required" for a refusal.
+
+Only the subcommands that compute over GF(q) (length, dim, reg, mindist,
+profile, verify) import numpy, inside their handlers; summarize, family and
+ternary start without it.  The console script (`main`) also keeps OpenBLAS
+to one thread, since the package does no float linear algebra.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from . import codes, eulerian3, graph as graphmod, toric
-from .errors import GraphCodesError, LengthMismatch, ResourceRefused
-from .gfq import make_field
+from . import eulerian3, graph as graphmod
+from .errors import (
+    DEFAULT_BUDGET,
+    DEFAULT_POINT_CAP,
+    SCHEMA,
+    GraphCodesError,
+    LengthMismatch,
+    ResourceRefused,
+)
 from .monomials import format_monomial, grevlex_key
-from .verify import SCHEMA, verify
 
 
 def _add_graph_args(p):
@@ -43,11 +54,11 @@ def _add_common(p, q=False, d=False, dmax=False, budget=False, cap=False):
     if dmax:
         p.add_argument("--dmax", type=int, required=True, help="maximum degree")
     if budget:
-        p.add_argument("--budget", type=int, default=codes.DEFAULT_BUDGET,
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="distance search budget in message classes: "
                        "Brouwer-Zimmermann messages or shortened-dual classes")
     if cap:
-        p.add_argument("--cap", type=int, default=toric.DEFAULT_POINT_CAP,
+        p.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP,
                        help="cap on |X|, the points of the toric set (checked "
                        "before anything of that size is allocated)")
     p.add_argument("--json", action="store_true", dest="as_json")
@@ -80,9 +91,10 @@ def _graph_ident(G, args):
 
 
 def _toric_set(G, args):
-    F = make_field(args.q)
-    cap = getattr(args, "cap", toric.DEFAULT_POINT_CAP)
-    return toric.parameterize(G, F, cap=cap)
+    from .gfq import make_field
+    from .toric import parameterize
+
+    return parameterize(G, make_field(args.q), cap=args.cap)
 
 
 # Subcommand handlers take the graph and the arguments and return
@@ -98,6 +110,8 @@ def _cmd_summarize(G, args):
 
 
 def _cmd_length(G, args):
+    from . import toric
+
     X = _toric_set(G, args)
     length = toric.count_points(X)
     expected = toric.expected_length(graphmod.summarize(G), X.F)
@@ -109,21 +123,29 @@ def _cmd_length(G, args):
 
 
 def _cmd_dim(G, args):
+    from . import codes
+
     value = codes.dimension(_toric_set(G, args), args.d)
     return 0, {"d": args.d, "dim": value}, str(value)
 
 
 def _cmd_reg(G, args):
+    from . import codes
+
     value = codes.regularity_index(_toric_set(G, args))
     return 0, {"reg": value}, str(value)
 
 
 def _cmd_mindist(G, args):
+    from . import codes
+
     value = codes.minimum_distance(_toric_set(G, args), args.d, budget=args.budget)
     return 0, {"d": args.d, "mindist": value}, str(value)
 
 
 def _cmd_profile(G, args):
+    from . import codes
+
     X = _toric_set(G, args)
     rows = codes.distance_profile(X, args.dmax, budget=args.budget)
     payload = {"length": X.m,
@@ -166,6 +188,8 @@ def _cmd_family(G, args):
 
 
 def _cmd_verify(G, args):
+    from .verify import verify
+
     report = verify(G, args.q, args.dmax, budget=args.budget, cap=args.cap)
     lines = []
     for r in report["rows"]:
@@ -239,7 +263,7 @@ def run_command(argv, out=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        for name in ("d", "dmax"):
+        for name in ("d", "dmax", "budget", "cap"):
             if getattr(args, name, 0) < 0:
                 raise UsageError(f"--{name} must be non-negative")
         G = _load_graph(args)
@@ -271,6 +295,9 @@ def _fail(args, out, status, exc, text):
 
 
 def main():
+    # numpy's import starts an OpenBLAS thread pool that the package, which
+    # does no float linear algebra, never uses.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run_command(sys.argv[1:]))
 
 

@@ -47,9 +47,8 @@ from itertools import count, islice
 
 import numpy as np
 
-from .errors import BudgetExceeded, CapExceeded, MonotonicityViolation
+from .errors import DEFAULT_BUDGET, BudgetExceeded, CapExceeded, MonotonicityViolation
 
-DEFAULT_BUDGET = 5 * 10**7
 DEFAULT_CELL_CAP = 10**7  # cells of the generator built: k or m - k rows, m columns
 _CELLS = 1 << 20  # compared cells per block of the distance search
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, the default resource limits
+they enforce and the version of the CLI's JSON output.  Imports nothing,
+so the command line can set up its options without numpy."""
+
+SCHEMA = 1  # version of the CLI's JSON output
 
 
 class GraphCodesError(Exception):
@@ -45,6 +49,10 @@ class LengthMismatch(GraphCodesError):
 
 class MonotonicityViolation(GraphCodesError):
     """Hilbert function failed to increase strictly before its plateau."""
+
+
+DEFAULT_BUDGET = 5 * 10**7  # message classes of one distance search
+DEFAULT_POINT_CAP = 10**7  # points of X
 
 
 class ResourceRefused(GraphCodesError):

@@ -28,10 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceeded, LengthMismatch
+from .errors import DEFAULT_POINT_CAP, CapExceeded, LengthMismatch
 from .graph import summarize
-
-DEFAULT_POINT_CAP = 10**7  # points of X
 
 
 @dataclass(frozen=True)

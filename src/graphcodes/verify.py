@@ -3,17 +3,18 @@ every applicable closed form, and mark each row PASS / FAIL /
 SKIPPED(reason).
 
 Dims and distances for d = 0..d_max come from one profile pass
-(`codes.profile_rows`), and the distance laws from the list every profile
-obeys (`codes.distance_laws`); a degree refused by the budget or the
+(`codes.profile_rows`), which also gives the regularity index when it
+reaches the plateau dim = |X|; only a d_max below it takes a second pass
+(`codes.hilbert_function`).  The distance laws come from the list every
+profile obeys (`codes.distance_laws`); a degree refused by the budget or the
 generator cell cap builds nothing.
 """
 
 from __future__ import annotations
 
 from . import codes, eulerian3, formulas, graph as graphmod, toric
+from .errors import SCHEMA
 from .gfq import make_field
-
-SCHEMA = 1  # version of the CLI's JSON output
 
 
 def _row(check, expected, actual, d=None):
@@ -50,9 +51,11 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
     connected = summary.b0 == 1
     parts = graphmod.bipartition(G)  # None unless bipartite
 
-    dims = codes.hilbert_function(X)
-    reg = len(dims) - 1
     profile = codes.profile_rows(X, d_max, budget=budget)
+    dims = [r.dim for r in profile]
+    if X.m not in dims:  # the plateau lies past d_max
+        dims = codes.hilbert_function(X)
+    reg = dims.index(X.m)
 
     for r in profile:
         d = r.d
