@@ -145,11 +145,14 @@ def enumerate_Jd(G, d):
 
 
 def dim_ternary(G, d):
-    """Ternary code dimension as the stacked count of J_{d-2i}."""
+    """Ternary code dimension as the stacked count of J_{d-2i}.  J_e is
+    empty for e > s (no e-subset of s edges), so the count starts at the
+    largest degree e <= s with e = d (mod 2)."""
     if d < 0:
         return 0
     evens = _evens(G)
-    degrees = range(d, -1, -2)
+    top = d if d <= G.s else G.s - (G.s - d) % 2
+    degrees = range(top, -1, -2)
     _check_scan(sum(_Jd_work(evens, G.s, e) for e in degrees))
     return sum(len(_Jd(evens, G.s, e)) for e in degrees)
 

@@ -6,8 +6,9 @@ a grid of |X| cells, never enumerates the source torus, and eliminates only
 to put a generator in systematic form for its minimum-distance search;
 these routes recompute the same quantities the textbook way: the points by
 mapping every source tuple, the Hilbert function as a sumset over the whole
-character group (Z/(q-1))^r of the source torus, the evaluation matrix of
-all degree-d monomials, its rank by Gaussian elimination, the dual code as
+character group (Z/(q-1))^r of the source torus and as boolean arrays over
+the grid of X translated by `np.roll`, the evaluation matrix of all
+degree-d monomials, its rank by Gaussian elimination, the dual code as
 a null space, the minimum distance by enumerating every message class, and
 the MacWilliams transform by expanding its polynomials.
 """
@@ -188,4 +189,28 @@ def source_torus_hilbert_function(X):
         if k == dims[-1]:
             return dims
         dims.append(k)
+        T = grown
+
+
+def grid_sumsets(X):
+    """[T_0, ..., T_reg] as boolean arrays over the point grid of X: T_0 =
+    {0}, T_{d+1} the union of the `np.roll` translates of T_d by every step
+    w_k - w_1, w_j = embed_j / e the cell of P -> P_j / P_s (w_s = 0), until
+    the set stops growing."""
+    group = X.point_group
+    orders = np.array(group.orders, dtype=np.int64)
+    w = np.vstack([group.embed // ((X.F.q - 1) // orders), np.zeros_like(orders)])
+    axes = tuple(range(len(orders)))
+    zero = (0,) * len(axes)
+    steps = {tuple(b) for b in ((w - w[0]) % orders).tolist()} - {zero}
+    T = np.zeros(group.orders, dtype=bool)
+    T[zero] = True
+    sets = [T]
+    while True:
+        grown = T.copy()
+        for b in steps:
+            grown |= np.roll(T, b, axes)
+        if np.array_equal(grown, T):
+            return sets
+        sets.append(grown)
         T = grown

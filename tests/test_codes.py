@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import two_triangles
 from graphcodes import codes
 from graphcodes.codes import (
     _bz_messages,
@@ -33,7 +34,15 @@ from graphcodes.formulas import (
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family
 from graphcodes.toric import GroupImage, ToricSet, parameterize, torus_points
-from oracle import evaluation_matrix, macwilliams, min_weight_enum, null_space, rank, rref
+from oracle import (
+    evaluation_matrix,
+    grid_sumsets,
+    macwilliams,
+    min_weight_enum,
+    null_space,
+    rank,
+    rref,
+)
 
 
 def test_rref_gf5():
@@ -529,3 +538,32 @@ def test_dimension_k33_gf8_baseline():
     dims = hilbert_function(X)
     assert dims == [dim_complete_bipartite(3, 3, d, 8) for d in range(len(dims))]
     assert dims[-1] == X.m and dimension(X, 9) == dims[9]
+
+
+@pytest.mark.parametrize("X", [
+    parameterize(build_family("complete", [5]), make_field(7)),
+    parameterize(build_family("complete_bipartite", [3, 3]), make_field(8)),
+    parameterize(two_triangles(), make_field(5)),
+    torus_points(3, make_field(16)),
+    parameterize(build_family("complete", [4]), make_field(2)),
+], ids=["K5-GF7", "K33-GF8", "two-triangles-GF5", "torus3-GF16", "K4-GF2"])
+def test_bitset_sumsets_match_the_rolled_grid(X):
+    # The int bitsets against np.roll on the boolean grid, at every degree
+    # up to one past the plateau, on grids of 1 to 2401 cells: the grid of
+    # two triangles over GF(5) is 4^4 x 2, and K4 over GF(2) has no axis.
+    sets = grid_sumsets(X)
+    assert sets[-1].all() and len(sets) - 1 == regularity_index(X)
+    for d in range(len(sets) + 1):
+        inst = code_instance(X, d)
+        expected = sets[min(d, len(sets) - 1)]
+        assert inst.T.shape == expected.shape and inst.T.dtype == bool
+        assert np.array_equal(inst.T, expected) and inst.k == np.count_nonzero(expected)
+
+
+def test_degrees_past_the_plateau_cost_the_plateau():
+    # The sumset stops at the plateau, so a degree far past it returns at
+    # once: the code is the full space, of distance 1.
+    X = parameterize(build_family("cycle", [4]), make_field(3))
+    assert dimension(X, 10**12) == X.m
+    assert minimum_distance(X, 10**12) == 1
+    assert code_instance(X, 10**12).T.all()

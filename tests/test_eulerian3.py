@@ -152,6 +152,15 @@ def test_dim_ternary_no_even_eulerian_matches_binomials():
             assert dim_ternary(G, d) == expected == k_formula(s, d, 3)
 
 
+def test_dim_ternary_far_past_the_edge_count():
+    # J_e is empty for e > s, so a huge degree counts only the degrees
+    # e <= s of its parity and returns at once.
+    for G in (build_family("cycle", [4]), build_family("complete", [4])):
+        for d in (10**12, 10**12 + 1):
+            top = max(e for e in range(G.s + 1) if e % 2 == d % 2)
+            assert dim_ternary(G, d) == dim_ternary(G, top)
+
+
 def test_max_parity_join_examples():
     mu, witness = max_parity_join(build_family("cycle", [4]))
     assert mu == 2 and len(witness) == 2
