@@ -30,6 +30,7 @@ from .errors import (
     DEFAULT_POINT_CAP,
     SCHEMA,
     GraphCodesError,
+    InvalidParams,
     LengthMismatch,
     ResourceRefused,
 )
@@ -76,7 +77,10 @@ def _load_graph(args):
         raise UsageError("one of --graph or --family is required")
     if args.seed_order:
         perm = [int(x) for x in args.seed_order.split(",")]
-        G = G.reorder_edges(perm)
+        try:
+            G = G.reorder_edges(perm)
+        except InvalidParams as exc:  # the permutation is command-line input
+            raise UsageError(str(exc)) from exc
     return G
 
 

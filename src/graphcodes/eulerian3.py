@@ -3,60 +3,128 @@
 Standard monomials of the Artinian quotient, parity joins, the sets J_d of
 "anchored" parity joins, the combinatorial dimension formula, and the
 maximum parity join (whose cardinality minus one is the ternary
-regularity).  Everything is driven by the even-edge-count elements of the
-cycle space, and the "last edge" of such a subgraph is the one with the
-largest index in the fixed edge ordering.
+regularity), all from the even-edge-count elements of the cycle space; the
+"last edge" of such a subgraph is its largest index in the edge ordering.
 
-Edge subsets are int masks inside the module (see `graph.eulerian_masks`)
-and frozensets at its surface.  Each public call enumerates the cycle space
-once.  A scan over the subsets of one size is checked against
-DEFAULT_SEARCH_CAP before it starts; the maximum parity-join search counts
-its nodes against the same cap.
+Edge subsets are int masks inside the module and frozensets at its surface.
+J, the union of the J_d, and the square-free standard monomials are closed
+under subsets, so one depth-first walk lists either, growing a member one
+higher edge at a time.  The f free edges, in no even Eulerian subgraph,
+constrain nothing and are added back by the callers.  |J| = 2|X|, as the
+dimension reaches |X| at both parities: the walk's bound 2|X| >> f, every
+listing and the Groebner halves are checked against DEFAULT_SEARCH_CAP first.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .errors import CapExceeded
-from .graph import eulerian_masks, mask_subset, subset_mask
-from .monomials import divides, grevlex_less, squarefree_monomials
+from .graph import eulerian_masks, mask_subset, subset_mask, summarize
+from .monomials import from_support
 
 DEFAULT_CYCLE_CAP = 1 << 20
 DEFAULT_SEARCH_CAP = 1 << 24
 
 
 def _evens(G):
-    """(C, |C|/2, last-edge bit) for every even-edge Eulerian subgraph C."""
+    """(C, |C|/2) for every even-edge Eulerian subgraph C."""
     return [
-        (C, C.bit_count() // 2, 1 << (C.bit_length() - 1))
+        (C, C.bit_count() // 2)
         for C in eulerian_masks(G, even_edge_count_only=True, cap=DEFAULT_CYCLE_CAP)
     ]
 
 
-def _check_scan(work):
-    """Refuse a scan of work = candidates x (constraints per candidate + 1)."""
-    if work > DEFAULT_SEARCH_CAP:
-        raise CapExceeded(
-            f"subset scan needs {work} checks, cap is {DEFAULT_SEARCH_CAP}",
-            required=work,
-        )
+def _refuse(required, what):
+    if required > DEFAULT_SEARCH_CAP:
+        raise CapExceeded(f"{required} {what} exceed the cap of {DEFAULT_SEARCH_CAP}",
+                          required=required)
 
 
-def _halves(evens, s, max_degree):
-    """Grevlex-greater half of every balanced split of every even Eulerian
-    subgraph of at most 2 * max_degree edges, as exponent tuples."""
-    out = set()
-    for C, h, _ in _relevant(evens, max_degree):
-        bits = [1 << i for i in range(s) if C >> i & 1]
-        for half in combinations(bits, h):
-            A = sum(half)
-            alpha = tuple(A >> i & 1 for i in range(s))
-            beta = tuple((C ^ A) >> i & 1 for i in range(s))
-            out.add(alpha if grevlex_less(beta, alpha) else beta)
-    return out
+def _edges(mask):
+    """0-based indices of the edges in mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _length(summary):
+    """|X| at q = 3, 2^(n - b0 - [bipartite]), without a field."""
+    return 1 << summary.n - summary.b0 - summary.bipartite
+
+
+def _anchored(evens, depth):
+    """Rules of J: K meets C in at most |C|/2 edges, and in fewer unless K
+    holds the last edge of C; that is, K meets C without its last edge in
+    fewer than |C|/2."""
+    return [(C ^ 1 << (C.bit_length() - 1), h - 1) for C, h in evens]
+
+
+def _halves(evens, depth):
+    """Rules of B, (A, |A| - 1): no leading term A divides K.  A is the
+    grevlex-greater half of a balanced split of an even Eulerian subgraph C
+    of at most 2 * depth edges; of two square-free monomials of one degree
+    the greater lacks the last variable where they differ, so A is a half
+    without the last edge of C."""
+    relevant = [(C, h) for C, h in evens if h <= depth]
+    _refuse(sum(comb(2 * h - 1, h) for _, h in relevant), "Groebner halves")
+    return {(sum(A), h - 1) for C, h in relevant
+            for A in combinations([1 << i for i in _edges(C)[:-1]], h)}
+
+
+def _walk(G, d, rules_of):
+    """(free, members): the free edges as bits, and the members of the family
+    with at most d other edges, as (mask, size) in depth-first preorder from
+    the empty set.  rules_of(evens, depth) lists (mask, limit): a member meets
+    mask in at most limit edges, which can fail only once its top edge is
+    past the first limit edges of mask."""
+    evens = _evens(G)
+    tied = 0
+    for C, _ in evens:
+        tied |= C
+    edges = _edges(tied)
+    free = [1 << i for i in range(G.s) if not tied >> i & 1]
+    depth = min(d, len(edges))
+    bound = min(2 * _length(summarize(G)) >> len(free),
+                sum(comb(len(edges), e) for e in range(depth + 1)))
+    _refuse(bound, "walk members")
+    rules = [[] for _ in range(G.s)]
+    for mask, limit in rules_of(evens, depth):
+        if limit < depth:  # else |K & mask| <= |K| <= depth is within it
+            for i in _edges(mask)[limit:]:
+                rules[i].append((mask, limit))
+    return free, _members(edges, rules, depth, bound)
+
+
+def _members(edges, rules, depth, bound):
+    stack = [(0, 0, 0)]  # (member, size, position in edges of its next edge)
+    visited = 0
+    while stack:
+        J, size, p = stack.pop()
+        visited += 1
+        assert visited <= bound, "more members than the dimension formula allows"
+        yield J, size
+        if size == depth:
+            continue
+        children = []
+        for r in range(p, len(edges)):
+            K = J | 1 << edges[r]
+            for mask, limit in rules[edges[r]]:
+                if (K & mask).bit_count() > limit:
+                    break
+            else:
+                children.append((K, size + 1, r + 1))
+        stack += reversed(children)
+
+
+def _listing(G, d, rules_of):
+    """Every d-edge set of the family, as masks: a walked member of k edges
+    with d - k free edges.  Refused before listing past the search cap."""
+    free, members = _walk(G, d, rules_of)
+    members = [(K, k) for K, k in members if k >= d - len(free)]
+    _refuse(sum(comb(len(free), d - k) for _, k in members), "listed sets")
+    return [K | sum(S) for K, k in members for S in combinations(free, d - k)]
 
 
 def eulerian_leading_terms(G, max_degree):
@@ -64,7 +132,7 @@ def eulerian_leading_terms(G, max_degree):
     up to max_degree: every square t_i^2, plus the grevlex-greater half of
     every balanced split of every even Eulerian subgraph."""
     s = G.s
-    out = _halves(_evens(G), s, max_degree)
+    out = {from_support(mask_subset(A), s) for A, _ in _halves(_evens(G), max_degree)}
     if max_degree >= 2:
         out.update(tuple(2 if j == i else 0 for j in range(s)) for i in range(s))
     return out
@@ -72,19 +140,11 @@ def eulerian_leading_terms(G, max_degree):
 
 def standard_monomials(G, d):
     """B_d: degree-d monomials divisible by no leading term.  Only
-    square-free candidates can survive the squares, and only Eulerian
-    halves can reject those."""
-    s = G.s
-    if d < 0 or d > s:
+    square-free ones survive the squares, and only Eulerian halves can
+    reject those."""
+    if not 0 <= d <= G.s:
         return set()
-    evens = _evens(G)
-    splits = sum(comb(2 * h, h) // 2 for _, h, _ in _relevant(evens, d))
-    _check_scan(comb(s, d) * (splits + 1))
-    halves = _halves(evens, s, d)
-    return {
-        m for m in squarefree_monomials(s, d)
-        if not any(divides(lt, m) for lt in halves)
-    }
+    return {from_support(mask_subset(M), G.s) for M in _listing(G, d, _halves)}
 
 
 @dataclass(frozen=True)
@@ -101,93 +161,41 @@ def is_parity_join(G, J):
     even-edge Eulerian subgraphs C."""
     J = frozenset(J)
     mask = subset_mask(J)
-    violating = next(
-        (C for C, half, _ in _evens(G) if (mask & C).bit_count() > half), None
-    )
+    violating = next((C for C, half in _evens(G) if (mask & C).bit_count() > half), None)
     return ParityJoinCertificate(
         J=J, violating=None if violating is None else mask_subset(violating)
     )
 
 
-def _in_Jd(J, evens):
-    """Parity join that contains the last edge of every tightly-met even
-    Eulerian subgraph."""
-    for C, half, last in evens:
-        hit = (J & C).bit_count()
-        if hit > half or hit == half and not J & last:
-            return False
-    return True
-
-
-def _relevant(evens, d):
-    """The even Eulerian subgraphs d edges can meet in half their edges."""
-    return [x for x in evens if x[1] <= d]
-
-
-def _Jd_work(evens, s, d):
-    return comb(s, d) * (len(_relevant(evens, d)) + 1)
-
-
-def _Jd(evens, s, d):
-    evens = _relevant(evens, d)
-    bits = [1 << i for i in range(s)]
-    return [J for J in map(sum, combinations(bits, d)) if _in_Jd(J, evens)]
-
-
 def enumerate_Jd(G, d):
     """J_d: size-d parity joins containing the last edge of every even
     Eulerian subgraph they meet in exactly half its edges."""
-    if d < 0:
+    if not 0 <= d <= G.s:
         return set()
-    evens = _evens(G)
-    _check_scan(_Jd_work(evens, G.s, d))
-    return {mask_subset(J) for J in _Jd(evens, G.s, d)}
+    return {mask_subset(J) for J in _listing(G, d, _anchored)}
 
 
 def dim_ternary(G, d):
-    """Ternary code dimension as the stacked count of J_{d-2i}.  J_e is
-    empty for e > s (no e-subset of s edges), so the count starts at the
-    largest degree e <= s with e = d (mod 2)."""
+    """Ternary code dimension as the stacked count of J_{d-2i}: a walked
+    member of k edges with j free edges lies in J_{k+j}, counted when
+    k + j <= d has the parity of d."""
     if d < 0:
         return 0
-    evens = _evens(G)
-    top = d if d <= G.s else G.s - (G.s - d) % 2
-    degrees = range(top, -1, -2)
-    _check_scan(sum(_Jd_work(evens, G.s, e) for e in degrees))
-    return sum(len(_Jd(evens, G.s, e)) for e in degrees)
+    free, members = _walk(G, d, _anchored)
+    f = len(free)
+    sizes = Counter(k for _, k in members)
+    return sum(n * sum(comb(f, j) for j in range((d - k) % 2, min(d - k, f) + 1, 2))
+               for k, n in sizes.items())
 
 
 def max_parity_join(G):
-    """(mu, witness): the maximum parity-join cardinality and the first
-    maximum parity join in depth-first preorder over edge subsets.
-
-    Supersets of a violator are never visited, and a branch stops once the
-    edges left cannot lift it above the best size found so far (which keeps
-    the witness, since only a strictly larger join replaces it).  Adding
-    edge i can only break the even Eulerian subgraphs through i."""
-    s = G.s
-    evens = _evens(G)
-    through = [[(C, h) for C, h, _ in evens if C >> i & 1] for i in range(s)]
-    best, witness, nodes = 0, 0, 0
-    stack = [[0, 0, 0]]  # frames [J, |J|, next edge to try (0-based)]
-    while stack:
-        frame = stack[-1]
-        J, size, i = frame
-        if size + s - i <= best:
-            stack.pop()
-            continue
-        frame[2] = i + 1
-        nodes += 1
-        if nodes > DEFAULT_SEARCH_CAP:
-            raise CapExceeded(
-                f"subset search exceeded {DEFAULT_SEARCH_CAP} nodes", required=nodes
-            )
-        K = J | 1 << i
-        if all((K & C).bit_count() <= h for C, h in through[i]):
-            if size + 1 > best:
-                best, witness = size + 1, K
-            stack.append([K, size + 1, i + 1])
-    return best, mask_subset(witness)
+    """(mu, witness): the maximum parity-join cardinality and a maximum
+    parity join.  J_mu is the deepest nonempty J_e (J_{reg+1} is nonempty,
+    J_e empty past it), so mu and the witness are the first deepest walked
+    member in preorder with every free edge."""
+    free, members = _walk(G, G.s, _anchored)
+    deepest, size = max(members, key=lambda member: member[1])
+    return size + len(free), mask_subset(deepest | sum(free))
 
 
 def reg_ternary(G):

@@ -22,12 +22,10 @@ def k_formula(s, d, q):
     """Dimension of the degree-d code on the torus of P^{s-1} over GF(q)."""
     if s < 1 or d < 0 or q < 3:
         raise InvalidParams("need s >= 1, d >= 0, q >= 3")
-    total = 0
-    j = 0
-    while (q - 1) * j <= s - 1 + d:
-        total += (-1) ** j * _binom(s - 1, j) * _binom(s - 1 + d - (q - 1) * j, s - 1)
-        j += 1
-    return total
+    # Only j <= s - 1 has C(s - 1, j) != 0.
+    top = min(s - 1, (s - 1 + d) // (q - 1))
+    return sum((-1) ** j * comb(s - 1, j) * comb(s - 1 + d - (q - 1) * j, s - 1)
+               for j in range(top + 1))
 
 
 def dim_complete_bipartite(a, b, d, q):

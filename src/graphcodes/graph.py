@@ -49,12 +49,14 @@ class Graph:
         return len(self.edges)
 
     def adjacency(self):
-        """vertex -> list of (neighbor, edge index)."""
-        adj = {v: [] for v in range(1, self.n + 1)}
+        """vertex -> list of (neighbor, edge index), ascending by vertex, for
+        the vertices some edge touches; a vertex no edge touches has no
+        entry, so the size follows s, not n."""
+        adj = {}
         for i, (u, v) in enumerate(self.edges, start=1):
-            adj[u].append((v, i))
-            adj[v].append((u, i))
-        return adj
+            adj.setdefault(u, []).append((v, i))
+            adj.setdefault(v, []).append((u, i))
+        return dict(sorted(adj.items()))
 
     def reorder_edges(self, perm):
         """New graph with edge ordering permuted; perm is a 1-based
@@ -80,15 +82,17 @@ class EarDecomposition:
 
 
 def _forest(G):
-    """One breadth-first pass over every component of G.
+    """One breadth-first pass over every component of G that has an edge.
 
     Returns (color, up, odd): color[v] is the depth parity of v, up[v] the
     mask of the tree path from v to the root of its component, and odd[k]
     whether component k has an edge between equal colors (an odd cycle).
+    Only the vertices some edge touches are keys of color; each of the
+    G.n - len(color) others is a component of its own, counted, not stored.
     """
     adj = G.adjacency()
     color, up, odd = {}, {}, []
-    for start in range(1, G.n + 1):
+    for start in adj:
         if start in color:
             continue
         color[start], up[start] = 0, 0
@@ -108,17 +112,20 @@ def _forest(G):
 
 def summarize(G):
     """Connected components, per-component 2-colorability, gamma."""
-    _, _, odd = _forest(G)
+    color, _, odd = _forest(G)
     gamma = sum(odd)
-    return GraphSummary(n=G.n, s=G.s, b0=len(odd), bipartite=(gamma == 0), gamma=gamma)
+    return GraphSummary(n=G.n, s=G.s, b0=len(odd) + G.n - len(color),
+                        bipartite=(gamma == 0), gamma=gamma)
 
 
 def bipartition(G):
-    """2-coloring as (part0, part1) vertex sets, or None if non-bipartite."""
+    """2-coloring as (part0, part1) vertex sets, or None if non-bipartite.
+    A vertex no edge touches is the root of its component, in part0."""
     color, _, odd = _forest(G)
     if any(odd):
         return None
-    return tuple(frozenset(v for v, c in color.items() if c == side) for side in (0, 1))
+    return tuple(frozenset(v for v in range(1, G.n + 1) if color.get(v, 0) == side)
+                 for side in (0, 1))
 
 
 def _cycle_masks(G):
@@ -420,7 +427,7 @@ def is_complete(G):
 
 def is_complete_bipartite(G):
     color, _, odd = _forest(G)
-    if odd != [False]:
+    if odd != [False] or len(color) < G.n:
         return None
     a = sum(1 for c in color.values() if c == 0)
     b = G.n - a
@@ -430,7 +437,11 @@ def is_complete_bipartite(G):
 def is_complete_multipartite(G):
     """Part sizes if G is complete multipartite with r > 2 parts, else None.
 
-    Holds iff the complement is a disjoint union of cliques."""
+    Holds iff the complement is a disjoint union of cliques.  A vertex no
+    edge touches is joined to every other one in the complement, which is
+    then connected but not a clique (G has an edge)."""
+    if len(G.adjacency()) < G.n:
+        return None
     present = {frozenset(e) for e in G.edges}
     comp_adj = {v: set() for v in range(1, G.n + 1)}
     for u in range(1, G.n):

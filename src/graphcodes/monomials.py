@@ -23,10 +23,6 @@ def from_support(subset, s):
     return tuple(exps)
 
 
-def divides(m1, m2):
-    return all(a <= b for a, b in zip(m1, m2))
-
-
 def grevlex_cmp(m1, m2):
     """-1, 0 or 1 according to m1 < m2, m1 == m2, m1 > m2."""
     d1, d2 = sum(m1), sum(m2)
@@ -36,10 +32,6 @@ def grevlex_cmp(m1, m2):
         if a != b:
             return 1 if a < b else -1
     return 0
-
-
-def grevlex_less(m1, m2):
-    return grevlex_cmp(m1, m2) < 0
 
 
 def grevlex_key(m):

@@ -106,10 +106,10 @@ class ToricSet:
     X is the image of a source torus T = (GF(q)^*)^r under the monomial map
     phi(t) = (t^{b_1} : ... : t^{b_s}), a group homomorphism, so X is a
     subgroup of the torus of P^{s-1}.  The exponent vectors b_k are the
-    columns of the (r, s) matrix B, `exponents`: for a graph r = n - 1 and
-    the rows are the incidence rows of the free vertices (the last vertex is
-    fixed to 1); the torus of P^{s-1} has exponents [I_{s-1} | 0].  In logs,
-    a point is l -> (b_k - b_s) . l for k < s, and `point_group` is the
+    columns of the (r, s) matrix B, `exponents`: for a graph the rows are
+    the incidence rows of the vertices some edge touches, but the last of
+    them (fixed to 1); the torus of P^{s-1} has exponents [I_{s-1} | 0].
+    In logs, a point is l -> (b_k - b_s) . l for k < s, and `point_group` is the
     image of that map, a grid Z/d_1 + ... + Z/d_k of m = |X| cells, one per
     point.  The points are listed from the grid on first use, with the cell
     each one came from (`_cells`); dimension and regularity never list them.
@@ -211,10 +211,14 @@ def expected_length(summary, F):
 def parameterize(G, F, cap=DEFAULT_POINT_CAP):
     """Image of the torus of P^{n-1} under the edge-monomial map, its order
     asserted against the closed-form length."""
-    incidence = np.zeros((G.n, G.s), dtype=np.int64)
+    # A vertex no edge touches has a zero incidence row, and scaling every
+    # source coordinate by one factor scales every edge monomial by its
+    # square, so only the touched vertices are rows and the last of them is
+    # fixed to 1: the image does not change.
+    row = {v: k for k, v in enumerate(G.adjacency())}
+    incidence = np.zeros((len(row), G.s), dtype=np.int64)
     for k, (u, v) in enumerate(G.edges):
-        incidence[[u - 1, v - 1], k] = 1
-    # The last source coordinate is fixed to 1.
+        incidence[[row[u], row[v]], k] = 1
     return _toric_set(F, incidence[:-1], expected_length(summarize(G), F), cap, G)
 
 

@@ -49,7 +49,7 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
     n_complete = graphmod.is_complete(G)
     multiparts = graphmod.is_complete_multipartite(G)
     connected = summary.b0 == 1
-    parts = graphmod.bipartition(G)  # None unless bipartite
+    parts = graphmod.bipartition(G) if connected else None  # None unless bipartite
 
     profile = codes.profile_rows(X, d_max, budget=budget)
     dims = [r.dim for r in profile]
@@ -88,7 +88,7 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
             rows.append(_row("mindist complete bipartite",
                              formulas.mindist_complete_bipartite(a, b, d, q),
                              delta, d=d))
-        if connected and parts and q >= 3:
+        if parts and q >= 3:
             a, b = len(parts[0]), len(parts[1])
             if min(a, b) >= 2:
                 lo, hi = formulas.mindist_bipartite_bounds(a, b, d, q)

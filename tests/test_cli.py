@@ -1,5 +1,7 @@
 import io
 import json
+import time
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 
 from graphcodes import codes
 from graphcodes.cli import run_command
+from graphcodes.eulerian3 import dim_ternary
+from graphcodes.formulas import k_formula
 from graphcodes.gfq import make_field
 from graphcodes.graph import build_family, parse_graph
 from graphcodes.toric import ToricSet, parameterize
@@ -97,26 +101,60 @@ def test_ternary_joins_and_basis():
 
 
 def test_ternary_reg_witness_k6():
-    # The first maximum parity join in depth-first preorder.
+    # The first deepest member of J in depth-first preorder.
     status, text = run(["ternary", "reg", "--family", "complete", "--params", "6", "--json"])
     assert status == 0
     payload = json.loads(text)
-    assert (payload["mu"], payload["reg"], payload["witness"]) == (4, 3, [1, 2, 3, 15])
+    assert (payload["mu"], payload["reg"], payload["witness"]) == (4, 3, [1, 12, 14, 15])
 
 
 @pytest.mark.parametrize("op, required", [
-    ("dim", sum(comb(40, 20 - 2 * i) for i in range(11))),
+    ("dim", k_formula(40, 20, 3)),
     ("joins", comb(40, 20)),
     ("basis", comb(40, 20)),
 ])
 def test_ternary_scans_refused_before_they_start(op, required):
-    # A path has no even Eulerian subgraph, so every size-d subset is a
-    # candidate checked against nothing: the estimate is the candidate count.
+    # A path has only free edges: the walk visits the empty set, the
+    # dimension counts the sets of free edges, and a listing of C(40, 20)
+    # of them is refused before it starts.
     status, text = run(["ternary", op, "--family", "path", "--params", "40",
                         "--d", "20", "--json"])
+    if op == "dim":
+        assert (status, json.loads(text)["dim"]) == (0, required)
+        return
     assert status == 3
     error = json.loads(text)["error"]
     assert (error["type"], error["required"]) == ("CapExceeded", required)
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["ternary", "dim", "--d", "4"], 64),
+    (["ternary", "dim", "--d", "5"], 64),
+    (["ternary", "basis", "--d", "4"], None),
+    (["verify", "--q", "3", "--dmax", "4"], True),
+])
+def test_ternary_theory_on_k7(argv, value):
+    # At most 2|X| = 128 members of J; the subset scans refused these.
+    status, text = run(argv + ["--family", "complete", "--params", "7", "--json"])
+    assert status == 0
+    payload = json.loads(text)
+    if argv[1] == "dim":
+        assert payload["dim"] == value
+    elif argv[1] == "basis":
+        assert len(payload["basis"]) == dim_ternary(build_family("complete", [7]), 4) \
+            - dim_ternary(build_family("complete", [7]), 2)
+    else:
+        assert payload["ok"] is value
+
+
+def test_ternary_reg_refused_from_the_length_of_x():
+    # C_40 has |X| = 2^38 and no free edge, so the walk needs 2^39 members:
+    # refused before it starts.
+    start = time.perf_counter()
+    status, text = run(["ternary", "reg", "--family", "cycle", "--params", "40", "--json"])
+    assert time.perf_counter() - start < 1
+    assert status == 3
+    assert json.loads(text)["error"]["required"] == 2**39
 
 
 def test_ternary_reg_path_past_the_search_cap():
@@ -242,6 +280,7 @@ def test_usage_errors():
     ["length", "--family", "cycle", "--params", "4", "--q", "3", "--cap", "-1"],
     ["mindist", "--family", "cycle", "--params", "4", "--q", "3", "--d", "1",
      "--budget", "-1"],
+    ["length", "--family", "cycle", "--params", "4", "--q", "3", "--seed-order", "1,1,2,3"],
 ])
 def test_bad_input_is_a_usage_error(argv, tmp_path):
     # Every grammar error in a graph file is a usage error.
@@ -405,6 +444,29 @@ def test_verify_one_edge_graphs(q, source, tmp_path):
     assert status == 0
     report = json.loads(text)
     assert report["ok"] is True and report["length"] == 1
+
+
+def test_untouched_vertices_are_counted_not_stored(tmp_path):
+    # 10^7 vertices and one edge: every vertex but two is a component of its
+    # own, which no subcommand stores or scans.
+    path = tmp_path / "sparse.graph"
+    path.write_text("10000000 1\n1 2\n")
+    cases = [
+        (["summarize"], "b0", 9_999_999),
+        (["length", "--q", "5"], "length", 1),
+        (["reg", "--q", "5"], "reg", 0),
+        (["ternary", "dim", "--d", "1"], "dim", 1),
+        (["verify", "--q", "3", "--dmax", "1"], "ok", True),
+    ]
+    tracemalloc.start()
+    try:
+        for argv, key, value in cases:
+            status, text = run(argv + ["--graph", str(path), "--json"])
+            assert (status, json.loads(text)[key]) == (0, value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
 
 
 def test_verify_json_round_trips():

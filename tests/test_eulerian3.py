@@ -19,7 +19,7 @@ from graphcodes.eulerian3 import (
 )
 from graphcodes.formulas import k_formula
 from graphcodes.gfq import make_field
-from graphcodes.graph import Graph, build_family
+from graphcodes.graph import Graph, build_family, summarize
 from graphcodes.monomials import (
     from_support,
     grevlex_cmp,
@@ -27,7 +27,7 @@ from graphcodes.monomials import (
     support,
 )
 from graphcodes.codes import dimension, regularity_index
-from graphcodes.toric import parameterize
+from graphcodes.toric import expected_length, parameterize
 
 
 def test_grevlex_examples():
@@ -246,34 +246,77 @@ def test_ternary_theory_on_random_graphs(G, data):
         assert {support(m) for m in standard_monomials(G, d)} == enumerate_Jd(G, d)
 
 
+@given(G=small_graphs())
+@settings(max_examples=100, deadline=None)
+def test_walk_against_brute_force(G):
+    # J_d from the last-edge condition over all d-subsets, mu over all
+    # subsets, and the size of the full walk from the length of X at q = 3.
+    evens = eulerian_subsets_brute(G, even_edge_count_only=True)
+    subsets = [frozenset(c) for r in range(G.s + 1)
+               for c in combinations(range(1, G.s + 1), r)]
+    joins = [J for J in subsets if parity_join_brute(G, J, evens)]
+    anchored = [J for J in joins
+                if all(max(C) in J for C in evens if len(J & C) == len(C) // 2)]
+    for d in range(G.s + 1):
+        assert enumerate_Jd(G, d) == {J for J in anchored if len(J) == d}
+    assert max_parity_join(G)[0] == max(map(len, joins))
+    summary = summarize(G)
+    m = eulerian3._length(summary)
+    assert m == expected_length(summary, make_field(3))
+    free, members = eulerian3._walk(G, G.s, eulerian3._anchored)
+    assert len(free) == G.s - len(frozenset().union(*evens))
+    assert sum(1 for _ in members) == 2 * m >> len(free) == len(anchored) >> len(free)
+
+
 def test_scans_refuse_before_they_start(monkeypatch):
-    # C_4 has one even Eulerian subgraph (h = 2), a constraint only on
-    # candidates of at least 2 edges.  A scan costs its candidates times
-    # (constraints + 1).
+    # The walk is refused before it starts when min(2m >> f, subsets of at
+    # most d constrained edges) exceeds the cap: C_4 has m = 4 and no free
+    # edge, so 8 members at d = 2 and 1 + 4 at d = 1.
     G = build_family("cycle", [4])
-    monkeypatch.setattr(eulerian3, "DEFAULT_SEARCH_CAP", 11)
-    for call, required in ((lambda: enumerate_Jd(G, 2), comb(4, 2) * 2),
-                           (lambda: dim_ternary(G, 2), comb(4, 2) * 2 + comb(4, 0)),
-                           (lambda: standard_monomials(G, 2), comb(4, 2) * (3 + 1))):
+    monkeypatch.setattr(eulerian3, "DEFAULT_SEARCH_CAP", 7)
+    for call in (enumerate_Jd, dim_ternary, standard_monomials):
         with pytest.raises(CapExceeded) as exc:
-            call()
-        assert exc.value.required == required
+            call(G, 2)
+        assert exc.value.required == 8
     assert enumerate_Jd(G, 1) == {frozenset({i}) for i in range(1, 5)}
     assert dim_ternary(G, 1) == 4
+    # P_4 walks the empty set only, but lists C(4, 2) sets of free edges;
+    # its dimension is counted, not listed.
+    P = build_family("path", [4])
+    monkeypatch.setattr(eulerian3, "DEFAULT_SEARCH_CAP", 5)
+    for call in (enumerate_Jd, standard_monomials):
+        with pytest.raises(CapExceeded) as exc:
+            call(P, 2)
+        assert exc.value.required == comb(4, 2)
+    assert dim_ternary(P, 2) == 1 + comb(4, 2)
+    # K_5 walks at most 2m = 32 members, but B_2 needs a half of each of the
+    # 3 splits of its 15 four-cycles before the walk.
+    K = build_family("complete", [5])
+    monkeypatch.setattr(eulerian3, "DEFAULT_SEARCH_CAP", 40)
+    with pytest.raises(CapExceeded) as exc:
+        standard_monomials(K, 2)
+    assert exc.value.required == 15 * 3
+    assert len(enumerate_Jd(K, 2)) == dim_ternary(K, 2) - 1
 
 
 def test_max_parity_join_counts_nodes_against_the_cap(monkeypatch):
+    # K_4 has m = 8 and no free edge: the full walk visits 2m = 16 members,
+    # and a cap below that refuses it before it starts.
     G = build_family("complete", [4])
-    monkeypatch.setattr(eulerian3, "DEFAULT_SEARCH_CAP", 3)
+    monkeypatch.setattr(eulerian3, "DEFAULT_SEARCH_CAP", 15)
     with pytest.raises(CapExceeded) as exc:
         max_parity_join(G)
-    assert exc.value.required == 4
+    assert exc.value.required == 16
+    monkeypatch.setattr(eulerian3, "DEFAULT_SEARCH_CAP", 16)
+    assert max_parity_join(G)[0] == 3
 
 
 def test_max_parity_join_bound_cut():
-    # A tree is its own maximum parity join; the bound cut stops every
-    # branch after the first descent.
+    # A tree has only free edges: the walk visits the empty set, and the
+    # witness is every edge.  Otherwise it is the first deepest member of J
+    # in preorder, with the free edges.
     G = build_family("path", [40])
     assert max_parity_join(G) == (40, frozenset(range(1, 41)))
     mu, witness = max_parity_join(build_family("complete", [6]))
-    assert (mu, sorted(witness)) == (4, [1, 2, 3, 15])
+    assert (mu, sorted(witness)) == (4, [1, 12, 14, 15])
+    assert frozenset(witness) in enumerate_Jd(build_family("complete", [6]), 4)

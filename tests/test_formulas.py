@@ -1,3 +1,6 @@
+import time
+from math import comb
+
 import pytest
 
 from graphcodes.errors import InvalidParams, UnsupportedFamily
@@ -26,6 +29,19 @@ def test_k_formula_degree_zero():
 def test_k_formula_small_values():
     assert k_formula(2, 1, 5) == 2
     assert k_formula(3, 1, 5) == 3
+
+
+def test_k_formula_sums_only_the_nonzero_terms():
+    # Terms past j = s - 1 vanish, so a huge degree costs s terms.
+    start = time.perf_counter()
+    assert k_formula(5, 10**9, 7) == 6**4
+    assert time.perf_counter() - start < 1
+    for q in (3, 4, 5, 7, 8, 9, 16):
+        for s in range(1, 8):
+            for d in range(80):
+                full = sum((-1) ** j * comb(s - 1, j) * comb(s - 1 + d - (q - 1) * j, s - 1)
+                           for j in range((s - 1 + d) // (q - 1) + 1))
+                assert k_formula(s, d, q) == full
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
