@@ -175,17 +175,33 @@ def enumerate_Jd(G, d):
     return {mask_subset(J) for J in _listing(G, d, _anchored)}
 
 
-def dim_ternary(G, d):
-    """Ternary code dimension as the stacked count of J_{d-2i}: a walked
-    member of k edges with j free edges lies in J_{k+j}, counted when
-    k + j <= d has the parity of d."""
-    if d < 0:
-        return 0
-    free, members = _walk(G, d, _anchored)
+def dims_ternary(G, d_max):
+    """[dim C_X(0), ..., dim C_X(d_max)] at q = 3 from one walk, each the
+    stacked count of J_{d-2i}: a walked member of k edges with j free edges
+    lies in J_{k+j}, counted when k + j <= d has the parity of d.  With
+    S(r) the sum of C(f, j) over the j <= r of the parity of r, so that
+    S(r) = S(r - 2) + C(f, r), the dimension is sum_k N_k S(d - k) over the
+    N_k walked members of k edges.  J_e is empty for e > s, so past s the
+    dimension repeats with period 2."""
+    free, members = _walk(G, d_max, _anchored)
     f = len(free)
     sizes = Counter(k for _, k in members)
-    return sum(n * sum(comb(f, j) for j in range((d - k) % 2, min(d - k, f) + 1, 2))
-               for k, n in sizes.items())
+    stacked, dims = [], []  # S(0), S(1), ... and the dimensions
+    for d in range(d_max + 1):
+        if d > G.s:
+            dims.append(dims[d - 2] if d >= 2 else 0)
+            continue
+        stacked.append((stacked[d - 2] if d >= 2 else 0) + comb(f, d))
+        dims.append(sum(n * stacked[d - k] for k, n in sizes.items() if k <= d))
+    return dims
+
+
+def dim_ternary(G, d):
+    """Ternary code dimension at degree d: the entry of `dims_ternary` at
+    the largest degree e <= min(d, s) of the parity of d, which has the
+    same value."""
+    e = d if d <= G.s else G.s - (d - G.s) % 2
+    return dims_ternary(G, e)[e] if e >= 0 else 0
 
 
 def max_parity_join(G):

@@ -52,6 +52,7 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
     parts = graphmod.bipartition(G) if connected else None  # None unless bipartite
 
     profile = codes.profile_rows(X, d_max, budget=budget)
+    ternary = eulerian3.dims_ternary(G, d_max) if q == 3 else None
     dims = [r.dim for r in profile]
     if X.m not in dims:  # the plateau lies past d_max
         dims = codes.hilbert_function(X)
@@ -73,7 +74,7 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
                              r.dim, d=d))
         if q == 3:
             rows.append(_row("dim ternary parity joins",
-                             eulerian3.dim_ternary(G, d), r.dim, d=d))
+                             ternary[d], r.dim, d=d))
         delta = r.delta
         if delta is None:
             rows.append(_skip("mindist brute force", f"requires {r.required}", d=d))

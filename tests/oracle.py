@@ -13,12 +13,11 @@ a null space, the minimum distance by enumerating every message class, and
 the MacWilliams transform by expanding its polynomials.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
 
-from graphcodes.codes import _class_weights
 from graphcodes.errors import CapExceeded
 from graphcodes.monomials import grevlex_key
 
@@ -77,12 +76,26 @@ def null_space(M, F):
 
 def min_weight_enum(G, F):
     """Minimum weight over the nonzero codewords spanned by G, every
-    projective message class enumerated."""
-    best = G.shape[1]
-    for weights in _class_weights(G, F):
-        best = min(best, int(weights.min()))
-        if best == 1:
-            break
+    projective message class (first nonzero coefficient 1) multiplied out
+    through the field tables and its nonzero entries counted.  The words of
+    one lead row are its sum with every combination of the rows after it:
+    the span of the last four of those is built once, and the coefficients
+    of the others run in a loop."""
+    G = np.asarray(G, dtype=np.int64)
+    k, m = G.shape
+    add, mul = F.add_table, F.mul_table
+    best = m
+    for lead in range(k):
+        split = max(lead + 1, k - 4)
+        outer, inner = G[lead + 1 : split], G[split:]
+        span = np.zeros((1, m), dtype=np.int64)
+        for row in inner:
+            span = add[span[:, None, :], mul[:, row][None, :, :]].reshape(-1, m)
+        for coefficients in product(range(F.q), repeat=len(outer)):
+            high = G[lead]
+            for c, row in zip(coefficients, outer):
+                high = add[high, mul[c, row]]
+            best = min(best, int(np.count_nonzero(add[span, high], axis=1).min()))
     return best
 
 

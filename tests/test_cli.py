@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from graphcodes import codes
+from graphcodes import codes, eulerian3
 from graphcodes.cli import run_command
 from graphcodes.eulerian3 import dim_ternary
 from graphcodes.formulas import k_formula
@@ -405,6 +405,22 @@ def test_profile_and_verify_take_one_sumset_pass(monkeypatch, d_max):
     starts.clear()
     assert verify(build_family("cycle", [6]), 3, d_max)["ok"]
     assert len(starts) == (1 if d_max >= 2 else 2)
+
+
+@pytest.mark.parametrize("d_max", [0, 3, 40])
+def test_verify_walks_j_twice_at_any_dmax(monkeypatch, d_max):
+    # At q = 3 the ternary dimension of every degree comes from one walk of
+    # J up to d_max, and the maximum parity join from one more.
+    walks = []
+    real_walk = eulerian3._walk
+
+    def walk(G, d, rules_of):
+        walks.append(d)
+        return real_walk(G, d, rules_of)
+
+    monkeypatch.setattr(eulerian3, "_walk", walk)
+    assert verify(build_family("cycle", [6]), 3, d_max)["ok"]
+    assert sorted(walks) == sorted([d_max, 6])
 
 
 def test_planted_law_violation_fails(monkeypatch):

@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import comb
 from unittest.mock import patch
 
 import numpy as np
@@ -199,7 +200,34 @@ def generators(draw):
     return make_field(q), G, cells
 
 
+def _long_rows(q, k, L, cells):
+    """k rows of length L with no zero entry, alternating between 1 and 2
+    for q = 3: single rows weigh L, so the counts pass 255, where an 8-bit
+    count would wrap (L = 255 wraps once the message weight is added), or
+    2^16 - 1, where a 16-bit one would."""
+    G = (np.arange(k)[:, None] + np.arange(L)[None, :]) % (q - 1) + 1
+    return make_field(q), G.astype(np.int16), cells
+
+
+def _scalar_combinations(A, F, t):
+    """(support, word) for every combination of t rows of A with
+    coefficient 1 on its lowest row and any nonzero one on the others, as
+    scalar sums through F.add and F.mul."""
+    k, L = A.shape
+    for support in combinations(range(k), t):
+        for tail in product(range(1, F.q), repeat=t - 1):
+            word = [0] * L
+            for c, i in zip((1, *tail), support):
+                word = [F.add(x, F.mul(c, int(a))) for x, a in zip(word, A[i])]
+            yield support, word
+
+
 @given(case=generators())
+@example(case=_long_rows(2, 4, 300, 1))
+@example(case=_long_rows(3, 3, 257, codes._CELLS))
+@example(case=_long_rows(5, 3, 256, 600))
+@example(case=_long_rows(4, 3, 255, 255))
+@example(case=_long_rows(2, 2, 1 << 16, codes._CELLS))
 @settings(max_examples=80, deadline=None)
 def test_weight_distribution_matches_scalar_brute_force(case):
     F, G, cells = case
@@ -209,6 +237,40 @@ def test_weight_distribution_matches_scalar_brute_force(case):
         assert sum(len(b) for b in blocks) == (F.q**k - 1) // (F.q - 1)
         assert all(len(b) * m <= max(cells, m) for b in blocks)
         assert _weight_distribution(G, F) == _brute_weight_distribution(G, F)
+
+
+@given(case=generators())
+@example(case=_long_rows(3, 4, 300, 0))
+@settings(max_examples=40, deadline=None)
+def test_exhaustive_oracle_matches_scalar_brute_force(case):
+    # The oracle's own enumeration, which shares no code with the kernels,
+    # gives the least weight of a nonzero message: 0 when G has dependent
+    # rows, which leave more words than the zero message at weight 0.
+    F, G, _ = case
+    dist = _brute_weight_distribution(G, F)
+    assert min_weight_enum(G, F) == min(w for w, n in enumerate(dist) if n > (w == 0))
+
+
+@given(case=generators(), t=st.integers(1, 4), limit=st.integers(1, 40))
+@example(case=_long_rows(7, 4, 257, 0), t=3, limit=5)
+@settings(max_examples=80, deadline=None)
+def test_combinations_build_each_combination_once(case, t, limit):
+    # C(k, t) (q - 1)^(t - 1) sums, in blocks of at most `limit` rows with
+    # ascending tops, and as a multiset exactly the scalar combinations with
+    # their highest rows.
+    F, A, _ = case
+    k, L = A.shape
+    if t > k:
+        return
+    blocks = list(codes._combinations(A.astype(np.uint8), t, F, limit))
+    for sums, tops in blocks:
+        assert sums.shape == (len(tops), L) and len(tops) <= limit
+        assert np.all(np.diff(tops) >= 0)
+    built = sorted((int(j), tuple(row)) for sums, tops in blocks
+                   for j, row in zip(tops, sums.tolist()))
+    assert len(built) == comb(k, t) * (F.q - 1) ** (t - 1)
+    assert built == sorted((support[-1], tuple(word))
+                           for support, word in _scalar_combinations(A, F, t))
 
 
 def test_large_length_torus_gf64():
@@ -374,6 +436,12 @@ def test_distance_routes_match_exhaustive_search(X, data):
 
 
 @given(case=generators(), w=st.integers(1, 4))
+@example(case=_long_rows(2, 4, 300, 1), w=1)
+@example(case=_long_rows(3, 3, 257, codes._CELLS), w=2)
+@example(case=_long_rows(5, 4, 256, 600), w=3)
+@example(case=_long_rows(4, 3, 255, 255), w=3)
+@example(case=_long_rows(2, 2, (1 << 16) + 4, codes._CELLS), w=1)
+@example(case=_long_rows(3, 2, (1 << 16) - 2, codes._CELLS), w=2)
 @settings(max_examples=80, deadline=None)
 def test_message_weights_match_scalar_brute_force(case, w):
     # Every projective message of weight w on [I | A] (first nonzero
@@ -385,13 +453,7 @@ def test_message_weights_match_scalar_brute_force(case, w):
     with patch.object(codes, "_CELLS", cells):
         blocks = list(codes._message_weights(A.astype(np.uint8), w, F))
     assert all(len(b) * L <= max(cells, L) for b in blocks)
-    expected = []
-    for support in combinations(range(k), w):
-        for tail in product(range(1, F.q), repeat=w - 1):
-            word = [0] * L
-            for c, i in zip((1, *tail), support):
-                word = [F.add(x, F.mul(c, int(a))) for x, a in zip(word, A[i])]
-            expected.append(w + sum(1 for x in word if x))
+    expected = [w + sum(1 for x in word if x) for _, word in _scalar_combinations(A, F, w)]
     assert sorted(int(x) for b in blocks for x in b) == sorted(expected)
 
 

@@ -10,6 +10,7 @@ from graphcodes import eulerian3
 from graphcodes.errors import CapExceeded
 from graphcodes.eulerian3 import (
     dim_ternary,
+    dims_ternary,
     enumerate_Jd,
     eulerian_leading_terms,
     is_parity_join,
@@ -320,3 +321,18 @@ def test_max_parity_join_bound_cut():
     mu, witness = max_parity_join(build_family("complete", [6]))
     assert (mu, sorted(witness)) == (4, [1, 12, 14, 15])
     assert frozenset(witness) in enumerate_Jd(build_family("complete", [6]), 4)
+
+
+@given(G=small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_dims_ternary_is_every_degree_of_one_walk(G):
+    # Every degree up to past s from one walk: each entry is the
+    # single-degree count, the stacked count of the listed J_e and the
+    # Hilbert function.
+    X = parameterize(G, make_field(3))
+    d_max = G.s + 3
+    dims = dims_ternary(G, d_max)
+    sizes = [len(enumerate_Jd(G, e)) for e in range(d_max + 1)]
+    assert len(dims) == d_max + 1
+    for d, k in enumerate(dims):
+        assert k == dim_ternary(G, d) == sum(sizes[d::-2]) == dimension(X, d)
