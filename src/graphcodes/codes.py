@@ -30,12 +30,14 @@ GF(q) elimination in the package, `_systematic`) and runs Brouwer-Zimmermann
 the messages of weight <= w a word not yet seen weighs at least
 ceil(m (w + 1) / k), and the search stops once that reaches the best weight
 found.  The dual is a character code as well, spanned by the characters
-outside -T_d (see `code_distance`); only its words vanishing at the identity
+outside -T_d (see `code_distance`), whose rows are the field inverses of the
+rows of the characters outside T_d; only its words vanishing at the identity
 point are enumerated, transitivity gives the whole weight distribution
 (`_dual_distribution`) and MacWilliams the code's.  The side, the generator
 cap and the budget are decided from k, m and q before any matrix exists,
-and both routes stay independent of every closed-form formula.  Both read
-weights from byte comparisons with no fork on the kind of q, each block
+and both routes stay independent of every closed-form formula.  Field
+elements are bytes (the uint8 tables of `gfq`), so both read weights from
+byte comparisons with no conversion and no fork on the kind of q, each block
 counted by one sum along its contiguous rows, into uint16 while the counts
 fit (`_count_type`): Brouwer-Zimmermann compares prefix sums of w - 1 rows
 with the multiples of a later row, and the dual's enumeration compares
@@ -88,9 +90,10 @@ class CodeInstance:
         return np.unpackbits(packed, count=size, bitorder="little").view(bool).reshape(orders)
 
     def dual(self):
-        """The set of the m - k characters outside -T_d; their rows are a
-        basis of C_X(d)^perp (see `code_distance`)."""
-        return ~_negated(self.T)
+        """The m - k rows of the characters outside -T_d, a basis of
+        C_X(d)^perp (see `code_distance`): chi_-b = 1 / chi_b, so they are
+        the inverses of the rows of the characters outside T_d."""
+        return self.X.F.inv_table[characters(self.X, ~self.T)]
 
 
 def _scales(X):
@@ -223,23 +226,13 @@ def code_instance(X, d):
             return CodeInstance(X, d, T, k)
 
 
-def _negated(S):
-    """The set -S = {-c : c in S} over the grid Z/d_1 + ... + Z/d_k:
-    flipping axis i maps c to d_i - 1 - c, and a roll by one then to -c.
-    A grid with no axes is {0}, and -0 = 0."""
-    if S.ndim == 0:
-        return S
-    axes = tuple(range(S.ndim))
-    return np.roll(np.flip(S, axes), 1, axes)
-
-
 def _spans(base, rows, F, limit):
     """Yield base + c @ rows for every c in GF(q)^len(rows), as uint8 blocks
     of at most `limit` rows (limit >= 1).  The first row is the most
     significant digit of the enumeration order, so the first q^t rows of a
     single block are base plus the span of the last t rows."""
     if len(rows) == 0:
-        yield base.astype(np.uint8)[None, :]
+        yield base[None, :]
         return
     add, mul = F.add_table, F.mul_table
     tail = F.q ** (len(rows) - 1)
@@ -251,7 +244,7 @@ def _spans(base, rows, F, limit):
     step = limit // tail  # coefficients of rows[0] per block
     for c in range(0, F.q, step):
         multiples = mul[c : c + step, rows[0]]
-        yield add[multiples[:, None, :], low[None, :, :]].reshape(-1, base.size).astype(np.uint8)
+        yield add[multiples[:, None, :], low[None, :, :]].reshape(-1, base.size)
 
 
 def _count_type(n):
@@ -276,12 +269,11 @@ def _class_weights(G, F):
     then cost far less than the q^(k-1) compared rows."""
     k, m = G.shape
     q = F.q
-    G = G.astype(np.uint8)  # byte comparisons against the uint8 table
     r = 0
     while r < k // 2 and q ** (r + 1) * m <= _CELLS:
         r += 1
     table = next(_spans(np.zeros(m, dtype=np.uint8), G[k - r :], F, q**r))
-    neg_low = F.neg_table.astype(np.uint8)[table]
+    neg_low = F.neg_table[table]
     batch = max(1, _CELLS // neg_low.size)  # high vectors per comparison
     count = _count_type(m)
     for lead in range(k):
@@ -310,7 +302,7 @@ def _systematic(G, F):
     information set I: a message u is the codeword's values on I, and u A
     its values elsewhere.  A is a C-contiguous uint8 k x (m - k) array; G
     must have full row rank k."""
-    S = G.astype(np.uint8)
+    S = G.copy()
     k, m = S.shape
     add, mul = F.add_table, F.mul_table
     info = []
@@ -346,7 +338,7 @@ def _combinations(A, t, F, limit):
             yield A[i : i + limit], np.arange(i, min(i + limit, k))
         return
     q = F.q
-    add = F.add_table.astype(np.uint8).ravel()  # x + y at x q + y
+    add = F.add_table.ravel()  # x + y at x q + y
     step = min(q - 1, limit)  # multiples of a row per extension
     pieces, tops = [], []  # the block being gathered
     for sums, below_tops in _combinations(A, t - 1, F, max(1, limit // (q - 1))):
@@ -391,7 +383,7 @@ def _message_weights(A, w, F):
                 # A 2-D index keeps the multiples C-contiguous; a slice
                 # beside the fancy index would lay them out by column.
                 coefficients = np.arange(c, min(c + per_row, q))[:, None]
-                multiples = F.mul_table[coefficients, A[j]].astype(np.uint8)
+                multiples = F.mul_table[coefficients, A[j]]
                 differ = below[:, None, :] != multiples[None]
                 yield w + differ.sum(axis=2, dtype=count).ravel()
 
@@ -510,7 +502,9 @@ def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
     (`_bz_min_weight`), at most `_bz_messages` messages.  The dual side is a
     character code: m = |X| divides (q-1)^r, so m != 0 in GF(q), and the
     characters satisfy <chi_a, chi_b> = m [a + b = 0], so C_X(d)^perp is
-    spanned by the m - k cells of the point grid outside -T_d.  Only the
+    spanned by the m - k cells of the point grid outside -T_d.  As
+    chi_-b = 1 / chi_b, those rows are the rows of the characters outside
+    T_d through the field's inverse table (`CodeInstance.dual`).  Only the
     (q^(m-k-1) - 1)/(q - 1) classes of its words vanishing at the identity
     are enumerated (`_dual_distribution`), then transformed (MacWilliams).
 
@@ -541,7 +535,7 @@ def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
         )
     if primal <= dual:
         return _bz_min_weight(characters(inst.X, inst.T), F)
-    return _macwilliams_min_weight(_dual_distribution(characters(inst.X, inst.dual()), F), q, k)
+    return _macwilliams_min_weight(_dual_distribution(inst.dual(), F), q, k)
 
 
 @dataclass
@@ -557,7 +551,7 @@ class ProfileRow:
         return None if self.required is None else f"budget: {self.required} classes required"
 
 
-def profile_rows(X, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
+def profile_rows(X, d_max, budget=DEFAULT_BUDGET):
     """Per-degree (dim, delta, Singleton bound) records for d = 0..d_max
     from one pass of the sumset, with no law checked.  A degree the budget
     refuses has no delta and records the classes it required."""
@@ -565,7 +559,7 @@ def profile_rows(X, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
     for d, (T, k) in enumerate(islice(_sumsets(X), d_max + 1)):
         inst = CodeInstance(X, d, T, k)
         try:
-            delta, required = code_distance(inst, budget=budget, cap=cap), None
+            delta, required = code_distance(inst, budget=budget), None
         except BudgetExceeded as exc:
             delta, required = None, exc.required
         rows.append(ProfileRow(d, k, delta, X.m - k + 1, required))
@@ -591,10 +585,10 @@ def distance_laws(rows):
         previous = r.delta
 
 
-def distance_profile(X, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
+def distance_profile(X, d_max, budget=DEFAULT_BUDGET):
     """`profile_rows` with every distance law asserted.  Budget refusals
     yield a marked row instead of a failure."""
-    rows = profile_rows(X, d_max, budget=budget, cap=cap)
+    rows = profile_rows(X, d_max, budget=budget)
     for check, d, expected, actual in distance_laws(rows):
         if actual != expected:
             raise AssertionError(f"{check} fails at d={d}: expected {expected}, got {actual}")

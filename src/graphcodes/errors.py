@@ -53,6 +53,7 @@ class MonotonicityViolation(GraphCodesError):
 
 DEFAULT_BUDGET = 5 * 10**7  # message classes of one distance search
 DEFAULT_POINT_CAP = 10**7  # points of X
+DEFAULT_CYCLE_CAP = 1 << 20  # elements of the cycle space listed
 
 
 class ResourceRefused(GraphCodesError):

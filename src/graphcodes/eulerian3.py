@@ -26,16 +26,12 @@ from .errors import CapExceeded
 from .graph import eulerian_masks, mask_subset, subset_mask, summarize
 from .monomials import from_support
 
-DEFAULT_CYCLE_CAP = 1 << 20
 DEFAULT_SEARCH_CAP = 1 << 24
 
 
 def _evens(G):
     """(C, |C|/2) for every even-edge Eulerian subgraph C."""
-    return [
-        (C, C.bit_count() // 2)
-        for C in eulerian_masks(G, even_edge_count_only=True, cap=DEFAULT_CYCLE_CAP)
-    ]
+    return [(C, C.bit_count() // 2) for C in eulerian_masks(G, even_edge_count_only=True)]
 
 
 def _refuse(required, what):

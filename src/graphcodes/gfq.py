@@ -1,10 +1,12 @@
 """Exact arithmetic in GF(q) for prime powers q = p^e, q <= 256.
 
 Elements are encoded as integers 0..q-1, read as base-p digit vectors of
-polynomial coefficients (least significant digit = constant term).  A field
-carries full log/antilog tables with respect to a fixed primitive element,
-plus dense q x q addition and multiplication tables so that row operations
-can be vectorized with numpy fancy indexing.
+polynomial coefficients (least significant digit = constant term), and
+since q <= 256 every element is one byte: every table of elements is uint8,
+so the points, generators and distance kernels downstream are uint8 with
+no conversion.  A field carries full log/antilog tables with respect to a
+fixed primitive element, plus dense q x q addition and multiplication
+tables so that row operations can be vectorized with numpy fancy indexing.
 
 Every q goes through one construction on the (q, e) digit matrix of the
 elements: addition and negation are digit-wise mod p, and a * b is the
@@ -103,16 +105,16 @@ def _find_primitive(mul):
 
 
 class FieldSpec:
-    """Immutable arithmetic tables for GF(q).  Safe to share across workers.
+    """Immutable arithmetic tables for GF(q), elements as uint8.
 
     Attributes:
         q, p, e: field size, characteristic, extension degree.
         reducing_poly: coefficients (low to high) of the monic irreducible
             polynomial of degree e defining the field; (0, 1) when e = 1.
-        add_table, mul_table: dense (q, q) int16 tables.
-        neg_table, inv_table: (q,) int16 tables (inv_table[0] is 0, unused).
-        exp_table: (q-1,) powers of the primitive element.
-        log_table: (q,) discrete logs; log_table[0] = -1 sentinel.
+        add_table, mul_table: dense (q, q) uint8 tables.
+        neg_table, inv_table: (q,) uint8 tables (inv_table[0] is 0, unused).
+        exp_table: (q-1,) uint8 powers of the primitive element.
+        log_table: (q,) int64 discrete logs; log_table[0] = -1 sentinel.
     """
 
     def __init__(self, q):
@@ -134,19 +136,26 @@ class FieldSpec:
             a = shifts[-1]
             up = np.pad(a[:, :-1], ((0, 0), (1, 0)))
             shifts.append((up - a[:, -1:] * low) % p)
-        prod = np.einsum("bi,iaj->abj", digits, np.stack(shifts)) % p
-        self.add_table = (((digits[:, None] + digits) % p) @ place).astype(np.int16)
-        self.mul_table = (prod @ place).astype(np.int16)
-        self.neg_table = ((-digits % p) @ place).astype(np.int16)
+        prod = np.einsum("bi,iaj->abj", digits, np.stack(shifts))
+
+        def encode(rows):
+            """Digit vectors, reduced mod p in place (each is a temporary of
+            q^2 e words) -> their elements, one byte each."""
+            rows %= p
+            return np.asarray(rows @ place, dtype=np.uint8)
+
+        self.add_table = encode(digits[:, None] + digits)
+        self.mul_table = encode(prod)
+        self.neg_table = encode(-digits)
 
         self.primitive, powers = _find_primitive(self.mul_table)
-        exp = np.array(powers, dtype=np.int16)
+        exp = np.array(powers, dtype=np.uint8)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         self.exp_table = exp
         self.log_table = log
 
-        inv = np.zeros(q, dtype=np.int16)
+        inv = np.zeros(q, dtype=np.uint8)
         inv[1:] = exp[(-log[1:]) % (q - 1)]
         self.inv_table = inv
 

@@ -17,7 +17,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import CapExceeded, InvalidParams, NotADecomposition, NotNested, NotOpen
+from .errors import (DEFAULT_CYCLE_CAP, CapExceeded, InvalidParams, NotADecomposition,
+                     NotNested, NotOpen)
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ def mask_subset(mask):
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def eulerian_masks(G, even_edge_count_only=False, cap=1 << 20):
+def eulerian_masks(G, even_edge_count_only=False, cap=DEFAULT_CYCLE_CAP):
     """All nonempty elements of the cycle space as masks, ascending.  The
     span is built by doubling over the basis, which is independent, so every
     element appears once."""
@@ -179,7 +180,7 @@ def eulerian_masks(G, even_edge_count_only=False, cap=1 << 20):
     return space[1:]
 
 
-def enumerate_eulerian(G, even_edge_count_only=False, cap=1 << 20):
+def enumerate_eulerian(G, even_edge_count_only=False, cap=DEFAULT_CYCLE_CAP):
     """All nonempty elements of the cycle space, as edge subsets, sorted by
     subset encoding.  Every emitted subset induces even degree everywhere."""
     return [mask_subset(m) for m in eulerian_masks(G, even_edge_count_only, cap)]
@@ -437,36 +438,17 @@ def is_complete_bipartite(G):
 def is_complete_multipartite(G):
     """Part sizes if G is complete multipartite with r > 2 parts, else None.
 
-    Holds iff the complement is a disjoint union of cliques.  A vertex no
-    edge touches is joined to every other one in the complement, which is
-    then connected but not a clique (G has an edge)."""
-    if len(G.adjacency()) < G.n:
+    Holds iff every vertex is joined to exactly the vertices outside its
+    class, the vertices with the same neighbourhood; the classes are then
+    the parts.  A vertex no edge touches fails, as its class is not all of
+    V (G has an edge), so it is refused before anything of size n exists."""
+    adj = G.adjacency()
+    if len(adj) < G.n:
         return None
-    present = {frozenset(e) for e in G.edges}
-    comp_adj = {v: set() for v in range(1, G.n + 1)}
-    for u in range(1, G.n):
-        for v in range(u + 1, G.n + 1):
-            if frozenset((u, v)) not in present:
-                comp_adj[u].add(v)
-                comp_adj[v].add(u)
-    seen = set()
-    parts = []
-    for start in range(1, G.n + 1):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in comp_adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    queue.append(v)
-        for u in comp:
-            if comp_adj[u] != comp - {u}:
-                return None
-        seen |= comp
-        parts.append(len(comp))
-    if len(parts) <= 2:
+    everyone = frozenset(adj)
+    classes = {}
+    for v, edges in adj.items():
+        classes.setdefault(frozenset(u for u, _ in edges), set()).add(v)
+    if len(classes) <= 2 or any(N != everyone - part for N, part in classes.items()):
         return None
-    return tuple(sorted(parts))
+    return tuple(sorted(len(part) for part in classes.values()))

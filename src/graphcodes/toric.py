@@ -14,8 +14,8 @@ finite abelian group, is isomorphic to its dual), so no second form is
 built for them.
 
 Points of the torus in P^{s-1} are normalized so the last coordinate is 1
-(all torus coordinates are nonzero), stored as rows of an integer array in
-field encoding and kept in lexicographic row order.  The evaluation matrix
+(all torus coordinates are nonzero), stored as uint8 rows of field elements
+and kept in lexicographic row order.  The evaluation matrix
 of all degree-d monomials, and the enumeration of the whole source torus,
 are built only by the tests, as independent oracles (`tests/oracle.py`).
 """
@@ -101,16 +101,17 @@ def group_image(A, N):
 
 class ToricSet:
     """A finite set of torus points in P^{s-1} over GF(q), canonically
-    sorted.  `arr` is the (m, s) array of normalized coordinates.
+    sorted.  `arr` is the (m, s) uint8 array of normalized coordinates.
 
     X is the image of a source torus T = (GF(q)^*)^r under the monomial map
     phi(t) = (t^{b_1} : ... : t^{b_s}), a group homomorphism, so X is a
     subgroup of the torus of P^{s-1}.  The exponent vectors b_k are the
-    columns of the (r, s) matrix B, `exponents`: for a graph the rows are
-    the incidence rows of the vertices some edge touches, but the last of
-    them (fixed to 1); the torus of P^{s-1} has exponents [I_{s-1} | 0].
-    In logs, a point is l -> (b_k - b_s) . l for k < s, and `point_group` is the
-    image of that map, a grid Z/d_1 + ... + Z/d_k of m = |X| cells, one per
+    columns of an (r, s) matrix B: for a graph the rows are the incidence
+    rows of the vertices some edge touches, but the last of them (fixed to
+    1); the torus of P^{s-1} has exponents [I_{s-1} | 0].  B is used once,
+    by `_toric_set`, which passes s and the group below.  In logs, a point
+    is l -> (b_k - b_s) . l for k < s, and `point_group` is the image of
+    that map, a grid Z/d_1 + ... + Z/d_k of m = |X| cells, one per
     point.  The points are listed from the grid on first use, with the cell
     each one came from (`_cells`); dimension and regularity never list them.
 
@@ -122,10 +123,9 @@ class ToricSet:
     distinct characters being linearly independent, the number of distinct
     such cells is dim C_X(d)."""
 
-    def __init__(self, F, exponents, point_group, graph=None):
+    def __init__(self, F, s, point_group, graph=None):
         self.F = F
-        self.exponents = exponents
-        self.s = exponents.shape[1]
+        self.s = s
         self.point_group = point_group
         self.graph = graph
 
@@ -139,7 +139,7 @@ class ToricSet:
         coordinate a linear form in the cell's indices, sorted; row i of arr
         is the point of cell order[i]."""
         orders = self.point_group.orders
-        listed = np.ones((self.m, self.s), dtype=np.int16)
+        listed = np.ones((self.m, self.s), dtype=np.uint8)
         for k, coeffs in enumerate(self.point_group.embed.tolist()):
             logs = np.zeros(orders, dtype=np.int64)
             for a, g in zip(coeffs, np.indices(orders, sparse=True)):
@@ -188,7 +188,7 @@ def _toric_set(F, exponents, expected, cap, graph=None):
         raise LengthMismatch(
             f"the point group has order {P.size} but the length formula gives {expected}"
         )
-    return ToricSet(F, exponents, P, graph)
+    return ToricSet(F, exponents.shape[1], P, graph)
 
 
 def torus_points(s, F, cap=DEFAULT_POINT_CAP):

@@ -167,17 +167,29 @@ def evaluation_matrix(X, d, cap=DEFAULT_MONOMIAL_CAP):
     return F.exp_table[raw % (q - 1)].astype(np.int16)
 
 
+def source_exponents(X):
+    """The (r, s) exponent matrix of X's source map, rebuilt from its graph:
+    the incidence rows of the vertices some edge touches but the last (whose
+    coordinate is fixed to 1); [I_{s-1} | 0] for the torus of P^{s-1}."""
+    if X.graph is None:
+        return np.eye(X.s - 1, X.s, dtype=np.int64)
+    edges = X.graph.edges
+    touched = sorted({v for e in edges for v in e})
+    return np.array([[int(v in e) for e in edges] for v in touched[:-1]], dtype=np.int64)
+
+
 def source_torus_points(X):
     """X.arr by enumeration: all (q-1)^r tuples of the source torus, mapped
     through the exponent matrix, normalized so the last coordinate is 1,
     deduplicated and sorted."""
     F = X.F
     q1 = F.q - 1
-    r = X.exponents.shape[0]
+    B = source_exponents(X)
+    r = B.shape[0]
     idx = np.arange(q1**r, dtype=np.int64)
     pows = q1 ** np.arange(r - 1, -1, -1, dtype=np.int64)
     logs = (idx[:, None] // pows[None, :]) % q1
-    img = logs @ X.exponents
+    img = logs @ B
     img = (img - img[:, -1:]) % q1
     return np.unique(F.exp_table[img].astype(np.int16), axis=0)
 
@@ -187,7 +199,7 @@ def source_torus_hilbert_function(X):
     group (Z/(q-1))^r of the source torus: T_0 = {0}, T_{d+1} the union of
     the translates T_d + (b_k - b_1), until |T_d| stops growing."""
     q1 = X.F.q - 1
-    B = X.exponents
+    B = source_exponents(X)
     r = B.shape[0]
     zero = (0,) * r
     steps = {tuple(b) for b in ((B[:, 1:] - B[:, :1]) % q1).T.tolist()} - {zero}

@@ -157,7 +157,7 @@ def test_primal_and_dual_routes_agree():
             primal = _bz_min_weight(G, F)
             assert primal == min_weight_enum(G, F)
             if inst.k < inst.m:
-                D = characters(T, inst.dual())
+                D = inst.dual()
                 assert primal == _macwilliams_min_weight(_dual_distribution(D, F), q, inst.k)
                 N = _weight_distribution(null_space(G, F), F)
                 assert primal == _macwilliams_min_weight(N, q, inst.k)
@@ -362,9 +362,11 @@ def _gf_inner_products(A, B, F):
 @settings(max_examples=60, deadline=None)
 def test_character_dual_matches_null_space_oracle(X):
     # At every degree up to the plateau + 1 the m - k characters of the grid
-    # outside -T_d are orthogonal to the k primal characters, both sides
-    # have full rank, and they span the oracle null space (so the weight
-    # distributions agree; compared directly where enumeration is cheap).
+    # outside -T_d, the inverses of those outside T_d, are orthogonal to the
+    # k primal characters, both sides have full rank, and they span the
+    # oracle null space (so the weight distributions agree; compared
+    # directly where enumeration is cheap).  Both generators and the
+    # systematic form are field elements, one byte each.
     F = X.F
     for d in range(len(hilbert_function(X)) + 1):
         inst = code_instance(X, d)
@@ -373,7 +375,8 @@ def test_character_dual_matches_null_space_oracle(X):
         assert rank(G, F) == k
         if k == m:
             continue
-        D = characters(X, inst.dual())
+        D = inst.dual()
+        assert G.dtype == D.dtype == codes._systematic(G, F).dtype == np.uint8
         assert D.shape == (m - k, m)
         assert not _gf_inner_products(G, D, F).any()
         assert rank(D, F) == m - k
@@ -409,7 +412,7 @@ def _check_distance_routes(X, S):
         assert _bz_min_weight(G, F) == expected
     assert sum(counted) <= _bz_messages(k, m, q) <= (q**k - 1) // (q - 1)
     if m - k <= k:
-        D = characters(X, ~codes._negated(S))
+        D = F.inv_table[characters(X, ~S)]
         B = _dual_distribution(D, F)
         assert B == _weight_distribution(D, F)
         assert _macwilliams_min_weight(B, q, k) == expected
@@ -566,7 +569,7 @@ def test_stalled_hilbert_function_is_a_violation():
     T = torus_points(2, make_field(5))
     P = T.point_group
     twice = GroupImage((2, *P.orders), np.hstack([np.zeros_like(P.embed[:, :1]), P.embed]))
-    X = ToricSet(T.F, T.exponents, twice)
+    X = ToricSet(T.F, T.s, twice)
     assert X.m == 8 and np.array_equal(np.unique(X.arr, axis=0), T.arr)
     with pytest.raises(MonotonicityViolation):
         regularity_index(X)
@@ -578,12 +581,13 @@ def test_stalled_hilbert_function_is_a_violation():
     parameterize(build_family("path", [2]), make_field(2)),
 ], ids=["K4-GF2", "torus1-GF5", "P2-GF2"])
 def test_dual_of_a_one_point_set_is_empty(X):
-    # One point, a grid with no axes: -0 = 0, so the dual of C_X(0), the
-    # full code, has no characters and its generator no rows.
+    # One point, a grid with no axes: its one character is in T_0, so the
+    # dual of C_X(0), the full code, has no characters and its generator no
+    # rows.
     inst = code_instance(X, 0)
     assert X.m == 1 and X.point_group.orders == ()
     assert characters(X, inst.T).tolist() == [[1]]
-    assert characters(X, inst.dual()).shape == (0, 1)
+    assert inst.dual().shape == (0, 1)
     assert minimum_distance(X, 0) == 1
 
 

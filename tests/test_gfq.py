@@ -225,7 +225,7 @@ def test_tables_match_pinned_construction(q):
     h = hashlib.sha256()
     for name in TABLES:
         table = getattr(F, name)
-        assert table.dtype == (np.int64 if name == "log_table" else np.int16)
+        assert table.dtype == (np.int64 if name == "log_table" else np.uint8)
         h.update(np.asarray(table, dtype="<i2").tobytes())
     assert h.hexdigest() == digest
     assert F.reducing_poly == PINNED_REDUCING_POLY.get(q, (0, 1))

@@ -1,5 +1,7 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import eulerian_subsets_brute, two_triangles
@@ -237,3 +239,35 @@ def test_recognizers(c6, k4):
     assert is_complete_bipartite(k4) is None
     assert is_complete_multipartite(build_family("complete_multipartite", [2, 2, 2])) == (2, 2, 2)
     assert is_complete_multipartite(c6) is None
+
+
+def _multipartite_by_complement(G):
+    """Part sizes when the complement of G is a disjoint union of r > 2
+    cliques, else None: the closed complement neighbourhoods must be equal
+    or disjoint, and are then the cliques."""
+    present = {frozenset(e) for e in G.edges}
+    closed = [frozenset(u for u in range(1, G.n + 1) if frozenset((u, v)) not in present)
+              for v in range(1, G.n + 1)]  # v itself included
+    if any(a != b and a & b for a in closed for b in closed):
+        return None
+    parts = set(closed)
+    return tuple(sorted(map(len, parts))) if len(parts) > 2 else None
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 6))
+    pairs = list(combinations(range(1, n + 1), 2))
+    return Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))))
+
+
+@given(G=small_graphs())
+@example(G=build_family("complete_multipartite", [1, 2, 3]))
+@example(G=build_family("complete", [3]))
+@example(G=Graph(4, ((1, 2), (1, 3), (2, 3))))  # K_3 and an isolated vertex
+@example(G=Graph(6, ((1, 2),)))  # four isolated vertices
+@settings(max_examples=300, deadline=None)
+def test_complete_multipartite_matches_complement_cliques(G):
+    # Neighbourhood classes against the definition: the complement is a
+    # disjoint union of cliques, the parts; None for <= 2 parts.
+    assert is_complete_multipartite(G) == _multipartite_by_complement(G)

@@ -201,7 +201,7 @@ def test_group_points_match_source_torus_enumeration(X):
     # found by mapping every source tuple; the Hilbert function over the
     # point grid against the sumset over the whole source character group.
     F, q1 = X.F, X.F.q - 1
-    assert X.arr.dtype == np.int16
+    assert X.arr.dtype == np.uint8
     assert np.array_equal(X.arr, source_torus_points(X))
     if X.graph is None:
         assert X.m == q1 ** (X.s - 1)
