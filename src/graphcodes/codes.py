@@ -39,18 +39,23 @@ and both routes stay independent of every closed-form formula.  Field
 elements are bytes (the uint8 tables of `gfq`), so both read weights from
 byte comparisons with no conversion and no fork on the kind of q, each block
 counted by one sum along its contiguous rows, into uint16 while the counts
-fit (`_count_type`): Brouwer-Zimmermann compares prefix sums of w - 1 rows
-with the multiples of a later row, and the dual's enumeration compares
-"high" vectors h with a span table of all q^r combinations l of the last r
-rows (wt(h + l) is the count of positions where l differs from -h).  The
-add/mul tables only build the vectors compared; each prefix sum is built
-once, by extending a block of the sums one row shorter with the multiples
-of every higher row, and the small extensions are gathered into blocks of
-about _CELLS compared cells (on a 2-core host K_{3,3}/GF(5) at d = 1 fell
-from 26 to 17 ms with this kernel, and C_4/GF(7) at d = 4, on the dual
-side, from 1.4 to 0.5 s).  Exact rank, null spaces and the exhaustive
-primal search stay in the tests (`tests/oracle.py`) as an independent
-check.
+fit (`_count_type`).  Brouwer-Zimmermann compares prefixes, sums of w - r
+rows, with tails of r later rows: up to weight 3 the multiples of one row
+(r = 1), and from weight 4 a table of every two-row tail
+c_1 A_i + c_2 A_j (r = 2), built once per search from the field tables
+when its C(k - 2, 2) (q - 1)^2 (m - k) cells fit the cell cap, a check
+made before it is allocated (over the cap, r stays 1).  The dual's
+enumeration compares "high" vectors h with a span table of all q^r
+combinations l of the last r rows (wt(h + l) is the count of positions
+where l differs from -h).  The add/mul tables only build the vectors
+compared, at several times the cost of a compared cell; within a weight
+each prefix is built once, by extending a block of the sums one row
+shorter with the multiples of every higher row, in blocks of about _CELLS
+compared cells.  On a 2-core host the two-row tails took K_{3,3}/GF(5) at
+d = 1 from 25 to 15 ms and K_{3,4}/GF(5) from 1.9 to 0.6 s (the kernel
+before them had taken C_4/GF(7) at d = 4, on the dual side, from 1.4 to
+0.5 s).  Exact rank, null spaces and the exhaustive primal search stay in
+the tests (`tests/oracle.py`) as an independent check.
 """
 
 from __future__ import annotations
@@ -357,17 +362,44 @@ def _combinations(A, t, F, limit):
         yield np.concatenate(pieces), np.array(tops)
 
 
-def _message_weights(A, w, F):
+def _tails(A, F, cap):
+    """The two-row tails of A from row 2 up: entry i, i >= 2, lists the
+    (q - 1)^2 (k - 1 - i) rows c_1 A_i + c_2 A_j, j > i, c_1 and c_2
+    nonzero, C-contiguous, for k >= 4.  Entries 0 and 1 are empty, as no
+    prefix of two or more rows has its top below 1.  None when those
+    C(k - 2, 2) (q - 1)^2 L cells would pass the cap, a check made before
+    anything is allocated."""
+    k, L = A.shape
+    q = F.q
+    if math.comb(k - 2, 2) * (q - 1) ** 2 * L > cap:
+        return None
+    add = F.add_table.ravel()  # x + y at x q + y
+    multiples = F.mul_table[np.arange(1, q)[:, None, None], A[None, 2:]]  # (q - 1, k - 2, L)
+    high = multiples.astype(np.uint16) * q  # at most 255 q + 255 < 2^16
+    return [A[:0], A[:0]] + [
+        add.take(high[:, None, i, None] + multiples[None, :, i + 1 :]).reshape(-1, L)
+        for i in range(k - 2)
+    ]
+
+
+def _message_weights(A, w, F, tails=None):
     """Weights of the codewords u [I_k | A] over the projective messages u of
     weight w (first nonzero coordinate 1), C(k, w) (q - 1)^(w - 1) of them,
     in blocks of at most _CELLS compared cells (or one row of A, when that
     is longer).
 
-    For w > 1 a message is a prefix, a combination of w - 1 rows, plus
-    c A_j for a row j above the prefix's rows; as c runs over the nonzero
-    elements so does -c, so its weight is w plus the positions where the
-    prefix differs from c A_j.  A block is one byte comparison of prefixes
-    against the nonzero multiples of one row, counted by a row sum."""
+    For w > 1 a message is a prefix, a combination of w - r rows, plus a
+    tail of r rows above the prefix's rows: for w >= 4 with the table
+    `tails` (`_tails`) the two-row combinations c_1 A_i + c_2 A_j (r = 2),
+    and otherwise the nonzero multiples of one row (r = 1).  As the
+    coefficients run over the nonzero elements so do their negatives, so a
+    message weighs w plus the positions where its prefix differs from its
+    tail.  Tail group i, the tails whose lowest row is i, meets the
+    prefixes whose top is below i (the start of a block, whose tops
+    ascend) in byte comparisons, each counted by a row sum.  Each prefix
+    is built once (`_combinations`); r = 2 builds (w - 1) / ((q - 1)
+    (k - w + 2)) of the prefixes r = 1 builds, and the table, built once
+    per search, serves every weight from 4 on."""
     k, L = A.shape
     count = _count_type(k + L)  # a weight is at most w + L
     if w == 1:
@@ -375,20 +407,28 @@ def _message_weights(A, w, F):
             yield 1 + (rows != 0).sum(axis=1, dtype=count)
         return
     q = F.q
-    per_row = min(q - 1, max(1, _CELLS // L))  # multiples of a row per comparison
-    for sums, tops in _combinations(A, w - 1, F, max(1, _CELLS // (per_row * L))):
-        for j in range(int(tops[0]) + 1, k):
-            below = sums[: np.searchsorted(tops, j)]
-            for c in range(1, q, per_row):
-                # A 2-D index keeps the multiples C-contiguous; a slice
-                # beside the fancy index would lay them out by column.
-                coefficients = np.arange(c, min(c + per_row, q))[:, None]
-                multiples = F.mul_table[coefficients, A[j]]
-                differ = below[:, None, :] != multiples[None]
-                yield w + differ.sum(axis=2, dtype=count).ravel()
+    r = 2 if w >= 4 and tails is not None else 1
+    rows = max(1, _CELLS // L)  # compared rows per block
+    coefficients = np.arange(1, q)[:, None]
+    for sums, tops in _combinations(A, w - r, F, rows):
+        for i in range(int(tops[0]) + 1, k + 1 - r):
+            below = sums[: np.searchsorted(tops, i)]
+            group = len(tails[i]) if r == 2 else q - 1
+            per = min(group, rows)  # tails per comparison
+            step = max(1, rows // per)  # prefixes per comparison
+            for c in range(0, group, per):
+                if r == 2:
+                    tail = tails[i][c : c + per]
+                else:
+                    # A 2-D index keeps the multiples C-contiguous; a slice
+                    # beside the fancy index would lay them out by column.
+                    tail = F.mul_table[coefficients[c : c + per], A[i]]
+                for b in range(0, len(below), step):
+                    differ = below[b : b + step, None, :] != tail[None]
+                    yield w + differ.sum(axis=2, dtype=count).ravel()
 
 
-def _bz_min_weight(G, F):
+def _bz_min_weight(G, F, cap=DEFAULT_CELL_CAP):
     """Minimum weight of the code spanned by G (k x m, full rank) when a
     group acting regularly on the m coordinates maps the code to itself
     (Brouwer-Zimmermann over the translates of one information set).
@@ -399,15 +439,29 @@ def _bz_min_weight(G, F):
     word not yet seen weighs at least w on each of the m translates; each
     coordinate lies in exactly k of them, so the word weighs at least
     ceil(m w / k).  The search stops when that reaches the best weight,
-    which starts at the Griesmer bound (no [m, k]_q code weighs more)."""
+    which starts at the Griesmer bound (no [m, k]_q code weighs more).
+
+    Up to weight 3 a message is a sum of w - 1 rows against the multiples
+    of a later row (`_message_weights`).  On reaching weight 4 the search
+    builds the table of two-row tails (`_tails`) once, if its
+    C(k - 2, 2) (q - 1)^2 (m - k) cells fit the cell cap (checked before
+    it is allocated), and from then on compares sums of w - 2 rows with
+    it; over the cap it keeps to one-row tails.  A table built for weight
+    3 would hold about 3 / k as many rows as weight 3 compares, each built
+    at several times the cost of a comparison, which a search that ends at
+    weight 3 does not repay (C_4/GF(32) at d = 1 took three times as
+    long)."""
     k, m = G.shape
     A = _systematic(G, F)
     best = _griesmer(k, m, F.q)
+    tails = None
     for w in range(1, k + 1):
         floor = -(-m * w // k)  # least weight of a word not yet seen
         if floor >= best:
             break
-        for weights in _message_weights(A, w, F):
+        if w == 4:
+            tails = _tails(A, F, cap)
+        for weights in _message_weights(A, w, F, tails):
             best = min(best, int(weights.min()))
             if floor >= best:
                 break
@@ -534,7 +588,7 @@ def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
             f"{needed} message classes required, budget is {budget}", required=needed
         )
     if primal <= dual:
-        return _bz_min_weight(characters(inst.X, inst.T), F)
+        return _bz_min_weight(characters(inst.X, inst.T), F, cap)
     return _macwilliams_min_weight(_dual_distribution(inst.dual(), F), q, k)
 
 

@@ -223,10 +223,11 @@ def parameterize(G, F, cap=DEFAULT_POINT_CAP):
 
 
 def count_points(X):
-    """|X| counted from the enumerated points: the number of distinct rows of
-    X.arr, a check on the listing that does not trust the group order m.
-    The rows are sorted again here rather than assumed sorted, and counted
-    where they change (np.unique(axis=0) gives the same count ten times
-    slower)."""
-    rows = X.arr[np.lexsort(X.arr.T[::-1])]
-    return 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
+    """|X| counted from the enumerated points, a check on the listing that
+    does not trust the group order m: 1 plus the number of adjacent rows of
+    X.arr that strictly increase lexicographically.  `_listing` sorts the
+    rows, so each new point is a step up; a repeated or out-of-order row is
+    not, and the count falls below m.  The rows are compared in place as
+    fixed-width byte strings (no sort, no copy of a row)."""
+    keys = X.arr.view(f"S{X.s}")[:, 0]
+    return 1 + int(np.count_nonzero(keys[1:] > keys[:-1]))

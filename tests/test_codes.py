@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 from unittest.mock import patch
@@ -188,9 +189,9 @@ def _brute_weight_distribution(G, F):
 
 
 @st.composite
-def generators(draw):
+def generators(draw, max_k=4):
     q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, max_k))
     m = draw(st.integers(1, 7))
     G = np.array(draw(st.lists(st.integers(0, q - 1), min_size=k * m, max_size=k * m)),
                  dtype=np.int16).reshape(k, m)
@@ -403,8 +404,8 @@ def _check_distance_routes(X, S):
     counted = []
     real = codes._message_weights
 
-    def counting(A, w, F):
-        for weights in real(A, w, F):
+    def counting(A, w, F, tails=None):
+        for weights in real(A, w, F, tails):
             counted.append(len(weights))
             yield weights
 
@@ -438,23 +439,48 @@ def test_distance_routes_match_exhaustive_search(X, data):
         _check_distance_routes(X, np.array(cells).reshape(X.point_group.orders))
 
 
-@given(case=generators(), w=st.integers(1, 4))
-@example(case=_long_rows(2, 4, 300, 1), w=1)
-@example(case=_long_rows(3, 3, 257, codes._CELLS), w=2)
-@example(case=_long_rows(5, 4, 256, 600), w=3)
-@example(case=_long_rows(4, 3, 255, 255), w=3)
-@example(case=_long_rows(2, 2, (1 << 16) + 4, codes._CELLS), w=1)
-@example(case=_long_rows(3, 2, (1 << 16) - 2, codes._CELLS), w=2)
+_CAP = codes.DEFAULT_CELL_CAP
+
+
+@given(case=generators(max_k=5), w=st.integers(1, 5), cap=st.sampled_from([0, _CAP]))
+@example(case=_long_rows(2, 4, 300, 1), w=1, cap=_CAP)
+@example(case=_long_rows(3, 3, 257, codes._CELLS), w=2, cap=_CAP)
+@example(case=_long_rows(5, 4, 256, 600), w=3, cap=_CAP)
+@example(case=_long_rows(4, 3, 255, 255), w=3, cap=_CAP)
+@example(case=_long_rows(2, 2, (1 << 16) + 4, codes._CELLS), w=1, cap=_CAP)
+@example(case=_long_rows(3, 2, (1 << 16) - 2, codes._CELLS), w=2, cap=_CAP)
+@example(case=_long_rows(3, 5, 255, codes._CELLS), w=5, cap=_CAP)
+@example(case=_long_rows(4, 5, 256, 1000), w=4, cap=_CAP)
+@example(case=_long_rows(5, 4, 257, 300), w=4, cap=_CAP)
+@example(case=_long_rows(3, 5, 257, codes._CELLS), w=5, cap=comb(3, 2) * 2**2 * 257 - 1)
 @settings(max_examples=80, deadline=None)
-def test_message_weights_match_scalar_brute_force(case, w):
+def test_message_weights_match_scalar_brute_force(case, w, cap):
     # Every projective message of weight w on [I | A] (first nonzero
-    # coordinate 1), as a scalar sum, against the blocked byte comparison.
+    # coordinate 1), as a scalar sum, against the blocked byte comparison:
+    # from w = 4 on, prefixes of w - 2 rows against the two-row tails when
+    # their table fits the cap, and prefixes of w - 1 rows against one-row
+    # tails when it does not, in which case nothing of the table's size is
+    # allocated (the last example's table would take 3,084 bytes).
     F, A, cells = case
     k, L = A.shape
     if w > k:
         return
+    A = A.astype(np.uint8)
+    tails = None
+    if k >= 4:  # the search builds the table at weight 4
+        table = comb(k - 2, 2) * (F.q - 1) ** 2 * L
+        tracemalloc.start()
+        tails = codes._tails(A, F, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        if table > cap:
+            assert tails is None and peak < 1 << 10  # a few Python objects, no table
+        else:
+            assert [len(t) for t in tails] == [0, 0] + [(F.q - 1) ** 2 * (k - 1 - i)
+                                                        for i in range(2, k)]
+            assert sum(t.size for t in tails) == table <= cap
     with patch.object(codes, "_CELLS", cells):
-        blocks = list(codes._message_weights(A.astype(np.uint8), w, F))
+        blocks = list(codes._message_weights(A, w, F, tails))
     assert all(len(b) * L <= max(cells, L) for b in blocks)
     expected = [w + sum(1 for x in word if x) for _, word in _scalar_combinations(A, F, w)]
     assert sorted(int(x) for b in blocks for x in b) == sorted(expected)

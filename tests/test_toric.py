@@ -11,7 +11,8 @@ from graphcodes.codes import characters, hilbert_function
 from graphcodes.errors import CapExceeded
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family, summarize
-from graphcodes.toric import expected_length, group_image, parameterize, torus_points
+from graphcodes.toric import (count_points, expected_length, group_image, parameterize,
+                              torus_points)
 from oracle import (degree_monomials, evaluation_matrix, normalize_point,
                     source_torus_hilbert_function, source_torus_points)
 
@@ -235,3 +236,20 @@ def test_group_image_against_enumeration(N, t, c, data):
     assert set(embedded) == expected
     for column, d in zip(image.embed.T.tolist(), image.orders):
         assert all(a % (N // d) == 0 for a in column)
+
+
+@pytest.mark.parametrize("family, params, q", [("cycle", [6], 5), ("path", [2], 256)])
+def test_count_points_counts_strict_steps(family, params, q):
+    # The sorted listing counts every point; one row repeated in place, or
+    # two adjacent rows swapped, counts one short, and the reversed listing
+    # counts one.  GF(256) rows hold bytes past 127, which compare unsigned.
+    X = parameterize(build_family(family, params), make_field(q))
+    arr, order = X._listing
+    assert count_points(X) == len({tuple(row) for row in arr.tolist()}) == X.m
+    i = X.m // 2
+    repeated, swapped = arr.copy(), arr.copy()
+    repeated[i + 1] = arr[i]
+    swapped[[i, i + 1]] = arr[[i + 1, i]]
+    for listing, expected in ((repeated, X.m - 1), (swapped, X.m - 1), (arr[::-1], 1)):
+        X.__dict__["_listing"] = (listing, order)
+        assert count_points(X) == expected
