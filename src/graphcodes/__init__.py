@@ -4,8 +4,12 @@ exact brute force, the known closed-form formulas, and cross-verification
 of the two.
 
 The graph and error names are imported with the package.  The names from
-`codes`, `gfq` and `toric`, which need numpy, are imported on first access
-(PEP 562), so a program that uses only graphs never loads numpy."""
+`codes`, `gfq`, `hilbert` and `toric` are imported on first access
+(PEP 562), so a program loads only the modules it uses.  numpy comes with
+`codes` (the generator and the distance search), and with `gfq` and `toric`
+only when a field's tables are first read or the points of X are listed:
+a program that uses only graphs, or only dimension and regularity
+(`hilbert`), never loads it."""
 
 import importlib
 
@@ -37,11 +41,11 @@ from .graph import (
 
 # Public name -> the submodule that defines it, imported on first access.
 _LAZY = {
-    "CodeInstance": "codes",
-    "dimension": "codes",
+    "CodeInstance": "hilbert",
+    "dimension": "hilbert",
     "distance_profile": "codes",
     "minimum_distance": "codes",
-    "regularity_index": "codes",
+    "regularity_index": "hilbert",
     "FieldSpec": "gfq",
     "make_field": "gfq",
     "ToricSet": "toric",

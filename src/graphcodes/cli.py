@@ -11,9 +11,12 @@ Exit codes: 0 ok, 1 verify found a FAIL or a domain error, 2 usage error,
 Under --json an error is printed as {"schema": 1, "error": {"type", "message"}},
 plus "required" for a refusal.
 
-Only the subcommands that compute over GF(q) (length, dim, reg, mindist,
-profile, verify) import numpy, inside their handlers; summarize, family and
-ternary start without it.  The console script (`main`) also keeps OpenBLAS
+Each handler imports what it computes with.  Only the subcommands that list
+points or build a generator (length, mindist, profile, verify) import numpy
+and build the GF(q) tables; dim and reg count characters over the group of
+X in exact ints (`hilbert`) from q alone, and summarize, family and ternary
+need no field.  The ternary theory (`eulerian3`, `monomials`) is imported by
+the ternary handler only.  The console script (`main`) also keeps OpenBLAS
 to one thread, since the package does no float linear algebra.
 """
 
@@ -24,7 +27,7 @@ import json
 import os
 import sys
 
-from . import eulerian3, graph as graphmod
+from . import graph as graphmod
 from .errors import (
     DEFAULT_BUDGET,
     DEFAULT_POINT_CAP,
@@ -34,7 +37,6 @@ from .errors import (
     LengthMismatch,
     ResourceRefused,
 )
-from .monomials import format_monomial, grevlex_key
 
 
 def _add_graph_args(p):
@@ -127,16 +129,16 @@ def _cmd_length(G, args):
 
 
 def _cmd_dim(G, args):
-    from . import codes
+    from . import hilbert
 
-    value = codes.dimension(_toric_set(G, args), args.d)
+    value = hilbert.dimension(_toric_set(G, args), args.d)
     return 0, {"d": args.d, "dim": value}, str(value)
 
 
 def _cmd_reg(G, args):
-    from . import codes
+    from . import hilbert
 
-    value = codes.regularity_index(_toric_set(G, args))
+    value = hilbert.regularity_index(_toric_set(G, args))
     return 0, {"reg": value}, str(value)
 
 
@@ -164,6 +166,9 @@ def _cmd_profile(G, args):
 
 
 def _cmd_ternary(G, args):
+    from . import eulerian3
+    from .monomials import format_monomial, grevlex_key
+
     if args.ternary_op == "dim":
         value = eulerian3.dim_ternary(G, args.d)
         payload = {"dim": value}

@@ -1,25 +1,15 @@
 """Exact code parameters: dimension, regularity plateau, minimum distance,
 and per-degree profiles.
 
-X is a finite abelian group, written by `ToricSet.point_group` as a grid
-Z/d_1 + ... + Z/d_k of |X| cells, and the same grid indexes its characters
-(the dual of a finite abelian group is isomorphic to it).  Each function
-t^a / t_1^d on X is a character: with w_j the cell of P -> P_j / P_s
-(w_s = 0), it is the cell sum_j a_j w_j - d w_1.  Distinct characters are
-linearly independent (Dedekind-Artin), so dim C_X(d) is the number of
-distinct such cells.  They are counted as a set over the grid, held as one
-Python int with a bit per cell: T_0 = {0} and T_{d+1} is the union of the
-translates T_d + (w_k - w_1), a sumset iteration that is the single source
-of the Hilbert function (`dimension`, `regularity_index`,
-`hilbert_function`, and `profile_rows`, which takes every degree of a
-profile from one pass).  A translate along one axis is two shifts and a
-masked select of the int, and translates that agree on their first axes
-share that work.  The iteration builds no evaluation matrix and lists no
-point.  Its work, a few |X|-bit operations per step and degree, is bounded
-by the point cap `parameterize` enforces on |X|, and it stops at the
-plateau, so a degree past it costs no more than the plateau itself.  The generator of
-C_X(d) is one row per element of T_d: the character's values at the grid
-cell of each listed point (`characters`).
+The Hilbert function, the count of the set T_d of degree-d characters of X
+over its point grid, is in `hilbert`, which needs no numpy; `dimension`,
+`regularity_index`, `hilbert_function`, `code_instance` and `CodeInstance`
+are its objects, re-exported here.  `profile_rows` takes every degree of a
+profile from one pass of its sumset.  This module holds what needs numpy
+and the field tables: T_d as a boolean grid (`character_grid`), the
+generator of C_X(d), one row per element of T_d, the character's values at
+the grid cell of each listed point (`characters`), the basis of the dual
+(`dual_basis`) and the distance search.
 
 Minimum distance uses the translation action of X.  X acts regularly on
 the coordinates, its points, and since chi_c(x + g) = chi_c(g) chi_c(x) the
@@ -62,43 +52,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded, CapExceeded, MonotonicityViolation
+from . import hilbert
+from .errors import DEFAULT_BUDGET, BudgetExceeded, CapExceeded
+
+# The Hilbert function is defined in `hilbert`, which needs no numpy; these
+# names are its own objects, kept here for the callers of this module.
+from .hilbert import (  # noqa: F401
+    CodeInstance,
+    code_instance,
+    dimension,
+    hilbert_function,
+    regularity_index,
+)
 
 DEFAULT_CELL_CAP = 10**7  # cells of the generator built: k or m - k rows, m columns
 _CELLS = 1 << 20  # compared cells per block of the distance search
-
-
-@dataclass
-class CodeInstance:
-    """C_X(d) by its characters, before any matrix is built."""
-
-    X: object
-    d: int
-    bits: int  # the set T_d of degree-d characters: bit i is grid cell i (C order)
-    k: int  # |T_d| = dim C_X(d)
-
-    @property
-    def m(self):
-        return self.X.m
-
-    @cached_property
-    def T(self):
-        """T_d as a boolean array over X.point_group."""
-        orders = self.X.point_group.orders
-        size = math.prod(orders)
-        packed = np.frombuffer(self.bits.to_bytes(-(-size // 8), "little"), dtype=np.uint8)
-        return np.unpackbits(packed, count=size, bitorder="little").view(bool).reshape(orders)
-
-    def dual(self):
-        """The m - k rows of the characters outside -T_d, a basis of
-        C_X(d)^perp (see `code_distance`): chi_-b = 1 / chi_b, so they are
-        the inverses of the rows of the characters outside T_d."""
-        return self.X.F.inv_table[characters(self.X, ~self.T)]
 
 
 def _scales(X):
@@ -106,110 +78,19 @@ def _scales(X):
     return np.array([(X.F.q - 1) // d for d in X.point_group.orders], dtype=np.int64)
 
 
-def _tiled(pattern, period, size):
-    """The int of `size` bits that repeats `pattern` every `period` bits
-    (size a multiple of period), built by doubling over the binary digits
-    of the count so that no intermediate exceeds `size` bits."""
-    tiles, n = 0, 0
-    for digit in bin(size // period)[2:]:
-        tiles, n = tiles | tiles << n * period, 2 * n
-        if digit == "1":
-            tiles, n = tiles << period | pattern, n + 1
-    return tiles
-
-
-def _translations(steps, orders):
-    """The translations of a bitset over the grid Z/d_1 + ... + Z/d_k by
-    each vector in `steps` (sorted, none zero), as (depth, shift, back,
-    mask, last) operations in the preorder of a trie over the vectors'
-    per-axis parts.
-
-    In C order cell x is bit sum_i x_i st_i, so translating axis i by c
-    moves a cell by c st_i, less d_i st_i when x_i + c wraps: with
-    t = S << c st_i and b = t >> d_i st_i, the translate takes t on the
-    cells with x_i >= c and b on the others, b ^ ((t ^ b) & mask).  There
-    is one operation per distinct prefix (b_1, ..., b_i) with b_i != 0, so
-    vectors that agree on their first axes share those operations; each
-    translates the partial result at depth - 1 and leaves its own at depth,
-    and `last` marks the one that completes a vector.  The masks of equal
-    (i, c) are one int."""
-    k = len(orders)
-    strides = [math.prod(orders[i + 1 :]) for i in range(k)]
+def character_grid(inst):
+    """T_d of a code instance as a boolean array over X.point_group."""
+    orders = inst.X.point_group.orders
     size = math.prod(orders)
-    masks, ops, done = {}, [], set()
-    for b in steps:
-        axes = [i for i in range(k) if b[i]]
-        for depth, i in enumerate(axes, 1):
-            if b[: i + 1] in done:
-                continue
-            done.add(b[: i + 1])
-            c, st, block = b[i], strides[i], orders[i] * strides[i]
-            if (i, c) not in masks:
-                masks[i, c] = _tiled((1 << block) - (1 << c * st), block, size)
-            ops.append((depth, c * st, block, masks[i, c], i == axes[-1]))
-    return ops
+    packed = np.frombuffer(inst.bits.to_bytes(-(-size // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little").view(bool).reshape(orders)
 
 
-def _sumsets(X):
-    """Yield (T_d, |T_d|) for d = 0, 1, ...; from the plateau |T_d| = |X|
-    on, T_d is every cell and is yielded unchanged.
-
-    T_d is an int whose bit sum_i x_i st_i (st the C-order strides) marks
-    the cell x of the point grid of X when x is a degree-d character
-    t^a / t_1^d (|a| = d) of X, the grid being its own dual (see
-    `ToricSet`): w_j = embed_j / e is the character P -> P_j / P_s, and
-    w_s = 0.  T_0 = {0}, and T_{d+1} is the union of the translates
-    T_d + (w_k - w_1) (`_translations`).  Raises MonotonicityViolation when
-    a step fails to grow the set before it reaches |X|."""
-    group = X.point_group
-    orders = np.array(group.orders, dtype=np.int64)
-    w = np.vstack([group.embed // _scales(X), np.zeros_like(orders)])
-    steps = {tuple(b) for b in ((w - w[0]) % orders).tolist()} - {(0,) * len(orders)}
-    ops = _translations(sorted(steps), group.orders)
-    T = k = 1
-    for d in count(1):
-        yield T, k
-        if k == X.m:
-            continue
-        grown, path = T, [T]  # the partial translates from the root to this operation
-        for depth, shift, back, mask, last in ops:
-            del path[depth:]
-            t = path[-1] << shift
-            b = t >> back
-            t ^= b  # b ^ ((t ^ b) & mask), one temporary at a time
-            t &= mask
-            t ^= b
-            path.append(t)
-            del t, b  # freed before the next operation allocates its own
-            if last:
-                grown |= path[-1]
-        previous, k = k, grown.bit_count()
-        if k <= previous:
-            raise MonotonicityViolation(
-                f"dimension {k} at degree {d} does not exceed {previous}"
-            )
-        T = grown
-
-
-def hilbert_function(X):
-    """[dim C_X(0), ..., dim C_X(reg)]: the Hilbert function up to and
-    including its first value |X|."""
-    dims = []
-    for _, k in _sumsets(X):
-        dims.append(k)
-        if k == X.m:
-            return dims
-
-
-def dimension(X, d):
-    """dim C_X(d): the number of distinct degree-d characters of X."""
-    return code_instance(X, d).k
-
-
-def regularity_index(X):
-    """Smallest d at which the dimension reaches |X|; asserts the Hilbert
-    function is strictly increasing before the plateau."""
-    return len(hilbert_function(X)) - 1
+def dual_basis(inst):
+    """The m - k rows of the characters outside -T_d, a basis of
+    C_X(d)^perp (see `code_distance`): chi_-b = 1 / chi_b, so they are the
+    inverses of the rows of the characters outside T_d."""
+    return inst.X.F.inv_table[characters(inst.X, ~character_grid(inst))]
 
 
 def characters(X, S):
@@ -219,16 +100,6 @@ def characters(X, S):
     characters, so the rows are independent; for S = T_d they are a basis
     of C_X(d)."""
     return X.F.exp_table[np.argwhere(S) * _scales(X) @ X._cells % (X.F.q - 1)]
-
-
-def code_instance(X, d):
-    """C_X(d), with the sumset iterated up to d or to the plateau, whose
-    set, every cell, serves every degree past it."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    for e, (T, k) in enumerate(_sumsets(X)):
-        if e == d or k == X.m:
-            return CodeInstance(X, d, T, k)
 
 
 def _spans(base, rows, F, limit):
@@ -558,7 +429,7 @@ def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
     characters satisfy <chi_a, chi_b> = m [a + b = 0], so C_X(d)^perp is
     spanned by the m - k cells of the point grid outside -T_d.  As
     chi_-b = 1 / chi_b, those rows are the rows of the characters outside
-    T_d through the field's inverse table (`CodeInstance.dual`).  Only the
+    T_d through the field's inverse table (`dual_basis`).  Only the
     (q^(m-k-1) - 1)/(q - 1) classes of its words vanishing at the identity
     are enumerated (`_dual_distribution`), then transformed (MacWilliams).
 
@@ -588,8 +459,8 @@ def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
             f"{needed} message classes required, budget is {budget}", required=needed
         )
     if primal <= dual:
-        return _bz_min_weight(characters(inst.X, inst.T), F, cap)
-    return _macwilliams_min_weight(_dual_distribution(inst.dual(), F), q, k)
+        return _bz_min_weight(characters(inst.X, character_grid(inst)), F, cap)
+    return _macwilliams_min_weight(_dual_distribution(dual_basis(inst), F), q, k)
 
 
 @dataclass
@@ -610,7 +481,7 @@ def profile_rows(X, d_max, budget=DEFAULT_BUDGET):
     from one pass of the sumset, with no law checked.  A degree the budget
     refuses has no delta and records the classes it required."""
     rows = []
-    for d, (T, k) in enumerate(islice(_sumsets(X), d_max + 1)):
+    for d, (T, k) in enumerate(islice(hilbert._sumsets(X), d_max + 1)):
         inst = CodeInstance(X, d, T, k)
         try:
             delta, required = code_distance(inst, budget=budget), None

@@ -94,6 +94,10 @@ def _walk(G, d, rules_of):
 
 
 def _members(edges, rules, depth, bound):
+    """Yield the walked members in preorder.  The children of a member one
+    edge short of the depth are leaves: they are yielded as they are found,
+    never pushed on the stack."""
+    steps = [(1 << e, rules[e]) for e in edges]  # the bit and the rules of each edge
     stack = [(0, 0, 0)]  # (member, size, position in edges of its next edge)
     visited = 0
     while stack:
@@ -103,14 +107,20 @@ def _members(edges, rules, depth, bound):
         yield J, size
         if size == depth:
             continue
+        leaves = size + 1 == depth
         children = []
-        for r in range(p, len(edges)):
-            K = J | 1 << edges[r]
-            for mask, limit in rules[edges[r]]:
+        for r, (bit, checks) in enumerate(steps[p:], p + 1):
+            K = J | bit
+            for mask, limit in checks:
                 if (K & mask).bit_count() > limit:
                     break
             else:
-                children.append((K, size + 1, r + 1))
+                if leaves:
+                    visited += 1
+                    assert visited <= bound, "more members than the dimension formula allows"
+                    yield K, depth
+                else:
+                    children.append((K, size + 1, r))
         stack += reversed(children)
 
 

@@ -16,11 +16,14 @@ polynomial is the irreducible monic of degree e over GF(p) with the smallest
 integer encoding of its non-leading coefficients (x itself for a prime
 field), and the primitive element is the smallest-encoded generator of the
 multiplicative group.  The construction is deterministic.
+
+`make_field` validates q and finds p, e and the reducing polynomial in pure
+Python; the numpy tables and the primitive element are built together on
+the first access to any of them, so a caller that needs only q (the group
+structure of X, and so dimension and regularity) never imports numpy.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import DivisionByZero, NotAPrimePower, UnsupportedField
 
@@ -104,6 +107,12 @@ def _find_primitive(mul):
     raise AssertionError("no primitive element found")  # unreachable
 
 
+# Built together on the first access to any of them (`FieldSpec.__getattr__`).
+_TABLES = frozenset(
+    {"add_table", "mul_table", "neg_table", "inv_table", "exp_table", "log_table", "primitive"}
+)
+
+
 class FieldSpec:
     """Immutable arithmetic tables for GF(q), elements as uint8.
 
@@ -115,6 +124,10 @@ class FieldSpec:
         neg_table, inv_table: (q,) uint8 tables (inv_table[0] is 0, unused).
         exp_table: (q-1,) uint8 powers of the primitive element.
         log_table: (q,) int64 discrete logs; log_table[0] = -1 sentinel.
+        primitive: the primitive element.
+
+    q, p, e and reducing_poly are set, and q validated, on construction;
+    the tables and the primitive element on first access to any of them.
     """
 
     def __init__(self, q):
@@ -126,6 +139,18 @@ class FieldSpec:
         self.e = e
         self.reducing_poly = tuple(_find_irreducible(p, e))
 
+    def __getattr__(self, name):
+        # Reached only for an attribute not yet set; once built, the tables
+        # are plain instance attributes.
+        if name not in _TABLES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build_tables()
+        return self.__dict__[name]
+
+    def _build_tables(self):
+        import numpy as np
+
+        q, p, e = self.q, self.p, self.e
         place = p ** np.arange(e)
         digits = np.arange(q)[:, None] // place % p
         # shifts[i] holds the digits of x^i * a in row a, and the digits of
@@ -144,20 +169,19 @@ class FieldSpec:
             rows %= p
             return np.asarray(rows @ place, dtype=np.uint8)
 
-        self.add_table = encode(digits[:, None] + digits)
-        self.mul_table = encode(prod)
-        self.neg_table = encode(-digits)
+        add_table = encode(digits[:, None] + digits)
+        mul_table = encode(prod)
+        neg_table = encode(-digits)
 
-        self.primitive, powers = _find_primitive(self.mul_table)
+        primitive, powers = _find_primitive(mul_table)
         exp = np.array(powers, dtype=np.uint8)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1)
-        self.exp_table = exp
-        self.log_table = log
 
         inv = np.zeros(q, dtype=np.uint8)
         inv[1:] = exp[(-log[1:]) % (q - 1)]
-        self.inv_table = inv
+        self.__dict__.update(add_table=add_table, mul_table=mul_table, neg_table=neg_table,
+                             primitive=primitive, exp_table=exp, log_table=log, inv_table=inv)
 
     # Scalar operations.  Hot paths index the tables directly with numpy.
 

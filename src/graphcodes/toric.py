@@ -11,7 +11,10 @@ exists.  The points themselves are listed from the grid, one cell per
 point, only when a caller needs them; the source torus, (q-1)^r tuples, is
 never enumerated.  The one grid also indexes the characters of X (X, a
 finite abelian group, is isomorphic to its dual), so no second form is
-built for them.
+built for them.  The form and the grid are exact Python ints, and X is
+built from the field size alone: numpy is imported, and the field tables
+built, only where the points are listed (`ToricSet._listing`, `_cells`
+and `count_points`), so dimension and regularity use neither.
 
 Points of the torus in P^{s-1} are normalized so the last coordinate is 1
 (all torus coordinates are nonzero), stored as uint8 rows of field elements
@@ -26,8 +29,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import DEFAULT_POINT_CAP, CapExceeded, LengthMismatch
 from .graph import summarize
 
@@ -38,22 +39,41 @@ class GroupImage:
     integer (t, c) matrix A, as the grid G = Z/d_1 + ... + Z/d_k (each
     d_i > 1) of exactly |image| cells.
 
-    `embed` (t, k) maps a grid element g to its image element embed g mod N,
-    one-to-one onto the image.  Column i of `embed` is a multiple of
-    e_i = N / d_i, so a row of `embed` divided by e is a cell w of G, and
-    g -> zeta^((w e) . g), zeta of order N, is the character that row
-    gives; w -> that character is an isomorphism of G onto its dual."""
+    `embed`, t rows of k ints in [0, N), maps a grid element g to its image
+    element embed g mod N, one-to-one onto the image.  Column i of `embed`
+    is a multiple of e_i = N / d_i, so a row of `embed` divided by e is a
+    cell w of G, and g -> zeta^((w e) . g), zeta of order N, is the
+    character that row gives; w -> that character is an isomorphism of G
+    onto its dual."""
 
     orders: tuple
-    embed: np.ndarray
+    embed: tuple
 
     @property
     def size(self):
         return math.prod(self.orders)
 
 
+def _pivot(M, p):
+    """(i, j) of the pivot in M[p:][p:]: the first entry +-1 in row order,
+    which clears its row and column in one pass, or else the smallest
+    nonzero entry, whose row and column remainders are smaller still; None
+    when every entry is zero."""
+    best = None
+    for i in range(p, len(M)):
+        row = M[i]
+        for j in range(p, len(row)):
+            a = abs(row[j])
+            if a == 1:
+                return i, j
+            if a and (best is None or a < best[0]):
+                best = a, i, j
+    return best and best[1:]
+
+
 def group_image(A, N):
-    """The image of the (t, c) integer matrix A over Z/N, as a GroupImage.
+    """The image of the integer matrix A, t rows of c ints, over Z/N, as a
+    GroupImage.
 
     Unimodular row and column operations (with exact Python ints) bring A
     to a diagonal form U A V = diag(a), a_p = 0 past the rank; no
@@ -62,41 +82,49 @@ def group_image(A, N):
     e_p = gcd(a_p, N), so onto the grid with d_p = N / e_p.  Column p of V
     has A v_p = a_p u_p, u_p the column p of U^-1, and a_p / e_p is a unit
     mod d_p, so A maps v_p times its inverse to e_p u_p mod N: these images
-    are the columns of `embed`, each a multiple of its e_p."""
-    A = np.asarray(A, dtype=np.int64)
-    t, c = A.shape
-    M = A.tolist()
+    are the columns of `embed`, each a multiple of its e_p, summed over the
+    nonzero entries of A alone."""
+    t, c = len(A), len(A[0]) if A else 0
+    M = [list(row) for row in A]
     V = [[int(i == j) for j in range(c)] for i in range(c)]
     p = 0
     while p < min(t, c):
-        # Pivot on the smallest nonzero entry left; the remainders of its row
-        # and column are smaller still, so p advances.
-        cells = [(abs(M[i][j]), i, j) for i in range(p, t) for j in range(p, c) if M[i][j]]
-        if not cells:
+        cell = _pivot(M, p)
+        if cell is None:
             break
-        _, i, j = min(cells)
+        i, j = cell
         M[p], M[i] = M[i], M[p]
-        for row in M + V:
+        for row in M[p:] + V:  # the rows above p are zero from column p on
             row[p], row[j] = row[j], row[p]
         pivot = M[p][p]
+        support = [(j, a) for j, a in enumerate(M[p]) if a and j >= p]
         done = True
-        for i in range(p + 1, t):
-            f = M[i][p] // pivot
+        for row in M[p + 1 :]:
+            f = row[p] // pivot
             if f:
-                M[i] = [a - f * b for a, b in zip(M[i], M[p])]
-            done = done and not M[i][p]
-        for j in range(p + 1, c):
-            f = M[p][j] // pivot
-            if f:
-                for row in M + V:
-                    row[j] -= f * row[p]
-            done = done and not M[p][j]
+                for j, a in support:
+                    row[j] -= f * a
+            done = done and not row[p]
+        factors = [(j, f) for j, a in support if j > p and (f := a // pivot)]
+        for row in M[p:] + V:
+            x = row[p]
+            if x:
+                for j, f in factors:
+                    row[j] -= f * x
+        done = done and all(not M[p][j] for j, _ in support if j > p)
         p += done
     e = [math.gcd(M[i][i], N) for i in range(p)]
     keep = [i for i in range(p) if e[i] < N]
     units = [pow(M[i][i] // e[i], -1, N // e[i]) for i in keep]
-    section = (np.array(V, dtype=object).reshape(c, c)[:, keep] * units % N).astype(np.int64)
-    return GroupImage(tuple(N // e[i] for i in keep), A @ section % N)
+    section = [[row[i] * u % N for i, u in zip(keep, units)] for row in V]
+    embed = []
+    for row in A:
+        image = [0] * len(keep)
+        for a, column in zip(row, section):
+            if a:
+                image = [x + a * y for x, y in zip(image, column)]
+        embed.append(tuple(x % N for x in image))
+    return GroupImage(tuple(N // e[i] for i in keep), tuple(embed))
 
 
 class ToricSet:
@@ -138,9 +166,11 @@ class ToricSet:
         """(arr, order): one point per cell of the point grid, each log
         coordinate a linear form in the cell's indices, sorted; row i of arr
         is the point of cell order[i]."""
+        import numpy as np
+
         orders = self.point_group.orders
         listed = np.ones((self.m, self.s), dtype=np.uint8)
-        for k, coeffs in enumerate(self.point_group.embed.tolist()):
+        for k, coeffs in enumerate(self.point_group.embed):
             logs = np.zeros(orders, dtype=np.int64)
             for a, g in zip(coeffs, np.indices(orders, sparse=True)):
                 logs += a * g
@@ -155,6 +185,8 @@ class ToricSet:
     @cached_property
     def _cells(self):
         """(k, m): column i is the grid cell of row i of arr."""
+        import numpy as np
+
         orders = self.point_group.orders
         return np.indices(orders).reshape(len(orders), self.m)[:, self._listing[1]]
 
@@ -175,26 +207,27 @@ class ToricSet:
         return f"ToricSet(q={self.F.q}, s={self.s}, m={self.m}, source={src})"
 
 
-def _toric_set(F, exponents, expected, cap, graph=None):
-    """X for the exponent matrix B.  The closed-form length is checked
-    against the cap before any work is done, and the order of the point
-    group against the closed form; once both hold, |X| is within the cap,
-    and nothing of size |X| has been allocated."""
+def _toric_set(F, s, exponents, expected, cap, graph=None):
+    """X in P^{s-1} for the exponent matrix B, rows of s ints.  The
+    closed-form length is checked against the cap before any work is done,
+    and the order of the point group against the closed form; once both
+    hold, |X| is within the cap, and nothing of size |X| has been
+    allocated."""
     if expected > cap:
         raise CapExceeded(f"X has {expected} points, cap is {cap}", required=expected)
-    point_map = (exponents[:, :-1] - exponents[:, -1:]).T
+    point_map = [[b[k] - b[-1] for b in exponents] for k in range(s - 1)]
     P = group_image(point_map, F.q - 1)
     if P.size != expected:
         raise LengthMismatch(
             f"the point group has order {P.size} but the length formula gives {expected}"
         )
-    return ToricSet(F, exponents.shape[1], P, graph)
+    return ToricSet(F, s, P, graph)
 
 
 def torus_points(s, F, cap=DEFAULT_POINT_CAP):
     """The projective torus of P^{s-1}: (q-1)^(s-1) normalized points."""
-    exponents = np.eye(s - 1, s, dtype=np.int64)
-    return _toric_set(F, exponents, (F.q - 1) ** (s - 1), cap)
+    exponents = [[int(i == k) for k in range(s)] for i in range(s - 1)]
+    return _toric_set(F, s, exponents, (F.q - 1) ** (s - 1), cap)
 
 
 def expected_length(summary, F):
@@ -216,10 +249,10 @@ def parameterize(G, F, cap=DEFAULT_POINT_CAP):
     # square, so only the touched vertices are rows and the last of them is
     # fixed to 1: the image does not change.
     row = {v: k for k, v in enumerate(G.adjacency())}
-    incidence = np.zeros((len(row), G.s), dtype=np.int64)
+    incidence = [[0] * G.s for _ in row]
     for k, (u, v) in enumerate(G.edges):
-        incidence[[row[u], row[v]], k] = 1
-    return _toric_set(F, incidence[:-1], expected_length(summarize(G), F), cap, G)
+        incidence[row[u]][k] = incidence[row[v]][k] = 1
+    return _toric_set(F, G.s, incidence[:-1], expected_length(summarize(G), F), cap, G)
 
 
 def count_points(X):
@@ -229,5 +262,7 @@ def count_points(X):
     rows, so each new point is a step up; a repeated or out-of-order row is
     not, and the count falls below m.  The rows are compared in place as
     fixed-width byte strings (no sort, no copy of a row)."""
+    import numpy as np
+
     keys = X.arr.view(f"S{X.s}")[:, 0]
     return 1 + int(np.count_nonzero(keys[1:] > keys[:-1]))

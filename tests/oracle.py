@@ -217,6 +217,11 @@ def source_torus_hilbert_function(X):
         T = grown
 
 
+def embed_array(group):
+    """`GroupImage.embed`, t rows of k ints, as a (t, k) int64 array."""
+    return np.array(group.embed, dtype=np.int64).reshape(len(group.embed), len(group.orders))
+
+
 def grid_sumsets(X):
     """[T_0, ..., T_reg] as boolean arrays over the point grid of X: T_0 =
     {0}, T_{d+1} the union of the `np.roll` translates of T_d by every step
@@ -224,7 +229,7 @@ def grid_sumsets(X):
     the set stops growing."""
     group = X.point_group
     orders = np.array(group.orders, dtype=np.int64)
-    w = np.vstack([group.embed // ((X.F.q - 1) // orders), np.zeros_like(orders)])
+    w = np.vstack([embed_array(group) // ((X.F.q - 1) // orders), np.zeros_like(orders)])
     axes = tuple(range(len(orders)))
     zero = (0,) * len(axes)
     steps = {tuple(b) for b in ((w - w[0]) % orders).tolist()} - {zero}

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from graphcodes import codes, eulerian3
+from graphcodes import codes, eulerian3, hilbert
 from graphcodes.cli import run_command
 from graphcodes.eulerian3 import dim_ternary
 from graphcodes.formulas import k_formula
@@ -391,13 +391,13 @@ def test_profile_and_verify_take_one_sumset_pass(monkeypatch, d_max):
     # reads the regularity index from the same pass when d_max reaches the
     # plateau (reg = 2 here), and adds a second pass only when it does not.
     starts = []
-    real_sumsets = codes._sumsets
+    real_sumsets = hilbert._sumsets
 
     def sumsets(X):
         starts.append(X.m)
         return real_sumsets(X)
 
-    monkeypatch.setattr(codes, "_sumsets", sumsets)
+    monkeypatch.setattr(hilbert, "_sumsets", sumsets)
     X = parameterize(build_family("cycle", [6]), make_field(3))
     dims = [1, 6, 16, 16, 16, 16, 16]
     assert [r.dim for r in codes.distance_profile(X, d_max)] == dims[: d_max + 1]

@@ -17,10 +17,12 @@ from graphcodes.codes import (
     _dual_distribution,
     _macwilliams_min_weight,
     _weight_distribution,
+    character_grid,
     characters,
     code_instance,
     dimension,
     distance_profile,
+    dual_basis,
     hilbert_function,
     minimum_distance,
     regularity_index,
@@ -154,11 +156,11 @@ def test_primal_and_dual_routes_agree():
         T = torus_points(s, F)
         for d in range(1, regularity_index(T) + 1):
             inst = code_instance(T, d)
-            G = characters(T, inst.T)
+            G = characters(T, character_grid(inst))
             primal = _bz_min_weight(G, F)
             assert primal == min_weight_enum(G, F)
             if inst.k < inst.m:
-                D = inst.dual()
+                D = dual_basis(inst)
                 assert primal == _macwilliams_min_weight(_dual_distribution(D, F), q, inst.k)
                 N = _weight_distribution(null_space(G, F), F)
                 assert primal == _macwilliams_min_weight(N, q, inst.k)
@@ -173,7 +175,7 @@ def test_primal_and_dual_routes_agree():
     assert (inst.k, inst.m) == (210, 216)
     expected = mindist_complete_bipartite(2, 3, 9, 7)
     assert minimum_distance(X, 9) == expected
-    N = _weight_distribution(null_space(characters(X, inst.T), F), F)
+    N = _weight_distribution(null_space(characters(X, character_grid(inst)), F), F)
     assert _macwilliams_min_weight(N, 7, inst.k) == expected
 
 
@@ -338,7 +340,7 @@ def test_character_count_matches_rank_oracle(X, data):
         M = evaluation_matrix(X, d)
         distinct = np.unique(M, axis=0)
         assert k == dimension(X, d) == distinct.shape[0] == rank(M, F)
-        G = characters(X, code_instance(X, d).T)
+        G = characters(X, character_grid(code_instance(X, d)))
         assert G.shape[0] == k
         assert np.array_equal(np.unique(G, axis=0), distinct)
         assert rank(G, F) == k
@@ -372,11 +374,11 @@ def test_character_dual_matches_null_space_oracle(X):
     for d in range(len(hilbert_function(X)) + 1):
         inst = code_instance(X, d)
         k, m = inst.k, inst.m
-        G = characters(X, inst.T)
+        G = characters(X, character_grid(inst))
         assert rank(G, F) == k
         if k == m:
             continue
-        D = inst.dual()
+        D = dual_basis(inst)
         assert G.dtype == D.dtype == codes._systematic(G, F).dtype == np.uint8
         assert D.shape == (m - k, m)
         assert not _gf_inner_products(G, D, F).any()
@@ -432,7 +434,7 @@ def test_distance_routes_match_exhaustive_search(X, data):
     # full one.  The projective line's last degree has m - k = 1, an empty
     # shortened dual.
     for d in range(len(hilbert_function(X)) - 1):
-        _check_distance_routes(X, code_instance(X, d).T)
+        _check_distance_routes(X, character_grid(code_instance(X, d)))
     if data is not None and X.m > 1:
         cells = data.draw(st.lists(st.booleans(), min_size=X.m, max_size=X.m)
                           .filter(lambda c: 0 < sum(c) < X.m))
@@ -594,7 +596,7 @@ def test_stalled_hilbert_function_is_a_violation():
     # the 8 cells, stalls below m, and the iteration says so.
     T = torus_points(2, make_field(5))
     P = T.point_group
-    twice = GroupImage((2, *P.orders), np.hstack([np.zeros_like(P.embed[:, :1]), P.embed]))
+    twice = GroupImage((2, *P.orders), tuple((0, *row) for row in P.embed))
     X = ToricSet(T.F, T.s, twice)
     assert X.m == 8 and np.array_equal(np.unique(X.arr, axis=0), T.arr)
     with pytest.raises(MonotonicityViolation):
@@ -612,8 +614,8 @@ def test_dual_of_a_one_point_set_is_empty(X):
     # rows.
     inst = code_instance(X, 0)
     assert X.m == 1 and X.point_group.orders == ()
-    assert characters(X, inst.T).tolist() == [[1]]
-    assert inst.dual().shape == (0, 1)
+    assert characters(X, character_grid(inst)).tolist() == [[1]]
+    assert dual_basis(inst).shape == (0, 1)
     assert minimum_distance(X, 0) == 1
 
 
@@ -648,8 +650,8 @@ def test_bitset_sumsets_match_the_rolled_grid(X):
     for d in range(len(sets) + 1):
         inst = code_instance(X, d)
         expected = sets[min(d, len(sets) - 1)]
-        assert inst.T.shape == expected.shape and inst.T.dtype == bool
-        assert np.array_equal(inst.T, expected) and inst.k == np.count_nonzero(expected)
+        assert character_grid(inst).shape == expected.shape and character_grid(inst).dtype == bool
+        assert np.array_equal(character_grid(inst), expected) and inst.k == np.count_nonzero(expected)
 
 
 def test_degrees_past_the_plateau_cost_the_plateau():
@@ -658,4 +660,4 @@ def test_degrees_past_the_plateau_cost_the_plateau():
     X = parameterize(build_family("cycle", [4]), make_field(3))
     assert dimension(X, 10**12) == X.m
     assert minimum_distance(X, 10**12) == 1
-    assert code_instance(X, 10**12).T.all()
+    assert character_grid(code_instance(X, 10**12)).all()

@@ -231,6 +231,34 @@ def test_tables_match_pinned_construction(q):
     assert F.reducing_poly == PINNED_REDUCING_POLY.get(q, (0, 1))
 
 
+FIRST_ACCESS = {name: (lambda F, name=name: getattr(F, name)) for name in gfq._TABLES}
+FIRST_ACCESS.update(mul=lambda F: F.mul(2, 3), pow=lambda F: F.pow(2, 5))
+
+
+@pytest.mark.parametrize("first", sorted(FIRST_ACCESS))
+@pytest.mark.parametrize("q", [9, 256])
+def test_tables_are_built_together_on_first_access(q, first):
+    # Construction sets only q, p, e and the reducing polynomial; the first
+    # read of any table, the primitive element or a scalar operation builds
+    # every table at once, and the pinned digests hold whichever came first.
+    F = FieldSpec(q)
+    assert sorted(vars(F)) == ["e", "p", "q", "reducing_poly"]
+    FIRST_ACCESS[first](F)
+    assert gfq._TABLES <= set(vars(F))
+    primitive, digest = PINNED[q]
+    h = hashlib.sha256()
+    for name in TABLES:
+        h.update(np.asarray(getattr(F, name), dtype="<i2").tobytes())
+    assert (F.primitive, h.hexdigest()) == (primitive, digest)
+
+
+def test_unknown_attribute_builds_nothing():
+    F = FieldSpec(7)
+    with pytest.raises(AttributeError, match="no_such_table"):
+        F.no_such_table
+    assert sorted(vars(F)) == ["e", "p", "q", "reducing_poly"]
+
+
 @pytest.mark.parametrize("q", [q for q in sorted(PINNED) if q > 64])
 def test_field_axioms_sampled(q):
     # The exhaustive check above stops at 64; sample triples beyond it.

@@ -1,6 +1,6 @@
-"""What a cold process loads: graph-only subcommands start without numpy,
-the package resolves its numpy-backed names on first access, and the
-console script keeps OpenBLAS to one thread."""
+"""What a cold process loads: graph-only subcommands, dim and reg start
+without numpy, the package resolves its submodule names on first access,
+and the console script keeps OpenBLAS to one thread."""
 
 import importlib
 import json
@@ -26,26 +26,69 @@ def run_python(code, **env):
     return proc.stdout
 
 
-def test_graph_only_subcommands_leave_numpy_unloaded():
+def test_graph_and_hilbert_subcommands_leave_numpy_unloaded():
+    # dim and reg count characters in exact ints from q alone, answered,
+    # refused or in error; the other subcommands here need no field.
     code = """
 import io, json, sys
 from graphcodes.cli import run_command
 graph = ["--family", "cycle", "--params", "4"]
+big = ["--family", "complete", "--params", "9"]
 loaded = []
 for argv in (["summarize", *graph], ["family", *graph],
              ["ternary", "dim", *graph, "--d", "2"], ["ternary", "reg", *graph],
              ["ternary", "joins", *graph, "--d", "2"], ["ternary", "basis", *graph, "--d", "2"],
              ["dim", *graph, "--q", "3", "--d", "-1"],
-             ["dim", *graph, "--q", "3", "--d", "1"]):
-    status = run_command(argv, out=io.StringIO())
-    loaded.append([argv[0], status, "numpy" in sys.modules])
+             ["dim", *graph, "--q", "3", "--d", "1"],
+             ["dim", *big, "--q", "16", "--d", "2"],
+             ["reg", "--family", "complete", "--params", "5", "--q", "7", "--json"],
+             ["reg", *graph, "--q", "6"], ["reg", *graph, "--q", "257"],
+             ["reg", *big, "--q", "16", "--json"]):
+    out = io.StringIO()
+    status = run_command(argv, out=out)
+    loaded.append([status, out.getvalue(), "numpy" in sys.modules])
 print(json.dumps(loaded))
 """
     loaded = json.loads(run_python(code))
-    assert loaded == [["summarize", 0, False], ["family", 0, False],
-                      ["ternary", 0, False], ["ternary", 0, False],
-                      ["ternary", 0, False], ["ternary", 0, False],
-                      ["dim", 2, False], ["dim", 0, True]]
+    assert [status for status, _, _ in loaded] == [0, 0, 0, 0, 0, 0, 2, 0, 3, 0, 1, 1, 3]
+    assert loaded[7][1] == "4\n" and json.loads(loaded[9][1])["reg"] == 10
+    assert json.loads(loaded[12][1])["error"]["required"] == 15**8
+    assert not any(numpy for *_, numpy in loaded), loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["length", "--q", "5"],
+    ["mindist", "--q", "5", "--d", "1"],
+    ["profile", "--q", "5", "--dmax", "1"],
+    ["verify", "--q", "5", "--dmax", "1"],
+], ids=lambda argv: argv[0])
+def test_point_and_distance_subcommands_load_numpy(argv):
+    code = f"""
+import io, sys
+from graphcodes.cli import run_command
+print(run_command({argv!r} + ["--family", "cycle", "--params", "4"], out=io.StringIO()),
+      "numpy" in sys.modules)
+"""
+    assert run_python(code).split() == ["0", "True"]
+
+
+def test_make_field_answers_or_raises_without_numpy():
+    # q is validated and p, e and the reducing polynomial found in pure
+    # Python; the tables, and numpy with them, come on first access.
+    code = """
+import sys
+from graphcodes.gfq import make_field
+F = make_field(4)
+print(F.p, F.e, F.reducing_poly, "numpy" in sys.modules)
+for q in (6, 257):
+    try:
+        make_field(q)
+    except Exception as exc:
+        print(type(exc).__name__, "numpy" in sys.modules)
+print(F.mul(2, 3), "numpy" in sys.modules)
+"""
+    assert run_python(code).splitlines() == [
+        "2 2 (1, 1, 1) False", "NotAPrimePower False", "UnsupportedField False", "1 True"]
 
 
 @pytest.mark.parametrize("name", graphcodes.__all__)

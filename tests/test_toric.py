@@ -13,7 +13,7 @@ from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family, summarize
 from graphcodes.toric import (count_points, expected_length, group_image, parameterize,
                               torus_points)
-from oracle import (degree_monomials, evaluation_matrix, normalize_point,
+from oracle import (degree_monomials, embed_array, evaluation_matrix, normalize_point,
                     source_torus_hilbert_function, source_torus_points)
 
 
@@ -165,7 +165,7 @@ def test_grid_cells_are_the_coordinate_ratio_characters(X):
     F, q1 = X.F, X.F.q - 1
     grid = X.point_group
     e = np.array([q1 // d for d in grid.orders], dtype=np.int64)
-    w = grid.embed // e % np.array(grid.orders, dtype=np.int64)
+    w = embed_array(grid) // e % np.array(grid.orders, dtype=np.int64)
     assert X._cells.shape == (len(grid.orders), X.m)
     for j in range(X.s - 1):
         onehot = np.zeros(grid.orders, dtype=bool)
@@ -211,7 +211,8 @@ def test_group_points_match_source_torus_enumeration(X):
         assert set(X.points) == toric_points_brute(X.graph, F)
     # Each row of arr is the image of its own cell, and the m cells of the
     # grid are m distinct characters of X.
-    assert np.array_equal(F.exp_table[X.point_group.embed @ X._cells % q1], X.arr[:, :-1].T)
+    assert np.array_equal(F.exp_table[embed_array(X.point_group) @ X._cells % q1],
+                          X.arr[:, :-1].T)
     grid = characters(X, np.ones(X.point_group.orders, dtype=bool))
     assert len({tuple(row) for row in grid.tolist()}) == X.m
     assert hilbert_function(X) == source_torus_hilbert_function(X)
@@ -225,16 +226,19 @@ def test_group_image_against_enumeration(N, t, c, data):
     # the image, and column i of `embed` is a multiple of N / d_i.
     A = np.array(data.draw(st.lists(st.lists(st.integers(-30, 30), min_size=c, max_size=c),
                                     min_size=t, max_size=t)), dtype=np.int64).reshape(t, c)
-    image = group_image(A, N)
+    image = group_image(A.tolist(), N)
     assert all(d > 1 for d in image.orders)
     sources = np.indices((N,) * c).reshape(c, N**c)
     expected = {tuple(col) for col in (A @ sources % N).T.tolist()}
     assert image.size == len(expected)
     cells = np.indices(image.orders).reshape(len(image.orders), image.size)
-    embedded = [tuple(col) for col in (image.embed @ cells % N).T.tolist()]
+    assert len(image.embed) == t
+    assert all(len(row) == len(image.orders) for row in image.embed)
+    assert all(type(a) is int and 0 <= a < N for row in image.embed for a in row)
+    embedded = [tuple(col) for col in (embed_array(image) @ cells % N).T.tolist()]
     assert len(set(embedded)) == image.size
     assert set(embedded) == expected
-    for column, d in zip(image.embed.T.tolist(), image.orders):
+    for column, d in zip(embed_array(image).T.tolist(), image.orders):
         assert all(a % (N // d) == 0 for a in column)
 
 
