@@ -19,7 +19,16 @@ GF(q) elimination in the package, `_systematic`) and runs Brouwer-Zimmermann
 (`_bz_min_weight`): every translate g + I is an information set, so after
 the messages of weight <= w a word not yet seen weighs at least
 ceil(m (w + 1) / k), and the search stops once that reaches the best weight
-found.  The dual is a character code as well, spanned by the characters
+found.  The same count trims the last weight W, after which the search
+stops, to the messages whose support contains the first j rows.  A word c
+lighter than the best weight b weighs at least W on every translate of I,
+and these weights sum to k wt(c), so at least (W + 1) m - k wt(c)
+translates carry exactly W; and c is nonzero on all j information
+coordinates of rows 0..j - 1 of at least j wt(c) - (j - 1) m translates.
+When (W + 1 - j) m > (k - j)(b - 1) the two sets of translates meet: some
+translate of c is a weight-W message containing rows 0..j - 1.  j = 0 is
+the stop rule's own test, and a valid j makes j - 1 valid.  The dual is a
+character code as well, spanned by the characters
 outside -T_d (see `code_distance`), whose rows are the field inverses of the
 rows of the characters outside T_d; only its words vanishing at the identity
 point are enumerated, transitivity gives the whole weight distribution
@@ -41,11 +50,12 @@ where l differs from -h).  The add/mul tables only build the vectors
 compared, at several times the cost of a compared cell; within a weight
 each prefix is built once, by extending a block of the sums one row
 shorter with the multiples of every higher row, in blocks of about _CELLS
-compared cells.  On a 2-core host the two-row tails took K_{3,3}/GF(5) at
-d = 1 from 25 to 15 ms and K_{3,4}/GF(5) from 1.9 to 0.6 s (the kernel
-before them had taken C_4/GF(7) at d = 4, on the dual side, from 1.4 to
-0.5 s).  Exact rank, null spaces and the exhaustive primal search stay in
-the tests (`tests/oracle.py`) as an independent check.
+compared cells.  On a 2-core host the trimmed last weight takes
+K_{3,3}/GF(5) at d = 1 from 16 to 8 ms (18,521 messages instead of
+41,817), K_4/GF(16) from 0.61 to 0.34 s, K_{3,3}/GF(8) from 2.3 to 1.1 s
+and K_4/GF(25) from 34 to 8 s cold; K_{3,4}/GF(5) (0.7 s) has j = 0.
+Exact rank, null spaces and the exhaustive primal search stay in the
+tests (`tests/oracle.py`) as an independent check.
 """
 
 from __future__ import annotations
@@ -196,30 +206,34 @@ def _systematic(G, F):
     return np.ascontiguousarray(np.delete(S, info, axis=1))
 
 
-def _combinations(A, t, F, limit):
+def _combinations(A, t, F, limit, fixed=0):
     """Yield (sums, tops) for every combination of t rows of A whose lowest
-    row has coefficient 1 and the others any nonzero one, each once: sums in
+    row has coefficient 1 and the others any nonzero one, and whose lowest
+    `fixed` rows (fixed <= t) are rows 0..fixed - 1, each once: sums in
     blocks of at most `limit` rows, tops the index of each combination's
     highest row, ascending within a block.
 
     Each block of (t - 1)-row sums is extended by every row j above its
-    lowest top: its sums with top below j, a prefix of the block, take the
-    nonzero multiples of row j.  So every sum is built once, from the one a
-    row shorter.  The extensions are gathered into blocks of up to `limit`
-    rows in the order they are built; one whose top is below the last
-    starts a new block, which keeps the tops ascending."""
+    lowest top (only by row t - 1 when all t rows are fixed): its sums with
+    top below j, a prefix of the block, take the nonzero multiples of row
+    j.  So every sum is built once, from the one a row shorter.  The
+    extensions are gathered into blocks of up to `limit` rows in the order
+    they are built; one whose top is below the last starts a new block,
+    which keeps the tops ascending."""
     k, L = A.shape
     if t == 1:
-        for i in range(0, k, limit):
-            yield A[i : i + limit], np.arange(i, min(i + limit, k))
+        last = 1 if fixed else k
+        for i in range(0, last, limit):
+            yield A[i : min(i + limit, last)], np.arange(i, min(i + limit, last))
         return
     q = F.q
     add = F.add_table.ravel()  # x + y at x q + y
     step = min(q - 1, limit)  # multiples of a row per extension
     pieces, tops = [], []  # the block being gathered
-    for sums, below_tops in _combinations(A, t - 1, F, max(1, limit // (q - 1))):
+    shorter = _combinations(A, t - 1, F, max(1, limit // (q - 1)), min(fixed, t - 1))
+    for sums, below_tops in shorter:
         high = sums.astype(np.uint16) * q  # at most 255 q + 255 < 2^16
-        for j in range(int(below_tops[0]) + 1, k):
+        for j in range(int(below_tops[0]) + 1, t if fixed == t else k):
             below = high[: np.searchsorted(below_tops, j)]
             multiples = F.mul_table[np.arange(1, q)[:, None], A[j]].astype(np.uint16)
             for c in range(0, q - 1, step):
@@ -253,11 +267,17 @@ def _tails(A, F, cap):
     ]
 
 
-def _message_weights(A, w, F, tails=None):
+def _tail_rows(w, tails):
+    """r, the rows of a tail at weight w (see `_message_weights`)."""
+    return 2 if w >= 4 and tails is not None else 1
+
+
+def _message_weights(A, w, F, tails=None, fixed=0):
     """Weights of the codewords u [I_k | A] over the projective messages u of
-    weight w (first nonzero coordinate 1), C(k, w) (q - 1)^(w - 1) of them,
-    in blocks of at most _CELLS compared cells (or one row of A, when that
-    is longer).
+    weight w (first nonzero coordinate 1) whose support contains rows
+    0..fixed - 1, fixed at most the w - r rows of a prefix:
+    C(k - fixed, w - fixed) (q - 1)^(w - 1) of them, in blocks of at most
+    _CELLS compared cells (or one row of A, when that is longer).
 
     For w > 1 a message is a prefix, a combination of w - r rows, plus a
     tail of r rows above the prefix's rows: for w >= 4 with the table
@@ -268,20 +288,22 @@ def _message_weights(A, w, F, tails=None):
     tail.  Tail group i, the tails whose lowest row is i, meets the
     prefixes whose top is below i (the start of a block, whose tops
     ascend) in byte comparisons, each counted by a row sum.  Each prefix
-    is built once (`_combinations`); r = 2 builds (w - 1) / ((q - 1)
-    (k - w + 2)) of the prefixes r = 1 builds, and the table, built once
-    per search, serves every weight from 4 on."""
+    is built once (`_combinations`, its lowest `fixed` rows 0..fixed - 1);
+    r = 2 builds (w - 1) / ((q - 1) (k - w + 2)) of the prefixes r = 1
+    builds, and the table, built once per search, serves every weight from
+    4 on."""
     k, L = A.shape
+    r = _tail_rows(w, tails)
+    assert 0 <= fixed <= w - r, "only prefix rows are fixed"
     count = _count_type(k + L)  # a weight is at most w + L
     if w == 1:
         for rows, _ in _combinations(A, 1, F, max(1, _CELLS // L)):
             yield 1 + (rows != 0).sum(axis=1, dtype=count)
         return
     q = F.q
-    r = 2 if w >= 4 and tails is not None else 1
     rows = max(1, _CELLS // L)  # compared rows per block
     coefficients = np.arange(1, q)[:, None]
-    for sums, tops in _combinations(A, w - r, F, rows):
+    for sums, tops in _combinations(A, w - r, F, rows, fixed):
         for i in range(int(tops[0]) + 1, k + 1 - r):
             below = sums[: np.searchsorted(tops, i)]
             group = len(tails[i]) if r == 2 else q - 1
@@ -312,6 +334,20 @@ def _bz_min_weight(G, F, cap=DEFAULT_CELL_CAP):
     ceil(m w / k).  The search stops when that reaches the best weight,
     which starts at the Griesmer bound (no [m, k]_q code weighs more).
 
+    At the last weight W, where ceil(m (W + 1) / k) reaches the best
+    weight b, only a word c with wt(c) <= b - 1 is left to rule out.  Each
+    translate of I carries at least W of its weight and they carry
+    k wt(c) in all, so at least (W + 1) m - k wt(c) carry exactly W; a
+    translate of the j information coordinates of rows 0..j - 1 misses
+    the support of c for at most j (m - wt(c)) translations.  If
+    (W + 1 - j) m > (k - j)(b - 1), some translate of c is a message of
+    weight W whose support contains rows 0..j - 1, so only those are
+    enumerated: the largest such j up to the W - r rows of a prefix, which
+    leaves the tails as they are.  j = 0 is the stop test itself, so no
+    earlier weight is trimmed, and a lighter word found on the way only
+    makes j safer.  On K_{3,3}/GF(5) at d = 1 (k = 9, m = 256, b = 144
+    from weight 1) W = 5 and j = 2: 8,960 messages instead of 32,256.
+
     Up to weight 3 a message is a sum of w - 1 rows against the multiples
     of a later row (`_message_weights`).  On reaching weight 4 the search
     builds the table of two-row tails (`_tails`) once, if its
@@ -332,7 +368,10 @@ def _bz_min_weight(G, F, cap=DEFAULT_CELL_CAP):
             break
         if w == 4:
             tails = _tails(A, F, cap)
-        for weights in _message_weights(A, w, F, tails):
+        fixed = w - _tail_rows(w, tails)
+        while fixed and (w + 1 - fixed) * m <= (k - fixed) * (best - 1):
+            fixed -= 1
+        for weights in _message_weights(A, w, F, tails, fixed):
             best = min(best, int(weights.min()))
             if floor >= best:
                 break
@@ -395,7 +434,8 @@ def _macwilliams_min_weight(B, q, k):
     A_j = q^(k - m) sum_w B_w K_j(w).  The Krawtchouk values K_j(w) follow
     the three-term recurrence
     (j + 1) K_{j+1} = ((m - j)(q - 1) + j - q w) K_j - (q - 1)(m - j + 1) K_{j-1}
-    from K_0 = 1, in exact integers: O(m) per weight of the dual."""
+    from K_0 = 1, in exact integers: O(m) per weight of the dual.  Every
+    A_j must divide exactly by q^(m - k), A_0 be 1 and the A_j sum to q^k."""
     m = len(B) - 1
     A = [0] * (m + 1)
     for w, Bw in enumerate(B):
@@ -407,8 +447,8 @@ def _macwilliams_min_weight(B, q, k):
             previous, K = K, (
                 ((m - j) * (q - 1) + j - q * w) * K - (q - 1) * (m - j + 1) * previous
             ) // (j + 1)
-    scale = q ** (m - k)
-    A = [a // scale for a in A]
+    A, rests = zip(*(divmod(a, q ** (m - k)) for a in A))
+    assert not any(rests), "MacWilliams transform is not integral"
     assert A[0] == 1 and sum(A) == q**k, "MacWilliams transform sanity check"
     return next(w for w in range(1, m + 1) if A[w] > 0)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import contextmanager
 from itertools import combinations, product
 from math import comb
 from unittest.mock import patch
@@ -254,26 +255,32 @@ def test_exhaustive_oracle_matches_scalar_brute_force(case):
     assert min_weight_enum(G, F) == min(w for w, n in enumerate(dist) if n > (w == 0))
 
 
-@given(case=generators(), t=st.integers(1, 4), limit=st.integers(1, 40))
-@example(case=_long_rows(7, 4, 257, 0), t=3, limit=5)
+@given(case=generators(), t=st.integers(1, 4), limit=st.integers(1, 40),
+       fixed=st.integers(0, 4))
+@example(case=_long_rows(7, 4, 257, 0), t=3, limit=5, fixed=0)
+@example(case=_long_rows(7, 4, 257, 0), t=3, limit=5, fixed=2)
+@example(case=_long_rows(3, 4, 9, 0), t=3, limit=1, fixed=3)
 @settings(max_examples=80, deadline=None)
-def test_combinations_build_each_combination_once(case, t, limit):
-    # C(k, t) (q - 1)^(t - 1) sums, in blocks of at most `limit` rows with
-    # ascending tops, and as a multiset exactly the scalar combinations with
-    # their highest rows.
+def test_combinations_build_each_combination_once(case, t, limit, fixed):
+    # C(k - j, t - j) (q - 1)^(t - 1) sums whose lowest j = min(fixed, t)
+    # rows are 0..j - 1, in blocks of at most `limit` rows with ascending
+    # tops, and as a multiset exactly those scalar combinations with their
+    # highest rows.
     F, A, _ = case
     k, L = A.shape
     if t > k:
         return
-    blocks = list(codes._combinations(A.astype(np.uint8), t, F, limit))
+    j = min(fixed, t)
+    blocks = list(codes._combinations(A.astype(np.uint8), t, F, limit, j))
     for sums, tops in blocks:
         assert sums.shape == (len(tops), L) and len(tops) <= limit
         assert np.all(np.diff(tops) >= 0)
-    built = sorted((int(j), tuple(row)) for sums, tops in blocks
-                   for j, row in zip(tops, sums.tolist()))
-    assert len(built) == comb(k, t) * (F.q - 1) ** (t - 1)
+    built = sorted((int(top), tuple(row)) for sums, tops in blocks
+                   for top, row in zip(tops, sums.tolist()))
+    assert len(built) == comb(k - j, t - j) * (F.q - 1) ** (t - 1)
     assert built == sorted((support[-1], tuple(word))
-                           for support, word in _scalar_combinations(A, F, t))
+                           for support, word in _scalar_combinations(A, F, t)
+                           if support[:j] == tuple(range(j)))
 
 
 def test_large_length_torus_gf64():
@@ -389,6 +396,24 @@ def test_character_dual_matches_null_space_oracle(X):
             assert _weight_distribution(D, F) == _weight_distribution(N, F)
 
 
+@contextmanager
+def _counting_messages():
+    """Patch `codes._message_weights` to record [w, fixed, messages] for
+    each weight the search enumerates."""
+    calls = []
+    real = codes._message_weights
+
+    def counting(A, w, F, tails=None, fixed=0):
+        call = [w, fixed, 0]
+        calls.append(call)
+        for weights in real(A, w, F, tails, fixed):
+            call[2] += len(weights)
+            yield weights
+
+    with patch.object(codes, "_message_weights", counting):
+        yield calls
+
+
 def _check_distance_routes(X, S):
     """Brouwer-Zimmermann and the shortened dual on the code spanned by the
     characters in S (1 <= |S| < m), against the exhaustive search over the
@@ -403,17 +428,9 @@ def _check_distance_routes(X, S):
     else:
         A = macwilliams(_weight_distribution(null_space(G, F), F), q, k)
         expected = next(w for w in range(1, m + 1) if A[w])
-    counted = []
-    real = codes._message_weights
-
-    def counting(A, w, F, tails=None):
-        for weights in real(A, w, F, tails):
-            counted.append(len(weights))
-            yield weights
-
-    with patch.object(codes, "_message_weights", counting):
+    with _counting_messages() as calls:
         assert _bz_min_weight(G, F) == expected
-    assert sum(counted) <= _bz_messages(k, m, q) <= (q**k - 1) // (q - 1)
+    assert sum(n for _, _, n in calls) <= _bz_messages(k, m, q) <= (q**k - 1) // (q - 1)
     if m - k <= k:
         D = F.inv_table[characters(X, ~S)]
         B = _dual_distribution(D, F)
@@ -441,28 +458,102 @@ def test_distance_routes_match_exhaustive_search(X, data):
         _check_distance_routes(X, np.array(cells).reshape(X.point_group.orders))
 
 
+def test_restricted_last_weight_matches_exhaustive_search():
+    # Brouwer-Zimmermann against the exhaustive search on random sets S of
+    # 3 <= k <= min(6, m / 2) characters (any S spans a code the
+    # translations map to itself).  Only the last weight W may fix rows
+    # 0..j - 1 of a message's support: a j >= 1 passes the stop rule's own
+    # test, j = 0, so the search ends after W.  The restriction must fire in
+    # some of the codes (about a quarter of such draws, 3 at the least).
+    fired = []
+
+    @given(X=toric_sets(fields=(3, 4, 5, 7, 8, 9)), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def check(X, data):
+        if X.m < 6:
+            return
+        k = data.draw(st.integers(3, min(6, X.m // 2)))
+        cells = np.zeros(X.m, dtype=bool)
+        cells[data.draw(st.permutations(range(X.m)))[:k]] = True
+        G = characters(X, cells.reshape(X.point_group.orders))
+        m = X.m
+        with _counting_messages() as calls:
+            best = _bz_min_weight(G, X.F)
+        assert best == min_weight_enum(G, X.F)
+        *before, (w, j, n) = calls
+        assert [c[1] for c in before] == [0] * len(before)
+        if j:
+            assert (w + 1 - j) * m > (k - j) * (best - 1)
+            assert n <= comb(k - j, w - j) * (X.F.q - 1) ** (w - 1)
+        fired.append(j > 0)
+
+    check()
+    assert sum(fired) >= 3, (sum(fired), len(fired))
+
+
+def test_last_weight_enumerates_only_the_fixed_rows():
+    # K_{3,3} over GF(5) at d = 1: k = 9, m = 256.  The minimum word turns
+    # up at weight 1 and the stop rule ends the search after weight 5, where
+    # (5 + 1 - 2) 256 > (9 - 2) 143 but not for j = 3: the last weight takes
+    # only the C(7, 3) 4^4 messages containing rows 0 and 1, not all
+    # C(9, 5) 4^4 = 32,256 (41,817 messages in all).
+    X = parameterize(build_family("complete_bipartite", [3, 3]), make_field(5))
+    G = characters(X, character_grid(code_instance(X, 1)))
+    assert G.shape == (9, 256)
+    with _counting_messages() as calls:
+        assert _bz_min_weight(G, X.F) == mindist_complete_bipartite(3, 3, 1, 5) == 144
+    assert calls == [[1, 0, 9], [2, 0, 144], [3, 0, 1344], [4, 0, 8064], [5, 2, 8960]]
+    assert sum(n for _, _, n in calls) == 18521
+    # C_4 over GF(7) at d = 1 (k = 4, m = 36, b = 25 from weight 1) sits on
+    # the boundary at W = 2: (2 + 1 - 1) 36 = (4 - 1) 24, and the rule is
+    # strict, so j = 1 is not taken.
+    C4 = parameterize(build_family("cycle", [4]), make_field(7))
+    G = characters(C4, character_grid(code_instance(C4, 1)))
+    with _counting_messages() as calls:
+        assert _bz_min_weight(G, C4.F) == mindist_complete_bipartite(2, 2, 1, 7) == 25
+    assert calls == [[1, 0, 4], [2, 0, 36]]
+
+
+def test_macwilliams_transform_must_divide_exactly():
+    # B = (2, 4, 7, 7, 8) is no weight distribution: for q = 3, m = 4, k = 1
+    # its transform (28, 11, 78, 23, 22) does not divide by 3^3, though the
+    # floors (1, 0, 2, 0, 0) start at 1 and sum to q^k.
+    with pytest.raises(AssertionError, match="not integral"):
+        _macwilliams_min_weight([2, 4, 7, 7, 8], 3, 1)
+    assert _macwilliams_min_weight([1, 0, 0, 0, 2], 3, 3) == 2  # zero-sum code, dual to repetition
+
+
 _CAP = codes.DEFAULT_CELL_CAP
 
 
-@given(case=generators(max_k=5), w=st.integers(1, 5), cap=st.sampled_from([0, _CAP]))
-@example(case=_long_rows(2, 4, 300, 1), w=1, cap=_CAP)
-@example(case=_long_rows(3, 3, 257, codes._CELLS), w=2, cap=_CAP)
-@example(case=_long_rows(5, 4, 256, 600), w=3, cap=_CAP)
-@example(case=_long_rows(4, 3, 255, 255), w=3, cap=_CAP)
-@example(case=_long_rows(2, 2, (1 << 16) + 4, codes._CELLS), w=1, cap=_CAP)
-@example(case=_long_rows(3, 2, (1 << 16) - 2, codes._CELLS), w=2, cap=_CAP)
-@example(case=_long_rows(3, 5, 255, codes._CELLS), w=5, cap=_CAP)
-@example(case=_long_rows(4, 5, 256, 1000), w=4, cap=_CAP)
-@example(case=_long_rows(5, 4, 257, 300), w=4, cap=_CAP)
-@example(case=_long_rows(3, 5, 257, codes._CELLS), w=5, cap=comb(3, 2) * 2**2 * 257 - 1)
+@given(case=generators(max_k=5), w=st.integers(1, 5), cap=st.sampled_from([0, _CAP]),
+       fixed=st.integers(0, 4))
+@example(case=_long_rows(2, 4, 300, 1), w=1, cap=_CAP, fixed=0)
+@example(case=_long_rows(3, 3, 257, codes._CELLS), w=2, cap=_CAP, fixed=0)
+@example(case=_long_rows(5, 4, 256, 600), w=3, cap=_CAP, fixed=0)
+@example(case=_long_rows(5, 4, 256, 600), w=3, cap=_CAP, fixed=2)
+@example(case=_long_rows(4, 3, 255, 255), w=3, cap=_CAP, fixed=0)
+@example(case=_long_rows(2, 2, (1 << 16) + 4, codes._CELLS), w=1, cap=_CAP, fixed=0)
+@example(case=_long_rows(3, 2, (1 << 16) - 2, codes._CELLS), w=2, cap=_CAP, fixed=0)
+@example(case=_long_rows(3, 5, 255, codes._CELLS), w=5, cap=_CAP, fixed=0)
+@example(case=_long_rows(3, 5, 255, codes._CELLS), w=5, cap=_CAP, fixed=3)
+@example(case=_long_rows(4, 5, 256, 1000), w=4, cap=_CAP, fixed=0)
+@example(case=_long_rows(4, 5, 256, 1000), w=4, cap=_CAP, fixed=1)
+@example(case=_long_rows(5, 4, 257, 300), w=4, cap=_CAP, fixed=0)
+@example(case=_long_rows(3, 5, 257, codes._CELLS), w=5, cap=comb(3, 2) * 2**2 * 257 - 1,
+         fixed=0)
+@example(case=_long_rows(3, 5, 257, codes._CELLS), w=5, cap=comb(3, 2) * 2**2 * 257 - 1,
+         fixed=4)
 @settings(max_examples=80, deadline=None)
-def test_message_weights_match_scalar_brute_force(case, w, cap):
+def test_message_weights_match_scalar_brute_force(case, w, cap, fixed):
     # Every projective message of weight w on [I | A] (first nonzero
-    # coordinate 1), as a scalar sum, against the blocked byte comparison:
-    # from w = 4 on, prefixes of w - 2 rows against the two-row tails when
-    # their table fits the cap, and prefixes of w - 1 rows against one-row
-    # tails when it does not, in which case nothing of the table's size is
-    # allocated (the last example's table would take 3,084 bytes).
+    # coordinate 1) whose support contains rows 0..j - 1, as a scalar sum,
+    # against the blocked byte comparison: from w = 4 on, prefixes of w - 2
+    # rows against the two-row tails when their table fits the cap, and
+    # prefixes of w - 1 rows against one-row tails when it does not, in
+    # which case nothing of the table's size is allocated (the last
+    # examples' table would take 3,084 bytes).  j = min(fixed, w - r) fixes
+    # at most the r-row tail's prefix.
     F, A, cells = case
     k, L = A.shape
     if w > k:
@@ -481,10 +572,13 @@ def test_message_weights_match_scalar_brute_force(case, w, cap):
             assert [len(t) for t in tails] == [0, 0] + [(F.q - 1) ** 2 * (k - 1 - i)
                                                         for i in range(2, k)]
             assert sum(t.size for t in tails) == table <= cap
+    j = min(fixed, w - codes._tail_rows(w, tails))
     with patch.object(codes, "_CELLS", cells):
-        blocks = list(codes._message_weights(A, w, F, tails))
+        blocks = list(codes._message_weights(A, w, F, tails, j))
     assert all(len(b) * L <= max(cells, L) for b in blocks)
-    expected = [w + sum(1 for x in word if x) for _, word in _scalar_combinations(A, F, w)]
+    expected = [w + sum(1 for x in word if x) for support, word in _scalar_combinations(A, F, w)
+                if support[:j] == tuple(range(j))]
+    assert len(expected) == comb(k - j, w - j) * (F.q - 1) ** (w - 1)
     assert sorted(int(x) for b in blocks for x in b) == sorted(expected)
 
 
