@@ -8,8 +8,9 @@ are its objects, re-exported here.  `profile_rows` takes every degree of a
 profile from one pass of its sumset.  This module holds what needs numpy
 and the field tables: T_d as a boolean grid (`character_grid`), the
 generator of C_X(d), one row per element of T_d, the character's values at
-the grid cell of each listed point (`characters`), the basis of the dual
-(`dual_basis`) and the distance search.
+every cell of the point grid, in the order `ToricSet.arr` lists the points
+(`characters`), the basis of the dual (`dual_basis`) and the distance
+search.
 
 Minimum distance uses the translation action of X.  X acts regularly on
 the coordinates, its points, and since chi_c(x + g) = chi_c(g) chi_c(x) the
@@ -50,12 +51,8 @@ where l differs from -h).  The add/mul tables only build the vectors
 compared, at several times the cost of a compared cell; within a weight
 each prefix is built once, by extending a block of the sums one row
 shorter with the multiples of every higher row, in blocks of about _CELLS
-compared cells.  On a 2-core host the trimmed last weight takes
-K_{3,3}/GF(5) at d = 1 from 16 to 8 ms (18,521 messages instead of
-41,817), K_4/GF(16) from 0.61 to 0.34 s, K_{3,3}/GF(8) from 2.3 to 1.1 s
-and K_4/GF(25) from 34 to 8 s cold; K_{3,4}/GF(5) (0.7 s) has j = 0.
-Exact rank, null spaces and the exhaustive primal search stay in the
-tests (`tests/oracle.py`) as an independent check.
+compared cells.  Exact rank, null spaces and the exhaustive primal search
+stay in the tests (`tests/oracle.py`) as an independent check.
 """
 
 from __future__ import annotations
@@ -83,11 +80,6 @@ DEFAULT_CELL_CAP = 10**7  # cells of the generator built: k or m - k rows, m col
 _CELLS = 1 << 20  # compared cells per block of the distance search
 
 
-def _scales(X):
-    """e_i = (q - 1) / d_i over the axes d_i of X's point grid."""
-    return np.array([(X.F.q - 1) // d for d in X.point_group.orders], dtype=np.int64)
-
-
 def character_grid(inst):
     """T_d of a code instance as a boolean array over X.point_group."""
     orders = inst.X.point_group.orders
@@ -105,11 +97,12 @@ def dual_basis(inst):
 
 def characters(X, S):
     """One row per element of the boolean set S over the point grid of X,
-    in grid-index order: the row of the character c is
-    P -> zeta^((c e) . g(P)), g(P) the grid cell of P.  Distinct
-    characters, so the rows are independent; for S = T_d they are a basis
-    of C_X(d)."""
-    return X.F.exp_table[np.argwhere(S) * _scales(X) @ X._cells % (X.F.q - 1)]
+    in grid-index order: the row of the character c is zeta^((c e) . g),
+    e_i = (q - 1) / d_i, at every grid cell g in C order, the order in
+    which X.arr lists the points (`ToricSet.values`).  Distinct characters,
+    so the rows are independent; for S = T_d they are a basis of C_X(d)."""
+    e = [(X.F.q - 1) // d for d in X.point_group.orders]
+    return X.values(np.argwhere(S) * e)
 
 
 def _spans(base, rows, F, limit):
@@ -346,7 +339,7 @@ def _bz_min_weight(G, F, cap=DEFAULT_CELL_CAP):
     leaves the tails as they are.  j = 0 is the stop test itself, so no
     earlier weight is trimmed, and a lighter word found on the way only
     makes j safer.  On K_{3,3}/GF(5) at d = 1 (k = 9, m = 256, b = 144
-    from weight 1) W = 5 and j = 2: 8,960 messages instead of 32,256.
+    from weight 1) W = 5 and j = 2: 8,960 messages of weight 5.
 
     Up to weight 3 a message is a sum of w - 1 rows against the multiples
     of a later row (`_message_weights`).  On reaching weight 4 the search

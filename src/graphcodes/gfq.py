@@ -188,9 +188,6 @@ class FieldSpec:
     def add(self, a, b):
         return int(self.add_table[a, b])
 
-    def neg(self, a):
-        return int(self.neg_table[a])
-
     def mul(self, a, b):
         return int(self.mul_table[a, b])
 

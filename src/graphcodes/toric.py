@@ -13,14 +13,19 @@ never enumerated.  The one grid also indexes the characters of X (X, a
 finite abelian group, is isomorphic to its dual), so no second form is
 built for them.  The form and the grid are exact Python ints, and X is
 built from the field size alone: numpy is imported, and the field tables
-built, only where the points are listed (`ToricSet._listing`, `_cells`
-and `count_points`), so dimension and regularity use neither.
+built, only where characters are evaluated on the grid
+(`ToricSet.values`, which lists the points and builds every generator)
+and in `count_points`, so dimension and regularity use neither.
 
 Points of the torus in P^{s-1} are normalized so the last coordinate is 1
-(all torus coordinates are nonzero), stored as uint8 rows of field elements
-and kept in lexicographic row order.  The evaluation matrix
-of all degree-d monomials, and the enumeration of the whole source torus,
-are built only by the tests, as independent oracles (`tests/oracle.py`).
+(all torus coordinates are nonzero) and stored as uint8 rows of field
+elements, row i the point of grid cell i in C order.  X acts on its points
+by translation, and length, dimension and minimum distance do not change
+when the coordinates are permuted, so that order is as canonical as any;
+it is the order of the coordinates of every code, and nothing sorts the
+points.  The evaluation matrix of all degree-d monomials, and the
+enumeration of the whole source torus, are built only by the tests, as
+independent oracles (`tests/oracle.py`).
 """
 
 from __future__ import annotations
@@ -128,8 +133,9 @@ def group_image(A, N):
 
 
 class ToricSet:
-    """A finite set of torus points in P^{s-1} over GF(q), canonically
-    sorted.  `arr` is the (m, s) uint8 array of normalized coordinates.
+    """A finite set of torus points in P^{s-1} over GF(q).  `arr` is the
+    (m, s) uint8 array of normalized coordinates, row i the point of grid
+    cell i in C order.
 
     X is the image of a source torus T = (GF(q)^*)^r under the monomial map
     phi(t) = (t^{b_1} : ... : t^{b_s}), a group homomorphism, so X is a
@@ -140,8 +146,9 @@ class ToricSet:
     by `_toric_set`, which passes s and the group below.  In logs, a point
     is l -> (b_k - b_s) . l for k < s, and `point_group` is the image of
     that map, a grid Z/d_1 + ... + Z/d_k of m = |X| cells, one per
-    point.  The points are listed from the grid on first use, with the cell
-    each one came from (`_cells`); dimension and regularity never list them.
+    point.  `values` evaluates characters at every cell, which lists the
+    points on first use of `arr` and builds every generator row;
+    dimension and regularity never list them.
 
     The same grid indexes the characters of X: a finite abelian group is
     isomorphic to its dual, the cell w being the character
@@ -161,34 +168,33 @@ class ToricSet:
     def m(self):
         return self.point_group.size
 
-    @cached_property
-    def _listing(self):
-        """(arr, order): one point per cell of the point grid, each log
-        coordinate a linear form in the cell's indices, sorted; row i of arr
-        is the point of cell order[i]."""
+    def values(self, rows):
+        """exp_table[(a . g) mod (q - 1)] for each int row a (one entry per
+        axis of the point grid) at every cell g, cells in C order: a
+        (len(rows), m) uint8 array.  The logs are outer sums along the axes,
+        mod q - 1 in uint16, so no array holds the cell of each point."""
         import numpy as np
 
-        orders = self.point_group.orders
-        listed = np.ones((self.m, self.s), dtype=np.uint8)
-        for k, coeffs in enumerate(self.point_group.embed):
-            logs = np.zeros(orders, dtype=np.int64)
-            for a, g in zip(coeffs, np.indices(orders, sparse=True)):
-                logs += a * g
-            listed[:, k] = self.F.exp_table[(logs % (self.F.q - 1)).ravel()]
-        order = np.lexsort(listed.T[::-1])
-        return listed[order], order
+        n, orders = self.F.q - 1, self.point_group.orders
+        A = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(orders)) % n
+        logs = np.zeros((len(A), 1), dtype=np.uint16)
+        for a, d in zip(A.T, orders):
+            step = (a[:, None] * np.arange(d) % n).astype(np.uint16)
+            logs = ((logs[:, :, None] + step[:, None, :]) % n).reshape(len(A), -1)
+        return self.F.exp_table[logs]
 
-    @property
+    @cached_property
     def arr(self):
-        return self._listing[0]
-
-    @cached_property
-    def _cells(self):
-        """(k, m): column i is the grid cell of row i of arr."""
+        """The (m, s) uint8 points, row i the point of grid cell i in C
+        order: its coordinate ratio P_j / P_s is the character
+        `point_group.embed`[j], and P_s = 1.  One coordinate at a time, so
+        the temporaries of `values` are one column's."""
         import numpy as np
 
-        orders = self.point_group.orders
-        return np.indices(orders).reshape(len(orders), self.m)[:, self._listing[1]]
+        listed = np.ones((self.m, self.s), dtype=np.uint8)
+        for j, row in enumerate(self.point_group.embed):
+            listed[:, j] = self.values([row])[0]
+        return listed
 
     @property
     def points(self):
@@ -198,9 +204,6 @@ class ToricSet:
     def degenerate(self):
         # Over GF(2) the torus collapses to a single point.
         return self.F.q == 2
-
-    def __len__(self):
-        return self.m
 
     def __repr__(self):
         src = "torus" if self.graph is None else f"graph(n={self.graph.n}, s={self.graph.s})"
@@ -256,13 +259,11 @@ def parameterize(G, F, cap=DEFAULT_POINT_CAP):
 
 
 def count_points(X):
-    """|X| counted from the enumerated points, a check on the listing that
-    does not trust the group order m: 1 plus the number of adjacent rows of
-    X.arr that strictly increase lexicographically.  `_listing` sorts the
-    rows, so each new point is a step up; a repeated or out-of-order row is
-    not, and the count falls below m.  The rows are compared in place as
-    fixed-width byte strings (no sort, no copy of a row)."""
+    """|X| counted from the listed points, a check on the listing that does
+    not trust the group order m: the rows of X.arr, as fixed-width byte
+    strings, sorted, and 1 plus the number of strict steps between adjacent
+    ones.  A repeated row is no step, and the count falls below m."""
     import numpy as np
 
-    keys = X.arr.view(f"S{X.s}")[:, 0]
+    keys = np.sort(X.arr.view(f"S{X.s}")[:, 0])
     return 1 + int(np.count_nonzero(keys[1:] > keys[:-1]))

@@ -41,7 +41,7 @@ def test_length_counts_distinct_points(monkeypatch):
     # A listing with one point twice has the right number of rows and the
     # right group order, but one distinct point too few: the length
     # subcommand refuses it and verify fails its length row.
-    real = ToricSet.arr.fget
+    real = ToricSet.arr.func
 
     def doubled(X):
         arr = real(X)

@@ -111,7 +111,18 @@ def test_dimension_and_regularity_list_no_points():
     X = parameterize(build_family("complete_bipartite", [3, 3]), make_field(8))
     assert regularity_index(X) == reg_closed_form(RegFamily("complete_bipartite", (3, 3)), 8)
     assert dimension(X, 4) == dim_complete_bipartite(3, 3, 4, 8)
-    assert not {"_listing", "_cells"} & set(vars(X))
+    assert vars(X).keys() == {"F", "s", "point_group", "graph"}
+
+
+def test_distances_and_dual_bases_list_no_points():
+    # Generator rows are characters evaluated on the point grid, so neither
+    # route, nor the dual basis, lists the points of X or caches anything.
+    X = parameterize(build_family("cycle", [4]), make_field(5))
+    assert minimum_distance(X, 1) == 9
+    rows = codes.profile_rows(X, 3)
+    assert [(r.dim, r.delta) for r in rows] == [(1, 16), (4, 9), (9, 4), (16, 1)]
+    assert dual_basis(code_instance(X, 1)).shape == (12, 16)
+    assert vars(X).keys() == {"F", "s", "point_group", "graph"}
 
 
 def test_regularity_torus_p1_gf5():
@@ -692,7 +703,7 @@ def test_stalled_hilbert_function_is_a_violation():
     P = T.point_group
     twice = GroupImage((2, *P.orders), tuple((0, *row) for row in P.embed))
     X = ToricSet(T.F, T.s, twice)
-    assert X.m == 8 and np.array_equal(np.unique(X.arr, axis=0), T.arr)
+    assert X.m == 8 and np.array_equal(np.unique(X.arr, axis=0), np.unique(T.arr, axis=0))
     with pytest.raises(MonotonicityViolation):
         regularity_index(X)
 

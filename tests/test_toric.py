@@ -159,19 +159,20 @@ def test_normalize_point_general_position():
 ], ids=["K4-GF8", "two-triangles-GF5", "P3-GF9", "torus3-GF7", "torus1-GF4"])
 def test_grid_cells_are_the_coordinate_ratio_characters(X):
     # The grid of X is isomorphic to its dual: w_j = embed_j / e is the
-    # character P -> P_j / P_s.  At the cell each listed point came from, w_j
-    # gives the log of P_j / P_s, the ratio taken by scalar field arithmetic,
-    # and its generator row is that ratio at every point.
+    # character P -> P_j / P_s.  At grid cell i in C order, the cell of row i
+    # of arr, w_j gives the log of P_j / P_s, the ratio taken by scalar field
+    # arithmetic, and its generator row is that ratio at every point.
     F, q1 = X.F, X.F.q - 1
     grid = X.point_group
     e = np.array([q1 // d for d in grid.orders], dtype=np.int64)
     w = embed_array(grid) // e % np.array(grid.orders, dtype=np.int64)
-    assert X._cells.shape == (len(grid.orders), X.m)
+    cells = np.indices(grid.orders).reshape(len(grid.orders), X.m).T.tolist()  # C order
+    assert len(X.points) == len(cells) == X.m
     for j in range(X.s - 1):
         onehot = np.zeros(grid.orders, dtype=bool)
         onehot[tuple(w[j])] = True
         row = characters(X, onehot)[0].tolist()
-        for point, cell, value in zip(X.points, X._cells.T.tolist(), row):
+        for point, cell, value in zip(X.points, cells, row):
             ratio = F.div(point[j], point[-1])
             assert int(w[j] * e @ cell) % q1 == F.log_table[ratio]
             assert value == ratio
@@ -202,16 +203,17 @@ def test_group_points_match_source_torus_enumeration(X):
     # found by mapping every source tuple; the Hilbert function over the
     # point grid against the sumset over the whole source character group.
     F, q1 = X.F, X.F.q - 1
-    assert X.arr.dtype == np.uint8
-    assert np.array_equal(X.arr, source_torus_points(X))
+    assert X.arr.dtype == np.uint8 and X.arr.shape == (X.m, X.s)
+    assert np.array_equal(np.unique(X.arr, axis=0), source_torus_points(X))
     if X.graph is None:
         assert X.m == q1 ** (X.s - 1)
     else:
         assert X.m == expected_length(summarize(X.graph), F)
         assert set(X.points) == toric_points_brute(X.graph, F)
-    # Each row of arr is the image of its own cell, and the m cells of the
-    # grid are m distinct characters of X.
-    assert np.array_equal(F.exp_table[embed_array(X.point_group) @ X._cells % q1],
+    # Row i of arr is the image of grid cell i in C order, and the m cells of
+    # the grid are m distinct characters of X.
+    cells = np.indices(X.point_group.orders).reshape(len(X.point_group.orders), X.m)
+    assert np.array_equal(F.exp_table[embed_array(X.point_group) @ cells % q1],
                           X.arr[:, :-1].T)
     grid = characters(X, np.ones(X.point_group.orders, dtype=bool))
     assert len({tuple(row) for row in grid.tolist()}) == X.m
@@ -244,16 +246,18 @@ def test_group_image_against_enumeration(N, t, c, data):
 
 @pytest.mark.parametrize("family, params, q", [("cycle", [6], 5), ("path", [2], 256)])
 def test_count_points_counts_strict_steps(family, params, q):
-    # The sorted listing counts every point; one row repeated in place, or
-    # two adjacent rows swapped, counts one short, and the reversed listing
-    # counts one.  GF(256) rows hold bytes past 127, which compare unsigned.
+    # The listing counts every point, in its own order or any other; one row
+    # listed twice, next to itself or far from it, counts one short.  GF(256)
+    # rows hold bytes past 127, which compare unsigned.
     X = parameterize(build_family(family, params), make_field(q))
-    arr, order = X._listing
+    arr = X.arr
     assert count_points(X) == len({tuple(row) for row in arr.tolist()}) == X.m
     i = X.m // 2
-    repeated, swapped = arr.copy(), arr.copy()
-    repeated[i + 1] = arr[i]
-    swapped[[i, i + 1]] = arr[[i + 1, i]]
-    for listing, expected in ((repeated, X.m - 1), (swapped, X.m - 1), (arr[::-1], 1)):
-        X.__dict__["_listing"] = (listing, order)
+    adjacent, apart = arr.copy(), arr.copy()
+    adjacent[i + 1] = arr[i]
+    apart[-1] = arr[0]
+    permuted = arr[np.random.default_rng(0).permutation(X.m)]
+    for listing, expected in ((adjacent, X.m - 1), (apart, X.m - 1), (permuted, X.m),
+                              (arr[::-1], X.m)):
+        X.__dict__["arr"] = listing
         assert count_points(X) == expected
