@@ -32,8 +32,6 @@ from .graph import (
     Graph,
     GraphSummary,
     build_family,
-    cycle_space_basis,
-    enumerate_eulerian,
     parse_graph,
     summarize,
     validate_ear_decomposition,
@@ -88,10 +86,8 @@ __all__ = [
     "UnsupportedFamily",
     "UnsupportedField",
     "build_family",
-    "cycle_space_basis",
     "dimension",
     "distance_profile",
-    "enumerate_eulerian",
     "expected_length",
     "make_field",
     "minimum_distance",

@@ -18,12 +18,11 @@ listing and the Groebner halves are checked against DEFAULT_SEARCH_CAP first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .errors import CapExceeded
-from .graph import eulerian_masks, mask_subset, subset_mask, summarize
+from .graph import eulerian_masks, mask_subset, summarize
 from .monomials import from_support
 
 DEFAULT_SEARCH_CAP = 1 << 24
@@ -133,17 +132,6 @@ def _listing(G, d, rules_of):
     return [K | sum(S) for K, k in members for S in combinations(free, d - k)]
 
 
-def eulerian_leading_terms(G, max_degree):
-    """Leading terms of the Groebner basis of the Artinian-reduced ideal,
-    up to max_degree: every square t_i^2, plus the grevlex-greater half of
-    every balanced split of every even Eulerian subgraph."""
-    s = G.s
-    out = {from_support(mask_subset(A), s) for A, _ in _halves(_evens(G), max_degree)}
-    if max_degree >= 2:
-        out.update(tuple(2 if j == i else 0 for j in range(s)) for i in range(s))
-    return out
-
-
 def standard_monomials(G, d):
     """B_d: degree-d monomials divisible by no leading term.  Only
     square-free ones survive the squares, and only Eulerian halves can
@@ -151,26 +139,6 @@ def standard_monomials(G, d):
     if not 0 <= d <= G.s:
         return set()
     return {from_support(mask_subset(M), G.s) for M in _listing(G, d, _halves)}
-
-
-@dataclass(frozen=True)
-class ParityJoinCertificate:
-    J: frozenset
-    violating: frozenset | None  # first even Eulerian C with |J & C| > |C|/2
-
-    def __bool__(self):
-        return self.violating is None
-
-
-def is_parity_join(G, J):
-    """Certificate for the parity-join condition |J & C| <= |C|/2 over all
-    even-edge Eulerian subgraphs C."""
-    J = frozenset(J)
-    mask = subset_mask(J)
-    violating = next((C for C, half in _evens(G) if (mask & C).bit_count() > half), None)
-    return ParityJoinCertificate(
-        J=J, violating=None if violating is None else mask_subset(violating)
-    )
 
 
 def enumerate_Jd(G, d):
@@ -218,9 +186,3 @@ def max_parity_join(G):
     free, members = _walk(G, G.s, _anchored)
     deepest, size = max(members, key=lambda member: member[1])
     return size + len(free), mask_subset(deepest | sum(free))
-
-
-def reg_ternary(G):
-    """Ternary regularity: maximum parity-join cardinality minus one."""
-    mu, _ = max_parity_join(G)
-    return mu - 1

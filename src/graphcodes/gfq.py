@@ -67,13 +67,6 @@ def _digits(x, p, e):
     return out
 
 
-def _undigits(ds, p):
-    x = 0
-    for d in reversed(ds):
-        x = x * p + d
-    return x
-
-
 def _monic_polys(deg, p):
     for enc in range(p**deg):
         yield _digits(enc, p, deg) + [1]
@@ -205,14 +198,6 @@ class FieldSpec:
         if a == 0:
             return 1 if n == 0 else 0
         return int(self.exp_table[(int(self.log_table[a]) * n) % (self.q - 1)])
-
-    def encode(self, coeffs):
-        """Base-p coefficient vector (low degree first) -> element."""
-        return _undigits(list(coeffs), self.p)
-
-    def decode(self, x):
-        """Element -> base-p coefficient vector of length e."""
-        return tuple(_digits(x, self.p, self.e))
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})"

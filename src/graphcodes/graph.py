@@ -2,9 +2,9 @@
 
 Vertices are 1..n and edges e_1..e_s are an ordered sequence of unordered
 pairs; the ordering is part of the value (the ternary theory singles out the
-"last" edge).  At the module surface an edge subset is a frozenset of
-1-based edge indices; inside it, and in `eulerian_masks` for the ternary
-theory, it is an int mask with bit i - 1 standing for edge i.
+"last" edge).  An edge subset is an int mask with bit i - 1 standing for
+edge i: the cycle space is exposed as masks (`eulerian_masks`), and
+`mask_subset` turns a mask into the frozenset of its 1-based edge indices.
 
 Graph text format (shared with the CLI): a header line "n s", then s lines
 "u v" (edge order = file order); blank lines and lines starting with "#" are
@@ -142,29 +142,16 @@ def _cycle_masks(G):
     return basis
 
 
-def cycle_space_basis(G):
-    """Fundamental cycles of a spanning forest, one per non-tree edge,
-    as edge-index subsets.  Length is always s - n + b0."""
-    return [mask_subset(c) for c in _cycle_masks(G)]
-
-
-def subset_mask(subset):
-    """Edge subset -> int mask, bit i - 1 standing for edge i."""
-    mask = 0
-    for i in subset:
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def mask_subset(mask):
     """Int mask -> edge subset."""
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def eulerian_masks(G, even_edge_count_only=False, cap=DEFAULT_CYCLE_CAP):
-    """All nonempty elements of the cycle space as masks, ascending.  The
-    span is built by doubling over the basis, which is independent, so every
-    element appears once."""
+    """All nonempty elements of the cycle space as masks, ascending: the
+    Eulerian subgraphs, even degree at every vertex.  The span is built by
+    doubling over the basis, which is independent, so every element appears
+    once; its size 2^(s - n + b0) is checked against the cap first."""
     basis = _cycle_masks(G)
     total = 1 << len(basis)
     if total > cap:
@@ -178,12 +165,6 @@ def eulerian_masks(G, even_edge_count_only=False, cap=DEFAULT_CYCLE_CAP):
     if even_edge_count_only:
         return [m for m in space[1:] if m.bit_count() % 2 == 0]
     return space[1:]
-
-
-def enumerate_eulerian(G, even_edge_count_only=False, cap=DEFAULT_CYCLE_CAP):
-    """All nonempty elements of the cycle space, as edge subsets, sorted by
-    subset encoding.  Every emitted subset induces even degree everywhere."""
-    return [mask_subset(m) for m in eulerian_masks(G, even_edge_count_only, cap)]
 
 
 # Family constructors.  Vertex numbering and edge ordering are fixed:

@@ -8,8 +8,6 @@ ascending lexicographic order of the reversed exponent tuple.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 
 def support(m):
     """1-based variable indices with nonzero exponent, as a frozenset."""
@@ -23,29 +21,9 @@ def from_support(subset, s):
     return tuple(exps)
 
 
-def grevlex_cmp(m1, m2):
-    """-1, 0 or 1 according to m1 < m2, m1 == m2, m1 > m2."""
-    d1, d2 = sum(m1), sum(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    for a, b in zip(reversed(m1), reversed(m2)):
-        if a != b:
-            return 1 if a < b else -1
-    return 0
-
-
 def grevlex_key(m):
     """Sort key: ascending order under this key is ascending grevlex."""
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def squarefree_monomials(s, d):
-    """Square-free degree-d monomials, descending grevlex."""
-    if d > s:
-        return []
-    out = [from_support(frozenset(c), s) for c in combinations(range(1, s + 1), d)]
-    out.sort(key=grevlex_key, reverse=True)
-    return out
 
 
 def format_monomial(m):

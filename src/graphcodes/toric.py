@@ -5,17 +5,17 @@ monomial map, so X is a group, and in discrete logs it is the image of a
 homomorphism between (Z/(q-1))-modules.  `group_image` writes such an image
 as a grid of exactly |image| cells, from a diagonal (Smith) form over the
 integers, and X is built from it: the closed-form length is checked against
-the point cap before the form is computed, and the order m = |X| read off
-the form is checked against the closed form, before anything of size m
-exists.  The points themselves are listed from the grid, one cell per
-point, only when a caller needs them; the source torus, (q-1)^r tuples, is
-never enumerated.  The one grid also indexes the characters of X (X, a
-finite abelian group, is isomorphic to its dual), so no second form is
-built for them.  The form and the grid are exact Python ints, and X is
-built from the field size alone: numpy is imported, and the field tables
-built, only where characters are evaluated on the grid
-(`ToricSet.values`, which lists the points and builds every generator)
-and in `count_points`, so dimension and regularity use neither.
+the point cap before anything is built, the exponent rows and the form
+included, and the order m = |X| read off the form is checked against the
+closed form, before anything of size m exists.  The points themselves are
+listed from the grid, one cell per point, only when a caller needs them;
+the source torus, (q-1)^r tuples, is never enumerated.  The one grid also
+indexes the characters of X (X, a finite abelian group, is isomorphic to
+its dual), so no second form is built for them.  The form and the grid are
+exact Python ints, and X is built from the field size alone: numpy is
+imported, and the field tables built, only where characters are evaluated
+on the grid (`ToricSet.values`, which lists the points and builds every
+generator) and in `count_points`, so dimension and regularity use neither.
 
 Points of the torus in P^{s-1} are normalized so the last coordinate is 1
 (all torus coordinates are nonzero) and stored as uint8 rows of field
@@ -210,14 +210,19 @@ class ToricSet:
         return f"ToricSet(q={self.F.q}, s={self.s}, m={self.m}, source={src})"
 
 
-def _toric_set(F, s, exponents, expected, cap, graph=None):
-    """X in P^{s-1} for the exponent matrix B, rows of s ints.  The
-    closed-form length is checked against the cap before any work is done,
-    and the order of the point group against the closed form; once both
-    hold, |X| is within the cap, and nothing of size |X| has been
-    allocated."""
+def _refuse_past_cap(expected, cap):
+    """Refuse X when its closed-form length is past the point cap.  Both
+    callers check this before anything is built, the exponent rows too."""
     if expected > cap:
         raise CapExceeded(f"X has {expected} points, cap is {cap}", required=expected)
+
+
+def _toric_set(F, s, exponents, expected, graph=None):
+    """X in P^{s-1} for the exponent matrix B, rows of s ints, whose
+    closed-form length the caller has checked against the cap.  The order
+    of the point group is checked against the closed form, so once it
+    holds |X| is within the cap, and nothing of size |X| has been
+    allocated."""
     point_map = [[b[k] - b[-1] for b in exponents] for k in range(s - 1)]
     P = group_image(point_map, F.q - 1)
     if P.size != expected:
@@ -228,9 +233,12 @@ def _toric_set(F, s, exponents, expected, cap, graph=None):
 
 
 def torus_points(s, F, cap=DEFAULT_POINT_CAP):
-    """The projective torus of P^{s-1}: (q-1)^(s-1) normalized points."""
+    """The projective torus of P^{s-1}: (q-1)^(s-1) normalized points,
+    refused past the cap before anything is built."""
+    expected = (F.q - 1) ** (s - 1)
+    _refuse_past_cap(expected, cap)
     exponents = [[int(i == k) for k in range(s)] for i in range(s - 1)]
-    return _toric_set(F, s, exponents, (F.q - 1) ** (s - 1), cap)
+    return _toric_set(F, s, exponents, expected)
 
 
 def expected_length(summary, F):
@@ -245,8 +253,11 @@ def expected_length(summary, F):
 
 
 def parameterize(G, F, cap=DEFAULT_POINT_CAP):
-    """Image of the torus of P^{n-1} under the edge-monomial map, its order
-    asserted against the closed-form length."""
+    """Image of the torus of P^{n-1} under the edge-monomial map, refused
+    past the cap from the closed-form length before anything is built (the
+    incidence rows are n x s), and its order asserted against that length."""
+    expected = expected_length(summarize(G), F)
+    _refuse_past_cap(expected, cap)
     # A vertex no edge touches has a zero incidence row, and scaling every
     # source coordinate by one factor scales every edge monomial by its
     # square, so only the touched vertices are rows and the last of them is
@@ -255,14 +266,18 @@ def parameterize(G, F, cap=DEFAULT_POINT_CAP):
     incidence = [[0] * G.s for _ in row]
     for k, (u, v) in enumerate(G.edges):
         incidence[row[u]][k] = incidence[row[v]][k] = 1
-    return _toric_set(F, G.s, incidence[:-1], expected_length(summarize(G), F), cap, G)
+    return _toric_set(F, G.s, incidence[:-1], expected, G)
 
 
 def count_points(X):
     """|X| counted from the listed points, a check on the listing that does
     not trust the group order m: the rows of X.arr, as fixed-width byte
     strings, sorted, and 1 plus the number of strict steps between adjacent
-    ones.  A repeated row is no step, and the count falls below m."""
+    ones.  A repeated row is no step, and the count falls below m.
+
+    Counting the rows equal to the identity point would be faster, but it
+    is exact only because `values` is a homomorphism: it would miss a
+    repeated non-identity row, which is what this check is for."""
     import numpy as np
 
     keys = np.sort(X.arr.view(f"S{X.s}")[:, 0])

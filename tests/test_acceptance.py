@@ -23,7 +23,6 @@ from graphcodes.eulerian3 import (
     dim_ternary,
     enumerate_Jd,
     max_parity_join,
-    reg_ternary,
     standard_monomials,
 )
 from graphcodes.formulas import (
@@ -172,7 +171,6 @@ def test_criterion_07_ternary_dimension_and_regularity():
                 assert dim_ternary(G, d) == dimension(X, d)
             mu, witness = max_parity_join(G)
             assert mu - 1 == reg
-            assert reg_ternary(G) == reg
             assert len(witness) == mu
             if name in mu_rows:
                 tag, params = mu_rows[name]

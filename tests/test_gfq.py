@@ -74,9 +74,14 @@ def test_little_fermat(q):
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_encoding_round_trip(q):
+    # An element is the base-p digit vector of its polynomial, constant term
+    # first, and addition is digit-wise mod p.
     F = make_field(q)
-    for x in range(q):
-        assert F.encode(F.decode(x)) == x
+    digits = [gfq._digits(x, F.p, F.e) for x in range(q)]
+    assert [sum(c * F.p**i for i, c in enumerate(ds)) for ds in digits] == list(range(q))
+    for x, dx in enumerate(digits):
+        for y, dy in enumerate(digits):
+            assert digits[F.add(x, y)] == [(a + b) % F.p for a, b in zip(dx, dy)]
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)

@@ -15,13 +15,13 @@ from graphcodes.errors import (
 from graphcodes.graph import (
     Graph,
     build_family,
-    cycle_space_basis,
-    enumerate_eulerian,
+    eulerian_masks,
     format_graph,
     is_complete,
     is_complete_bipartite,
     is_complete_multipartite,
     is_even_cycle,
+    mask_subset,
     parse_graph,
     summarize,
     validate_ear_decomposition,
@@ -57,18 +57,23 @@ def test_summarize_edge_order_invariant(c6):
     assert summarize(c6) == summarize(c6.reorder_edges(perm))
 
 
+def eulerian_subsets(G, even_edge_count_only=False):
+    """eulerian_masks as edge subsets, in its order."""
+    return [mask_subset(m) for m in eulerian_masks(G, even_edge_count_only)]
+
+
 def test_cycle_basis_tree_empty():
-    assert cycle_space_basis(build_family("path", [4])) == []
+    assert eulerian_masks(build_family("path", [4])) == []
 
 
 def test_cycle_basis_c4(c4):
-    assert cycle_space_basis(c4) == [frozenset({1, 2, 3, 4})]
+    assert eulerian_subsets(c4) == [frozenset({1, 2, 3, 4})]
 
 
 def test_cycle_basis_k4_even_degrees(k4):
-    basis = cycle_space_basis(k4)
-    assert len(basis) == 3  # s - n + b0 = 6 - 4 + 1
-    for cyc in basis:
+    elements = eulerian_subsets(k4)
+    assert len(elements) == 2**3 - 1  # s - n + b0 = 6 - 4 + 1
+    for cyc in elements:
         deg = {}
         for i in cyc:
             u, v = k4.edges[i - 1]
@@ -90,22 +95,22 @@ def test_cycle_basis_k4_even_degrees(k4):
 )
 def test_enumerate_eulerian_matches_brute_force(G):
     for even_only in (False, True):
-        got = set(enumerate_eulerian(G, even_edge_count_only=even_only))
+        got = set(eulerian_subsets(G, even_edge_count_only=even_only))
         want = set(eulerian_subsets_brute(G, even_edge_count_only=even_only))
         assert got == want
 
 
 def test_enumerate_eulerian_examples(c4, k4):
-    assert enumerate_eulerian(c4, even_edge_count_only=True) == [frozenset({1, 2, 3, 4})]
-    assert enumerate_eulerian(build_family("cycle", [3]), even_edge_count_only=True) == []
-    evens = enumerate_eulerian(k4, even_edge_count_only=True)
+    assert eulerian_masks(c4, even_edge_count_only=True) == [0b1111]
+    assert eulerian_masks(build_family("cycle", [3]), even_edge_count_only=True) == []
+    evens = eulerian_subsets(k4, even_edge_count_only=True)
     assert len(evens) == 3
     assert all(len(C) == 4 for C in evens)
 
 
 def test_enumerate_eulerian_cap(k4):
     with pytest.raises(CapExceeded) as exc:
-        enumerate_eulerian(k4, cap=4)
+        eulerian_masks(k4, cap=4)
     assert exc.value.required == 8
 
 
@@ -156,10 +161,8 @@ def test_cycle_space_dimension_property(n, picks):
         return
     G = Graph(n, tuple(edges))
     s = summarize(G)
-    basis = cycle_space_basis(G)
-    assert len(basis) == G.s - G.n + s.b0
-    all_elems = enumerate_eulerian(G)
-    assert len(all_elems) == 2 ** len(basis) - 1
+    all_elems = eulerian_subsets(G)
+    assert len(all_elems) == 2 ** (G.s - G.n + s.b0) - 1
     assert set(all_elems) == set(eulerian_subsets_brute(G))
 
 

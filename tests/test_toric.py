@@ -53,6 +53,25 @@ def test_cap_counts_points_before_allocation():
     assert peak < 10**6
 
 
+def test_cap_is_checked_before_the_exponent_rows():
+    # C_4000 over GF(3) has 2^3998 points, and its incidence rows alone are
+    # 4000 x 4000 list cells (about 125 MiB); the torus of P^3999 has as
+    # many exponent cells.  Both are refused from the closed-form length
+    # before any row is built.
+    F = make_field(3)
+    for build, required in ((lambda: parameterize(build_family("cycle", [4000]), F), 2**3998),
+                            (lambda: torus_points(4000, F), 2**3999)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded) as exc:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.required == required
+        assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize(
     "G,q,count",
     [
