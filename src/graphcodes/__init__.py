@@ -9,7 +9,9 @@ The graph and error names are imported with the package.  The names from
 `codes` (the generator and the distance search), and with `gfq` and `toric`
 only when a field's tables are first read or the points of X are listed:
 a program that uses only graphs, or only dimension and regularity
-(`hilbert`), never loads it."""
+(`hilbert`), never loads it.  The value types are namedtuples, so the
+import path loads neither the standard library's data-class module nor
+the `inspect` that module imports."""
 
 import importlib
 

@@ -58,7 +58,7 @@ stay in the tests (`tests/oracle.py`) as an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 import numpy as np
@@ -496,13 +496,11 @@ def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
     return _macwilliams_min_weight(_dual_distribution(dual_basis(inst), F), q, k)
 
 
-@dataclass
-class ProfileRow:
-    d: int
-    dim: int
-    delta: int | None
-    singleton: int
-    required: int | None = None  # classes of a search the budget refused
+class ProfileRow(namedtuple("ProfileRow", "d dim delta singleton required", defaults=(None,))):
+    """One degree of a profile; delta is None and `required` holds the
+    classes of the search when the budget refused it."""
+
+    __slots__ = ()
 
     @property
     def skipped(self):

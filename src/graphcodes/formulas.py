@@ -6,7 +6,7 @@ is what truncates the inclusion-exclusion sums.  No floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import ceil, comb
 
 from .errors import InvalidParams, UnsupportedFamily
@@ -42,21 +42,23 @@ def dim_even_cycle_ternary(l, d):
     return sum(_binom(s, d - 2 * i) for i in range(d // 2 + 1))
 
 
-@dataclass(frozen=True)
-class RegFamily:
-    tag: str  # torus | complete_bipartite | complete | even_cycle | complete_multipartite
-    params: tuple
+class RegFamily(namedtuple("RegFamily", "tag params")):
+    """A row of the regularity table; tag is torus, complete_bipartite,
+    complete, even_cycle or complete_multipartite."""
 
-    def __post_init__(self):
-        if any(p < 1 for p in self.params):
+    __slots__ = ()
+
+    def __new__(cls, tag, params):
+        if any(p < 1 for p in params):
             raise InvalidParams("family parameters must be positive")
-        if self.tag == "complete" and self.params[0] <= 3:
+        if tag == "complete" and params[0] <= 3:
             raise InvalidParams("the complete-graph row requires n > 3")
-        if self.tag == "complete_multipartite":
-            if len(self.params) <= 2:
+        if tag == "complete_multipartite":
+            if len(params) <= 2:
                 raise InvalidParams("the multipartite row requires r > 2 parts")
-            if sum(self.params) <= 3:
+            if sum(params) <= 3:
                 raise InvalidParams("the multipartite row requires n > 3")
+        return super().__new__(cls, tag, params)
 
 
 def reg_closed_form(family, q):

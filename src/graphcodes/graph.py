@@ -13,29 +13,26 @@ ignored.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from itertools import product
 
 from .errors import (DEFAULT_CYCLE_CAP, CapExceeded, InvalidParams, NotADecomposition,
                      NotNested, NotOpen)
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    edges: tuple
+class Graph(namedtuple("Graph", "n edges")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n, edges):
+        if n < 1:
             raise InvalidParams("vertex count must be positive")
-        if len(self.edges) < 1:
+        if len(edges) < 1:
             raise InvalidParams("at least one edge is required")
         seen = set()
         norm = []
-        for u, v in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise InvalidParams(f"edge ({u},{v}) has endpoints outside 1..{self.n}")
+        for u, v in edges:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise InvalidParams(f"edge ({u},{v}) has endpoints outside 1..{n}")
             if u == v:
                 raise InvalidParams(f"loop at vertex {u}")
             key = (min(u, v), max(u, v))
@@ -43,7 +40,7 @@ class Graph:
                 raise InvalidParams(f"duplicate edge ({u},{v})")
             seen.add(key)
             norm.append((u, v))
-        object.__setattr__(self, "edges", tuple(norm))
+        return super().__new__(cls, n, tuple(norm))
 
     @property
     def s(self):
@@ -67,19 +64,12 @@ class Graph:
         return Graph(self.n, tuple(self.edges[p - 1] for p in perm))
 
 
-@dataclass(frozen=True)
-class GraphSummary:
-    n: int
-    s: int
-    b0: int
-    bipartite: bool
-    gamma: int
+class GraphSummary(namedtuple("GraphSummary", "n s b0 bipartite gamma")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EarDecomposition:
-    ears: tuple
-    epsilon: int
+class EarDecomposition(namedtuple("EarDecomposition", "ears epsilon")):
+    __slots__ = ()
 
 
 def _forest(G):

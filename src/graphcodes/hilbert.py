@@ -25,20 +25,18 @@ itself.  The generator of C_X(d), and the distance, are in `codes`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 
 from .errors import MonotonicityViolation
 
 
-@dataclass
-class CodeInstance:
-    """C_X(d) by its characters, before any matrix is built."""
+class CodeInstance(namedtuple("CodeInstance", "X d bits k")):
+    """C_X(d) by its characters, before any matrix is built: `bits` is the
+    set T_d of degree-d characters (bit i is grid cell i, C order) and
+    k = |T_d| = dim C_X(d)."""
 
-    X: object
-    d: int
-    bits: int  # the set T_d of degree-d characters: bit i is grid cell i (C order)
-    k: int  # |T_d| = dim C_X(d)
+    __slots__ = ()
 
     @property
     def m(self):

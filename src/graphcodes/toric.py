@@ -31,15 +31,14 @@ independent oracles (`tests/oracle.py`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import DEFAULT_POINT_CAP, CapExceeded, LengthMismatch
 from .graph import summarize
 
 
-@dataclass(frozen=True)
-class GroupImage:
+class GroupImage(namedtuple("GroupImage", "orders embed")):
     """The image of x -> A x, a homomorphism (Z/N)^c -> (Z/N)^t given by an
     integer (t, c) matrix A, as the grid G = Z/d_1 + ... + Z/d_k (each
     d_i > 1) of exactly |image| cells.
@@ -51,8 +50,7 @@ class GroupImage:
     character that row gives; w -> that character is an isomorphism of G
     onto its dual."""
 
-    orders: tuple
-    embed: tuple
+    __slots__ = ()
 
     @property
     def size(self):

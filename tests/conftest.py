@@ -46,6 +46,16 @@ def toric_points_brute(G, F):
     return points
 
 
+def assert_value_type(a, b, *fields):
+    """a and b, built apart, are equal and hash alike, and assigning any of
+    the named fields raises AttributeError."""
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+
+
 def two_triangles():
     return Graph(6, ((1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)))
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import two_triangles
+from conftest import assert_value_type, two_triangles
 from graphcodes import codes
 from graphcodes.codes import (
     _bz_messages,
@@ -123,6 +123,18 @@ def test_distances_and_dual_bases_list_no_points():
     assert [(r.dim, r.delta) for r in rows] == [(1, 16), (4, 9), (9, 4), (16, 1)]
     assert dual_basis(code_instance(X, 1)).shape == (12, 16)
     assert vars(X).keys() == {"F", "s", "point_group", "graph"}
+
+
+def test_code_instance_and_profile_row_are_immutable_values():
+    X = parameterize(build_family("cycle", [4]), make_field(5))
+    assert_value_type(code_instance(X, 2), code_instance(X, 2), "X", "d", "bits", "k")
+    assert codes.profile_rows(X, 1) == [codes.ProfileRow(0, 1, 16, 16),
+                                        codes.ProfileRow(1, 4, 9, 13)]
+    row = codes.ProfileRow(1, 4, 9, 13)
+    assert row.required is None and row.skipped is None
+    assert_value_type(row, codes.ProfileRow(1, 4, 9, 13, None),
+                      "d", "dim", "delta", "singleton", "required")
+    assert codes.ProfileRow(2, 9, None, 8, 120).skipped == "budget: 120 classes required"
 
 
 def test_regularity_torus_p1_gf5():

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from conftest import assert_value_type
 from graphcodes.errors import InvalidParams, UnsupportedFamily
 from graphcodes.formulas import (
     RegFamily,
@@ -78,10 +79,21 @@ def test_reg_closed_form_rows():
 
 
 def test_reg_family_constraints():
-    with pytest.raises(InvalidParams):
-        RegFamily("complete", (3,))
-    with pytest.raises(InvalidParams):
-        RegFamily("complete_multipartite", (2, 2))
+    for tag, params, message in [
+        ("torus", (0,), "family parameters must be positive"),
+        ("complete", (3,), "the complete-graph row requires n > 3"),
+        ("complete_multipartite", (2, 2), "the multipartite row requires r > 2 parts"),
+        ("complete_multipartite", (1, 1, 1), "the multipartite row requires n > 3"),
+    ]:
+        with pytest.raises(InvalidParams) as exc:
+            RegFamily(tag, params)
+        assert str(exc.value) == message
+
+
+def test_reg_family_is_an_immutable_value():
+    family = RegFamily("complete", (5,))
+    assert repr(family) == "RegFamily(tag='complete', params=(5,))"
+    assert_value_type(family, RegFamily(tag="complete", params=(5,)), "tag", "params")
 
 
 def test_reg_parallel_branches():

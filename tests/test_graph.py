@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import eulerian_subsets_brute, two_triangles
+from conftest import assert_value_type, eulerian_subsets_brute, two_triangles
 from graphcodes.errors import (
     CapExceeded,
     InvalidParams,
@@ -29,12 +29,28 @@ from graphcodes.graph import (
 
 
 def test_graph_validation():
-    with pytest.raises(InvalidParams):
-        Graph(3, ((1, 1),))
-    with pytest.raises(InvalidParams):
-        Graph(3, ((1, 2), (2, 1)))
-    with pytest.raises(InvalidParams):
-        Graph(2, ((1, 3),))
+    for n, edges, message in [
+        (0, ((1, 2),), "vertex count must be positive"),
+        (3, (), "at least one edge is required"),
+        (2, ((1, 3),), "edge (1,3) has endpoints outside 1..2"),
+        (3, ((1, 1),), "loop at vertex 1"),
+        (3, ((1, 2), (2, 1)), "duplicate edge (2,1)"),
+    ]:
+        with pytest.raises(InvalidParams) as exc:
+            Graph(n, edges)
+        assert str(exc.value) == message
+
+
+def test_graph_types_are_immutable_values(c4):
+    G = build_family("path", [2])
+    assert repr(G) == "Graph(n=3, edges=((1, 2), (2, 3)))"
+    assert_value_type(G, Graph(3, [[1, 2], [2, 3]]), "n", "edges")
+    assert G != Graph(3, ((2, 3), (1, 2)))  # the edge order is part of the value
+    assert_value_type(summarize(G), summarize(build_family("path", [2])),
+                      "n", "s", "b0", "bipartite", "gamma")
+    ears = [[1, 2, 3, 4, 1]]
+    assert_value_type(validate_ear_decomposition(c4, ears), validate_ear_decomposition(c4, ears),
+                      "ears", "epsilon")
 
 
 def test_summarize_c4(c4):

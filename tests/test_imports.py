@@ -1,6 +1,7 @@
 """What a cold process loads: graph-only subcommands, dim and reg start
-without numpy, the package resolves its submodule names on first access,
-and the console script keeps OpenBLAS to one thread."""
+without numpy, neither they nor the package import with its fields load
+dataclasses or inspect, the package resolves its submodule names on first
+access, and the console script keeps OpenBLAS to one thread."""
 
 import importlib
 import json
@@ -47,13 +48,26 @@ for argv in (["summarize", *graph], ["family", *graph],
     out = io.StringIO()
     status = run_command(argv, out=out)
     loaded.append([status, out.getvalue(), "numpy" in sys.modules])
-print(json.dumps(loaded))
+print(json.dumps([loaded, sorted({"dataclasses", "inspect"} & sys.modules.keys())]))
 """
-    loaded = json.loads(run_python(code))
+    loaded, slow_imports = json.loads(run_python(code))
     assert [status for status, _, _ in loaded] == [0, 0, 0, 0, 0, 0, 2, 0, 3, 0, 1, 1, 3]
     assert loaded[7][1] == "4\n" and json.loads(loaded[9][1])["reg"] == 10
     assert json.loads(loaded[12][1])["error"]["required"] == 15**8
     assert not any(numpy for *_, numpy in loaded), loaded
+    assert slow_imports == []
+
+
+def test_package_and_fields_leave_dataclasses_and_inspect_unloaded():
+    # The set-up a script pays before its first computation: the package
+    # import and a field per order, its tables not yet built.
+    code = """
+import sys, graphcodes
+for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 256):
+    graphcodes.make_field(q)
+print(sorted({"dataclasses", "inspect"} & sys.modules.keys()))
+"""
+    assert run_python(code).strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [

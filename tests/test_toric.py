@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import toric_points_brute, two_triangles
+from conftest import assert_value_type, toric_points_brute, two_triangles
 from graphcodes.codes import characters, hilbert_function
 from graphcodes.errors import CapExceeded
 from graphcodes.gfq import make_field
@@ -15,6 +15,14 @@ from graphcodes.toric import (count_points, expected_length, group_image, parame
                               torus_points)
 from oracle import (degree_monomials, embed_array, evaluation_matrix, normalize_point,
                     source_torus_hilbert_function, source_torus_points)
+
+
+def test_group_image_is_an_immutable_value():
+    F = make_field(5)
+    image = parameterize(build_family("cycle", [4]), F).point_group
+    assert repr(image) == f"GroupImage(orders={image.orders!r}, embed={image.embed!r})"
+    assert_value_type(image, parameterize(build_family("cycle", [4]), F).point_group,
+                      "orders", "embed")
 
 
 def test_torus_points_p1_gf3():
