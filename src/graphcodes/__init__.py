@@ -18,7 +18,6 @@ import importlib
 from .errors import (
     BudgetExceeded,
     CapExceeded,
-    DivisionByZero,
     GraphCodesError,
     InvalidParams,
     LengthMismatch,
@@ -72,7 +71,6 @@ __all__ = [
     "BudgetExceeded",
     "CapExceeded",
     "CodeInstance",
-    "DivisionByZero",
     "FieldSpec",
     "Graph",
     "GraphCodesError",

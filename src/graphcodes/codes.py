@@ -1,16 +1,13 @@
-"""Exact code parameters: dimension, regularity plateau, minimum distance,
-and per-degree profiles.
+"""Exact minimum distance and per-degree profiles of the codes C_X(d).
 
 The Hilbert function, the count of the set T_d of degree-d characters of X
-over its point grid, is in `hilbert`, which needs no numpy; `dimension`,
-`regularity_index`, `hilbert_function`, `code_instance` and `CodeInstance`
-are its objects, re-exported here.  `profile_rows` takes every degree of a
-profile from one pass of its sumset.  This module holds what needs numpy
-and the field tables: T_d as a boolean grid (`character_grid`), the
-generator of C_X(d), one row per element of T_d, the character's values at
-every cell of the point grid, in the order `ToricSet.arr` lists the points
-(`characters`), the basis of the dual (`dual_basis`) and the distance
-search.
+over its point grid, and with it dimension and regularity, is in `hilbert`,
+which needs no numpy.  `profile_rows` takes every degree of a profile from
+one pass of its sumset.  This module holds what needs numpy and the field
+tables: T_d as a boolean grid (`character_grid`), the generator of C_X(d),
+one row per element of T_d, the character's values at every cell of the
+point grid, in the order `ToricSet.arr` lists the points (`characters`),
+the basis of the dual (`dual_basis`) and the distance search.
 
 Minimum distance uses the translation action of X.  X acts regularly on
 the coordinates, its points, and since chi_c(x + g) = chi_c(g) chi_c(x) the
@@ -65,16 +62,11 @@ import numpy as np
 
 from . import hilbert
 from .errors import DEFAULT_BUDGET, BudgetExceeded, CapExceeded
+from .hilbert import CodeInstance, code_instance
 
-# The Hilbert function is defined in `hilbert`, which needs no numpy; these
-# names are its own objects, kept here for the callers of this module.
-from .hilbert import (  # noqa: F401
-    CodeInstance,
-    code_instance,
-    dimension,
-    hilbert_function,
-    regularity_index,
-)
+# Re-exported only for perfbench/workloads.py, which calls them through this
+# module, until the benchmark calls `hilbert` itself (ROADMAP item 1).
+from .hilbert import dimension, regularity_index  # noqa: F401
 
 DEFAULT_CELL_CAP = 10**7  # cells of the generator built: k or m - k rows, m columns
 _CELLS = 1 << 20  # compared cells per block of the distance search
@@ -314,7 +306,7 @@ def _message_weights(A, w, F, tails=None, fixed=0):
                     yield w + differ.sum(axis=2, dtype=count).ravel()
 
 
-def _bz_min_weight(G, F, cap=DEFAULT_CELL_CAP):
+def _bz_min_weight(G, F):
     """Minimum weight of the code spanned by G (k x m, full rank) when a
     group acting regularly on the m coordinates maps the code to itself
     (Brouwer-Zimmermann over the translates of one information set).
@@ -344,9 +336,9 @@ def _bz_min_weight(G, F, cap=DEFAULT_CELL_CAP):
     Up to weight 3 a message is a sum of w - 1 rows against the multiples
     of a later row (`_message_weights`).  On reaching weight 4 the search
     builds the table of two-row tails (`_tails`) once, if its
-    C(k - 2, 2) (q - 1)^2 (m - k) cells fit the cell cap (checked before
-    it is allocated), and from then on compares sums of w - 2 rows with
-    it; over the cap it keeps to one-row tails.  A table built for weight
+    C(k - 2, 2) (q - 1)^2 (m - k) cells fit DEFAULT_CELL_CAP (checked
+    before it is allocated), and from then on compares sums of w - 2 rows
+    with it; over the cap it keeps to one-row tails.  A table built for weight
     3 would hold about 3 / k as many rows as weight 3 compares, each built
     at several times the cost of a comparison, which a search that ends at
     weight 3 does not repay (C_4/GF(32) at d = 1 took three times as
@@ -360,7 +352,7 @@ def _bz_min_weight(G, F, cap=DEFAULT_CELL_CAP):
         if floor >= best:
             break
         if w == 4:
-            tails = _tails(A, F, cap)
+            tails = _tails(A, F, DEFAULT_CELL_CAP)
         fixed = w - _tail_rows(w, tails)
         while fixed and (w + 1 - fixed) * m <= (k - fixed) * (best - 1):
             fixed -= 1
@@ -446,12 +438,12 @@ def _macwilliams_min_weight(B, q, k):
     return next(w for w in range(1, m + 1) if A[w] > 0)
 
 
-def minimum_distance(X, d, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
+def minimum_distance(X, d, budget=DEFAULT_BUDGET):
     """Exact minimum Hamming weight of C_X(d)."""
-    return code_distance(code_instance(X, d), budget=budget, cap=cap)
+    return code_distance(code_instance(X, d), budget=budget)
 
 
-def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
+def code_distance(inst, budget=DEFAULT_BUDGET):
     """Exact minimum Hamming weight of a code instance.
 
     X acts regularly on the coordinates by translation and maps C_X(d) and
@@ -467,10 +459,10 @@ def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
     are enumerated (`_dual_distribution`), then transformed (MacWilliams).
 
     The side is the cheaper one whose generator (k or m - k rows of m
-    cells) fits the cap, and its count is checked against the budget, all
-    from k, m and q before any matrix is built; only the chosen side is
-    built, and a side over the cap is not even counted.  Nothing is built
-    for a single character (k = 1), which is zero nowhere and so has
+    cells) fits DEFAULT_CELL_CAP, and its count is checked against the
+    budget, all from k, m and q before any matrix is built; only the chosen
+    side is built, and a side over the cap is not even counted.  Nothing is
+    built for a single character (k = 1), which is zero nowhere and so has
     distance m, nor for a full code (k = m), whose distance is 1.
     """
     k, m = inst.k, inst.m
@@ -478,6 +470,7 @@ def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
         return 1
     if k == 1:
         return m
+    cap = DEFAULT_CELL_CAP
     cells = min(k, m - k) * m  # the smaller generator
     if cells > cap:
         raise CapExceeded(f"generator needs {cells} cells, cap is {cap}", required=cells)
@@ -492,7 +485,7 @@ def code_distance(inst, budget=DEFAULT_BUDGET, cap=DEFAULT_CELL_CAP):
             f"{needed} message classes required, budget is {budget}", required=needed
         )
     if primal <= dual:
-        return _bz_min_weight(characters(inst.X, character_grid(inst)), F, cap)
+        return _bz_min_weight(characters(inst.X, character_grid(inst)), F)
     return _macwilliams_min_weight(_dual_distribution(dual_basis(inst), F), q, k)
 
 

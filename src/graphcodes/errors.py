@@ -17,10 +17,6 @@ class UnsupportedField(GraphCodesError):
     """A field size above the largest supported q (256)."""
 
 
-class DivisionByZero(GraphCodesError, ZeroDivisionError):
-    pass
-
-
 class InvalidParams(GraphCodesError):
     pass
 
@@ -54,6 +50,7 @@ class MonotonicityViolation(GraphCodesError):
 DEFAULT_BUDGET = 5 * 10**7  # message classes of one distance search
 DEFAULT_POINT_CAP = 10**7  # points of X
 DEFAULT_CYCLE_CAP = 1 << 20  # elements of the cycle space listed
+DEFAULT_EAR_CHOICES = 1 << 16  # nest-interval choices tried for an ear decomposition
 
 
 class ResourceRefused(GraphCodesError):

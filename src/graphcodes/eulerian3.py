@@ -30,7 +30,7 @@ DEFAULT_SEARCH_CAP = 1 << 24
 
 def _evens(G):
     """(C, |C|/2) for every even-edge Eulerian subgraph C."""
-    return [(C, C.bit_count() // 2) for C in eulerian_masks(G, even_edge_count_only=True)]
+    return [(C, C.bit_count() // 2) for C in eulerian_masks(G) if C.bit_count() % 2 == 0]
 
 
 def _refuse(required, what):

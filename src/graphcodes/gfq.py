@@ -4,9 +4,9 @@ Elements are encoded as integers 0..q-1, read as base-p digit vectors of
 polynomial coefficients (least significant digit = constant term), and
 since q <= 256 every element is one byte: every table of elements is uint8,
 so the points, generators and distance kernels downstream are uint8 with
-no conversion.  A field carries full log/antilog tables with respect to a
-fixed primitive element, plus dense q x q addition and multiplication
-tables so that row operations can be vectorized with numpy fancy indexing.
+no conversion.  A field is its byte tables: the powers of a fixed
+primitive element, negation and inversion, and dense q x q addition and
+multiplication tables, so that row operations are numpy fancy indexing.
 
 Every q goes through one construction on the (q, e) digit matrix of the
 elements: addition and negation are digit-wise mod p, and a * b is the
@@ -25,7 +25,7 @@ structure of X, and so dimension and regularity) never imports numpy.
 
 from __future__ import annotations
 
-from .errors import DivisionByZero, NotAPrimePower, UnsupportedField
+from .errors import NotAPrimePower, UnsupportedField
 
 MAX_Q = 256
 
@@ -101,9 +101,7 @@ def _find_primitive(mul):
 
 
 # Built together on the first access to any of them (`FieldSpec.__getattr__`).
-_TABLES = frozenset(
-    {"add_table", "mul_table", "neg_table", "inv_table", "exp_table", "log_table", "primitive"}
-)
+_TABLES = frozenset({"add_table", "mul_table", "neg_table", "inv_table", "exp_table", "primitive"})
 
 
 class FieldSpec:
@@ -116,7 +114,6 @@ class FieldSpec:
         add_table, mul_table: dense (q, q) uint8 tables.
         neg_table, inv_table: (q,) uint8 tables (inv_table[0] is 0, unused).
         exp_table: (q-1,) uint8 powers of the primitive element.
-        log_table: (q,) int64 discrete logs; log_table[0] = -1 sentinel.
         primitive: the primitive element.
 
     q, p, e and reducing_poly are set, and q validated, on construction;
@@ -168,36 +165,10 @@ class FieldSpec:
 
         primitive, powers = _find_primitive(mul_table)
         exp = np.array(powers, dtype=np.uint8)
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-
         inv = np.zeros(q, dtype=np.uint8)
-        inv[1:] = exp[(-log[1:]) % (q - 1)]
+        inv[exp] = exp[-np.arange(q - 1) % (q - 1)]  # 1 / g^i = g^-i
         self.__dict__.update(add_table=add_table, mul_table=mul_table, neg_table=neg_table,
-                             primitive=primitive, exp_table=exp, log_table=log, inv_table=inv)
-
-    # Scalar operations.  Hot paths index the tables directly with numpy.
-
-    def add(self, a, b):
-        return int(self.add_table[a, b])
-
-    def mul(self, a, b):
-        return int(self.mul_table[a, b])
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of 0")
-        return int(self.inv_table[a])
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        if a == 0:
-            return 1 if n == 0 else 0
-        return int(self.exp_table[(int(self.log_table[a]) * n) % (self.q - 1)])
+                             primitive=primitive, exp_table=exp, inv_table=inv)
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})"

@@ -13,11 +13,12 @@ ignored.
 
 from __future__ import annotations
 
+import math
 from collections import deque, namedtuple
-from itertools import product
+from itertools import islice, product
 
-from .errors import (DEFAULT_CYCLE_CAP, CapExceeded, InvalidParams, NotADecomposition,
-                     NotNested, NotOpen)
+from .errors import (DEFAULT_CYCLE_CAP, DEFAULT_EAR_CHOICES, CapExceeded, InvalidParams,
+                     NotADecomposition, NotNested, NotOpen)
 
 
 class Graph(namedtuple("Graph", "n edges")):
@@ -137,23 +138,20 @@ def mask_subset(mask):
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def eulerian_masks(G, even_edge_count_only=False, cap=DEFAULT_CYCLE_CAP):
+def eulerian_masks(G):
     """All nonempty elements of the cycle space as masks, ascending: the
     Eulerian subgraphs, even degree at every vertex.  The span is built by
     doubling over the basis, which is independent, so every element appears
-    once; its size 2^(s - n + b0) is checked against the cap first."""
+    once; its size 2^(s - n + b0) is checked against DEFAULT_CYCLE_CAP first."""
     basis = _cycle_masks(G)
     total = 1 << len(basis)
-    if total > cap:
-        raise CapExceeded(
-            f"cycle space has {total} elements, cap is {cap}", required=total
-        )
+    if total > DEFAULT_CYCLE_CAP:
+        raise CapExceeded(f"cycle space has {total} elements, cap is {DEFAULT_CYCLE_CAP}",
+                          required=total)
     space = [0]
     for b in basis:
         space += [x ^ b for x in space]
     space.sort()
-    if even_edge_count_only:
-        return [m for m in space[1:] if m.bit_count() % 2 == 0]
     return space[1:]
 
 
@@ -267,8 +265,10 @@ def validate_ear_decomposition(G, ears):
     distinct endpoints lie on earlier ears and whose internal vertices are
     new.  Each later ear must determine a nest interval on a single earlier
     ear, and intervals on a common ear must be pairwise disjoint or nested
-    (on the cycle ear either arc may serve as the interval; all choices are
-    searched).  Returns the decomposition with its count of even ears.
+    (on the cycle ear either arc may serve as the interval).  The choices
+    are searched in order, at most DEFAULT_EAR_CHOICES of them: when none
+    of those is compatible and there are more, CapExceeded names their
+    number.  Returns the decomposition with its count of even ears.
     """
     ears = [list(e) for e in ears]
     if not ears:
@@ -336,7 +336,12 @@ def validate_ear_decomposition(G, ears):
                         return False
         return True
 
-    if not any(compatible(choice) for choice in product(*candidates)):
+    if not any(compatible(choice)
+               for choice in islice(product(*candidates), DEFAULT_EAR_CHOICES)):
+        total = math.prod(map(len, candidates))
+        if total > DEFAULT_EAR_CHOICES:
+            raise CapExceeded(f"{total} choices of nest intervals, cap is {DEFAULT_EAR_CHOICES}",
+                              required=total)
         raise NotNested("nest intervals on a common ear are neither disjoint nor nested")
 
     epsilon = sum(1 for edges in ear_edges if len(edges) % 2 == 0)

@@ -9,11 +9,6 @@ ascending lexicographic order of the reversed exponent tuple.
 from __future__ import annotations
 
 
-def support(m):
-    """1-based variable indices with nonzero exponent, as a frozenset."""
-    return frozenset(i + 1 for i, e in enumerate(m) if e)
-
-
 def from_support(subset, s):
     exps = [0] * s
     for i in subset:

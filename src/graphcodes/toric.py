@@ -195,10 +195,6 @@ class ToricSet:
         return listed
 
     @property
-    def points(self):
-        return [tuple(int(c) for c in row) for row in self.arr]
-
-    @property
     def degenerate(self):
         # Over GF(2) the torus collapses to a single point.
         return self.F.q == 2

@@ -5,7 +5,7 @@ SKIPPED(reason).
 Dims and distances for d = 0..d_max come from one profile pass
 (`codes.profile_rows`), which also gives the regularity index when it
 reaches the plateau dim = |X|; only a d_max below it takes a second pass
-(`codes.hilbert_function`).  The distance laws come from the list every
+(`hilbert.hilbert_function`).  The distance laws come from the list every
 profile obeys (`codes.distance_laws`); a degree refused by the budget or the
 generator cell cap builds nothing.
 """
@@ -13,8 +13,9 @@ generator cell cap builds nothing.
 from __future__ import annotations
 
 from . import codes, eulerian3, formulas, graph as graphmod, toric
-from .errors import SCHEMA
+from .errors import DEFAULT_BUDGET, DEFAULT_POINT_CAP, SCHEMA
 from .gfq import make_field
+from .hilbert import hilbert_function
 
 
 def _row(check, expected, actual, d=None):
@@ -32,7 +33,7 @@ def _skip(check, reason, d=None):
     return row
 
 
-def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP):
+def verify(G, q, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_POINT_CAP):
     """Cross-check every applicable closed form against brute force.  A
     degree whose distance search exceeds the budget becomes a SKIPPED row;
     one whose generator exceeds the cell cap raises CapExceeded."""
@@ -55,7 +56,7 @@ def verify(G, q, d_max, budget=codes.DEFAULT_BUDGET, cap=toric.DEFAULT_POINT_CAP
     ternary = eulerian3.dims_ternary(G, d_max) if q == 3 else None
     dims = [r.dim for r in profile]
     if X.m not in dims:  # the plateau lies past d_max
-        dims = codes.hilbert_function(X)
+        dims = hilbert_function(X)
     reg = dims.index(X.m)
 
     for r in profile:

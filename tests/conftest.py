@@ -8,6 +8,11 @@ import pytest
 from graphcodes.graph import Graph, build_family
 
 
+def support(m):
+    """1-based variable indices with nonzero exponent, as a frozenset."""
+    return frozenset(i + 1 for i, e in enumerate(m) if e)
+
+
 def eulerian_subsets_brute(G, even_edge_count_only=False):
     """All nonempty edge subsets inducing even degree everywhere, found by
     scanning all 2^s subsets and checking vertex degrees directly."""
@@ -40,9 +45,9 @@ def toric_points_brute(G, F):
     points = set()
     for tail in product(nonzero, repeat=G.n - 1):
         x = tail + (1,)
-        img = tuple(F.mul(x[u - 1], x[v - 1]) for u, v in G.edges)
-        scale = F.inv(img[-1])
-        points.add(tuple(F.mul(c, scale) for c in img))
+        img = tuple(int(F.mul_table[x[u - 1], x[v - 1]]) for u, v in G.edges)
+        scale = F.inv_table[img[-1]]
+        points.add(tuple(int(F.mul_table[c, scale]) for c in img))
     return points
 
 

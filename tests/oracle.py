@@ -136,6 +136,14 @@ def degree_monomials(s, d):
     return out
 
 
+def discrete_logs(F):
+    """(q,) int64 logs of the elements to the primitive element, from
+    F.exp_table; entry 0, the zero element, is -1."""
+    log = np.full(F.q, -1, dtype=np.int64)
+    log[F.exp_table] = np.arange(F.q - 1)
+    return log
+
+
 def normalize_point(coords, F):
     """Scale so the last nonzero coordinate is 1; rejects the zero vector."""
     coords = list(coords)
@@ -146,8 +154,8 @@ def normalize_point(coords, F):
             break
     if last is None:
         raise ValueError("projective point cannot be the zero vector")
-    scale = F.inv(coords[last])
-    return tuple(F.mul(c, scale) for c in coords)
+    scale = F.inv_table[coords[last]]
+    return tuple(int(F.mul_table[c, scale]) for c in coords)
 
 
 def evaluation_matrix(X, d, cap=DEFAULT_MONOMIAL_CAP):
@@ -162,7 +170,7 @@ def evaluation_matrix(X, d, cap=DEFAULT_MONOMIAL_CAP):
         raise CapExceeded(f"{nmon} monomials needed, cap is {cap}", required=nmon)
     mons = degree_monomials(X.s, d)
     A = np.array(mons, dtype=np.int64).reshape(nmon, X.s)
-    logs = F.log_table[X.arr.astype(np.int64)]  # all coordinates nonzero
+    logs = discrete_logs(F)[X.arr]  # all coordinates nonzero
     raw = A @ logs.T - d * logs[:, 0][None, :]
     return F.exp_table[raw % (q - 1)].astype(np.int16)
 

@@ -11,13 +11,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import two_triangles
-from graphcodes.codes import (
-    dimension,
-    distance_profile,
-    minimum_distance,
-    regularity_index,
-)
+from conftest import support, two_triangles
+from graphcodes.codes import distance_profile, minimum_distance
 from graphcodes.errors import BudgetExceeded, UnsupportedFamily
 from graphcodes.eulerian3 import (
     dim_ternary,
@@ -41,7 +36,7 @@ from graphcodes.formulas import (
 )
 from graphcodes.gfq import make_field
 from graphcodes.graph import build_family, summarize, validate_ear_decomposition
-from graphcodes.monomials import support
+from graphcodes.hilbert import dimension, regularity_index
 from graphcodes.toric import expected_length, parameterize, torus_points
 
 

@@ -217,7 +217,7 @@ def test_generator_cap_is_a_refusal():
     # C3 over GF(256) at d = 20: 231 characters on 65025 points, past the
     # default generator cap, refused before the search or any allocation.
     X = parameterize(build_family("cycle", [3]), make_field(256))
-    required = codes.dimension(X, 20) * X.m
+    required = hilbert.dimension(X, 20) * X.m
     assert required > codes.DEFAULT_CELL_CAP
     status, text = run(["mindist", "--family", "cycle", "--params", "3",
                         "--q", "256", "--d", "20", "--json"])
@@ -234,8 +234,8 @@ def test_verify_generator_cap_is_a_refusal(monkeypatch):
     # default generator cap, which stops verify with exit 3.  Nothing is
     # built for any of these degrees.
     X = parameterize(build_family("cycle", [3]), make_field(256))
-    required = codes.dimension(X, 17) * X.m
-    assert codes.dimension(X, 16) * X.m <= codes.DEFAULT_CELL_CAP < required
+    required = hilbert.dimension(X, 17) * X.m
+    assert hilbert.dimension(X, 16) * X.m <= codes.DEFAULT_CELL_CAP < required
     builds = []
     monkeypatch.setattr(codes, "characters", lambda *args: builds.append(args))
     status, text = run(["verify", "--family", "cycle", "--params", "3",
@@ -250,9 +250,9 @@ def test_verify_generator_cap_is_a_refusal(monkeypatch):
     # Brouwer-Zimmermann's message counts, each below the (256^k - 1) / 255
     # classes of an exhaustive search; d = 1 needs the 3 + 3 * 255 messages
     # of weight <= 2.
-    needed = [codes._bz_messages(codes.dimension(X, d), X.m, 256) for d in range(1, 17)]
+    needed = [codes._bz_messages(hilbert.dimension(X, d), X.m, 256) for d in range(1, 17)]
     assert needed[0] == 768
-    assert all(n < (256 ** codes.dimension(X, d) - 1) // 255 for d, n in enumerate(needed, 1))
+    assert all(n < (256 ** hilbert.dimension(X, d) - 1) // 255 for d, n in enumerate(needed, 1))
     assert [r["status"] for r in report["rows"] if r["check"] == "mindist brute force"] == [
         f"SKIPPED(requires {n})" for n in needed
     ]
@@ -380,7 +380,7 @@ def test_verify_builds_one_code_per_degree(monkeypatch):
     assert report["ok"] and degrees == [0, 1] and builds == []
     degrees.clear()
     X = parameterize(build_family("complete_bipartite", [2, 3]), make_field(4))
-    assert codes.hilbert_function(X) == [1, 6, 18, 24, 27]
+    assert hilbert.hilbert_function(X) == [1, 6, 18, 24, 27]
     assert len(codes.distance_profile(X, 3)) == 4
     assert degrees == [0, 1, 2, 3] and builds == [1, 2, 3]
 

@@ -20,13 +20,9 @@ from graphcodes.codes import (
     _weight_distribution,
     character_grid,
     characters,
-    code_instance,
-    dimension,
     distance_profile,
     dual_basis,
-    hilbert_function,
     minimum_distance,
-    regularity_index,
 )
 from graphcodes.errors import BudgetExceeded, CapExceeded, MonotonicityViolation
 from graphcodes.formulas import (
@@ -38,6 +34,7 @@ from graphcodes.formulas import (
 )
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family
+from graphcodes.hilbert import code_instance, dimension, hilbert_function, regularity_index
 from graphcodes.toric import GroupImage, ToricSet, parameterize, torus_points
 from oracle import (
     evaluation_matrix,
@@ -70,7 +67,7 @@ def test_rank_gf4():
     F = make_field(4)
     # Rows (1, a), (a, a^2) are proportional; a is whatever element 2 encodes.
     a = 2
-    M = [[1, a], [a, F.mul(a, a)]]
+    M = [[1, a], [a, int(F.mul_table[a, a])]]
     assert rank(M, F) == 1
 
 
@@ -83,7 +80,7 @@ def test_null_space_annihilates():
         for m in M:
             acc = 0
             for a, b in zip(m, row):
-                acc = F.add(acc, F.mul(int(a), int(b)))
+                acc = F.add_table[acc, F.mul_table[a, b]]
             assert acc == 0
 
 
@@ -209,7 +206,7 @@ def _brute_weight_distribution(G, F):
     for message in product(range(F.q), repeat=k):
         word = [0] * m
         for c, row in zip(message, G.tolist()):
-            word = [F.add(w, F.mul(c, g)) for w, g in zip(word, row)]
+            word = [F.add_table[w, F.mul_table[c, g]] for w, g in zip(word, row)]
         dist[sum(1 for w in word if w)] += 1
     return dist
 
@@ -239,13 +236,13 @@ def _long_rows(q, k, L, cells):
 def _scalar_combinations(A, F, t):
     """(support, word) for every combination of t rows of A with
     coefficient 1 on its lowest row and any nonzero one on the others, as
-    scalar sums through F.add and F.mul."""
+    scalar sums through the add and mul tables."""
     k, L = A.shape
     for support in combinations(range(k), t):
         for tail in product(range(1, F.q), repeat=t - 1):
             word = [0] * L
             for c, i in zip((1, *tail), support):
-                word = [F.add(x, F.mul(c, int(a))) for x, a in zip(word, A[i])]
+                word = [F.add_table[x, F.mul_table[c, a]] for x, a in zip(word, A[i])]
             yield support, word
 
 
@@ -655,11 +652,13 @@ def test_generator_cap_refuses_before_allocation(monkeypatch):
     k = dimension(X, 1)
     assert 2 * k <= X.m
     built = _count_builds(monkeypatch)
+    monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", k * X.m - 1)
     with pytest.raises(CapExceeded) as exc:
-        minimum_distance(X, 1, cap=k * X.m - 1)
+        minimum_distance(X, 1)
     assert exc.value.required == k * X.m
     assert built == []
-    assert minimum_distance(X, 1, cap=k * X.m) == mindist_complete_bipartite(2, 3, 1, 7)
+    monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", k * X.m)
+    assert minimum_distance(X, 1) == mindist_complete_bipartite(2, 3, 1, 7)
     assert built == [k]
 
 
@@ -675,12 +674,14 @@ def test_refusal_builds_nothing(monkeypatch):
     assert exc.value.required == 5461
     assert built == []
     # The cap is checked first, on the 8 x 27 dual generator.
+    monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 8 * 27 - 1)
     with pytest.raises(CapExceeded) as exc:
-        minimum_distance(X, 2, budget=2000, cap=8 * 27 - 1)
+        minimum_distance(X, 2, budget=2000)
     assert exc.value.required == 8 * 27
     assert built == []
     # At the plateau the distance is 1, with no matrix at all.
-    assert minimum_distance(X, regularity_index(X), cap=0) == 1
+    monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 0)
+    assert minimum_distance(X, regularity_index(X)) == 1
     assert built == []
 
 
@@ -690,19 +691,25 @@ def test_cap_leaves_the_side_that_fits(monkeypatch):
     # classes, 7 x 16 cells).  A cap between the two generators leaves the
     # dual, and a cap below both refuses, naming the smaller generator.
     X = parameterize(build_family("cycle", [4]), make_field(5))
+    default = codes.DEFAULT_CELL_CAP
     built = _count_builds(monkeypatch)
     with pytest.raises(BudgetExceeded) as exc:
         minimum_distance(X, 2, budget=0)
     assert exc.value.required == 1497
+    monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 9 * 16 - 1)
     with pytest.raises(BudgetExceeded) as exc:
-        minimum_distance(X, 2, budget=0, cap=9 * 16 - 1)
+        minimum_distance(X, 2, budget=0)
     assert exc.value.required == (5**6 - 1) // 4 == 3906
+    monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 7 * 16 - 1)
     with pytest.raises(CapExceeded) as exc:
-        minimum_distance(X, 2, cap=7 * 16 - 1)
+        minimum_distance(X, 2)
     assert exc.value.required == 7 * 16
     assert built == []
     expected = mindist_complete_bipartite(2, 2, 2, 5)
-    assert minimum_distance(X, 2, cap=9 * 16 - 1) == minimum_distance(X, 2) == expected
+    monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 9 * 16 - 1)
+    dual = minimum_distance(X, 2)
+    monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", default)
+    assert dual == minimum_distance(X, 2) == expected
     assert built == [7, 9]
 
 

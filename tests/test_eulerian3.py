@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eulerian_subsets_brute, parity_join_brute, two_triangles
+from conftest import eulerian_subsets_brute, parity_join_brute, support, two_triangles
 from graphcodes import eulerian3
 from graphcodes.errors import CapExceeded
 from graphcodes.eulerian3 import (
@@ -18,8 +18,8 @@ from graphcodes.eulerian3 import (
 from graphcodes.formulas import k_formula
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family, mask_subset, summarize
-from graphcodes.monomials import from_support, grevlex_key, support
-from graphcodes.codes import dimension, regularity_index
+from graphcodes.monomials import from_support, grevlex_key
+from graphcodes.hilbert import dimension, regularity_index
 from graphcodes.toric import expected_length, parameterize
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import graphcodes.gfq as gfq
-from graphcodes.errors import DivisionByZero, NotAPrimePower, UnsupportedField
+from graphcodes.errors import NotAPrimePower, UnsupportedField
 from graphcodes.gfq import FieldSpec, make_field
+from oracle import discrete_logs
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64]
 
@@ -13,7 +14,7 @@ PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64]
 def test_make_field_gf5():
     F = make_field(5)
     assert (F.p, F.e) == (5, 1)
-    assert F.mul(2, 3) == 1
+    assert int(F.mul_table[2, 3]) == 1
 
 
 def test_make_field_gf9():
@@ -29,20 +30,15 @@ def test_not_a_prime_power(q):
 
 
 def test_inverse_examples():
-    assert make_field(5).inv(2) == 3
+    assert int(make_field(5).inv_table[2]) == 3
     for q in PRIME_POWERS:
-        assert make_field(q).inv(1) == 1
-
-
-def test_inv_zero_raises():
-    with pytest.raises(DivisionByZero):
-        make_field(7).inv(0)
+        assert int(make_field(q).inv_table[1]) == 1
 
 
 def test_gf4_cubes_are_one():
-    F = make_field(4)
+    mul = make_field(4).mul_table
     for a in range(1, 4):
-        assert F.pow(a, 3) == 1
+        assert mul[mul[a, a], a] == 1
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
@@ -67,9 +63,13 @@ def test_field_axioms_exhaustive(q):
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_little_fermat(q):
+    # x^(q-1) by q - 1 products through the multiplication table.
     F = make_field(q)
-    for x in range(1, q):
-        assert F.pow(x, q - 1) == 1
+    x = np.arange(1, q)
+    power = np.ones(q - 1, dtype=np.uint8)
+    for _ in range(q - 1):
+        power = F.mul_table[power, x]
+    assert (power == 1).all()
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
@@ -81,14 +81,19 @@ def test_encoding_round_trip(q):
     assert [sum(c * F.p**i for i, c in enumerate(ds)) for ds in digits] == list(range(q))
     for x, dx in enumerate(digits):
         for y, dy in enumerate(digits):
-            assert digits[F.add(x, y)] == [(a + b) % F.p for a, b in zip(dx, dy)]
+            assert digits[F.add_table[x, y]] == [(a + b) % F.p for a, b in zip(dx, dy)]
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_log_exp_consistency(q):
+    # exp_table lists g^0, ..., g^(q-2) for the primitive element g, each
+    # power the last times g, and is a bijection onto 1..q-1: every nonzero
+    # element has exactly one log.
     F = make_field(q)
-    for x in range(1, q):
-        assert F.exp_table[F.log_table[x]] == x
+    exp = F.exp_table
+    assert exp[0] == 1
+    assert np.array_equal(exp[1:], F.mul_table[exp[:-1], F.primitive])
+    assert sorted(exp.tolist()) == list(range(1, q))
 
 
 def test_construction_is_deterministic():
@@ -115,8 +120,9 @@ def test_oversized_field_is_unsupported(q, monkeypatch):
 # Every prime power q <= 256: the primitive element and the SHA-256 of the
 # add, mul, neg, inv, exp and log tables, each as little-endian int16 bytes
 # in that order, as produced by the earlier pair-by-pair polynomial
-# construction.
-TABLES = ("add_table", "mul_table", "neg_table", "inv_table", "exp_table", "log_table")
+# construction.  The field keeps no log table; `_digest` rebuilds it from
+# exp_table, with -1 at 0 (`oracle.discrete_logs`).
+TABLES = ("add_table", "mul_table", "neg_table", "inv_table", "exp_table")
 PINNED = {
     2: (1, "af9eb708fdbfad33b8ed6b6d3d1410a8bbf7f38aaf6e81796892021f6c27e9cb"),
     3: (2, "1673eddb3e778fd4de330088baac27372b07d753668620b577c3593369e10d78"),
@@ -222,45 +228,46 @@ def test_pins_cover_every_prime_power():
     assert sorted(PINNED_REDUCING_POLY) == [q for q in PINNED if make_field(q).e > 1]
 
 
+def _digest(F):
+    """SHA-256 of the pinned tables of F, the log table rebuilt from exp."""
+    h = hashlib.sha256()
+    for table in [getattr(F, name) for name in TABLES] + [discrete_logs(F)]:
+        h.update(np.asarray(table, dtype="<i2").tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("q", sorted(PINNED))
 def test_tables_match_pinned_construction(q):
     F = FieldSpec(q)
     primitive, digest = PINNED[q]
     assert F.primitive == primitive
-    h = hashlib.sha256()
-    for name in TABLES:
-        table = getattr(F, name)
-        assert table.dtype == (np.int64 if name == "log_table" else np.uint8)
-        h.update(np.asarray(table, dtype="<i2").tobytes())
-    assert h.hexdigest() == digest
+    assert all(getattr(F, name).dtype == np.uint8 for name in TABLES)
+    assert _digest(F) == digest
     assert F.reducing_poly == PINNED_REDUCING_POLY.get(q, (0, 1))
 
 
-FIRST_ACCESS = {name: (lambda F, name=name: getattr(F, name)) for name in gfq._TABLES}
-FIRST_ACCESS.update(mul=lambda F: F.mul(2, 3), pow=lambda F: F.pow(2, 5))
-
-
-@pytest.mark.parametrize("first", sorted(FIRST_ACCESS))
+@pytest.mark.parametrize("first", sorted(gfq._TABLES))
 @pytest.mark.parametrize("q", [9, 256])
 def test_tables_are_built_together_on_first_access(q, first):
     # Construction sets only q, p, e and the reducing polynomial; the first
-    # read of any table, the primitive element or a scalar operation builds
-    # every table at once, and the pinned digests hold whichever came first.
+    # read of any table or the primitive element builds every table at once,
+    # the field is then these and nothing else, and the pinned digests hold
+    # whichever came first.
     F = FieldSpec(q)
     assert sorted(vars(F)) == ["e", "p", "q", "reducing_poly"]
-    FIRST_ACCESS[first](F)
-    assert gfq._TABLES <= set(vars(F))
+    getattr(F, first)
+    public = {name for name in dir(F) if not name.startswith("_")}
+    assert public == set(vars(F)) == {"e", "p", "q", "reducing_poly", *gfq._TABLES}
+    assert gfq._TABLES == {"primitive", *TABLES}
     primitive, digest = PINNED[q]
-    h = hashlib.sha256()
-    for name in TABLES:
-        h.update(np.asarray(getattr(F, name), dtype="<i2").tobytes())
-    assert (F.primitive, h.hexdigest()) == (primitive, digest)
+    assert (F.primitive, _digest(F)) == (primitive, digest)
 
 
 def test_unknown_attribute_builds_nothing():
     F = FieldSpec(7)
-    with pytest.raises(AttributeError, match="no_such_table"):
-        F.no_such_table
+    for name in ("no_such_table", "log_table"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(F, name)
     assert sorted(vars(F)) == ["e", "p", "q", "reducing_poly"]
 
 

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -5,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_value_type, eulerian_subsets_brute, two_triangles
+from graphcodes import eulerian3, graph
 from graphcodes.errors import (
+    DEFAULT_EAR_CHOICES,
     CapExceeded,
     InvalidParams,
     NotADecomposition,
@@ -73,9 +76,17 @@ def test_summarize_edge_order_invariant(c6):
     assert summarize(c6) == summarize(c6.reorder_edges(perm))
 
 
-def eulerian_subsets(G, even_edge_count_only=False):
+def eulerian_subsets(G):
     """eulerian_masks as edge subsets, in its order."""
-    return [mask_subset(m) for m in eulerian_masks(G, even_edge_count_only)]
+    return [mask_subset(m) for m in eulerian_masks(G)]
+
+
+def even_subsets(G):
+    """The elements with an even number of edges, which the ternary theory
+    keeps (`eulerian3._evens`), as edge subsets in its order."""
+    evens = eulerian3._evens(G)
+    assert all(2 * h == C.bit_count() for C, h in evens)
+    return [mask_subset(C) for C, _ in evens]
 
 
 def test_cycle_basis_tree_empty():
@@ -110,24 +121,25 @@ def test_cycle_basis_k4_even_degrees(k4):
     ],
 )
 def test_enumerate_eulerian_matches_brute_force(G):
-    for even_only in (False, True):
-        got = set(eulerian_subsets(G, even_edge_count_only=even_only))
-        want = set(eulerian_subsets_brute(G, even_edge_count_only=even_only))
-        assert got == want
+    assert set(eulerian_subsets(G)) == set(eulerian_subsets_brute(G))
+    assert set(even_subsets(G)) == set(eulerian_subsets_brute(G, even_edge_count_only=True))
 
 
 def test_enumerate_eulerian_examples(c4, k4):
-    assert eulerian_masks(c4, even_edge_count_only=True) == [0b1111]
-    assert eulerian_masks(build_family("cycle", [3]), even_edge_count_only=True) == []
-    evens = eulerian_subsets(k4, even_edge_count_only=True)
+    assert even_subsets(c4) == [frozenset({1, 2, 3, 4})]
+    assert even_subsets(build_family("cycle", [3])) == []
+    evens = even_subsets(k4)
     assert len(evens) == 3
     assert all(len(C) == 4 for C in evens)
 
 
-def test_enumerate_eulerian_cap(k4):
+def test_enumerate_eulerian_cap(k4, monkeypatch):
+    monkeypatch.setattr(graph, "DEFAULT_CYCLE_CAP", 4)
     with pytest.raises(CapExceeded) as exc:
-        eulerian_masks(k4, cap=4)
+        eulerian_masks(k4)
     assert exc.value.required == 8
+    monkeypatch.setattr(graph, "DEFAULT_CYCLE_CAP", 8)
+    assert len(eulerian_masks(k4)) == 7
 
 
 def test_family_cycle():
@@ -221,6 +233,48 @@ def test_ear_decomposition_nest_interval_required():
         validate_ear_decomposition(
             G, [[1, 3, 2, 4, 1], [1, 5, 2], [3, 6, 5]]
         )
+
+
+def _cycle_with_chords(length, chords):
+    """The cycle 1, ..., length with the given chords, and its ears: the
+    cycle, then each chord as an ear of one edge."""
+    cycle = [(i, i + 1) for i in range(1, length)] + [(length, 1)]
+    ears = [list(range(1, length + 1)) + [1]] + [list(chord) for chord in chords]
+    return Graph(length, tuple(cycle + chords)), ears
+
+
+def test_ear_decomposition_choices_are_capped():
+    # Two crossing chords and 20 chords that cross nothing, 74 edges: every
+    # one of the 2^22 choices of arcs crosses on its first two intervals, and
+    # the search stops after DEFAULT_EAR_CHOICES of them.
+    chords = [(1, 3), (2, 4)] + [(i, i + 2) for i in range(6, 46, 2)]
+    G, ears = _cycle_with_chords(52, chords)
+    assert G.s == 74
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as exc:
+        validate_ear_decomposition(G, ears)
+    assert time.perf_counter() - start < 1
+    assert exc.value.required == 2**22 > DEFAULT_EAR_CHOICES
+
+
+def test_ear_decomposition_found_early_passes_the_cap():
+    # 40 chords that cross nothing, 2^40 choices: the first is compatible.
+    G, ears = _cycle_with_chords(84, [(i, i + 2) for i in range(2, 82, 2)])
+    assert validate_ear_decomposition(G, ears).epsilon == 1
+
+
+def test_ear_decomposition_cap_counts_every_choice(monkeypatch):
+    # Two crossing chords on a 6-cycle: none of the 2^2 choices is
+    # compatible.  Under a cap of 3 choices that is a refusal naming 4, at 4
+    # the search is complete and the answer is NotNested.
+    G, ears = _cycle_with_chords(6, [(1, 3), (2, 4)])
+    monkeypatch.setattr(graph, "DEFAULT_EAR_CHOICES", 3)
+    with pytest.raises(CapExceeded) as exc:
+        validate_ear_decomposition(G, ears)
+    assert exc.value.required == 4
+    monkeypatch.setattr(graph, "DEFAULT_EAR_CHOICES", 4)
+    with pytest.raises(NotNested):
+        validate_ear_decomposition(G, ears)
 
 
 def test_graph_file_round_trip(c6):

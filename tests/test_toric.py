@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_value_type, toric_points_brute, two_triangles
-from graphcodes.codes import characters, hilbert_function
+from graphcodes.codes import characters
 from graphcodes.errors import CapExceeded
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family, summarize
+from graphcodes.hilbert import hilbert_function
 from graphcodes.toric import (count_points, expected_length, group_image, parameterize,
                               torus_points)
 from oracle import (degree_monomials, embed_array, evaluation_matrix, normalize_point,
@@ -27,12 +28,12 @@ def test_group_image_is_an_immutable_value():
 
 def test_torus_points_p1_gf3():
     T = torus_points(2, make_field(3))
-    assert T.points == [(1, 1), (2, 1)]
+    assert T.arr.tolist() == [[1, 1], [2, 1]]
 
 
 def test_torus_points_single_coordinate():
     for q in (3, 5, 9):
-        assert torus_points(1, make_field(q)).points == [(1,)]
+        assert torus_points(1, make_field(q)).arr.tolist() == [[1]]
 
 
 def test_torus_points_count():
@@ -93,14 +94,14 @@ def test_parameterize_counts(G, q, count):
     F = make_field(q)
     X = parameterize(G, F)
     assert X.m == count
-    assert set(map(tuple, X.points)) == toric_points_brute(G, F)
+    assert set(map(tuple, X.arr.tolist())) == toric_points_brute(G, F)
 
 
 def test_tree_gives_full_torus():
     F = make_field(5)
     X = parameterize(build_family("path", [2]), F)
     assert X.m == 4
-    assert X.points == torus_points(2, F).points
+    assert np.array_equal(X.arr, torus_points(2, F).arr)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
@@ -151,24 +152,25 @@ def test_evaluation_representative_independent():
     F = make_field(5)
     X = parameterize(build_family("cycle", [4]), F)
     M = evaluation_matrix(X, 2)
+    mul = F.mul_table
     col = 1
-    point = X.points[col]
-    scaled = tuple(F.mul(c, 3) for c in point)
+    scaled = mul[X.arr[col], 3]
     for row, mon in enumerate(degree_monomials(X.s, 2)):
         num = 1
         for i, e in enumerate(mon):
-            num = F.mul(num, F.pow(scaled[i], e))
-        den = F.pow(scaled[0], 2)
-        assert F.div(num, den) == M[row, col]
+            for _ in range(e):
+                num = mul[num, scaled[i]]
+        den = mul[scaled[0], scaled[0]]
+        assert mul[num, F.inv_table[den]] == M[row, col]
 
 
 def test_toric_set_closed_under_pointwise_product():
     F = make_field(3)
     X = parameterize(build_family("cycle", [6]), F)
-    pts = set(map(tuple, X.points))
+    pts = set(map(tuple, X.arr.tolist()))
     for a in pts:
         for b in pts:
-            prod = tuple(F.mul(x, y) for x, y in zip(a, b))
+            prod = tuple(int(F.mul_table[x, y]) for x, y in zip(a, b))
             assert normalize_point(prod, F) in pts
 
 
@@ -187,21 +189,21 @@ def test_normalize_point_general_position():
 def test_grid_cells_are_the_coordinate_ratio_characters(X):
     # The grid of X is isomorphic to its dual: w_j = embed_j / e is the
     # character P -> P_j / P_s.  At grid cell i in C order, the cell of row i
-    # of arr, w_j gives the log of P_j / P_s, the ratio taken by scalar field
-    # arithmetic, and its generator row is that ratio at every point.
+    # of arr, w_j gives the log of P_j / P_s, the ratio taken through the
+    # field tables, and its generator row is that ratio at every point.
     F, q1 = X.F, X.F.q - 1
     grid = X.point_group
     e = np.array([q1 // d for d in grid.orders], dtype=np.int64)
     w = embed_array(grid) // e % np.array(grid.orders, dtype=np.int64)
     cells = np.indices(grid.orders).reshape(len(grid.orders), X.m).T.tolist()  # C order
-    assert len(X.points) == len(cells) == X.m
+    assert len(X.arr) == len(cells) == X.m
     for j in range(X.s - 1):
         onehot = np.zeros(grid.orders, dtype=bool)
         onehot[tuple(w[j])] = True
         row = characters(X, onehot)[0].tolist()
-        for point, cell, value in zip(X.points, cells, row):
-            ratio = F.div(point[j], point[-1])
-            assert int(w[j] * e @ cell) % q1 == F.log_table[ratio]
+        for point, cell, value in zip(X.arr, cells, row):
+            ratio = F.mul_table[point[j], F.inv_table[point[-1]]]
+            assert F.exp_table[int(w[j] * e @ cell) % q1] == ratio
             assert value == ratio
 
 
@@ -236,7 +238,7 @@ def test_group_points_match_source_torus_enumeration(X):
         assert X.m == q1 ** (X.s - 1)
     else:
         assert X.m == expected_length(summarize(X.graph), F)
-        assert set(X.points) == toric_points_brute(X.graph, F)
+        assert set(map(tuple, X.arr.tolist())) == toric_points_brute(X.graph, F)
     # Row i of arr is the image of grid cell i in C order, and the m cells of
     # the grid are m distinct characters of X.
     cells = np.indices(X.point_group.orders).reshape(len(X.point_group.orders), X.m)
