@@ -16,7 +16,7 @@ points or build a generator (length, mindist, profile, verify) import numpy
 and build the GF(q) tables; dim and reg count characters over the group of
 X in exact ints (`hilbert`) from q alone, and summarize, family and ternary
 need no field.  The ternary theory (`eulerian3`, `monomials`) is imported by
-the ternary handler only.  The package itself loads neither the data-class
+the ternary and verify handlers only.  The package itself loads neither the data-class
 module nor `inspect`, so the subcommands without numpy, which imports
 `inspect`, load neither.  The console script (`main`) also keeps OpenBLAS
 to one thread, since the package does no float linear algebra.

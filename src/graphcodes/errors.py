@@ -50,7 +50,6 @@ class MonotonicityViolation(GraphCodesError):
 DEFAULT_BUDGET = 5 * 10**7  # message classes of one distance search
 DEFAULT_POINT_CAP = 10**7  # points of X
 DEFAULT_CYCLE_CAP = 1 << 20  # elements of the cycle space listed
-DEFAULT_EAR_CHOICES = 1 << 16  # nest-interval choices tried for an ear decomposition
 
 
 class ResourceRefused(GraphCodesError):

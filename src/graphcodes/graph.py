@@ -13,12 +13,10 @@ ignored.
 
 from __future__ import annotations
 
-import math
 from collections import deque, namedtuple
-from itertools import islice, product
 
-from .errors import (DEFAULT_CYCLE_CAP, DEFAULT_EAR_CHOICES, CapExceeded, InvalidParams,
-                     NotADecomposition, NotNested, NotOpen)
+from .errors import (DEFAULT_CYCLE_CAP, CapExceeded, InvalidParams, NotADecomposition,
+                     NotNested, NotOpen)
 
 
 class Graph(namedtuple("Graph", "n edges")):
@@ -76,18 +74,19 @@ class EarDecomposition(namedtuple("EarDecomposition", "ears epsilon")):
 def _forest(G):
     """One breadth-first pass over every component of G that has an edge.
 
-    Returns (color, up, odd): color[v] is the depth parity of v, up[v] the
-    mask of the tree path from v to the root of its component, and odd[k]
-    whether component k has an edge between equal colors (an odd cycle).
-    Only the vertices some edge touches are keys of color; each of the
-    G.n - len(color) others is a component of its own, counted, not stored.
+    Returns (color, parent, odd): color[v] is the depth parity of v,
+    parent[v] the link (u, i) from v to its parent u over tree edge i, None
+    at the root of a component, and odd[k] whether component k has an edge
+    between equal colors (an odd cycle).  Only the vertices some edge
+    touches are keys of color; each of the G.n - len(color) others is a
+    component of its own, counted, not stored.
     """
     adj = G.adjacency()
-    color, up, odd = {}, {}, []
+    color, parent, odd = {}, {}, []
     for start in adj:
         if start in color:
             continue
-        color[start], up[start] = 0, 0
+        color[start], parent[start] = 0, None
         odd.append(False)
         queue = deque([start])
         while queue:
@@ -95,11 +94,11 @@ def _forest(G):
             for v, ei in adj[u]:
                 if v not in color:
                     color[v] = 1 - color[u]
-                    up[v] = up[u] | 1 << (ei - 1)
+                    parent[v] = (u, ei)
                     queue.append(v)
                 elif color[v] == color[u]:
                     odd[-1] = True
-    return color, up, odd
+    return color, parent, odd
 
 
 def summarize(G):
@@ -120,19 +119,6 @@ def bipartition(G):
                  for side in (0, 1))
 
 
-def _cycle_masks(G):
-    """Fundamental cycles of the spanning forest, one per non-tree edge in
-    edge order.  The tree paths of the two ends of edge i differ by exactly
-    edge i when i is a tree edge; otherwise they close a cycle with it."""
-    _, up, _ = _forest(G)
-    basis = []
-    for i, (u, v) in enumerate(G.edges):
-        path = up[u] ^ up[v]
-        if path != 1 << i:
-            basis.append(path | 1 << i)
-    return basis
-
-
 def mask_subset(mask):
     """Int mask -> edge subset."""
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
@@ -140,16 +126,27 @@ def mask_subset(mask):
 
 def eulerian_masks(G):
     """All nonempty elements of the cycle space as masks, ascending: the
-    Eulerian subgraphs, even degree at every vertex.  The span is built by
-    doubling over the basis, which is independent, so every element appears
-    once; its size 2^(s - n + b0) is checked against DEFAULT_CYCLE_CAP first."""
-    basis = _cycle_masks(G)
-    total = 1 << len(basis)
+    Eulerian subgraphs, even degree at every vertex.  The basis is the
+    fundamental cycles of the spanning forest, one per non-tree edge; its
+    span, of size 2^(s - n + b0), is checked against DEFAULT_CYCLE_CAP
+    before any cycle is built.  A cycle is its edge and the tree paths of
+    its two ends up to the root, which cancel above their meeting point.
+    The span is built by doubling over the basis, which is independent, so
+    every element appears once."""
+    _, parent, _ = _forest(G)
+    chords = [(i, u, v) for i, (u, v) in enumerate(G.edges, start=1)
+              if parent[u] != (v, i) and parent[v] != (u, i)]
+    total = 1 << len(chords)
     if total > DEFAULT_CYCLE_CAP:
         raise CapExceeded(f"cycle space has {total} elements, cap is {DEFAULT_CYCLE_CAP}",
                           required=total)
     space = [0]
-    for b in basis:
+    for i, u, v in chords:
+        b = 1 << i - 1
+        for w in (u, v):
+            while parent[w]:
+                w, ei = parent[w]
+                b ^= 1 << ei - 1
         space += [x ^ b for x in space]
     space.sort()
     return space[1:]
@@ -242,33 +239,23 @@ def build_family(family, params):
         return Graph(next_v - 1, tuple(edges))
 
 
-def _ear_edges(G, path):
-    """Edge indices along a vertex path; raises NotADecomposition on a
-    pair that is not an edge of G."""
-    index = {}
-    for i, (u, v) in enumerate(G.edges, start=1):
-        index[(u, v)] = i
-        index[(v, u)] = i
-    out = []
-    for a, b in zip(path, path[1:]):
-        ei = index.get((a, b))
-        if ei is None:
-            raise NotADecomposition(f"({a},{b}) is not an edge of the graph")
-        out.append(ei)
-    return out
-
-
 def validate_ear_decomposition(G, ears):
     """Check a nested open ear decomposition given as vertex paths.
 
     The first ear must be a closed cycle; every later ear is a path whose
     distinct endpoints lie on earlier ears and whose internal vertices are
-    new.  Each later ear must determine a nest interval on a single earlier
-    ear, and intervals on a common ear must be pairwise disjoint or nested
-    (on the cycle ear either arc may serve as the interval).  The choices
-    are searched in order, at most DEFAULT_EAR_CHOICES of them: when none
-    of those is compatible and there are more, CapExceeded names their
-    number.  Returns the decomposition with its count of even ears.
+    new.  Each later ear must determine a nest interval on a host, an
+    earlier ear holding both its endpoints, and intervals on a common host
+    must be pairwise disjoint or nested.  No choice is searched, as each
+    interval is forced.  Of several hosts, the latest has the ear's
+    endpoints as its own (its inner vertices are new), and its whole span
+    holds every interval on it.  On the cycle ear either arc may serve, but
+    two chords have disjoint or nested arcs exactly when their position
+    intervals [lo, hi) are disjoint or nested, and crossing chords fail for
+    all four arcs, so the arc that avoids edge slot 0 is taken.  Each host's
+    intervals are then checked in one pass, sorted, against a stack of the
+    ends of those that hold the current one.  Returns the decomposition
+    with its count of even ears.
     """
     ears = [list(e) for e in ears]
     if not ears:
@@ -280,71 +267,60 @@ def validate_ear_decomposition(G, ears):
     if len(set(first[:-1])) != len(first) - 1:
         raise NotADecomposition("first ear revisits a vertex")
 
-    ear_edges = [_ear_edges(G, e) for e in ears]
-    used = [ei for edges in ear_edges for ei in edges]
-    if len(used) != len(set(used)) or set(used) != set(range(1, G.s + 1)):
+    index = {}
+    for i, (u, v) in enumerate(G.edges, start=1):
+        index[u, v] = index[v, u] = i
+    used = []
+    for path in ears:
+        for a, b in zip(path, path[1:]):
+            if (a, b) not in index:
+                raise NotADecomposition(f"({a},{b}) is not an edge of the graph")
+            used.append(index[a, b])
+    if not len(used) == len(set(used)) == G.s:
         raise NotADecomposition("ears do not partition the edge set")
 
-    seen_vertices = set(first)
+    owner = dict.fromkeys(first, 0)  # vertex -> the ear it is an inner vertex of
     for idx in range(1, len(ears)):
         path = ears[idx]
         if len(path) < 2 or path[0] == path[-1]:
             raise NotOpen(f"ear {idx + 1} must be an open path with distinct endpoints")
         if len(set(path)) != len(path):
             raise NotOpen(f"ear {idx + 1} revisits a vertex")
-        if path[0] not in seen_vertices or path[-1] not in seen_vertices:
+        if path[0] not in owner or path[-1] not in owner:
             raise NotOpen(f"ear {idx + 1} endpoints must lie on earlier ears")
         internal = path[1:-1]
-        if any(v in seen_vertices for v in internal):
+        if any(v in owner for v in internal):
             raise NotOpen(f"ear {idx + 1} reuses an internal vertex")
-        seen_vertices.update(path)
+        owner.update(dict.fromkeys(internal, idx))
 
-    # Candidate nest intervals, as (host ear index, frozenset of edge slots).
-    candidates = []
+    # A host of an ear from a to b holds a or b as an inner vertex (on the
+    # cycle, every vertex is inner), or it is an earlier ear from a to b, of
+    # which only the latest can be the latest host.
+    position = [{v: p for p, v in enumerate(path)} for path in [first[:-1]] + ears[1:]]
+    latest = {}
+    intervals = [[] for _ in ears]
     for idx in range(1, len(ears)):
         a, b = ears[idx][0], ears[idx][-1]
-        opts = []
-        for j in range(idx):
-            host = ears[j]
-            verts = host[:-1] if j == 0 else host
-            if a not in verts or b not in verts:
-                continue
-            pa, pb = verts.index(a), verts.index(b)
-            if j == 0:
-                L = len(verts)
-                lo, hi = min(pa, pb), max(pa, pb)
-                arc1 = frozenset(range(lo, hi))
-                arc2 = frozenset(range(hi, L)) | frozenset(range(0, lo))
-                opts.append((j, arc1))
-                opts.append((j, arc2))
-            else:
-                lo, hi = min(pa, pb), max(pa, pb)
-                opts.append((j, frozenset(range(lo, hi))))
-        if not opts:
+        hosts = [j for j in (owner[a], owner[b], latest.get(frozenset((a, b)), 0))
+                 if a in position[j] and b in position[j]]
+        if not hosts:
             raise NotNested(f"ear {idx + 1} determines no nest interval")
-        candidates.append(opts)
+        j = max(hosts)
+        lo, hi = sorted((position[j][a], position[j][b]))
+        if j == 0 and lo == 0:
+            lo, hi = hi, len(position[0])
+        intervals[j].append((lo, hi))
+        latest[frozenset((a, b))] = idx
+    for on_host in intervals:
+        ends = []
+        for lo, hi in sorted(on_host, key=lambda x: (x[0], -x[1])):
+            while ends and ends[-1] <= lo:
+                ends.pop()
+            if ends and ends[-1] < hi:
+                raise NotNested("nest intervals on a common ear are neither disjoint nor nested")
+            ends.append(hi)
 
-    def compatible(choice):
-        by_host = {}
-        for j, interval in choice:
-            by_host.setdefault(j, []).append(interval)
-        for intervals in by_host.values():
-            for x in range(len(intervals)):
-                for y in range(x + 1, len(intervals)):
-                    A, B = intervals[x], intervals[y]
-                    if A & B and not (A <= B or B <= A):
-                        return False
-        return True
-
-    if not any(compatible(choice)
-               for choice in islice(product(*candidates), DEFAULT_EAR_CHOICES)):
-        total = math.prod(map(len, candidates))
-        if total > DEFAULT_EAR_CHOICES:
-            raise CapExceeded(f"{total} choices of nest intervals, cap is {DEFAULT_EAR_CHOICES}",
-                              required=total)
-        raise NotNested("nest intervals on a common ear are neither disjoint nor nested")
-
-    epsilon = sum(1 for edges in ear_edges if len(edges) % 2 == 0)
+    epsilon = sum(1 for path in ears if len(path) % 2)  # len(path) - 1 edges, even
     return EarDecomposition(ears=tuple(tuple(e) for e in ears), epsilon=epsilon)
 
 
@@ -396,28 +372,15 @@ def is_even_cycle(G):
     return G.s // 2  # half-length
 
 
-def is_complete(G):
-    if G.s == G.n * (G.n - 1) // 2 and G.n >= 2:
-        return G.n
-    return None
-
-
-def is_complete_bipartite(G):
-    color, _, odd = _forest(G)
-    if odd != [False] or len(color) < G.n:
-        return None
-    a = sum(1 for c in color.values() if c == 0)
-    b = G.n - a
-    return tuple(sorted((a, b))) if G.s == a * b else None
-
-
-def is_complete_multipartite(G):
-    """Part sizes if G is complete multipartite with r > 2 parts, else None.
+def complete_multipartite_parts(G):
+    """Ascending part sizes if G is complete multipartite, else None: K_n
+    has n parts of one vertex, K_{a,b} two parts.
 
     Holds iff every vertex is joined to exactly the vertices outside its
     class, the vertices with the same neighbourhood; the classes are then
-    the parts.  A vertex no edge touches fails, as its class is not all of
-    V (G has an edge), so it is refused before anything of size n exists."""
+    the parts, at least two as G has an edge.  A vertex no edge touches
+    fails, as its class is not all of V, so it is refused before anything
+    of size n exists."""
     adj = G.adjacency()
     if len(adj) < G.n:
         return None
@@ -425,6 +388,6 @@ def is_complete_multipartite(G):
     classes = {}
     for v, edges in adj.items():
         classes.setdefault(frozenset(u for u, _ in edges), set()).add(v)
-    if len(classes) <= 2 or any(N != everyone - part for N, part in classes.items()):
+    if any(N != everyone - part for N, part in classes.items()):
         return None
     return tuple(sorted(len(part) for part in classes.values()))

@@ -7,7 +7,9 @@ as a grid of exactly |image| cells, from a diagonal (Smith) form over the
 integers, and X is built from it: the closed-form length is checked against
 the point cap before anything is built, the exponent rows and the form
 included, and the order m = |X| read off the form is checked against the
-closed form, before anything of size m exists.  The points themselves are
+closed form, before anything of size m exists.  Over GF(3) and up, a cap on
+|X| bounds the rows as well; over GF(2), where X is one point whatever the
+graph, no rows are built, and the form of no rows is the empty grid.  The points themselves are
 listed from the grid, one cell per point, only when a caller needs them;
 the source torus, (q-1)^r tuples, is never enumerated.  The one grid also
 indexes the characters of X (X, a finite abelian group, is isomorphic to
@@ -231,7 +233,7 @@ def torus_points(s, F, cap=DEFAULT_POINT_CAP):
     refused past the cap before anything is built."""
     expected = (F.q - 1) ** (s - 1)
     _refuse_past_cap(expected, cap)
-    exponents = [[int(i == k) for k in range(s)] for i in range(s - 1)]
+    exponents = [[int(i == k) for k in range(s)] for i in range(s - 1)] if F.q > 2 else []
     return _toric_set(F, s, exponents, expected)
 
 
@@ -252,6 +254,8 @@ def parameterize(G, F, cap=DEFAULT_POINT_CAP):
     incidence rows are n x s), and its order asserted against that length."""
     expected = expected_length(summarize(G), F)
     _refuse_past_cap(expected, cap)
+    if F.q == 2:  # X is one point, the empty grid of no rows
+        return _toric_set(F, G.s, [], expected, G)
     # A vertex no edge touches has a zero incidence row, and scaling every
     # source coordinate by one factor scales every edge monomial by its
     # square, so only the touched vertices are rows and the last of them is

@@ -45,10 +45,11 @@ def verify(G, q, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_POINT_CAP):
 
     s = G.s
     is_torus = X.m == (q - 1) ** (s - 1)
-    kab = graphmod.is_complete_bipartite(G)
+    sizes = graphmod.complete_multipartite_parts(G) or ()
+    kab = sizes if len(sizes) == 2 else None
+    n_complete = len(sizes) if sizes and max(sizes) == 1 else None
+    multiparts = sizes if len(sizes) > 2 else None
     half_cycle = graphmod.is_even_cycle(G)
-    n_complete = graphmod.is_complete(G)
-    multiparts = graphmod.is_complete_multipartite(G)
     connected = summary.b0 == 1
     parts = graphmod.bipartition(G) if connected else None  # None unless bipartite
 

@@ -10,7 +10,8 @@ character group (Z/(q-1))^r of the source torus and as boolean arrays over
 the grid of X translated by `np.roll`, the evaluation matrix of all
 degree-d monomials, its rank by Gaussian elimination, the dual code as
 a null space, the minimum distance by enumerating every message class, and
-the MacWilliams transform by expanding its polynomials.
+the MacWilliams transform by expanding its polynomials.  A nested ear
+decomposition is checked by searching every choice of nest intervals.
 """
 
 from itertools import combinations, product
@@ -18,7 +19,8 @@ from math import comb
 
 import numpy as np
 
-from graphcodes.errors import CapExceeded
+from graphcodes.errors import CapExceeded, NotADecomposition, NotNested, NotOpen
+from graphcodes.graph import EarDecomposition
 from graphcodes.monomials import grevlex_key
 
 DEFAULT_MONOMIAL_CAP = 10**6
@@ -252,3 +254,87 @@ def grid_sumsets(X):
             return sets
         sets.append(grown)
         T = grown
+
+
+def _ear_edges(G, path):
+    """Edge indices along a vertex path; raises NotADecomposition on a
+    pair that is not an edge of G."""
+    index = {}
+    for i, (u, v) in enumerate(G.edges, start=1):
+        index[(u, v)] = i
+        index[(v, u)] = i
+    out = []
+    for a, b in zip(path, path[1:]):
+        ei = index.get((a, b))
+        if ei is None:
+            raise NotADecomposition(f"({a},{b}) is not an edge of the graph")
+        out.append(ei)
+    return out
+
+
+def validate_ear_decomposition(G, ears):
+    """`graph.validate_ear_decomposition` by search: every later ear lists
+    a nest interval on each earlier ear that holds both its endpoints (both
+    arcs on the cycle ear), and the decomposition is nested when some
+    choice of one interval per ear leaves the intervals on every ear
+    pairwise disjoint or nested.  Tries all the choices, 2^(chords) of them
+    on a cycle with chords, so only small inputs."""
+    ears = [list(e) for e in ears]
+    if not ears:
+        raise NotADecomposition("no ears given")
+
+    first = ears[0]
+    if len(first) < 4 or first[0] != first[-1]:
+        raise NotADecomposition("first ear must be a closed cycle")
+    if len(set(first[:-1])) != len(first) - 1:
+        raise NotADecomposition("first ear revisits a vertex")
+
+    ear_edges = [_ear_edges(G, e) for e in ears]
+    used = [ei for edges in ear_edges for ei in edges]
+    if len(used) != len(set(used)) or set(used) != set(range(1, G.s + 1)):
+        raise NotADecomposition("ears do not partition the edge set")
+
+    seen_vertices = set(first)
+    for idx in range(1, len(ears)):
+        path = ears[idx]
+        if len(path) < 2 or path[0] == path[-1]:
+            raise NotOpen(f"ear {idx + 1} must be an open path with distinct endpoints")
+        if len(set(path)) != len(path):
+            raise NotOpen(f"ear {idx + 1} revisits a vertex")
+        if path[0] not in seen_vertices or path[-1] not in seen_vertices:
+            raise NotOpen(f"ear {idx + 1} endpoints must lie on earlier ears")
+        internal = path[1:-1]
+        if any(v in seen_vertices for v in internal):
+            raise NotOpen(f"ear {idx + 1} reuses an internal vertex")
+        seen_vertices.update(path)
+
+    # Candidate nest intervals, as (host ear index, frozenset of edge slots).
+    candidates = []
+    for idx in range(1, len(ears)):
+        a, b = ears[idx][0], ears[idx][-1]
+        opts = []
+        for j in range(idx):
+            host = ears[j]
+            verts = host[:-1] if j == 0 else host
+            if a not in verts or b not in verts:
+                continue
+            lo, hi = sorted((verts.index(a), verts.index(b)))
+            opts.append((j, frozenset(range(lo, hi))))
+            if j == 0:
+                opts.append((j, frozenset(range(hi, len(verts))) | frozenset(range(0, lo))))
+        if not opts:
+            raise NotNested(f"ear {idx + 1} determines no nest interval")
+        candidates.append(opts)
+
+    def compatible(choice):
+        by_host = {}
+        for j, interval in choice:
+            by_host.setdefault(j, []).append(interval)
+        return all(not (A & B) or A <= B or B <= A
+                   for intervals in by_host.values()
+                   for A, B in combinations(intervals, 2))
+
+    if not any(compatible(choice) for choice in product(*candidates)):
+        raise NotNested("nest intervals on a common ear are neither disjoint nor nested")
+    epsilon = sum(1 for edges in ear_edges if len(edges) % 2 == 0)
+    return EarDecomposition(ears=tuple(tuple(e) for e in ears), epsilon=epsilon)

@@ -1,15 +1,17 @@
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import assert_value_type, eulerian_subsets_brute, two_triangles
 from graphcodes import eulerian3, graph
 from graphcodes.errors import (
-    DEFAULT_EAR_CHOICES,
     CapExceeded,
+    GraphCodesError,
     InvalidParams,
     NotADecomposition,
     NotNested,
@@ -18,11 +20,9 @@ from graphcodes.errors import (
 from graphcodes.graph import (
     Graph,
     build_family,
+    complete_multipartite_parts,
     eulerian_masks,
     format_graph,
-    is_complete,
-    is_complete_bipartite,
-    is_complete_multipartite,
     is_even_cycle,
     mask_subset,
     parse_graph,
@@ -74,6 +74,20 @@ def test_summarize_two_triangles():
 def test_summarize_edge_order_invariant(c6):
     perm = [3, 1, 6, 2, 5, 4]
     assert summarize(c6) == summarize(c6.reorder_edges(perm))
+
+
+def test_summarize_memory_is_linear_in_depth():
+    # A path of 20,000 edges is one tree of depth 20,000: a mask of the tree
+    # path to every vertex alone would hold about 25 MB.
+    G = build_family("path", [20000])
+    tracemalloc.start()
+    try:
+        s = summarize(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (s.n, s.b0, s.bipartite) == (20001, 1, True)
+    assert peak < 12 * 2**20, peak
 
 
 def eulerian_subsets(G):
@@ -161,7 +175,7 @@ def test_family_parallel_is_k23():
         deg[u] += 1
         deg[v] += 1
     assert sorted(deg.values()) == [2, 2, 2, 3, 3]
-    assert is_complete_bipartite(G) == (2, 3)
+    assert complete_multipartite_parts(G) == (2, 3)
 
 
 def test_family_invalid():
@@ -243,38 +257,94 @@ def _cycle_with_chords(length, chords):
     return Graph(length, tuple(cycle + chords)), ears
 
 
-def test_ear_decomposition_choices_are_capped():
-    # Two crossing chords and 20 chords that cross nothing, 74 edges: every
-    # one of the 2^22 choices of arcs crosses on its first two intervals, and
-    # the search stops after DEFAULT_EAR_CHOICES of them.
+def test_ear_decomposition_crossing_chords_are_not_nested():
+    # Two crossing chords and 20 chords that cross nothing, 74 edges: each
+    # of the 2^22 choices of arcs crosses on its first two intervals, which
+    # one pass over the intervals finds.
     chords = [(1, 3), (2, 4)] + [(i, i + 2) for i in range(6, 46, 2)]
     G, ears = _cycle_with_chords(52, chords)
     assert G.s == 74
     start = time.perf_counter()
-    with pytest.raises(CapExceeded) as exc:
+    with pytest.raises(NotNested, match="neither disjoint nor nested"):
         validate_ear_decomposition(G, ears)
-    assert time.perf_counter() - start < 1
-    assert exc.value.required == 2**22 > DEFAULT_EAR_CHOICES
+    assert time.perf_counter() - start < 0.1
 
 
 def test_ear_decomposition_found_early_passes_the_cap():
-    # 40 chords that cross nothing, 2^40 choices: the first is compatible.
+    # 40 chords that cross nothing, each with two arcs to choose from.
     G, ears = _cycle_with_chords(84, [(i, i + 2) for i in range(2, 82, 2)])
     assert validate_ear_decomposition(G, ears).epsilon == 1
 
 
-def test_ear_decomposition_cap_counts_every_choice(monkeypatch):
-    # Two crossing chords on a 6-cycle: none of the 2^2 choices is
-    # compatible.  Under a cap of 3 choices that is a refusal naming 4, at 4
-    # the search is complete and the answer is NotNested.
-    G, ears = _cycle_with_chords(6, [(1, 3), (2, 4)])
-    monkeypatch.setattr(graph, "DEFAULT_EAR_CHOICES", 3)
-    with pytest.raises(CapExceeded) as exc:
-        validate_ear_decomposition(G, ears)
-    assert exc.value.required == 4
-    monkeypatch.setattr(graph, "DEFAULT_EAR_CHOICES", 4)
-    with pytest.raises(NotNested):
-        validate_ear_decomposition(G, ears)
+def test_ear_decomposition_thousand_chords():
+    # 1,000 chords that cross nothing, on a cycle of 2,004: one interval
+    # each, and one sorted pass over them.
+    G, ears = _cycle_with_chords(2004, [(i, i + 2) for i in range(2, 2002, 2)])
+    assert G.s == 3004
+    start = time.perf_counter()
+    assert validate_ear_decomposition(G, ears).epsilon == 1
+    assert time.perf_counter() - start < 0.2
+
+
+@st.composite
+def ear_lists(draw):
+    """A graph and a list of vertex paths for it: a cycle, then ears between
+    earlier vertices, often the endpoints of an earlier ear (an ear with
+    several hosts), and at times an edit that makes the list no
+    decomposition: a swap of two ears, a dropped ear or an ear cut in two."""
+    length = draw(st.integers(3, 7))
+    ears = [list(range(1, length + 1)) + [1]]
+    edges = {frozenset(e) for e in zip(ears[0], ears[0][1:])}
+    n = length
+    for _ in range(draw(st.integers(0, 6))):
+        if len(ears) > 1 and draw(st.booleans()):
+            host = ears[draw(st.integers(1, len(ears) - 1))]
+            a, b = host[0], host[-1]
+        else:
+            a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        path = [a, *range(n + 1, n + 1 + draw(st.integers(0, 3))), b]
+        pairs = {frozenset(e) for e in zip(path, path[1:])}
+        if pairs & edges:
+            continue
+        edges |= pairs
+        n = max(n, *path)
+        ears.append(path)
+    G = Graph(n, tuple(sorted(tuple(sorted(e)) for e in edges)))
+    edit = draw(st.sampled_from(["none", "none", "swap", "drop", "cut"]))
+    if len(ears) > 1 and edit != "none":
+        i = draw(st.integers(1, len(ears) - 1))
+        if edit == "swap":
+            j = draw(st.integers(0, len(ears) - 1))
+            ears[i], ears[j] = ears[j], ears[i]
+        elif edit == "drop":
+            del ears[i]
+        elif len(ears[i]) > 2:
+            k = draw(st.integers(1, len(ears[i]) - 2))
+            ears[i:i + 1] = [ears[i][:k + 1], ears[i][k:]]
+    return G, ears
+
+
+def _outcome(validate, G, ears):
+    try:
+        return validate(G, ears)
+    except GraphCodesError as exc:
+        return type(exc), str(exc)
+
+
+@given(case=ear_lists())
+@example(case=_cycle_with_chords(6, [(1, 3), (2, 4)]))  # crossing chords
+@example(case=_cycle_with_chords(8, [(1, 5), (2, 4), (6, 8), (5, 8)]))  # nested arcs
+@example(case=(build_family("parallel_composition", [2, 2, 2, 2]),
+               [[1, 3, 2, 4, 1], [1, 5, 2], [1, 6, 2]]))  # hosts: the cycle and ear 2
+@example(case=(Graph(6, ((1, 2), (2, 3), (3, 4), (4, 1), (1, 5), (5, 3), (2, 6), (6, 4))),
+               [[1, 2, 3, 4, 1], [1, 5, 3], [2, 6, 4]]))  # the two ears cross on the cycle
+@settings(max_examples=400, deadline=None)
+def test_ear_decomposition_matches_search(case):
+    # The forced intervals against every choice of intervals: the same
+    # decomposition, or the same exception and message.
+    G, ears = case
+    assert _outcome(validate_ear_decomposition, G, ears) == \
+        _outcome(oracle.validate_ear_decomposition, G, ears)
 
 
 def test_graph_file_round_trip(c6):
@@ -307,15 +377,15 @@ def test_parse_graph_parses_or_refuses(text):
 def test_recognizers(c6, k4):
     assert is_even_cycle(c6) == 3
     assert is_even_cycle(build_family("cycle", [5])) is None
-    assert is_complete(k4) == 4
-    assert is_complete_bipartite(build_family("complete_bipartite", [3, 2])) == (2, 3)
-    assert is_complete_bipartite(k4) is None
-    assert is_complete_multipartite(build_family("complete_multipartite", [2, 2, 2])) == (2, 2, 2)
-    assert is_complete_multipartite(c6) is None
+    assert complete_multipartite_parts(k4) == (1, 1, 1, 1)
+    assert complete_multipartite_parts(build_family("complete_bipartite", [3, 2])) == (2, 3)
+    assert complete_multipartite_parts(build_family("complete_multipartite", [2, 2, 2])) == (2, 2, 2)
+    assert complete_multipartite_parts(build_family("path", [1])) == (1, 1)
+    assert complete_multipartite_parts(c6) is None
 
 
 def _multipartite_by_complement(G):
-    """Part sizes when the complement of G is a disjoint union of r > 2
+    """Part sizes when the complement of G is a disjoint union of r >= 2
     cliques, else None: the closed complement neighbourhoods must be equal
     or disjoint, and are then the cliques."""
     present = {frozenset(e) for e in G.edges}
@@ -324,7 +394,7 @@ def _multipartite_by_complement(G):
     if any(a != b and a & b for a in closed for b in closed):
         return None
     parts = set(closed)
-    return tuple(sorted(map(len, parts))) if len(parts) > 2 else None
+    return tuple(sorted(map(len, parts))) if len(parts) >= 2 else None
 
 
 @st.composite
@@ -337,10 +407,11 @@ def small_graphs(draw):
 @given(G=small_graphs())
 @example(G=build_family("complete_multipartite", [1, 2, 3]))
 @example(G=build_family("complete", [3]))
+@example(G=build_family("complete_bipartite", [1, 4]))
 @example(G=Graph(4, ((1, 2), (1, 3), (2, 3))))  # K_3 and an isolated vertex
 @example(G=Graph(6, ((1, 2),)))  # four isolated vertices
 @settings(max_examples=300, deadline=None)
 def test_complete_multipartite_matches_complement_cliques(G):
     # Neighbourhood classes against the definition: the complement is a
-    # disjoint union of cliques, the parts; None for <= 2 parts.
-    assert is_complete_multipartite(G) == _multipartite_by_complement(G)
+    # disjoint union of cliques, the parts; None otherwise.
+    assert complete_multipartite_parts(G) == _multipartite_by_complement(G)

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -12,8 +13,8 @@ from graphcodes.errors import CapExceeded
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family, summarize
 from graphcodes.hilbert import hilbert_function
-from graphcodes.toric import (count_points, expected_length, group_image, parameterize,
-                              torus_points)
+from graphcodes.toric import (GroupImage, count_points, expected_length, group_image,
+                              parameterize, torus_points)
 from oracle import (degree_monomials, embed_array, evaluation_matrix, normalize_point,
                     source_torus_hilbert_function, source_torus_points)
 
@@ -79,6 +80,22 @@ def test_cap_is_checked_before_the_exponent_rows():
             tracemalloc.stop()
         assert exc.value.required == required
         assert peak < 16 * 2**20
+
+
+def test_gf2_builds_no_exponent_rows():
+    # Over GF(2) X is one point whatever the graph, so the cap bounds no
+    # rows: P_3000 has 3001 x 3000 incidence cells, and the torus of P^2999
+    # as many exponent cells.  No rows are built, and the form of none is
+    # the empty grid, the image of any rows over Z/1.
+    F = make_field(2)
+    start = time.perf_counter()
+    X = parameterize(build_family("path", [3000]), F)
+    T = torus_points(3000, F)
+    assert time.perf_counter() - start < 1
+    assert X.m == T.m == 1
+    assert X.point_group == T.point_group == GroupImage((), ((),) * 2999)
+    assert group_image([[1, 0, 2], [0, 1, 1]], 1) == GroupImage((), ((), ()))
+    assert X.arr.tolist() == [[1] * 3000]
 
 
 @pytest.mark.parametrize(
