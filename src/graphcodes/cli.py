@@ -120,12 +120,13 @@ def _cmd_summarize(G, args):
 def _cmd_length(G, args):
     from . import toric
 
+    # `parameterize` has checked the group order X.m against the length
+    # formula, so the listed points are counted against X.m.
     X = _toric_set(G, args)
     length = toric.count_points(X)
-    expected = toric.expected_length(graphmod.summarize(G), X.F)
-    if length != expected:
+    if length != X.m:
         raise LengthMismatch(
-            f"enumerated {length} distinct points but the length formula gives {expected}"
+            f"enumerated {length} distinct points but the length formula gives {X.m}"
         )
     return 0, {"length": length, "degenerate": X.degenerate}, str(length)
 

@@ -17,7 +17,15 @@ GF(q) elimination in the package, `_systematic`) and runs Brouwer-Zimmermann
 (`_bz_min_weight`): every translate g + I is an information set, so after
 the messages of weight <= w a word not yet seen weighs at least
 ceil(m (w + 1) / k), and the search stops once that reaches the best weight
-found.  The same count trims the last weight W, after which the search
+found, or once the best weight reaches the coset bound (`coset_bound`), a
+lower bound on every nonzero word read from T_d alone: a word on X is a
+sum over the characters of one axis, each times a word on the others, so
+it is nonzero on as many cosets of that axis as its lightest such word
+needs, and on each of those cosets it is a word on one cyclic axis, bounded
+by the longest gap of its spectrum (the BCH / Reed-Solomon bound).  On the
+d = 1 codes of K_{3,3}/GF(5), K_4/GF(9) and K_4/GF(25), among others, a
+weight-1 message reaches the bound and the search ends there.  The same
+count trims the last weight W, after which the search
 stops, to the messages whose support contains the first j rows.  A word c
 lighter than the best weight b weighs at least W on every translate of I,
 and these weights sum to k wt(c), so at least (W + 1) m - k wt(c)
@@ -306,7 +314,75 @@ def _message_weights(A, w, F, tails=None, fixed=0):
                     yield w + differ.sum(axis=2, dtype=count).ravel()
 
 
-def _bz_min_weight(G, F):
+def _arc_bound(n, P):
+    """The least weight of a nonzero word on Z/n whose spectrum lies in
+    the nonempty set P of residues: the largest circular gap between the
+    sorted P t, over the units t mod n, which is n less the shortest arc
+    holding some P t, plus 1 (the BCH / Reed-Solomon bound).  A word with
+    spectrum in an arc b, ..., b + L - 1 is x -> zeta^(b x) p(zeta^x) for a
+    polynomial p of degree < L, zero at most L - 1 times among the n
+    distinct zeta^x, and x -> t x permutes Z/n and takes spectrum P to P t.
+    t and -t give mirrored gaps, so t runs up to n / 2, and it stops once
+    the gap reaches n - |P| + 1, the most any arc can give."""
+    r = len(P)
+    if r >= n - 1:  # P, or P and one more residue, is an arc already
+        return n - r + 1
+    best = 0
+    for t in range(1, n // 2 + 1):
+        if math.gcd(t, n) == 1:
+            v = sorted(p * t % n for p in P)
+            best = max(best, v[0] + n - v[-1], *(b - a for a, b in zip(v, v[1:])))
+            if best == n - r + 1:
+                break
+    return best
+
+
+def _coset_bound(orders, bits):
+    """LB(orders, S): a lower bound on the weight of every nonzero word
+    with spectrum in the nonempty set S (bit i, grid cell i in C order) on
+    the grid Z/d_1 + ... + Z/d_k, in exact ints.
+
+    A single character is zero nowhere, so LB = |grid|; every character,
+    the whole space, has LB = 1.  On one axis Z/n LB is `_arc_bound`.  On
+    more, write x + h with h on axis 0 (H, of order n = d_1) and x on the
+    rest: a word f with spectrum S is f(x + h) = sum_psi F_psi(x) psi(h),
+    psi over the first coordinates of S, and F_psi a word on the rest whose
+    spectrum is S_psi, the cells of S with first coordinate psi, projected.
+    Let a_psi = LB(rest, S_psi) and Psi = {psi : F_psi != 0}, nonempty as f
+    is nonzero.  Each F_psi with psi in Psi is nonzero on at least a_psi
+    points x, so f is nonzero on at least a = max_{psi in Psi} a_psi
+    cosets x + H.  On each of them f is a nonzero word on Z/n whose
+    spectrum lies in Psi, so it weighs at least the arc bound of Psi, and
+    at least that of {psi : a_psi <= a}, which holds Psi: removing residues
+    only widens the gaps.  a is one of the a_psi, so
+    LB = min over them of a * arc(n, {psi : a_psi <= a})."""
+    cells, size = bits.bit_count(), math.prod(orders)
+    if cells == 1:
+        return size
+    if cells == size:
+        return 1
+    n = orders[0]
+    if len(orders) == 1:
+        return _arc_bound(n, [x for x in range(n) if bits >> x & 1])
+    stride = size // n
+    mask = (1 << stride) - 1
+    a = {}
+    for psi in range(n):
+        part = bits >> psi * stride & mask
+        if part:
+            a[psi] = _coset_bound(orders[1:], part)
+    return min(t * _arc_bound(n, [psi for psi in a if a[psi] <= t]) for t in set(a.values()))
+
+
+def coset_bound(inst):
+    """A certified lower bound on the minimum distance of C_X(d), read
+    from its characters T_d alone (`_coset_bound`), in the line of Camion's
+    apparent distance of abelian codes: C_X(d) is the code of the words on
+    the group X whose spectrum lies in T_d."""
+    return _coset_bound(inst.X.point_group.orders, inst.bits)
+
+
+def _bz_min_weight(G, F, lower=0):
     """Minimum weight of the code spanned by G (k x m, full rank) when a
     group acting regularly on the m coordinates maps the code to itself
     (Brouwer-Zimmermann over the translates of one information set).
@@ -331,7 +407,8 @@ def _bz_min_weight(G, F):
     leaves the tails as they are.  j = 0 is the stop test itself, so no
     earlier weight is trimmed, and a lighter word found on the way only
     makes j safer.  On K_{3,3}/GF(5) at d = 1 (k = 9, m = 256, b = 144
-    from weight 1) W = 5 and j = 2: 8,960 messages of weight 5.
+    from weight 1), searched without a lower bound, W = 5 and j = 2: 8,960
+    messages of weight 5.
 
     Up to weight 3 a message is a sum of w - 1 rows against the multiples
     of a later row (`_message_weights`).  On reaching weight 4 the search
@@ -342,14 +419,20 @@ def _bz_min_weight(G, F):
     3 would hold about 3 / k as many rows as weight 3 compares, each built
     at several times the cost of a comparison, which a search that ends at
     weight 3 does not repay (C_4/GF(32) at d = 1 took three times as
-    long)."""
+    long).
+
+    `lower`, a lower bound on the weight of every nonzero word
+    (`coset_bound`), ends the search as soon as the best weight reaches it,
+    in the same two places as the floor: on K_{3,3}/GF(5) at d = 1 the
+    bound is 144 and the search stops after the 9 messages of weight 1.  A
+    word found below it would make the bound false, and is an error."""
     k, m = G.shape
     A = _systematic(G, F)
     best = _griesmer(k, m, F.q)
     tails = None
     for w in range(1, k + 1):
         floor = -(-m * w // k)  # least weight of a word not yet seen
-        if floor >= best:
+        if floor >= best or best <= lower:
             break
         if w == 4:
             tails = _tails(A, F, DEFAULT_CELL_CAP)
@@ -358,8 +441,9 @@ def _bz_min_weight(G, F):
             fixed -= 1
         for weights in _message_weights(A, w, F, tails, fixed):
             best = min(best, int(weights.min()))
-            if floor >= best:
+            if floor >= best or best <= lower:
                 break
+    assert best >= lower, "a word weighs less than the lower bound"
     return best
 
 
@@ -449,7 +533,8 @@ def code_distance(inst, budget=DEFAULT_BUDGET):
     X acts regularly on the coordinates by translation and maps C_X(d) and
     its dual to themselves (chi_c(x + g) = chi_c(g) chi_c(x)).  The primal
     side runs Brouwer-Zimmermann over the translates of one information set
-    (`_bz_min_weight`), at most `_bz_messages` messages.  The dual side is a
+    (`_bz_min_weight`), at most `_bz_messages` messages, and ends it at the
+    coset bound of T_d (`coset_bound`).  The dual side is a
     character code: m = |X| divides (q-1)^r, so m != 0 in GF(q), and the
     characters satisfy <chi_a, chi_b> = m [a + b = 0], so C_X(d)^perp is
     spanned by the m - k cells of the point grid outside -T_d.  As
@@ -485,13 +570,17 @@ def code_distance(inst, budget=DEFAULT_BUDGET):
             f"{needed} message classes required, budget is {budget}", required=needed
         )
     if primal <= dual:
-        return _bz_min_weight(characters(inst.X, character_grid(inst)), F)
+        G = characters(inst.X, character_grid(inst))
+        return _bz_min_weight(G, F, coset_bound(inst))
     return _macwilliams_min_weight(_dual_distribution(dual_basis(inst), F), q, k)
 
 
-class ProfileRow(namedtuple("ProfileRow", "d dim delta singleton required", defaults=(None,))):
+class ProfileRow(
+    namedtuple("ProfileRow", "d dim delta singleton required bound", defaults=(None, None))
+):
     """One degree of a profile; delta is None and `required` holds the
-    classes of the search when the budget refused it."""
+    classes of the search when the budget refused it.  `bound` is the coset
+    bound (`coset_bound`) of a degree whose delta was computed."""
 
     __slots__ = ()
 
@@ -501,9 +590,10 @@ class ProfileRow(namedtuple("ProfileRow", "d dim delta singleton required", defa
 
 
 def profile_rows(X, d_max, budget=DEFAULT_BUDGET):
-    """Per-degree (dim, delta, Singleton bound) records for d = 0..d_max
-    from one pass of the sumset, with no law checked.  A degree the budget
-    refuses has no delta and records the classes it required."""
+    """Per-degree (dim, delta, Singleton bound, coset bound) records for
+    d = 0..d_max from one pass of the sumset, with no law checked.  A
+    degree the budget refuses has no delta and no coset bound, and records
+    the classes it required."""
     rows = []
     for d, (T, k) in enumerate(islice(hilbert._sumsets(X), d_max + 1)):
         inst = CodeInstance(X, d, T, k)
@@ -511,21 +601,25 @@ def profile_rows(X, d_max, budget=DEFAULT_BUDGET):
             delta, required = code_distance(inst, budget=budget), None
         except BudgetExceeded as exc:
             delta, required = None, exc.required
-        rows.append(ProfileRow(d, k, delta, X.m - k + 1, required))
+        bound = None if delta is None else coset_bound(inst)
+        rows.append(ProfileRow(d, k, delta, X.m - k + 1, required, bound))
     return rows
 
 
 def distance_laws(rows):
     """Yield (check, d, expected, actual) for each law the distances of
-    profile rows obey: delta within the Singleton bound; delta below the
-    last delta computed while that exceeds 1, and 1 once it is 1; and
-    delta = 1 from the regularity plateau (dim = m, Singleton bound 1) on.
-    A refused degree has no delta and no check."""
+    profile rows obey: delta within the Singleton bound; delta at least the
+    coset bound, which the dual route, blind to it, tests independently;
+    delta below the last delta computed while that exceeds 1, and 1 once it
+    is 1; and delta = 1 from the regularity plateau (dim = m, Singleton
+    bound 1) on.  A refused degree has no delta and no check."""
     previous = None
     for r in rows:
         if r.delta is None:
             continue
         yield "singleton bound", r.d, True, r.delta <= r.singleton
+        if r.bound is not None:
+            yield "coset lower bound", r.d, True, r.delta >= r.bound
         if previous is not None:
             ok = r.delta < previous if previous > 1 else r.delta == 1
             yield "strict decrease", r.d, True, ok

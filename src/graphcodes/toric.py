@@ -39,6 +39,8 @@ from functools import cached_property
 from .errors import DEFAULT_POINT_CAP, CapExceeded, LengthMismatch
 from .graph import summarize
 
+_COLUMN_CELLS = 1 << 23  # cells of the coordinates `ToricSet.arr` lists at a time
+
 
 class GroupImage(namedtuple("GroupImage", "orders embed")):
     """The image of x -> A x, a homomorphism (Z/N)^c -> (Z/N)^t given by an
@@ -187,13 +189,18 @@ class ToricSet:
     def arr(self):
         """The (m, s) uint8 points, row i the point of grid cell i in C
         order: its coordinate ratio P_j / P_s is the character
-        `point_group.embed`[j], and P_s = 1.  One coordinate at a time, so
-        the temporaries of `values` are one column's."""
+        `point_group.embed`[j], and P_s = 1.  The coordinates are listed in
+        chunks of about _COLUMN_CELLS cells, so the temporaries of `values`
+        stay near one column of K_6/GF(25) and a long graph over a small
+        field takes few calls (one for path(10^5) over GF(2))."""
         import numpy as np
 
+        embed = self.point_group.embed
         listed = np.ones((self.m, self.s), dtype=np.uint8)
-        for j, row in enumerate(self.point_group.embed):
-            listed[:, j] = self.values([row])[0]
+        step = max(1, _COLUMN_CELLS // self.m)
+        for j in range(0, len(embed), step):
+            chunk = embed[j : j + step]
+            listed[:, j : j + len(chunk)] = self.values(chunk).T
         return listed
 
     @property

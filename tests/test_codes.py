@@ -1,7 +1,7 @@
 import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd
 from unittest.mock import patch
 
 import numpy as np
@@ -20,6 +20,8 @@ from graphcodes.codes import (
     _weight_distribution,
     character_grid,
     characters,
+    code_distance,
+    coset_bound,
     distance_profile,
     dual_basis,
     minimum_distance,
@@ -125,12 +127,13 @@ def test_distances_and_dual_bases_list_no_points():
 def test_code_instance_and_profile_row_are_immutable_values():
     X = parameterize(build_family("cycle", [4]), make_field(5))
     assert_value_type(code_instance(X, 2), code_instance(X, 2), "X", "d", "bits", "k")
-    assert codes.profile_rows(X, 1) == [codes.ProfileRow(0, 1, 16, 16),
-                                        codes.ProfileRow(1, 4, 9, 13)]
+    # Each computed degree carries its coset bound, here equal to delta.
+    assert codes.profile_rows(X, 1) == [codes.ProfileRow(0, 1, 16, 16, None, 16),
+                                        codes.ProfileRow(1, 4, 9, 13, None, 9)]
     row = codes.ProfileRow(1, 4, 9, 13)
-    assert row.required is None and row.skipped is None
-    assert_value_type(row, codes.ProfileRow(1, 4, 9, 13, None),
-                      "d", "dim", "delta", "singleton", "required")
+    assert row.required is None and row.skipped is None and row.bound is None
+    assert_value_type(row, codes.ProfileRow(1, 4, 9, 13, None, None),
+                      "d", "dim", "delta", "singleton", "required", "bound")
     assert codes.ProfileRow(2, 9, None, 8, 120).skipped == "budget: 120 classes required"
 
 
@@ -434,20 +437,39 @@ def _counting_messages():
         yield calls
 
 
+def _exhaustive_min_weight(X, S):
+    """Minimum weight of the code spanned by the characters in S
+    (1 <= |S| < m) by exhaustive search over the smaller side: every primal
+    class, or the oracle null space's distribution through the textbook
+    MacWilliams sum."""
+    F = X.F
+    G = characters(X, S)
+    k, m = G.shape
+    if k <= m - k:
+        return min_weight_enum(G, F)
+    A = macwilliams(_weight_distribution(null_space(G, F), F), F.q, k)
+    return next(w for w in range(1, m + 1) if A[w])
+
+
+def _bits(S):
+    """The boolean grid S as the int `CodeInstance.bits` holds: bit i is
+    cell i in C order."""
+    return int.from_bytes(np.packbits(S.ravel(), bitorder="little").tobytes(), "little")
+
+
 def _check_distance_routes(X, S):
     """Brouwer-Zimmermann and the shortened dual on the code spanned by the
     characters in S (1 <= |S| < m), against the exhaustive search over the
-    smaller side: every primal class, or the oracle null space's
-    distribution through the textbook MacWilliams sum."""
+    smaller side (`_exhaustive_min_weight`); Brouwer-Zimmermann also with
+    the coset bound of S, which it must not pass."""
     F = X.F
     q = F.q
     G = characters(X, S)
     k, m = G.shape
-    if k <= m - k:
-        expected = min_weight_enum(G, F)
-    else:
-        A = macwilliams(_weight_distribution(null_space(G, F), F), q, k)
-        expected = next(w for w in range(1, m + 1) if A[w])
+    expected = _exhaustive_min_weight(X, S)
+    lower = codes._coset_bound(X.point_group.orders, _bits(S))
+    assert lower <= expected
+    assert _bz_min_weight(G, F, lower) == expected
     with _counting_messages() as calls:
         assert _bz_min_weight(G, F) == expected
     assert sum(n for _, _, n in calls) <= _bz_messages(k, m, q) <= (q**k - 1) // (q - 1)
@@ -460,12 +482,14 @@ def _check_distance_routes(X, S):
 
 @given(X=toric_sets(max_source=16, fields=(3, 4, 5, 7, 8, 9)), data=st.data())
 @example(X=torus_points(2, make_field(7)), data=None)
+@example(X=torus_points(3, make_field(5)), data=None)
 @settings(max_examples=60, deadline=None)
 def test_distance_routes_match_exhaustive_search(X, data):
     # On sets small enough for the smaller side to be enumerated whole, at
     # every degree below the plateau and for a random set of characters
     # (any set spans a code the translations map to itself):
-    # Brouwer-Zimmermann equals the exhaustive search and enumerates at most
+    # Brouwer-Zimmermann equals the exhaustive search with and without the
+    # coset bound, which is at most that minimum, and enumerates at most
     # the messages the budget is checked against, and where the dual is the
     # smaller side its distribution recovered from its shortened code is the
     # full one.  The projective line's last degree has m - k = 1, an empty
@@ -532,6 +556,84 @@ def test_last_weight_enumerates_only_the_fixed_rows():
     with _counting_messages() as calls:
         assert _bz_min_weight(G, C4.F) == mindist_complete_bipartite(2, 2, 1, 7) == 25
     assert calls == [[1, 0, 4], [2, 0, 36]]
+
+
+def _arc_bound_by_definition(n, P):
+    """n less the shortest arc b, ..., b + L - 1 of Z/n holding P t, plus
+    1, at its best over the units t mod n, by trying every arc."""
+    return max(
+        n + 1 - min(L for L in range(1, n + 1) for b in range(n)
+                    if all((p * t - b) % n < L for p in P))
+        for t in range(1, n) if gcd(t, n) == 1
+    )
+
+
+@given(n=st.integers(2, 30), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_arc_bound_matches_its_definition(n, data):
+    P = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    assert codes._arc_bound(n, sorted(P)) == _arc_bound_by_definition(n, P)
+
+
+@given(X=toric_sets(fields=(3, 4, 5, 7, 8, 9)), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_coset_bound_of_few_characters_on_larger_grids(X, data):
+    # Sets of at most four characters on grids of up to 81 points, several
+    # axes deep, against the exhaustive search over their q^3 classes.
+    if X.m < 2:
+        return
+    k = data.draw(st.integers(1, min(4, X.m - 1)))
+    cells = np.zeros(X.m, dtype=bool)
+    cells[data.draw(st.permutations(range(X.m)))[:k]] = True
+    S = cells.reshape(X.point_group.orders)
+    lower = codes._coset_bound(X.point_group.orders, _bits(S))
+    assert 1 <= lower <= min_weight_enum(characters(X, S), X.F)
+
+
+@pytest.mark.parametrize("family, params, q, d, bound, delta", [
+    ("complete", [5], 4, 1, 36, 36),
+    ("complete_bipartite", [3, 3], 5, 1, 144, mindist_complete_bipartite(3, 3, 1, 5)),
+    ("complete", [4], 9, 1, 392, 392),
+    ("complete_bipartite", [3, 4], 5, 1, 576, mindist_complete_bipartite(3, 4, 1, 5)),
+    ("complete_bipartite", [3, 3], 8, 1, 1764, mindist_complete_bipartite(3, 3, 1, 8)),
+    ("complete_bipartite", [3, 3], 9, 1, 3136, mindist_complete_bipartite(3, 3, 1, 9)),
+    ("complete", [4], 16, 1, 2940, 2940),
+    ("complete", [4], 25, 1, 12696, 12696),
+    ("complete", [4], 27, 1, 16250, 16250),
+    ("cycle", [4], 7, 3, 9, mindist_complete_bipartite(2, 2, 3, 7)),
+    ("cycle", [4], 7, 4, 4, mindist_complete_bipartite(2, 2, 4, 7)),
+    # Loose: the minimum words of these codes are not products of a coset
+    # count and an arc.
+    ("cycle", [6], 5, 1, 144, 186),
+    ("cycle", [6], 4, 2, 9, 21),
+])
+def test_coset_bound_pins(family, params, q, d, bound, delta):
+    # The coset bound of T_d, and the distance it bounds, from the closed
+    # forms where one applies and from exact runs otherwise.
+    X = parameterize(build_family(family, params), make_field(q))
+    assert coset_bound(code_instance(X, d)) == bound <= delta
+
+
+def test_coset_bound_ends_the_search_at_weight_one():
+    # On K_{3,3} over GF(5) at d = 1 a weight-1 message reaches the coset
+    # bound, 144, so `code_distance` stops after the 9 messages of weight 1;
+    # without the bound the same search runs to weight 5 (18,521 messages,
+    # `test_last_weight_enumerates_only_the_fixed_rows`).
+    X = parameterize(build_family("complete_bipartite", [3, 3]), make_field(5))
+    with _counting_messages() as calls:
+        assert code_distance(code_instance(X, 1)) == 144
+    assert calls == [[1, 0, 9]]
+
+
+def test_a_word_below_the_bound_is_an_error():
+    # The search stops once its best weight reaches the bound, so a bound
+    # above the minimum weight is caught when a lighter word turns up
+    # first: here weight 1 finds 9 against a bound of 10.
+    X = parameterize(build_family("cycle", [4]), make_field(5))
+    G = characters(X, character_grid(code_instance(X, 1)))
+    assert _bz_min_weight(G, X.F, 9) == _bz_min_weight(G, X.F) == 9
+    with pytest.raises(AssertionError, match="lower bound"):
+        _bz_min_weight(G, X.F, 10)
 
 
 def test_macwilliams_transform_must_divide_exactly():
