@@ -36,15 +36,19 @@ translate of c is a weight-W message containing rows 0..j - 1.  j = 0 is
 the stop rule's own test, and a valid j makes j - 1 valid.  The dual is a
 character code as well, spanned by the characters
 outside -T_d (see `code_distance`), whose rows are the field inverses of the
-rows of the characters outside T_d; only its words vanishing at the identity
-point are enumerated, transitivity gives the whole weight distribution
-(`_dual_distribution`) and MacWilliams the code's.  The side, the generator
-cap and the budget are decided from k, m and q before any matrix exists,
-and both routes stay independent of every closed-form formula.  Field
-elements are bytes (the uint8 tables of `gfq`), so both read weights from
-byte comparisons with no conversion and no fork on the kind of q, each block
-counted by one sum along its contiguous rows, into uint16 while the counts
-fit (`_count_type`).  Brouwer-Zimmermann compares prefixes, sums of w - r
+rows of the characters outside T_d.  The dual route reads dependent columns
+first, then the shortened dual: its basis is a parity-check matrix of
+C_X(d), so a distance of 2 or 3 is two proportional columns or a column in
+the span of two others, one of them at the identity point by translation
+(`_dependent_columns`); otherwise only the dual's words vanishing at the
+identity point are enumerated, transitivity gives the whole weight
+distribution (`_dual_distribution`) and MacWilliams the code's.  The side,
+the generator cap and the budget are decided from k, m and q before any
+matrix exists, and both routes stay independent of every closed-form
+formula.  Field elements are bytes (the uint8 tables of `gfq`), so both
+read weights from byte comparisons with no conversion and no fork on the
+kind of q, each block counted by one sum along its contiguous rows, into
+uint16 while the counts fit (`_count_type`).  Brouwer-Zimmermann compares prefixes, sums of w - r
 rows, with tails of r later rows: up to weight 3 the multiples of one row
 (r = 1), and from weight 4 a table of every two-row tail
 c_1 A_i + c_2 A_j (r = 2), built once per search from the field tables
@@ -497,6 +501,56 @@ def _dual_distribution(D, F):
     return B
 
 
+def _dependent_columns(D, F, classes):
+    """2 or 3, the minimum distance of the code whose parity-check matrix
+    is the dual basis D (`dual_basis`, r x m, column 0 at the identity
+    point) when it is one of these; None when it is at least 4, or when it
+    is not 2 and the three-column search would compare more cells than the
+    shortened dual's `classes` do or than DEFAULT_CELL_CAP, a check made
+    before anything is allocated for it.
+
+    The minimum distance of a code is the least number of linearly
+    dependent columns of a parity-check matrix (MacWilliams-Sloane).  Every
+    entry of D is nonzero, as its rows are inverted character values, so no
+    column is zero and the distance is at least 2.  Each column x is scaled
+    to N_x, first entry 1: two columns are proportional exactly when their
+    N are equal, and then the distance is 2.  Otherwise three columns are
+    dependent exactly when all three coefficients are nonzero, so exactly
+    when N_c = mu N_a + nu N_b with mu, nu nonzero and mu + nu = 1 (the
+    first entries), that is N_c = (N_a + l N_b) / (1 + l) for some
+    l = nu / mu not in {0, -1}; c is neither a nor b, as N_a != N_b.  And
+    a = 0 is enough: the column at x + g is the column at x times the
+    column at g entrywise (chi(x + g) = chi(g) chi(x)), an invertible
+    diagonal map, so translating three dependent columns by -a leaves them
+    dependent, with a at the identity point, where N_0 is all ones.  So the
+    distance is 3 exactly when a column equals (1 + l N_b) / (1 + l) for
+    some b >= 1 and l: (m - 1)(q - 2) candidates of r cells, looked up
+    among the sorted columns, as byte strings, by binary search.  The
+    answer reads no bound on the distance, so on a dual degree the coset
+    bound stays an independent check (`distance_laws`)."""
+    r, m = D.shape
+    add, mul, inv = F.add_table, F.mul_table, F.inv_table
+    # N^T, C-contiguous: row x is the column x scaled by the inverse of
+    # its first entry.
+    NT = np.ascontiguousarray(mul[inv[D[0]], D].T)
+    keys = np.sort(NT.view(f"S{r}")[:, 0])
+    if np.any(keys[1:] == keys[:-1]):
+        return 2
+    if (m - 1) * (F.q - 2) * r > min(classes * m, DEFAULT_CELL_CAP):
+        return None
+    scales = np.arange(1, F.q)
+    scales = scales[add[1, scales] != 0]  # l, with 1 + l != 0
+    # (1 + l x) / (1 + l) for every element x, one row per l.
+    maps = mul[inv[add[1, scales]][:, None], add[1, mul[scales]]]
+    per = max(1, _CELLS // ((m - 1) * r))  # values of l per lookup
+    for i in range(0, len(maps), per):
+        found = maps[i : i + per, NT[1:]].reshape(-1, r).view(f"S{r}")[:, 0]
+        at = np.minimum(np.searchsorted(keys, found), m - 1)
+        if np.any(keys[at] == found):
+            return 3
+    return None
+
+
 def _macwilliams_min_weight(B, q, k):
     """Minimum weight of an [m, k]_q code whose dual has the weight
     distribution B = (B_0, ..., B_m), by the MacWilliams transform
@@ -539,7 +593,10 @@ def code_distance(inst, budget=DEFAULT_BUDGET):
     characters satisfy <chi_a, chi_b> = m [a + b = 0], so C_X(d)^perp is
     spanned by the m - k cells of the point grid outside -T_d.  As
     chi_-b = 1 / chi_b, those rows are the rows of the characters outside
-    T_d through the field's inverse table (`dual_basis`).  Only the
+    T_d through the field's inverse table (`dual_basis`).  The dual route
+    takes dependent columns first, then the shortened dual: that basis is a
+    parity-check matrix, and a distance of 2 or 3 is read off its columns
+    (`_dependent_columns`), reading no bound; otherwise only the
     (q^(m-k-1) - 1)/(q - 1) classes of its words vanishing at the identity
     are enumerated (`_dual_distribution`), then transformed (MacWilliams).
 
@@ -572,7 +629,10 @@ def code_distance(inst, budget=DEFAULT_BUDGET):
     if primal <= dual:
         G = characters(inst.X, character_grid(inst))
         return _bz_min_weight(G, F, coset_bound(inst))
-    return _macwilliams_min_weight(_dual_distribution(dual_basis(inst), F), q, k)
+    D = dual_basis(inst)
+    return _dependent_columns(D, F, dual) or _macwilliams_min_weight(
+        _dual_distribution(D, F), q, k
+    )
 
 
 class ProfileRow(

@@ -9,11 +9,12 @@ the point cap before anything is built, the exponent rows and the form
 included, and the order m = |X| read off the form is checked against the
 closed form, before anything of size m exists.  Over GF(3) and up, a cap on
 |X| bounds the rows as well; over GF(2), where X is one point whatever the
-graph, no rows are built, and the form of no rows is the empty grid.  The points themselves are
-listed from the grid, one cell per point, only when a caller needs them;
-the source torus, (q-1)^r tuples, is never enumerated.  The one grid also
-indexes the characters of X (X, a finite abelian group, is isomorphic to
-its dual), so no second form is built for them.  The form and the grid are
+graph, the graph is not summarized, no rows are built, and X is the empty
+grid.  The points themselves are listed from the grid, one cell per point,
+only when a caller needs them; the source torus, (q-1)^r tuples, is never
+enumerated.  The one grid also indexes the characters of X (X, a finite
+abelian group, is isomorphic to its dual), so no second form is built for
+them.  The form and the grid are
 exact Python ints, and X is built from the field size alone: numpy is
 imported, and the field tables built, only where characters are evaluated
 on the grid (`ToricSet.values`, which lists the points and builds every
@@ -225,9 +226,12 @@ def _toric_set(F, s, exponents, expected, graph=None):
     closed-form length the caller has checked against the cap.  The order
     of the point group is checked against the closed form, so once it
     holds |X| is within the cap, and nothing of size |X| has been
-    allocated."""
-    point_map = [[b[k] - b[-1] for b in exponents] for k in range(s - 1)]
-    P = group_image(point_map, F.q - 1)
+    allocated.  No exponent rows (over GF(2)) give the empty grid, the
+    image of s - 1 empty point-map rows, with no rows walked."""
+    if exponents:
+        P = group_image([[b[k] - b[-1] for b in exponents] for k in range(s - 1)], F.q - 1)
+    else:
+        P = GroupImage((), ((),) * (s - 1))
     if P.size != expected:
         raise LengthMismatch(
             f"the point group has order {P.size} but the length formula gives {expected}"
@@ -258,11 +262,14 @@ def expected_length(summary, F):
 def parameterize(G, F, cap=DEFAULT_POINT_CAP):
     """Image of the torus of P^{n-1} under the edge-monomial map, refused
     past the cap from the closed-form length before anything is built (the
-    incidence rows are n x s), and its order asserted against that length."""
+    incidence rows are n x s), and its order asserted against that length.
+    Over GF(2) that length is 1 for every graph, so the graph is not
+    summarized."""
+    if F.q == 2:  # X is one point, the empty grid of no rows
+        _refuse_past_cap(1, cap)
+        return _toric_set(F, G.s, [], 1, G)
     expected = expected_length(summarize(G), F)
     _refuse_past_cap(expected, cap)
-    if F.q == 2:  # X is one point, the empty grid of no rows
-        return _toric_set(F, G.s, [], expected, G)
     # A vertex no edge touches has a zero incidence row, and scaling every
     # source coordinate by one factor scales every edge monomial by its
     # square, so only the touched vertices are rows and the last of them is

@@ -457,11 +457,21 @@ def _bits(S):
     return int.from_bytes(np.packbits(S.ravel(), bitorder="little").tobytes(), "little")
 
 
+def _three_columns_searched(D, F, classes):
+    """Whether `_dependent_columns` looks for three dependent columns of D
+    (the guard it checks before allocating the candidates)."""
+    r, m = D.shape
+    return (m - 1) * (F.q - 2) * r <= min(classes * m, codes.DEFAULT_CELL_CAP)
+
+
 def _check_distance_routes(X, S):
-    """Brouwer-Zimmermann and the shortened dual on the code spanned by the
-    characters in S (1 <= |S| < m), against the exhaustive search over the
-    smaller side (`_exhaustive_min_weight`); Brouwer-Zimmermann also with
-    the coset bound of S, which it must not pass."""
+    """Brouwer-Zimmermann, the dependent columns of the dual basis and the
+    shortened dual on the code spanned by the characters in S
+    (1 <= |S| < m), against the exhaustive search over the smaller side
+    (`_exhaustive_min_weight`); Brouwer-Zimmermann also with the coset
+    bound of S, which it must not pass.  The dependent columns give the
+    minimum when they give anything, and give nothing only when it is at
+    least 4, or at least 3 when the guard skipped the three-column search."""
     F = X.F
     q = F.q
     G = characters(X, S)
@@ -473,8 +483,14 @@ def _check_distance_routes(X, S):
     with _counting_messages() as calls:
         assert _bz_min_weight(G, F) == expected
     assert sum(n for _, _, n in calls) <= _bz_messages(k, m, q) <= (q**k - 1) // (q - 1)
+    D = F.inv_table[characters(X, ~S)]
+    classes = (q ** (m - k - 1) - 1) // (q - 1)
+    found = codes._dependent_columns(D, F, classes)
+    if found is not None:
+        assert found == expected
+    else:
+        assert expected >= (4 if _three_columns_searched(D, F, classes) else 3)
     if m - k <= k:
-        D = F.inv_table[characters(X, ~S)]
         B = _dual_distribution(D, F)
         assert B == _weight_distribution(D, F)
         assert _macwilliams_min_weight(B, q, k) == expected
@@ -500,6 +516,57 @@ def test_distance_routes_match_exhaustive_search(X, data):
         cells = data.draw(st.lists(st.booleans(), min_size=X.m, max_size=X.m)
                           .filter(lambda c: 0 < sum(c) < X.m))
         _check_distance_routes(X, np.array(cells).reshape(X.point_group.orders))
+
+
+@pytest.mark.parametrize("family, params, q, d, found, delta", [
+    ("complete_bipartite", [2, 3], 7, 9, 2, mindist_complete_bipartite(2, 3, 9, 7)),
+    ("complete_bipartite", [2, 4], 8, 17, 2, mindist_complete_bipartite(2, 4, 17, 8)),
+    ("complete_bipartite", [2, 3], 4, 2, 3, mindist_complete_bipartite(2, 3, 2, 4)),
+    ("complete_bipartite", [2, 3], 5, 4, 3, mindist_complete_bipartite(2, 3, 4, 5)),
+    ("path", [3], 9, 11, None, mindist_torus_formula(3, 11, 9)),
+])
+def test_dependent_columns_of_dual_degrees(family, params, q, d, found, delta):
+    # Dual-route degrees: a distance of 2 or 3 is read off the columns of
+    # the dual basis, and the shortened dual is not enumerated; a distance
+    # of 4 (P_3/GF(9) at d = 11) falls through to it.
+    X = parameterize(build_family(family, params), make_field(q))
+    inst = code_instance(X, d)
+    k, m = inst.k, inst.m
+    classes = (q ** (m - k - 1) - 1) // (q - 1)
+    assert _bz_messages(k, m, q) > classes  # `code_distance` takes the dual side
+    D = dual_basis(inst)
+    assert _three_columns_searched(D, X.F, classes)
+    assert codes._dependent_columns(D, X.F, classes) == found
+    enumerated = []
+    real = codes._dual_distribution
+
+    def counting(D, F):
+        enumerated.append(D.shape)
+        return real(D, F)
+
+    with patch.object(codes, "_dual_distribution", counting):
+        assert code_distance(inst) == delta
+    assert enumerated == ([] if found else [D.shape])
+    assert (found or 4) == delta
+
+
+def test_three_column_search_is_guarded(monkeypatch):
+    # K_{2,3} over GF(4) at d = 2: m = 27, r = 9, so (m - 1)(q - 2) r = 468
+    # candidate cells.  Under a cell cap or a class count that leaves them
+    # out, the search gives nothing and the shortened dual finds the 3.
+    X = parameterize(build_family("complete_bipartite", [2, 3]), make_field(4))
+    inst = code_instance(X, 2)
+    D = dual_basis(inst)
+    assert D.shape == (9, 27)
+    classes = (4**8 - 1) // 3
+    assert codes._dependent_columns(D, X.F, classes) == 3
+    assert codes._dependent_columns(D, X.F, 18) == 3  # 18 * 27 = 486 cells
+    assert codes._dependent_columns(D, X.F, 17) is None  # 459 cells
+    monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 468)
+    assert codes._dependent_columns(D, X.F, classes) == 3
+    monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 467)
+    assert codes._dependent_columns(D, X.F, classes) is None
+    assert code_distance(inst) == mindist_complete_bipartite(2, 3, 2, 4) == 3
 
 
 def test_restricted_last_weight_matches_exhaustive_search():

@@ -86,6 +86,26 @@ print(run_command({argv!r} + ["--family", "cycle", "--params", "4"], out=io.Stri
     assert run_python(code).split() == ["0", "True"]
 
 
+def test_dual_route_distance_leaves_numpy_ma_unloaded():
+    # The dual route sorts and looks up byte keys with np.sort and
+    # np.searchsorted; np.unique would import numpy.ma on first use.  The
+    # three degrees read a 2 and a 3 off the dual basis and fall through
+    # to the shortened dual at 4.
+    code = """
+import io, sys
+from graphcodes.cli import run_command
+for argv in (["complete_bipartite", "2", "3", "7", "9"], ["complete_bipartite", "2", "3", "4", "2"],
+             ["path", "3", "9", "11"]):
+    family, *params, q, d = argv
+    out = io.StringIO()
+    assert run_command(["mindist", "--family", family, "--params", *params, "--q", q, "--d", d],
+                       out=out) == 0
+    print(out.getvalue().strip())
+print("numpy.ma" in sys.modules)
+"""
+    assert run_python(code).split() == ["2", "3", "4", "False"]
+
+
 def test_make_field_answers_or_raises_without_numpy():
     # q is validated and p, e and the reducing polynomial found in pure
     # Python; the tables, and numpy with them, come on first access.

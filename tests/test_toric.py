@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_value_type, toric_points_brute, two_triangles
+from graphcodes import toric
 from graphcodes.codes import characters
 from graphcodes.errors import CapExceeded
 from graphcodes.gfq import make_field
@@ -96,6 +97,25 @@ def test_gf2_builds_no_exponent_rows():
     assert X.point_group == T.point_group == GroupImage((), ((),) * 2999)
     assert group_image([[1, 0, 2], [0, 1, 1]], 1) == GroupImage((), ((), ()))
     assert X.arr.tolist() == [[1] * 3000]
+
+
+def test_gf2_reads_no_graph_structure(monkeypatch):
+    # Over GF(2) the length formula gives 1 for every graph, so the graph
+    # is not summarized and no point-map row is walked: the empty grid
+    # keeps one empty embedding row per coordinate ratio, and the cap is
+    # still checked against the one point.
+    def forbidden(*args):
+        raise AssertionError("called over GF(2)")
+
+    monkeypatch.setattr(toric, "summarize", forbidden)
+    monkeypatch.setattr(toric, "group_image", forbidden)
+    F = make_field(2)
+    X = parameterize(build_family("path", [100000]), F)
+    assert X.m == 1 and X.point_group == GroupImage((), ((),) * 99999)
+    assert torus_points(5, F).point_group == GroupImage((), ((),) * 4)
+    with pytest.raises(CapExceeded) as exc:
+        parameterize(build_family("cycle", [5]), F, cap=0)
+    assert exc.value.required == 1
 
 
 @pytest.mark.parametrize(
