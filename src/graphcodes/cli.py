@@ -98,7 +98,7 @@ def _graph_ident(G, args):
     return {"family": args.family, "params": list(args.params), "n": G.n, "s": G.s}
 
 
-def _toric_set(G, args):
+def _parameterize(G, args):
     from .gfq import make_field
     from .toric import parameterize
 
@@ -122,7 +122,7 @@ def _cmd_length(G, args):
 
     # `parameterize` has checked the group order X.m against the length
     # formula, so the listed points are counted against X.m.
-    X = _toric_set(G, args)
+    X = _parameterize(G, args)
     length = toric.count_points(X)
     if length != X.m:
         raise LengthMismatch(
@@ -134,28 +134,28 @@ def _cmd_length(G, args):
 def _cmd_dim(G, args):
     from . import hilbert
 
-    value = hilbert.dimension(_toric_set(G, args), args.d)
+    value = hilbert.dimension(_parameterize(G, args), args.d)
     return 0, {"d": args.d, "dim": value}, str(value)
 
 
 def _cmd_reg(G, args):
     from . import hilbert
 
-    value = hilbert.regularity_index(_toric_set(G, args))
+    value = hilbert.regularity_index(_parameterize(G, args))
     return 0, {"reg": value}, str(value)
 
 
 def _cmd_mindist(G, args):
     from . import codes
 
-    value = codes.minimum_distance(_toric_set(G, args), args.d, budget=args.budget)
+    value = codes.minimum_distance(_parameterize(G, args), args.d, budget=args.budget)
     return 0, {"d": args.d, "mindist": value}, str(value)
 
 
 def _cmd_profile(G, args):
     from . import codes
 
-    X = _toric_set(G, args)
+    X = _parameterize(G, args)
     rows = codes.distance_profile(X, args.dmax, budget=args.budget)
     payload = {"length": X.m,
                "rows": [{"d": r.d, "dim": r.dim, "delta": r.delta,

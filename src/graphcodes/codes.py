@@ -101,12 +101,11 @@ def dual_basis(inst):
 
 def characters(X, S):
     """One row per element of the boolean set S over the point grid of X,
-    in grid-index order: the row of the character c is zeta^((c e) . g),
-    e_i = (q - 1) / d_i, at every grid cell g in C order, the order in
-    which X.arr lists the points (`ToricSet.values`).  Distinct characters,
-    so the rows are independent; for S = T_d they are a basis of C_X(d)."""
-    e = [(X.F.q - 1) // d for d in X.point_group.orders]
-    return X.values(np.argwhere(S) * e)
+    in grid-index order: the character of the cell c at every grid cell in
+    C order, the order in which X.arr lists the points (`ToricSet.values`).
+    Distinct characters, so the rows are independent; for S = T_d they are
+    a basis of C_X(d)."""
+    return X.values(np.argwhere(S))
 
 
 def _spans(base, rows, F, limit):

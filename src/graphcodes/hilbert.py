@@ -94,14 +94,13 @@ def _sumsets(X):
     T_d is an int whose bit sum_i x_i st_i (st the C-order strides) marks
     the cell x of the point grid of X when x is a degree-d character
     t^a / t_1^d (|a| = d) of X, the grid being its own dual (see
-    `ToricSet`): w_j = embed_j / e is the character P -> P_j / P_s, and
+    `ToricSet`): w_j = embed_j is the character P -> P_j / P_s, and
     w_s = 0.  T_0 = {0}, and T_{d+1} is the union of the translates
     T_d + (w_k - w_1) (`_translations`).  Raises MonotonicityViolation when
     a step fails to grow the set before it reaches |X|."""
     group = X.point_group
     orders = group.orders
-    scales = [(X.F.q - 1) // d for d in orders]
-    w = [[a // e for a, e in zip(row, scales)] for row in group.embed] + [[0] * len(orders)]
+    w = [*group.embed, (0,) * len(orders)]
     steps = {tuple((a - b) % n for a, b, n in zip(row, w[0], orders)) for row in w}
     ops = _translations(sorted(steps - {(0,) * len(orders)}), orders)
     T = k = 1

@@ -5,16 +5,17 @@ monomial map, so X is a group, and in discrete logs it is the image of a
 homomorphism between (Z/(q-1))-modules.  `group_image` writes such an image
 as a grid of exactly |image| cells, from a diagonal (Smith) form over the
 integers, and X is built from it: the closed-form length is checked against
-the point cap before anything is built, the exponent rows and the form
+the point cap before anything is built, the point map and the form
 included, and the order m = |X| read off the form is checked against the
 closed form, before anything of size m exists.  Over GF(3) and up, a cap on
 |X| bounds the rows as well; over GF(2), where X is one point whatever the
 graph, the graph is not summarized, no rows are built, and X is the empty
-grid.  The points themselves are listed from the grid, one cell per point,
-only when a caller needs them; the source torus, (q-1)^r tuples, is never
-enumerated.  The one grid also indexes the characters of X (X, a finite
-abelian group, is isomorphic to its dual), so no second form is built for
-them.  The form and the grid are
+grid.  The torus of P^{s-1} is its own grid, (Z/(q-1))^(s-1), written
+with no form.  The points themselves are listed from the grid, one cell per
+point, only when a caller needs them; the source torus, (q-1)^r tuples, is
+never enumerated.  The one grid also indexes the characters of X (X, a
+finite abelian group, is isomorphic to its dual), so no second form is built
+for them.  The form and the grid are
 exact Python ints, and X is built from the field size alone: numpy is
 imported, and the field tables built, only where characters are evaluated
 on the grid (`ToricSet.values`, which lists the points and builds every
@@ -48,12 +49,11 @@ class GroupImage(namedtuple("GroupImage", "orders embed")):
     integer (t, c) matrix A, as the grid G = Z/d_1 + ... + Z/d_k (each
     d_i > 1) of exactly |image| cells.
 
-    `embed`, t rows of k ints in [0, N), maps a grid element g to its image
-    element embed g mod N, one-to-one onto the image.  Column i of `embed`
-    is a multiple of e_i = N / d_i, so a row of `embed` divided by e is a
-    cell w of G, and g -> zeta^((w e) . g), zeta of order N, is the
-    character that row gives; w -> that character is an isomorphism of G
-    onto its dual."""
+    `embed` is t cells of G, row j a tuple w_j with entry i in [0, d_i).
+    With e_i = N / d_i, the grid element g maps to the image element whose
+    entry j is (w_j e) . g mod N, one-to-one onto the image; and
+    g -> zeta^((w e) . g), zeta of order N, is the character of the cell w,
+    w -> that character being an isomorphism of G onto its dual."""
 
     __slots__ = ()
 
@@ -87,11 +87,10 @@ def group_image(A, N):
     to a diagonal form U A V = diag(a), a_p = 0 past the rank; no
     divisibility chain is needed, and only V is kept.  U maps the image
     onto a_1 Z/N + ... + a_t Z/N, and a_p Z/N = e_p Z/N for
-    e_p = gcd(a_p, N), so onto the grid with d_p = N / e_p.  Column p of V
-    has A v_p = a_p u_p, u_p the column p of U^-1, and a_p / e_p is a unit
-    mod d_p, so A maps v_p times its inverse to e_p u_p mod N: these images
-    are the columns of `embed`, each a multiple of its e_p, summed over the
-    nonzero entries of A alone."""
+    e_p = gcd(a_p, N), so onto the grid with d_p = N / e_p, whose element g
+    is sum_p g_p e_p u_p, u_p the column p of U^-1.  Column p of V has
+    A v_p = a_p u_p, so u_p mod d_p, column p of `embed`, is A v_p / a_p,
+    an exact division, summed over the nonzero entries of A alone."""
     t, c = len(A), len(A[0]) if A else 0
     M = [list(row) for row in A]
     V = [[int(i == j) for j in range(c)] for i in range(c)]
@@ -121,18 +120,18 @@ def group_image(A, N):
                     row[j] -= f * x
         done = done and all(not M[p][j] for j, _ in support if j > p)
         p += done
-    e = [math.gcd(M[i][i], N) for i in range(p)]
-    keep = [i for i in range(p) if e[i] < N]
-    units = [pow(M[i][i] // e[i], -1, N // e[i]) for i in keep]
-    section = [[row[i] * u % N for i, u in zip(keep, units)] for row in V]
+    keep = [i for i in range(p) if M[i][i] % N]  # e_i = gcd(a_i, N) < N
+    pivots = [M[i][i] for i in keep]
+    orders = tuple(N // math.gcd(a, N) for a in pivots)
+    section = [[row[i] for i in keep] for row in V]
     embed = []
     for row in A:
         image = [0] * len(keep)
         for a, column in zip(row, section):
             if a:
                 image = [x + a * y for x, y in zip(image, column)]
-        embed.append(tuple(x % N for x in image))
-    return GroupImage(tuple(N // e[i] for i in keep), tuple(embed))
+        embed.append(tuple(x // a % d for x, a, d in zip(image, pivots, orders)))
+    return GroupImage(orders, tuple(embed))
 
 
 class ToricSet:
@@ -142,21 +141,19 @@ class ToricSet:
 
     X is the image of a source torus T = (GF(q)^*)^r under the monomial map
     phi(t) = (t^{b_1} : ... : t^{b_s}), a group homomorphism, so X is a
-    subgroup of the torus of P^{s-1}.  The exponent vectors b_k are the
-    columns of an (r, s) matrix B: for a graph the rows are the incidence
-    rows of the vertices some edge touches, but the last of them (fixed to
-    1); the torus of P^{s-1} has exponents [I_{s-1} | 0].  B is used once,
-    by `_toric_set`, which passes s and the group below.  In logs, a point
-    is l -> (b_k - b_s) . l for k < s, and `point_group` is the image of
-    that map, a grid Z/d_1 + ... + Z/d_k of m = |X| cells, one per
-    point.  `values` evaluates characters at every cell, which lists the
-    points on first use of `arr` and builds every generator row;
-    dimension and regularity never list them.
+    subgroup of the torus of P^{s-1}.  In logs, a point is the point map
+    l -> ((b_k - b_s) . l)_{k < s}, and `point_group` is its image, a grid
+    Z/d_1 + ... + Z/d_k of m = |X| cells, one per point: `parameterize`
+    writes the point map of a graph and takes its image, and
+    `torus_points` writes the grid of the torus of P^{s-1} itself.
+    `values` evaluates characters at every cell, which lists the points on
+    first use of `arr` and builds every generator row; dimension and
+    regularity never list them.
 
     The same grid indexes the characters of X: a finite abelian group is
     isomorphic to its dual, the cell w being the character
     g -> zeta^((w e) . g), e_i = (q - 1) / d_i.  The coordinate ratio
-    P -> P_j / P_s is the character w_j = `point_group.embed`[j] / e, and
+    P -> P_j / P_s is the character w_j = `point_group.embed`[j], and
     w_s = 0, so t^a / t_1^d (|a| = d) is the cell sum_j a_j w_j - d w_1;
     distinct characters being linearly independent, the number of distinct
     such cells is dim C_X(d)."""
@@ -171,15 +168,18 @@ class ToricSet:
     def m(self):
         return self.point_group.size
 
-    def values(self, rows):
-        """exp_table[(a . g) mod (q - 1)] for each int row a (one entry per
-        axis of the point grid) at every cell g, cells in C order: a
-        (len(rows), m) uint8 array.  The logs are outer sums along the axes,
-        mod q - 1 in uint16, so no array holds the cell of each point."""
+    def values(self, cells):
+        """The character of each cell w of the point grid (one int per axis)
+        at every cell g, cells in C order: exp_table[(w e) . g mod (q - 1)],
+        e_i = (q - 1) / d_i, a (len(cells), m) uint8 array.  This is the one
+        place the cells are scaled by e.  The logs are outer sums along the
+        axes, mod q - 1 in uint16, so no array holds the cell of each
+        point."""
         import numpy as np
 
         n, orders = self.F.q - 1, self.point_group.orders
-        A = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(orders)) % n
+        e = np.array([n // d for d in orders], dtype=np.int64)
+        A = np.asarray(cells, dtype=np.int64).reshape(len(cells), len(orders)) * e
         logs = np.zeros((len(A), 1), dtype=np.uint16)
         for a, d in zip(A.T, orders):
             step = (a[:, None] * np.arange(d) % n).astype(np.uint16)
@@ -216,36 +216,22 @@ class ToricSet:
 
 def _refuse_past_cap(expected, cap):
     """Refuse X when its closed-form length is past the point cap.  Both
-    callers check this before anything is built, the exponent rows too."""
+    callers check this before anything is built, the point map too."""
     if expected > cap:
         raise CapExceeded(f"X has {expected} points, cap is {cap}", required=expected)
 
 
-def _toric_set(F, s, exponents, expected, graph=None):
-    """X in P^{s-1} for the exponent matrix B, rows of s ints, whose
-    closed-form length the caller has checked against the cap.  The order
-    of the point group is checked against the closed form, so once it
-    holds |X| is within the cap, and nothing of size |X| has been
-    allocated.  No exponent rows (over GF(2)) give the empty grid, the
-    image of s - 1 empty point-map rows, with no rows walked."""
-    if exponents:
-        P = group_image([[b[k] - b[-1] for b in exponents] for k in range(s - 1)], F.q - 1)
-    else:
-        P = GroupImage((), ((),) * (s - 1))
-    if P.size != expected:
-        raise LengthMismatch(
-            f"the point group has order {P.size} but the length formula gives {expected}"
-        )
-    return ToricSet(F, s, P, graph)
-
-
 def torus_points(s, F, cap=DEFAULT_POINT_CAP):
     """The projective torus of P^{s-1}: (q-1)^(s-1) normalized points,
-    refused past the cap before anything is built."""
+    refused past the cap before anything is built.  Its point map is the
+    identity of (Z/(q-1))^(s-1), so that group is the grid and P_j / P_s
+    the cell of axis j; over GF(2) it is the empty grid, with s - 1 empty
+    rows."""
     expected = (F.q - 1) ** (s - 1)
     _refuse_past_cap(expected, cap)
-    exponents = [[int(i == k) for k in range(s)] for i in range(s - 1)] if F.q > 2 else []
-    return _toric_set(F, s, exponents, expected)
+    k = s - 1 if F.q > 2 else 0
+    cells = tuple(tuple(int(i == j) for j in range(k)) for i in range(s - 1))
+    return ToricSet(F, s, GroupImage((F.q - 1,) * k, cells))
 
 
 def expected_length(summary, F):
@@ -262,23 +248,31 @@ def expected_length(summary, F):
 def parameterize(G, F, cap=DEFAULT_POINT_CAP):
     """Image of the torus of P^{n-1} under the edge-monomial map, refused
     past the cap from the closed-form length before anything is built (the
-    incidence rows are n x s), and its order asserted against that length.
-    Over GF(2) that length is 1 for every graph, so the graph is not
-    summarized."""
-    if F.q == 2:  # X is one point, the empty grid of no rows
+    point map is s - 1 rows of n' - 1 ints, n' the touched vertices), and
+    the order of the point group asserted against that length, so once it
+    holds |X| is within the cap and nothing of size |X| exists.  Over GF(2)
+    that length is 1 for every graph, so the graph is not summarized and X
+    is the empty grid, with s - 1 empty rows."""
+    if F.q == 2:
         _refuse_past_cap(1, cap)
-        return _toric_set(F, G.s, [], 1, G)
+        return ToricSet(F, G.s, GroupImage((), ((),) * (G.s - 1)), G)
     expected = expected_length(summarize(G), F)
     _refuse_past_cap(expected, cap)
-    # A vertex no edge touches has a zero incidence row, and scaling every
-    # source coordinate by one factor scales every edge monomial by its
-    # square, so only the touched vertices are rows and the last of them is
-    # fixed to 1: the image does not change.
-    row = {v: k for k, v in enumerate(G.adjacency())}
-    incidence = [[0] * G.s for _ in row]
-    for k, (u, v) in enumerate(G.edges):
-        incidence[row[u]][k] = incidence[row[v]][k] = 1
-    return _toric_set(F, G.s, incidence[:-1], expected, G)
+    # Row k of the point map is b_k - b_s, b_k the endpoint indicator of
+    # edge k over the touched vertices in ascending order.  A vertex no edge
+    # touches would be a zero column, and scaling every source coordinate by
+    # one factor scales every edge monomial by its square, so the last
+    # touched vertex is fixed to 1 and its column dropped: the image does
+    # not change.
+    columns = sorted({v for edge in G.edges for v in edge})[:-1]
+    last = [v in G.edges[-1] for v in columns]
+    point_map = [[(v in edge) - b for v, b in zip(columns, last)] for edge in G.edges[:-1]]
+    P = group_image(point_map, F.q - 1)
+    if P.size != expected:
+        raise LengthMismatch(
+            f"the point group has order {P.size} but the length formula gives {expected}"
+        )
+    return ToricSet(F, G.s, P, G)
 
 
 def count_points(X):

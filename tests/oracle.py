@@ -177,15 +177,31 @@ def evaluation_matrix(X, d, cap=DEFAULT_MONOMIAL_CAP):
     return F.exp_table[raw % (q - 1)].astype(np.int16)
 
 
+def incidence_rows(G):
+    """The exponent matrix B of the source map of G, r rows of s ints: the
+    incidence rows of the vertices some edge touches, in the ascending order
+    of `G.adjacency()`, but the last (whose coordinate is fixed to 1)."""
+    row = {v: k for k, v in enumerate(G.adjacency())}
+    incidence = [[0] * G.s for _ in row]
+    for k, (u, v) in enumerate(G.edges):
+        incidence[row[u]][k] = incidence[row[v]][k] = 1
+    return incidence[:-1]
+
+
+def incidence_point_map(G):
+    """The point map of G, l -> ((b_k - b_s) . l)_{k < s}, as s - 1 rows of
+    r ints, transposed from the incidence rows: the matrix `parameterize`
+    writes from the edges, built the other way round."""
+    B = incidence_rows(G)
+    return [[b[k] - b[-1] for b in B] for k in range(G.s - 1)]
+
+
 def source_exponents(X):
-    """The (r, s) exponent matrix of X's source map, rebuilt from its graph:
-    the incidence rows of the vertices some edge touches but the last (whose
-    coordinate is fixed to 1); [I_{s-1} | 0] for the torus of P^{s-1}."""
+    """The (r, s) exponent matrix of X's source map, rebuilt from its graph
+    (`incidence_rows`); [I_{s-1} | 0] for the torus of P^{s-1}."""
     if X.graph is None:
         return np.eye(X.s - 1, X.s, dtype=np.int64)
-    edges = X.graph.edges
-    touched = sorted({v for e in edges for v in e})
-    return np.array([[int(v in e) for e in edges] for v in touched[:-1]], dtype=np.int64)
+    return np.array(incidence_rows(X.graph), dtype=np.int64)
 
 
 def source_torus_points(X):
@@ -235,11 +251,11 @@ def embed_array(group):
 def grid_sumsets(X):
     """[T_0, ..., T_reg] as boolean arrays over the point grid of X: T_0 =
     {0}, T_{d+1} the union of the `np.roll` translates of T_d by every step
-    w_k - w_1, w_j = embed_j / e the cell of P -> P_j / P_s (w_s = 0), until
+    w_k - w_1, w_j = embed_j the cell of P -> P_j / P_s (w_s = 0), until
     the set stops growing."""
     group = X.point_group
     orders = np.array(group.orders, dtype=np.int64)
-    w = np.vstack([embed_array(group) // ((X.F.q - 1) // orders), np.zeros_like(orders)])
+    w = np.vstack([embed_array(group), np.zeros_like(orders)])
     axes = tuple(range(len(orders)))
     zero = (0,) * len(axes)
     steps = {tuple(b) for b in ((w - w[0]) % orders).tolist()} - {zero}

@@ -16,8 +16,8 @@ from graphcodes.graph import Graph, build_family, summarize
 from graphcodes.hilbert import hilbert_function
 from graphcodes.toric import (GroupImage, count_points, expected_length, group_image,
                               parameterize, torus_points)
-from oracle import (degree_monomials, embed_array, evaluation_matrix, normalize_point,
-                    source_torus_hilbert_function, source_torus_points)
+from oracle import (degree_monomials, embed_array, evaluation_matrix, incidence_point_map,
+                    normalize_point, source_torus_hilbert_function, source_torus_points)
 
 
 def test_group_image_is_an_immutable_value():
@@ -65,9 +65,9 @@ def test_cap_counts_points_before_allocation():
 
 
 def test_cap_is_checked_before_the_exponent_rows():
-    # C_4000 over GF(3) has 2^3998 points, and its incidence rows alone are
-    # 4000 x 4000 list cells (about 125 MiB); the torus of P^3999 has as
-    # many exponent cells.  Both are refused from the closed-form length
+    # C_4000 over GF(3) has 2^3998 points, and its point map alone is
+    # 3999 x 3999 list cells (about 122 MiB); the identity rows of the torus
+    # of P^3999 are as many.  Both are refused from the closed-form length
     # before any row is built.
     F = make_field(3)
     for build, required in ((lambda: parameterize(build_family("cycle", [4000]), F), 2**3998),
@@ -85,9 +85,9 @@ def test_cap_is_checked_before_the_exponent_rows():
 
 def test_gf2_builds_no_exponent_rows():
     # Over GF(2) X is one point whatever the graph, so the cap bounds no
-    # rows: P_3000 has 3001 x 3000 incidence cells, and the torus of P^2999
-    # as many exponent cells.  No rows are built, and the form of none is
-    # the empty grid, the image of any rows over Z/1.
+    # rows: the point map of P_3000 has 2999 x 3000 cells, and the torus of
+    # P^2999 as many identity cells.  No rows are built, and the form of
+    # none is the empty grid, the image of any rows over Z/1.
     F = make_field(2)
     start = time.perf_counter()
     X = parameterize(build_family("path", [3000]), F)
@@ -116,6 +116,64 @@ def test_gf2_reads_no_graph_structure(monkeypatch):
     with pytest.raises(CapExceeded) as exc:
         parameterize(build_family("cycle", [5]), F, cap=0)
     assert exc.value.required == 1
+
+
+@st.composite
+def graphs_in_any_edge_order(draw):
+    """A graph of one to three components, each an odd or even cycle, a
+    path, or random edges among up to four vertices, plus up to two
+    isolated vertices, with its vertices relabeled and its edges in a
+    random order."""
+    parts, n = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["cycle", "path", "random"]))
+        if kind == "cycle":
+            size = draw(st.integers(3, 6))
+            edges = [(i, (i + 1) % size) for i in range(size)]
+        elif kind == "path":
+            size = draw(st.integers(2, 4))
+            edges = [(i, i + 1) for i in range(size - 1)]
+        else:
+            size = draw(st.integers(2, 4))
+            pairs = list(combinations(range(size), 2))
+            edges = draw(st.permutations(pairs))[: draw(st.integers(1, len(pairs)))]
+        parts += [(n + u, n + v) for u, v in edges]
+        n += size
+    n += draw(st.integers(0, 2))
+    label = draw(st.permutations(range(1, n + 1)))
+    edges = draw(st.permutations([(label[u], label[v]) for u, v in parts]))
+    return Graph(n, tuple(edges))
+
+
+@given(G=graphs_in_any_edge_order(), q=st.sampled_from([3, 4, 5, 7, 8, 9]))
+@settings(max_examples=150, deadline=None)
+def test_point_map_from_the_edges_matches_the_incidence_rows(G, q):
+    # `parameterize` writes the point map row by row from the edges; the
+    # oracle transposes the incidence rows of the touched vertices.  Both
+    # give the same matrix, so the same grid and embedding.  The cap is
+    # lifted: nothing of size |X| is built.
+    F = make_field(q)
+    X = parameterize(G, F, cap=float("inf"))
+    assert X.point_group == group_image(incidence_point_map(G), q - 1)
+    assert X.m == expected_length(summarize(G), F)
+
+
+def test_torus_grid_is_the_image_of_the_identity(monkeypatch):
+    # The torus of P^{s-1} is its own grid: `torus_points` writes
+    # (Z/(q-1))^(s-1) with identity rows (the empty grid over GF(2)), which is
+    # what the Smith form of the identity gives, and runs no form itself.
+    images = {(q, s): group_image([[int(i == j) for j in range(s - 1)] for i in range(s - 1)],
+                                  q - 1)
+              for q in (2, 3, 4, 5, 7, 8, 9, 256) for s in range(1, 7)}
+
+    def forbidden(*args):
+        raise AssertionError("called for the torus")
+
+    monkeypatch.setattr(toric, "summarize", forbidden)
+    monkeypatch.setattr(toric, "group_image", forbidden)
+    for (q, s), image in images.items():
+        T = torus_points(s, make_field(q), cap=float("inf"))
+        assert T.point_group == image and T.m == (q - 1) ** (s - 1)
 
 
 @pytest.mark.parametrize(
@@ -224,14 +282,15 @@ def test_normalize_point_general_position():
     torus_points(1, make_field(4)),
 ], ids=["K4-GF8", "two-triangles-GF5", "P3-GF9", "torus3-GF7", "torus1-GF4"])
 def test_grid_cells_are_the_coordinate_ratio_characters(X):
-    # The grid of X is isomorphic to its dual: w_j = embed_j / e is the
+    # The grid of X is isomorphic to its dual: the cell w_j = embed_j is the
     # character P -> P_j / P_s.  At grid cell i in C order, the cell of row i
-    # of arr, w_j gives the log of P_j / P_s, the ratio taken through the
+    # of arr, w_j e gives the log of P_j / P_s, the ratio taken through the
     # field tables, and its generator row is that ratio at every point.
     F, q1 = X.F, X.F.q - 1
     grid = X.point_group
     e = np.array([q1 // d for d in grid.orders], dtype=np.int64)
-    w = embed_array(grid) // e % np.array(grid.orders, dtype=np.int64)
+    w = embed_array(grid)
+    assert np.all((0 <= w) & (w < np.array(grid.orders, dtype=np.int64)))
     cells = np.indices(grid.orders).reshape(len(grid.orders), X.m).T.tolist()  # C order
     assert len(X.arr) == len(cells) == X.m
     for j in range(X.s - 1):
@@ -278,8 +337,10 @@ def test_group_points_match_source_torus_enumeration(X):
         assert set(map(tuple, X.arr.tolist())) == toric_points_brute(X.graph, F)
     # Row i of arr is the image of grid cell i in C order, and the m cells of
     # the grid are m distinct characters of X.
-    cells = np.indices(X.point_group.orders).reshape(len(X.point_group.orders), X.m)
-    assert np.array_equal(F.exp_table[embed_array(X.point_group) @ cells % q1],
+    orders = X.point_group.orders
+    cells = np.indices(orders).reshape(len(orders), X.m)
+    e = np.array([q1 // d for d in orders], dtype=np.int64)
+    assert np.array_equal(F.exp_table[embed_array(X.point_group) * e @ cells % q1],
                           X.arr[:, :-1].T)
     grid = characters(X, np.ones(X.point_group.orders, dtype=bool))
     assert len({tuple(row) for row in grid.tolist()}) == X.m
@@ -289,9 +350,10 @@ def test_group_points_match_source_torus_enumeration(X):
 @given(N=st.integers(1, 12), t=st.integers(0, 3), c=st.integers(0, 3), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_group_image_against_enumeration(N, t, c, data):
-    # Any integer matrix, not only incidence rows: the grid has one cell per
-    # element of the image, `embed` maps the cells one-to-one onto exactly
-    # the image, and column i of `embed` is a multiple of N / d_i.
+    # Any integer matrix, not only point maps: the grid has one cell per
+    # element of the image, entry i of each row of `embed` is a cell
+    # coordinate in [0, d_i), and `embed` scaled by e_i = N / d_i maps the
+    # cells one-to-one onto exactly the image.
     A = np.array(data.draw(st.lists(st.lists(st.integers(-30, 30), min_size=c, max_size=c),
                                     min_size=t, max_size=t)), dtype=np.int64).reshape(t, c)
     image = group_image(A.tolist(), N)
@@ -302,12 +364,12 @@ def test_group_image_against_enumeration(N, t, c, data):
     cells = np.indices(image.orders).reshape(len(image.orders), image.size)
     assert len(image.embed) == t
     assert all(len(row) == len(image.orders) for row in image.embed)
-    assert all(type(a) is int and 0 <= a < N for row in image.embed for a in row)
-    embedded = [tuple(col) for col in (embed_array(image) @ cells % N).T.tolist()]
+    assert all(type(a) is int and 0 <= a < d
+               for row in image.embed for a, d in zip(row, image.orders))
+    e = np.array([N // d for d in image.orders], dtype=np.int64)
+    embedded = [tuple(col) for col in (embed_array(image) * e @ cells % N).T.tolist()]
     assert len(set(embedded)) == image.size
     assert set(embedded) == expected
-    for column, d in zip(embed_array(image).T.tolist(), image.orders):
-        assert all(a % (N // d) == 0 for a in column)
 
 
 @pytest.mark.parametrize("family, params, q", [("cycle", [6], 5), ("path", [2], 256)])
