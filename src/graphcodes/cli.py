@@ -15,11 +15,12 @@ Each handler imports what it computes with.  Only the subcommands that list
 points or build a generator (length, mindist, profile, verify) import numpy
 and build the GF(q) tables; dim and reg count characters over the group of
 X in exact ints (`hilbert`) from q alone, and summarize, family and ternary
-need no field.  The ternary theory (`eulerian3`, `monomials`) is imported by
-the ternary and verify handlers only.  The package itself loads neither the data-class
-module nor `inspect`, so the subcommands without numpy, which imports
-`inspect`, load neither.  The console script (`main`) also keeps OpenBLAS
-to one thread, since the package does no float linear algebra.
+need no field.  The ternary theory (`eulerian3`) is imported by the ternary
+and verify handlers only; `ternary basis` prints B_d from its supports J_d.
+The package itself loads neither the data-class module nor `inspect`, so
+the subcommands without numpy, which imports `inspect`, load neither.  The
+console script (`main`) also keeps OpenBLAS to one thread, since the package
+does no float linear algebra.
 """
 
 from __future__ import annotations
@@ -170,7 +171,6 @@ def _cmd_profile(G, args):
 
 def _cmd_ternary(G, args):
     from . import eulerian3
-    from .monomials import format_monomial, grevlex_key
 
     if args.ternary_op == "dim":
         value = eulerian3.dim_ternary(G, args.d)
@@ -185,10 +185,14 @@ def _cmd_ternary(G, args):
         payload = {"d": args.d, "joins": joins}
         human = "\n".join(" ".join(str(i) for i in j) or "(empty)" for j in joins) or "(none)"
     else:  # basis
-        mons = sorted(eulerian3.standard_monomials(G, args.d),
-                      key=grevlex_key, reverse=True)
-        payload = {"d": args.d, "basis": [format_monomial(m) for m in mons]}
-        human = "\n".join(format_monomial(m) for m in mons) or "(none)"
+        # B_d by its supports J_d (see `eulerian3`), as square-free monomials
+        # in descending grevlex: of two of one degree the greater lacks the
+        # last variable where they differ, so it has the smaller edge mask.
+        supports = sorted(eulerian3.enumerate_Jd(G, args.d),
+                          key=lambda J: sum(1 << i for i in J))
+        mons = ["*".join(f"t{i}" for i in sorted(J)) or "1" for J in supports]
+        payload = {"d": args.d, "basis": mons}
+        human = "\n".join(mons) or "(none)"
     payload["q"] = 3
     return 0, payload, human
 

@@ -1,18 +1,31 @@
 """The ternary (q = 3) combinatorial theory.
 
-Standard monomials of the Artinian quotient, parity joins, the sets J_d of
-"anchored" parity joins, the combinatorial dimension formula, and the
-maximum parity join (whose cardinality minus one is the ternary
-regularity), all from the even-edge-count elements of the cycle space; the
-"last edge" of such a subgraph is its largest index in the edge ordering.
+Parity joins, the sets J_d of "anchored" parity joins, the combinatorial
+dimension formula, and the maximum parity join (whose cardinality minus one
+is the ternary regularity), all from the even-edge-count elements of the
+cycle space; the "last edge" of such a subgraph is its largest index in the
+edge ordering.
+
+J_d is also the set of supports of B_d, the degree-d standard monomials of
+the Artinian quotient under grevlex with t_1 > ... > t_s, so one listing
+serves both.  Only square-free monomials survive the squares among the
+leading terms, and only the even Eulerian subgraphs reject those.  Let C be
+one with |C| = 2h and last edge c, and C' = C - c.  Its square-free leading
+terms are the grevlex-greater halves of its balanced splits, and of two
+square-free monomials of one degree the greater lacks the last variable
+where they differ, so they are exactly the h-subsets of C'.  A set K
+contains one of them iff |K & C'| >= h, so K avoids them all iff
+|K & C'| <= h - 1: K meets C in at most h edges, and in fewer unless K holds
+c, which is the rule of J for C.  The square-free part of B_d therefore has
+exactly the supports J_d.
 
 Edge subsets are int masks inside the module and frozensets at its surface.
-J, the union of the J_d, and the square-free standard monomials are closed
-under subsets, so one depth-first walk lists either, growing a member one
-higher edge at a time.  The f free edges, in no even Eulerian subgraph,
-constrain nothing and are added back by the callers.  |J| = 2|X|, as the
-dimension reaches |X| at both parities: the walk's bound 2|X| >> f, every
-listing and the Groebner halves are checked against DEFAULT_SEARCH_CAP first.
+J, the union of the J_d, is closed under subsets, so one depth-first walk
+lists it, growing a member one higher edge at a time.  The f free edges, in
+no even Eulerian subgraph, constrain nothing and are added back by the
+callers.  |J| = 2|X|, as the dimension reaches |X| at both parities: the
+walk's bound 2|X| >> f and every listing are checked against
+DEFAULT_SEARCH_CAP first.
 """
 
 from __future__ import annotations
@@ -23,7 +36,6 @@ from math import comb
 
 from .errors import CapExceeded
 from .graph import eulerian_masks, mask_subset, summarize
-from .monomials import from_support
 
 DEFAULT_SEARCH_CAP = 1 << 24
 
@@ -49,31 +61,12 @@ def _length(summary):
     return 1 << summary.n - summary.b0 - summary.bipartite
 
 
-def _anchored(evens, depth):
-    """Rules of J: K meets C in at most |C|/2 edges, and in fewer unless K
-    holds the last edge of C; that is, K meets C without its last edge in
-    fewer than |C|/2."""
-    return [(C ^ 1 << (C.bit_length() - 1), h - 1) for C, h in evens]
-
-
-def _halves(evens, depth):
-    """Rules of B, (A, |A| - 1): no leading term A divides K.  A is the
-    grevlex-greater half of a balanced split of an even Eulerian subgraph C
-    of at most 2 * depth edges; of two square-free monomials of one degree
-    the greater lacks the last variable where they differ, so A is a half
-    without the last edge of C."""
-    relevant = [(C, h) for C, h in evens if h <= depth]
-    _refuse(sum(comb(2 * h - 1, h) for _, h in relevant), "Groebner halves")
-    return {(sum(A), h - 1) for C, h in relevant
-            for A in combinations([1 << i for i in _edges(C)[:-1]], h)}
-
-
-def _walk(G, d, rules_of):
-    """(free, members): the free edges as bits, and the members of the family
-    with at most d other edges, as (mask, size) in depth-first preorder from
-    the empty set.  rules_of(evens, depth) lists (mask, limit): a member meets
-    mask in at most limit edges, which can fail only once its top edge is
-    past the first limit edges of mask."""
+def _walk(G, d):
+    """(free, members): the free edges as bits, and the members of J with at
+    most d other edges, as (mask, size) in depth-first preorder from the
+    empty set.  Each even Eulerian subgraph C of 2h edges gives the rule
+    |K & C'| <= h - 1, which can fail only once the top edge of K is past
+    the first h - 1 edges of C'."""
     evens = _evens(G)
     tied = 0
     for C, _ in evens:
@@ -85,10 +78,11 @@ def _walk(G, d, rules_of):
                 sum(comb(len(edges), e) for e in range(depth + 1)))
     _refuse(bound, "walk members")
     rules = [[] for _ in range(G.s)]
-    for mask, limit in rules_of(evens, depth):
-        if limit < depth:  # else |K & mask| <= |K| <= depth is within it
-            for i in _edges(mask)[limit:]:
-                rules[i].append((mask, limit))
+    for C, h in evens:
+        if h <= depth:  # else |K & C'| <= |K| <= depth <= h - 1
+            rest = C ^ 1 << (C.bit_length() - 1)
+            for i in _edges(rest)[h - 1:]:
+                rules[i].append((rest, h - 1))
     return free, _members(edges, rules, depth, bound)
 
 
@@ -123,30 +117,18 @@ def _members(edges, rules, depth, bound):
         stack += reversed(children)
 
 
-def _listing(G, d, rules_of):
-    """Every d-edge set of the family, as masks: a walked member of k edges
-    with d - k free edges.  Refused before listing past the search cap."""
-    free, members = _walk(G, d, rules_of)
-    members = [(K, k) for K, k in members if k >= d - len(free)]
-    _refuse(sum(comb(len(free), d - k) for _, k in members), "listed sets")
-    return [K | sum(S) for K, k in members for S in combinations(free, d - k)]
-
-
-def standard_monomials(G, d):
-    """B_d: degree-d monomials divisible by no leading term.  Only
-    square-free ones survive the squares, and only Eulerian halves can
-    reject those."""
-    if not 0 <= d <= G.s:
-        return set()
-    return {from_support(mask_subset(M), G.s) for M in _listing(G, d, _halves)}
-
-
 def enumerate_Jd(G, d):
     """J_d: size-d parity joins containing the last edge of every even
-    Eulerian subgraph they meet in exactly half its edges."""
+    Eulerian subgraph they meet in exactly half its edges, each a walked
+    member of k edges with d - k free edges.  Refused before listing past
+    the search cap."""
     if not 0 <= d <= G.s:
         return set()
-    return {mask_subset(J) for J in _listing(G, d, _anchored)}
+    free, members = _walk(G, d)
+    members = [(K, k) for K, k in members if k >= d - len(free)]
+    _refuse(sum(comb(len(free), d - k) for _, k in members), "listed sets")
+    return {mask_subset(K | sum(S))
+            for K, k in members for S in combinations(free, d - k)}
 
 
 def dims_ternary(G, d_max):
@@ -157,7 +139,7 @@ def dims_ternary(G, d_max):
     S(r) = S(r - 2) + C(f, r), the dimension is sum_k N_k S(d - k) over the
     N_k walked members of k edges.  J_e is empty for e > s, so past s the
     dimension repeats with period 2."""
-    free, members = _walk(G, d_max, _anchored)
+    free, members = _walk(G, d_max)
     f = len(free)
     sizes = Counter(k for _, k in members)
     stacked, dims = [], []  # S(0), S(1), ... and the dimensions
@@ -183,6 +165,6 @@ def max_parity_join(G):
     parity join.  J_mu is the deepest nonempty J_e (J_{reg+1} is nonempty,
     J_e empty past it), so mu and the witness are the first deepest walked
     member in preorder with every free edge."""
-    free, members = _walk(G, G.s, _anchored)
+    free, members = _walk(G, G.s)
     deepest, size = max(members, key=lambda member: member[1])
     return size + len(free), mask_subset(deepest | sum(free))

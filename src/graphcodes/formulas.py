@@ -7,7 +7,7 @@ is what truncates the inclusion-exclusion sums.  No floating point.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import ceil, comb
+from math import comb
 
 from .errors import InvalidParams, UnsupportedFamily
 
@@ -74,13 +74,13 @@ def reg_closed_form(family, q):
         return (max(a, b) - 1) * (q - 2)
     if tag == "complete":
         (n,) = params
-        return ceil((n - 1) * (q - 2) / 2)
+        return ((n - 1) * (q - 2) + 1) // 2
     if tag == "even_cycle":
         (l,) = params
         return (l - 1) * (q - 2)
     if tag == "complete_multipartite":
         n = sum(params)
-        return max(*(a * (q - 2) for a in params), ceil((n - 1) * (q - 2) / 2))
+        return max(*(a * (q - 2) for a in params), ((n - 1) * (q - 2) + 1) // 2)
     raise UnsupportedFamily(f"no regularity formula for {tag!r}")
 
 
@@ -167,14 +167,14 @@ def mu_closed_form(tag, params):
         (n,) = params
         if n <= 3:
             raise UnsupportedFamily("the complete-graph row requires n > 3")
-        return ceil((n - 1) / 2) + 1
+        return n // 2 + 1  # ceil((n - 1) / 2) + 1
     if tag == "complete_multipartite":
         if len(params) <= 2:
             raise UnsupportedFamily("the multipartite row requires r > 2 parts")
         n = sum(params)
         if n <= 3:
             raise UnsupportedFamily("the multipartite row requires n > 3")
-        return max(*params, ceil((n - 1) / 2)) + 1
+        return max(*params, n // 2) + 1  # n // 2 = ceil((n - 1) / 2)
     if tag == "parallel":
         if all(k % 2 == 0 for k in params):
             return sum(k // 2 for k in params)

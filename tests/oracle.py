@@ -11,7 +11,10 @@ the grid of X translated by `np.roll`, the evaluation matrix of all
 degree-d monomials, its rank by Gaussian elimination, the dual code as
 a null space, the minimum distance by enumerating every message class, and
 the MacWilliams transform by expanding its polynomials.  A nested ear
-decomposition is checked by searching every choice of nest intervals.
+decomposition is checked by searching every choice of nest intervals.  The
+ternary standard monomials B_d are the d-subsets of edges that contain no
+square-free grevlex leading term, each term a half of an even Eulerian
+subgraph found by scanning every edge subset.
 """
 
 from itertools import combinations, product
@@ -19,9 +22,9 @@ from math import comb
 
 import numpy as np
 
+from conftest import eulerian_subsets_brute
 from graphcodes.errors import CapExceeded, NotADecomposition, NotNested, NotOpen
 from graphcodes.graph import EarDecomposition
-from graphcodes.monomials import grevlex_key
 
 DEFAULT_MONOMIAL_CAP = 10**6
 
@@ -115,6 +118,47 @@ def macwilliams(B, q, k):
     scale = q ** (m - k)
     assert all(a % scale == 0 for a in A)
     return [a // scale for a in A]
+
+
+def from_support(subset, s):
+    """The square-free monomial in s variables with 1-based support subset,
+    as an exponent tuple."""
+    exps = [0] * s
+    for i in subset:
+        exps[i - 1] = 1
+    return tuple(exps)
+
+
+def grevlex_key(m):
+    """Sort key on exponent tuples: ascending order under it is ascending
+    grevlex with t_1 > ... > t_s.  A lower degree is smaller; within a degree
+    the greater monomial has a negative rightmost nonzero entry in the
+    exponent difference."""
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def square_free_leading_terms(G, max_degree):
+    """The square-free grevlex leading terms of the ternary Eulerian ideal up
+    to max_degree, as edge subsets: for each even Eulerian subgraph C of 2h
+    <= 2 * max_degree edges, the greater half of each balanced split, that is
+    the key-greater of every h-subset A and C - A."""
+    out = set()
+    for C in eulerian_subsets_brute(G, even_edge_count_only=True):
+        if len(C) <= 2 * max_degree:
+            for A in map(frozenset, combinations(sorted(C), len(C) // 2)):
+                pair = [from_support(A, G.s), from_support(C - A, G.s)]
+                out.add(A if max(pair, key=grevlex_key) == pair[0] else C - A)
+    return out
+
+
+def standard_monomials(G, d):
+    """B_d at q = 3: the square-free degree-d monomials that no leading term
+    divides; each square t_i^2 is a leading term, and divides every other
+    degree-d monomial."""
+    leading = square_free_leading_terms(G, d)
+    return {from_support(K, G.s)
+            for K in map(frozenset, combinations(range(1, G.s + 1), d))
+            if not any(A <= K for A in leading)}
 
 
 def count_degree_monomials(s, d):

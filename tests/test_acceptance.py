@@ -14,12 +14,7 @@ import pytest
 from conftest import support, two_triangles
 from graphcodes.codes import distance_profile, minimum_distance
 from graphcodes.errors import BudgetExceeded, UnsupportedFamily
-from graphcodes.eulerian3 import (
-    dim_ternary,
-    enumerate_Jd,
-    max_parity_join,
-    standard_monomials,
-)
+from graphcodes.eulerian3 import dim_ternary, enumerate_Jd, max_parity_join
 from graphcodes.formulas import (
     RegFamily,
     dim_complete_bipartite,
@@ -38,6 +33,7 @@ from graphcodes.gfq import make_field
 from graphcodes.graph import build_family, summarize, validate_ear_decomposition
 from graphcodes.hilbert import dimension, regularity_index
 from graphcodes.toric import expected_length, parameterize, torus_points
+from oracle import standard_monomials
 
 
 @contextmanager

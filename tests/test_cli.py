@@ -414,9 +414,9 @@ def test_verify_walks_j_twice_at_any_dmax(monkeypatch, d_max):
     walks = []
     real_walk = eulerian3._walk
 
-    def walk(G, d, rules_of):
+    def walk(G, d):
         walks.append(d)
-        return real_walk(G, d, rules_of)
+        return real_walk(G, d)
 
     monkeypatch.setattr(eulerian3, "_walk", walk)
     assert verify(build_family("cycle", [6]), 3, d_max)["ok"]

@@ -1,3 +1,7 @@
+import io
+import json
+import os
+import tempfile
 from itertools import combinations, product
 from math import comb
 
@@ -7,20 +11,15 @@ from hypothesis import strategies as st
 
 from conftest import eulerian_subsets_brute, parity_join_brute, support, two_triangles
 from graphcodes import eulerian3
+from graphcodes.cli import run_command
 from graphcodes.errors import CapExceeded
-from graphcodes.eulerian3 import (
-    dim_ternary,
-    dims_ternary,
-    enumerate_Jd,
-    max_parity_join,
-    standard_monomials,
-)
+from graphcodes.eulerian3 import dim_ternary, dims_ternary, enumerate_Jd, max_parity_join
 from graphcodes.formulas import k_formula
 from graphcodes.gfq import make_field
-from graphcodes.graph import Graph, build_family, mask_subset, summarize
-from graphcodes.monomials import from_support, grevlex_key
+from graphcodes.graph import Graph, build_family, format_graph, summarize
 from graphcodes.hilbert import dimension, regularity_index
 from graphcodes.toric import expected_length, parameterize
+from oracle import from_support, grevlex_key, square_free_leading_terms, standard_monomials
 
 
 def test_grevlex_examples():
@@ -53,13 +52,6 @@ def test_leading_half_avoids_last_variable():
                     last = max(sup_a + sup_b)
                     expect_a_greater = last in sup_b
                     assert (grevlex_key(a) > grevlex_key(b)) == expect_a_greater
-
-
-def square_free_leading_terms(G, max_degree):
-    """The square-free leading terms of the Groebner basis up to
-    max_degree, as edge subsets: the halves that B_d avoids."""
-    halves = eulerian3._halves(eulerian3._evens(G), max_degree)
-    return {mask_subset(A) for A, _ in halves}
 
 
 def test_leading_terms_c4():
@@ -111,7 +103,7 @@ def walk_against_brute_force(G):
     summary = summarize(G)
     m = eulerian3._length(summary)
     assert m == expected_length(summary, make_field(3))
-    free, members = eulerian3._walk(G, G.s, eulerian3._anchored)
+    free, members = eulerian3._walk(G, G.s)
     assert len(free) == G.s - len(frozenset().union(*evens))
     assert sum(1 for _ in members) == 2 * m >> len(free) == len(anchored) >> len(free)
 
@@ -186,6 +178,7 @@ def test_max_parity_join_examples():
     ],
 )
 def test_bijection_support_map(G):
+    # The Groebner side, B_d by brute force, against the listed J_d.
     for d in range(G.s + 1):
         image = {support(m) for m in standard_monomials(G, d)}
         assert image == enumerate_Jd(G, d)
@@ -246,6 +239,27 @@ def test_ternary_theory_on_random_graphs(G):
         assert {support(m) for m in standard_monomials(G, d)} == enumerate_Jd(G, d)
 
 
+@given(G=small_graphs(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_ternary_basis_is_b_d_in_descending_grevlex(G, data):
+    # `ternary basis --json` under a random --seed-order, at every degree
+    # through s + 1, against B_d by brute force sorted by the oracle's key.
+    perm = data.draw(st.permutations(range(1, G.s + 1)))
+    H = G.reorder_edges(perm)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.txt")
+        with open(path, "w") as fh:
+            fh.write(format_graph(G))
+        for d in range(G.s + 2):
+            out = io.StringIO()
+            assert run_command(["ternary", "basis", "--graph", path, "--d", str(d), "--json",
+                                "--seed-order", ",".join(map(str, perm))], out) == 0
+            mons = sorted(standard_monomials(H, d), key=grevlex_key, reverse=True)
+            expected = ["*".join(f"t{i}" for i, e in enumerate(m, 1) if e) or "1"
+                        for m in mons]
+            assert json.loads(out.getvalue())["basis"] == expected
+
+
 @given(G=small_graphs())
 @settings(max_examples=100, deadline=None)
 def test_walk_against_brute_force(G):
@@ -258,7 +272,7 @@ def test_scans_refuse_before_they_start(monkeypatch):
     # edge, so 8 members at d = 2 and 1 + 4 at d = 1.
     G = build_family("cycle", [4])
     monkeypatch.setattr(eulerian3, "DEFAULT_SEARCH_CAP", 7)
-    for call in (enumerate_Jd, dim_ternary, standard_monomials):
+    for call in (enumerate_Jd, dim_ternary):
         with pytest.raises(CapExceeded) as exc:
             call(G, 2)
         assert exc.value.required == 8
@@ -268,18 +282,13 @@ def test_scans_refuse_before_they_start(monkeypatch):
     # its dimension is counted, not listed.
     P = build_family("path", [4])
     monkeypatch.setattr(eulerian3, "DEFAULT_SEARCH_CAP", 5)
-    for call in (enumerate_Jd, standard_monomials):
-        with pytest.raises(CapExceeded) as exc:
-            call(P, 2)
-        assert exc.value.required == comb(4, 2)
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_Jd(P, 2)
+    assert exc.value.required == comb(4, 2)
     assert dim_ternary(P, 2) == 1 + comb(4, 2)
-    # K_5 walks at most 2m = 32 members, but B_2 needs a half of each of the
-    # 3 splits of its 15 four-cycles before the walk.
+    # K_5 walks at most 2m = 32 members and lists J_2 within a cap of 40.
     K = build_family("complete", [5])
     monkeypatch.setattr(eulerian3, "DEFAULT_SEARCH_CAP", 40)
-    with pytest.raises(CapExceeded) as exc:
-        standard_monomials(K, 2)
-    assert exc.value.required == 15 * 3
     assert len(enumerate_Jd(K, 2)) == dim_ternary(K, 2) - 1
 
 

@@ -78,6 +78,17 @@ def test_reg_closed_form_rows():
     assert reg_closed_form(RegFamily("complete_multipartite", (2, 2, 2)), 3) == 3
 
 
+def test_closed_forms_are_exact_past_float_precision():
+    # At n = 2^60 + 2, (n - 1) / 2 as a float rounds 2^59 + 1/2 down to 2^59
+    # before the ceiling; the exact ceiling is 2^59 + 1.
+    n = 2**60 + 2
+    assert reg_closed_form(RegFamily("complete", (n,)), 3) == 2**59 + 1
+    parts = (2**59, 2**59, 2)  # n vertices, each part below the ceiling
+    assert reg_closed_form(RegFamily("complete_multipartite", parts), 3) == 2**59 + 1
+    assert mu_closed_form("complete", (n,)) == 2**59 + 2
+    assert mu_closed_form("complete_multipartite", parts) == 2**59 + 2
+
+
 def test_reg_family_constraints():
     for tag, params, message in [
         ("torus", (0,), "family parameters must be positive"),
