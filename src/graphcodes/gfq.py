@@ -9,13 +9,16 @@ primitive element, negation and inversion, and dense q x q addition and
 multiplication tables, so that row operations are numpy fancy indexing.
 
 Every q goes through one construction on the (q, e) digit matrix of the
-elements: addition and negation are digit-wise mod p, and a * b is the
-digit-wise sum of b_i * (x^i * a), where multiplying by x shifts the digits
-up and reduces the carried top digit by the reducing polynomial.  That
-polynomial is the irreducible monic of degree e over GF(p) with the smallest
-integer encoding of its non-leading coefficients (x itself for a prime
-field), and the primitive element is the smallest-encoded generator of the
-multiplicative group.  The construction is deterministic.
+elements.  Addition and negation are digit-wise mod p: the addition table of
+p^k elements is that of p^(k-1) elements for the high digits beside the
+GF(p) table for the constant term.  Multiplying by x shifts the digits up
+and reduces the carried top digit by the reducing polynomial; the map
+a -> g * a is the digit-wise sum of g_i * (x^i * a), and iterating it lists
+the powers of g.  The primitive element is the smallest-encoded g whose
+powers reach every nonzero element, and then a * b = g^(log a + log b).
+The reducing polynomial is the irreducible monic of degree e over GF(p)
+with the smallest integer encoding of its non-leading coefficients (x
+itself for a prime field).  The construction is deterministic.
 
 `make_field` validates q and finds p, e and the reducing polynomial in pure
 Python; the numpy tables and the primitive element are built together on
@@ -86,15 +89,16 @@ def _find_irreducible(p, e):
     return next(poly for poly in _monic_polys(e, p) if _is_irreducible(poly, p))
 
 
-def _find_primitive(mul):
-    """The smallest generator g of GF(q)^* and its powers g^0, ..., g^(q-2)."""
-    q = len(mul)
+def _find_primitive(times, q):
+    """The smallest generator g of GF(q)^* and its powers g^0, ..., g^(q-2);
+    times(g) is the list of g * a for a = 0, ..., q-1."""
     for g in range(1, q):
+        by_g = times(g)
         powers = [1]
         x = g
         while x != 1:
             powers.append(x)
-            x = int(mul[x, g])
+            x = by_g[x]
         if len(powers) == q - 1:
             return g, powers
     raise AssertionError("no primitive element found")  # unreachable
@@ -143,30 +147,39 @@ class FieldSpec:
         q, p, e = self.q, self.p, self.e
         place = p ** np.arange(e)
         digits = np.arange(q)[:, None] // place % p
-        # shifts[i] holds the digits of x^i * a in row a, and the digits of
-        # a * b are sum_i b_i * shifts[i][a] mod p.
+        # Multiplying by x shifts the digits up and reduces the carried top
+        # digit; shifts[a, i] holds the digits of x^i * a, so the digits of
+        # g * a are sum_i g_i * shifts[a, i] mod p.
         shifts = [digits]
         low = np.array(self.reducing_poly[:e])
         for _ in range(e - 1):
             a = shifts[-1]
             up = np.pad(a[:, :-1], ((0, 0), (1, 0)))
             shifts.append((up - a[:, -1:] * low) % p)
-        prod = np.einsum("bi,iaj->abj", digits, np.stack(shifts))
+        shifts = np.stack(shifts, axis=1)
 
-        def encode(rows):
-            """Digit vectors, reduced mod p in place (each is a temporary of
-            q^2 e words) -> their elements, one byte each."""
-            rows %= p
-            return np.asarray(rows @ place, dtype=np.uint8)
+        def times(g):
+            return ((digits[g] @ shifts) % p @ place).tolist()
 
-        add_table = encode(digits[:, None] + digits)
-        mul_table = encode(prod)
-        neg_table = encode(-digits)
-
-        primitive, powers = _find_primitive(mul_table)
+        primitive, powers = _find_primitive(times, q)
         exp = np.array(powers, dtype=np.uint8)
+        log = np.zeros(q, dtype=np.intp)
+        log[exp] = np.arange(q - 1)
+        # g^i for 0 <= i < 2(q-1), so that log a + log b needs no reduction.
+        exp2 = np.concatenate([exp, exp])
+        mul_table = np.zeros((q, q), dtype=np.uint8)
+        mul_table[1:, 1:] = exp2[log[1:, None] + log[1:]]
         inv = np.zeros(q, dtype=np.uint8)
         inv[exp] = exp[-np.arange(q - 1) % (q - 1)]  # 1 / g^i = g^-i
+
+        digit = np.arange(p)
+        step = np.asarray(np.add.outer(digit, digit) % p, dtype=np.uint8)  # GF(p) addition
+        add_table = step
+        for _ in range(e - 1):
+            # a = a_high * p + a_0: the high digits and the constant term add apart.
+            add_table = (add_table[:, None, :, None] * p + step[None, :, None, :]).reshape(
+                len(add_table) * p, -1)
+        neg_table = np.asarray(-digits % p @ place, dtype=np.uint8)
         self.__dict__.update(add_table=add_table, mul_table=mul_table, neg_table=neg_table,
                              primitive=primitive, exp_table=exp, inv_table=inv)
 

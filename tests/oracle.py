@@ -182,6 +182,25 @@ def degree_monomials(s, d):
     return out
 
 
+def digit_product_table(F):
+    """(q, q) multiplication table of F from polynomial products: a * b is
+    sum_i b_i * (x^i * a) on the base-p digit vectors, where multiplying by
+    x shifts the digits up and reduces the carried top digit by
+    F.reducing_poly.  The field itself multiplies through the powers of its
+    primitive element."""
+    q, p, e = F.q, F.p, F.e
+    place = p ** np.arange(e)
+    digits = np.arange(q)[:, None] // place % p
+    shifts = [digits]
+    low = np.array(F.reducing_poly[:e])
+    for _ in range(e - 1):
+        a = shifts[-1]
+        up = np.pad(a[:, :-1], ((0, 0), (1, 0)))
+        shifts.append((up - a[:, -1:] * low) % p)
+    prod = np.einsum("bi,iaj->abj", digits, np.stack(shifts)) % p
+    return prod @ place
+
+
 def discrete_logs(F):
     """(q,) int64 logs of the elements to the primitive element, from
     F.exp_table; entry 0, the zero element, is -1."""

@@ -6,7 +6,7 @@ import pytest
 import graphcodes.gfq as gfq
 from graphcodes.errors import NotAPrimePower, UnsupportedField
 from graphcodes.gfq import FieldSpec, make_field
-from oracle import discrete_logs
+from oracle import digit_product_table, discrete_logs
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64]
 
@@ -244,6 +244,13 @@ def test_tables_match_pinned_construction(q):
     assert all(getattr(F, name).dtype == np.uint8 for name in TABLES)
     assert _digest(F) == digest
     assert F.reducing_poly == PINNED_REDUCING_POLY.get(q, (0, 1))
+
+
+@pytest.mark.parametrize("q", sorted(PINNED))
+def test_mul_table_is_the_digit_product(q):
+    # The field multiplies by powers of g; the oracle by polynomial products.
+    F = FieldSpec(q)
+    assert np.array_equal(F.mul_table, digit_product_table(F))
 
 
 @pytest.mark.parametrize("first", sorted(gfq._TABLES))

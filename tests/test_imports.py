@@ -1,9 +1,12 @@
 """What a cold process loads: graph-only subcommands, dim and reg start
 without numpy, neither they nor the package import with its fields load
 dataclasses or inspect, the package resolves its submodule names on first
-access, and the console script keeps OpenBLAS to one thread."""
+access, and the console script keeps OpenBLAS to one thread and freezes the
+collector before it exits."""
 
+import gc
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -13,17 +16,24 @@ from pathlib import Path
 import pytest
 
 import graphcodes
+from graphcodes.cli import run_command
 
 SRC = str(Path(graphcodes.__file__).resolve().parents[1])
 
 
-def run_python(code, **env):
+def python_process(code, **env):
     """Run code in a fresh interpreter that imports graphcodes from this
-    source tree; returns its standard output."""
+    source tree; returns the finished process, whatever its status."""
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, base.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**base, **env}, timeout=60, check=True)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**base, **env}, timeout=60)
+
+
+def run_python(code, **env):
+    """python_process for code that must exit 0; returns its standard output."""
+    proc = python_process(code, **env)
+    proc.check_returncode()
     return proc.stdout
 
 
@@ -159,3 +169,30 @@ cli.main()
 """
     before = env.get("OPENBLAS_NUM_THREADS")
     assert run_python(code, **env).split() == [str(before), threads, "['summarize']"]
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["length", "--family", "cycle", "--params", "4", "--q", "5"], 0),
+    (["dim", "--family", "cycle", "--params", "4", "--q", "3", "--d", "-1"], 2),
+    (["reg", "--family", "complete", "--params", "9", "--q", "16"], 3),
+], ids=["answer", "usage", "refused"])
+def test_main_exits_frozen_and_run_command_does_not_freeze(argv, status):
+    # main freezes the collector once the answer is printed, and still exits
+    # through the interpreter's shutdown: the first atexit hook, which runs
+    # last, sees the freeze, and the status and the whole JSON come through.
+    argv = [*argv, "--json"]
+    out = io.StringIO()
+    assert run_command(argv, out=out) == status
+    assert gc.get_freeze_count() == 0
+    code = f"""
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"frozen {{gc.get_freeze_count() > 0}}\\n"))
+from graphcodes import cli
+sys.argv = ["graphcodes", *{argv!r}]
+cli.main()
+"""
+    proc = python_process(code)
+    assert proc.returncode == status
+    assert proc.stderr.splitlines()[-1] == "frozen True"
+    assert proc.stdout == out.getvalue()
+    json.loads(proc.stdout)
