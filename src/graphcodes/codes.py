@@ -604,7 +604,8 @@ def code_distance(inst, budget=DEFAULT_BUDGET):
     budget, all from k, m and q before any matrix is built; only the chosen
     side is built, and a side over the cap is not even counted.  Nothing is
     built for a single character (k = 1), which is zero nowhere and so has
-    distance m, nor for a full code (k = m), whose distance is 1.
+    distance m, nor for a full code (k = m), whose distance is 1, nor when
+    the primal side's coset bound is its Griesmer bound, the distance.
     """
     k, m = inst.k, inst.m
     if k == m:
@@ -626,8 +627,11 @@ def code_distance(inst, budget=DEFAULT_BUDGET):
             f"{needed} message classes required, budget is {budget}", required=needed
         )
     if primal <= dual:
+        lower = coset_bound(inst)
+        if lower == _griesmer(k, m, q):  # delta lies between the two
+            return lower
         G = characters(inst.X, character_grid(inst))
-        return _bz_min_weight(G, F, coset_bound(inst))
+        return _bz_min_weight(G, F, lower)
     D = dual_basis(inst)
     return _dependent_columns(D, F, dual) or _macwilliams_min_weight(
         _dual_distribution(D, F), q, k

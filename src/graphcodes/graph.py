@@ -79,7 +79,8 @@ def _forest(G):
     at the root of a component, and odd[k] whether component k has an edge
     between equal colors (an odd cycle).  Only the vertices some edge
     touches are keys of color; each of the G.n - len(color) others is a
-    component of its own, counted, not stored.
+    component of its own, counted, not stored.  Component k is rooted at
+    its least vertex, and color and parent list it whole before k + 1.
     """
     adj = G.adjacency()
     color, parent, odd = {}, {}, []
@@ -101,9 +102,9 @@ def _forest(G):
     return color, parent, odd
 
 
-def summarize(G):
-    """Connected components, per-component 2-colorability, gamma."""
-    color, _, odd = _forest(G)
+def summarize(G, forest=None):
+    """Components, per-component 2-colorability, gamma; `forest`: _forest(G)."""
+    color, _, odd = forest or _forest(G)
     gamma = sum(odd)
     return GraphSummary(n=G.n, s=G.s, b0=len(odd) + G.n - len(color),
                         bipartite=(gamma == 0), gamma=gamma)

@@ -2,8 +2,9 @@
 exact Python ints and without numpy.
 
 X is a finite abelian group, written by `ToricSet.point_group` as a grid
-Z/d_1 + ... + Z/d_k of |X| cells, and the same grid indexes its characters
-(the dual of a finite abelian group is isomorphic to it).  Each function
+Z/d_1 + ... + Z/d_k of |X| cells (`toric._point_grid`), and the same grid
+indexes its characters (the dual of a finite abelian group is isomorphic
+to it).  Each function
 t^a / t_1^d on X is a character: with w_j the cell of P -> P_j / P_s
 (w_s = 0), it is the cell sum_j a_j w_j - d w_1.  Distinct characters are
 linearly independent (Dedekind-Artin), so dim C_X(d) is the number of

@@ -2,24 +2,23 @@
 
 A toric set X is the image of a source torus T = (GF(q)^*)^r under a
 monomial map, so X is a group, and in discrete logs it is the image of a
-homomorphism between (Z/(q-1))-modules.  `group_image` writes such an image
-as a grid of exactly |image| cells, from a diagonal (Smith) form over the
-integers, and X is built from it: the closed-form length is checked against
-the point cap before anything is built, the point map and the form
-included, and the order m = |X| read off the form is checked against the
-closed form, before anything of size m exists.  Over GF(3) and up, a cap on
-|X| bounds the rows as well; over GF(2), where X is one point whatever the
-graph, the graph is not summarized, no rows are built, and X is the empty
-grid.  The torus of P^{s-1} is its own grid, (Z/(q-1))^(s-1), written
-with no form.  The points themselves are listed from the grid, one cell per
-point, only when a caller needs them; the source torus, (q-1)^r tuples, is
-never enumerated.  The one grid also indexes the characters of X (X, a
-finite abelian group, is isomorphic to its dual), so no second form is built
-for them.  The form and the grid are
-exact Python ints, and X is built from the field size alone: numpy is
-imported, and the field tables built, only where characters are evaluated
-on the grid (`ToricSet.values`, which lists the points and builds every
-generator) and in `count_points`, so dimension and regularity use neither.
+homomorphism between (Z/(q-1))-modules, the point map.  X is a grid of
+exactly |X| cells written with no elimination: for a graph from its
+spanning forest, an axis per touched vertex less a few gauge vertices
+(`_point_grid`), and for the torus of P^{s-1} (Z/(q-1))^(s-1) itself.
+The closed-form length is checked against the point cap before anything
+is built, and the order m = |X| of the grid against the closed form,
+before anything of size m exists.  Over GF(3) and up, a cap on |X| bounds
+the rows as well; over GF(2), where X is one point whatever the graph, the
+graph is not walked, no rows are built, and X is the empty grid.  The
+points are listed from the grid, one cell per point, only when a caller
+needs them; the source torus, (q-1)^r tuples, is never enumerated.  The
+grid also indexes the characters of X (X, a finite abelian group, is
+isomorphic to its dual).  It is exact Python ints, built from the field
+size alone: numpy is imported, and the field tables built, only where
+characters are evaluated on the grid (`ToricSet.values`, which lists the
+points and builds every generator) and in `count_points`, so dimension and
+regularity use neither.
 
 Points of the torus in P^{s-1} are normalized so the last coordinate is 1
 (all torus coordinates are nonzero) and stored as uint8 rows of field
@@ -27,9 +26,9 @@ elements, row i the point of grid cell i in C order.  X acts on its points
 by translation, and length, dimension and minimum distance do not change
 when the coordinates are permuted, so that order is as canonical as any;
 it is the order of the coordinates of every code, and nothing sorts the
-points.  The evaluation matrix of all degree-d monomials, and the
-enumeration of the whole source torus, are built only by the tests, as
-independent oracles (`tests/oracle.py`).
+points.  The evaluation matrix of all degree-d monomials, the enumeration
+of the whole source torus, and a Smith form of the point map are built
+only by the tests, as independent oracles (`tests/oracle.py`).
 """
 
 from __future__ import annotations
@@ -39,19 +38,18 @@ from collections import namedtuple
 from functools import cached_property
 
 from .errors import DEFAULT_POINT_CAP, CapExceeded, LengthMismatch
-from .graph import summarize
+from .graph import _forest, summarize
 
 _COLUMN_CELLS = 1 << 23  # cells of the coordinates `ToricSet.arr` lists at a time
 
 
 class GroupImage(namedtuple("GroupImage", "orders embed")):
-    """The image of x -> A x, a homomorphism (Z/N)^c -> (Z/N)^t given by an
-    integer (t, c) matrix A, as the grid G = Z/d_1 + ... + Z/d_k (each
-    d_i > 1) of exactly |image| cells.
+    """A subgroup of (Z/N)^t, N = q - 1, as the grid
+    G = Z/d_1 + ... + Z/d_k (each d_i > 1) of exactly as many cells.
 
     `embed` is t cells of G, row j a tuple w_j with entry i in [0, d_i).
-    With e_i = N / d_i, the grid element g maps to the image element whose
-    entry j is (w_j e) . g mod N, one-to-one onto the image; and
+    With e_i = N / d_i, the grid element g maps to the element whose entry
+    j is (w_j e) . g mod N, one-to-one onto the subgroup; and
     g -> zeta^((w e) . g), zeta of order N, is the character of the cell w,
     w -> that character being an isomorphism of G onto its dual."""
 
@@ -62,76 +60,72 @@ class GroupImage(namedtuple("GroupImage", "orders embed")):
         return math.prod(self.orders)
 
 
-def _pivot(M, p):
-    """(i, j) of the pivot in M[p:][p:]: the first entry +-1 in row order,
-    which clears its row and column in one pass, or else the smallest
-    nonzero entry, whose row and column remainders are smaller still; None
-    when every entry is zero."""
-    best = None
-    for i in range(p, len(M)):
-        row = M[i]
-        for j in range(p, len(row)):
-            a = abs(row[j])
-            if a == 1:
-                return i, j
-            if a and (best is None or a < best[0]):
-                best = a, i, j
-    return best and best[1:]
+def _point_grid(G, forest, N):
+    """The point grid of X for G over Z/N, N = q - 1 > 1, from `forest`,
+    the pass `graph._forest` of G: an axis of order N per touched vertex v,
+    ascending, with column c_v = ([v in e_j] - [v in e_s])_{j<s}, less the
+    gauge vertices D.
 
+    The point map l -> sum_v l_v c_v has kernel K: l_u + l_v = kappa on
+    every edge, so alpha and kappa - alpha on the classes of a bipartite
+    component and lambda with 2 lambda = kappa on an odd one.  K is spanned
+    by sigma_C (1 and -1 on the classes of a bipartite C), by 1, or by tau
+    (1 on a class of each component, L's in its own, L the last vertex) if
+    no component is odd, and for even N by h_C = (N/2) 1_C, C odd.  D is,
+    in order, the first vertex of each bipartite C without L, for sigma_C;
+    then L for tau and the first vertex of C_L opposite L for sigma_{C_L}
+    if no component is odd, L for 1 if C_L is odd, and else L for
+    sigma_{C_L} and the first vertex of the first odd component for 1.
+    Each vector is +-1 at its own vertex and 0 at those after it, so they
+    span a free K_0 with (Z/N)^V = K_0 + (Z/N)^(V - D), and the c_v off D
+    are a grid of (Z/N)^V / K_0.  As (N/2) 1 = (N/2) sigma_C on a bipartite
+    C, the sum of all h_C is in K_0, so X is that grid modulo the h_C of
+    the further odd components, which hold no vertex of D.  Written on 1_C
+    in place of its first vertex (a unimodular change), such an h_C cuts
+    that axis to order N/2, column sum_{u in C} c_u = 2 ([e_j in C] -
+    [e_s in C]) (no edge leaves C), held in `embed` divided by e = 2 and
+    dropped at q = 3: |X| = (q-1)^(n-b0+gamma-1) / 2^(gamma-1).  For odd N
+    the same change gives that sum as an axis of order N."""
+    color, parent, odd = forest
+    comp, roots = {}, []
+    for v, link in parent.items():  # component by component, each from its root
+        if link is None:
+            roots.append(v)
+        comp[v] = len(roots) - 1
+    vertices = sorted(color)
+    last = vertices[-1]
+    c = comp[last]
+    dropped = {last, *(r for k, r in enumerate(roots) if k != c and not odd[k])}
+    further = [k for k, o in enumerate(odd) if o]
+    if not further:
+        dropped.add(next(v for v in vertices if comp[v] == c and color[v] != color[last]))
+    elif odd[c]:
+        further.remove(c)
+    else:
+        dropped.add(roots[further.pop(0)])
+    g, cuts = math.gcd(2, N), {roots[k] for k in further}
+    axis, orders = {}, []
+    for v in vertices:
+        d = N // g if v in cuts else N
+        if v not in dropped and d > 1:
+            axis[v] = len(orders)
+            orders.append(d)
 
-def group_image(A, N):
-    """The image of the integer matrix A, t rows of c ints, over Z/N, as a
-    GroupImage.
+    def moves(edge):  # its endpoint indicator on the axes; no edge leaves a component
+        out = [(axis[v], 1) for v in edge if v in axis and v not in cuts]
+        r = roots[comp[edge[0]]]  # a cut axis holds sum_{u in C} c_u / g, not c_r
+        return out + [(axis[r], 2 // g)] if r in cuts and r in axis else out
 
-    Unimodular row and column operations (with exact Python ints) bring A
-    to a diagonal form U A V = diag(a), a_p = 0 past the rank; no
-    divisibility chain is needed, and only V is kept.  U maps the image
-    onto a_1 Z/N + ... + a_t Z/N, and a_p Z/N = e_p Z/N for
-    e_p = gcd(a_p, N), so onto the grid with d_p = N / e_p, whose element g
-    is sum_p g_p e_p u_p, u_p the column p of U^-1.  Column p of V has
-    A v_p = a_p u_p, so u_p mod d_p, column p of `embed`, is A v_p / a_p,
-    an exact division, summed over the nonzero entries of A alone."""
-    t, c = len(A), len(A[0]) if A else 0
-    M = [list(row) for row in A]
-    V = [[int(i == j) for j in range(c)] for i in range(c)]
-    p = 0
-    while p < min(t, c):
-        cell = _pivot(M, p)
-        if cell is None:
-            break
-        i, j = cell
-        M[p], M[i] = M[i], M[p]
-        for row in M[p:] + V:  # the rows above p are zero from column p on
-            row[p], row[j] = row[j], row[p]
-        pivot = M[p][p]
-        support = [(j, a) for j, a in enumerate(M[p]) if a and j >= p]
-        done = True
-        for row in M[p + 1 :]:
-            f = row[p] // pivot
-            if f:
-                for j, a in support:
-                    row[j] -= f * a
-            done = done and not row[p]
-        factors = [(j, f) for j, a in support if j > p and (f := a // pivot)]
-        for row in M[p:] + V:
-            x = row[p]
-            if x:
-                for j, f in factors:
-                    row[j] -= f * x
-        done = done and all(not M[p][j] for j, _ in support if j > p)
-        p += done
-    keep = [i for i in range(p) if M[i][i] % N]  # e_i = gcd(a_i, N) < N
-    pivots = [M[i][i] for i in keep]
-    orders = tuple(N // math.gcd(a, N) for a in pivots)
-    section = [[row[i] for i in keep] for row in V]
+    base = [0] * len(orders)
+    for i, a in moves(G.edges[-1]):
+        base[i] = -a % orders[i]
     embed = []
-    for row in A:
-        image = [0] * len(keep)
-        for a, column in zip(row, section):
-            if a:
-                image = [x + a * y for x, y in zip(image, column)]
-        embed.append(tuple(x // a % d for x, a, d in zip(image, pivots, orders)))
-    return GroupImage(orders, tuple(embed))
+    for edge in G.edges[:-1]:
+        row = base.copy()
+        for i, a in moves(edge):
+            row[i] = (row[i] + a) % orders[i]
+        embed.append(tuple(row))
+    return GroupImage(tuple(orders), tuple(embed))
 
 
 class ToricSet:
@@ -144,7 +138,7 @@ class ToricSet:
     subgroup of the torus of P^{s-1}.  In logs, a point is the point map
     l -> ((b_k - b_s) . l)_{k < s}, and `point_group` is its image, a grid
     Z/d_1 + ... + Z/d_k of m = |X| cells, one per point: `parameterize`
-    writes the point map of a graph and takes its image, and
+    writes it for a graph from its spanning forest (`_point_grid`), and
     `torus_points` writes the grid of the torus of P^{s-1} itself.
     `values` evaluates characters at every cell, which lists the points on
     first use of `arr` and builds every generator row; dimension and
@@ -216,7 +210,7 @@ class ToricSet:
 
 def _refuse_past_cap(expected, cap):
     """Refuse X when its closed-form length is past the point cap.  Both
-    callers check this before anything is built, the point map too."""
+    callers check this before anything is built, the point grid too."""
     if expected > cap:
         raise CapExceeded(f"X has {expected} points, cap is {cap}", required=expected)
 
@@ -248,26 +242,18 @@ def expected_length(summary, F):
 def parameterize(G, F, cap=DEFAULT_POINT_CAP):
     """Image of the torus of P^{n-1} under the edge-monomial map, refused
     past the cap from the closed-form length before anything is built (the
-    point map is s - 1 rows of n' - 1 ints, n' the touched vertices), and
-    the order of the point group asserted against that length, so once it
-    holds |X| is within the cap and nothing of size |X| exists.  Over GF(2)
-    that length is 1 for every graph, so the graph is not summarized and X
-    is the empty grid, with s - 1 empty rows."""
+    graph is walked once, `_forest`, for both the length and the grid), and
+    the order of the point grid (`_point_grid`) asserted against that
+    length, so once it holds |X| is within the cap and nothing of size |X|
+    exists.  Over GF(2) that length is 1 for every graph, so the graph is
+    not walked and X is the empty grid, with s - 1 empty rows."""
     if F.q == 2:
         _refuse_past_cap(1, cap)
         return ToricSet(F, G.s, GroupImage((), ((),) * (G.s - 1)), G)
-    expected = expected_length(summarize(G), F)
+    forest = _forest(G)
+    expected = expected_length(summarize(G, forest), F)
     _refuse_past_cap(expected, cap)
-    # Row k of the point map is b_k - b_s, b_k the endpoint indicator of
-    # edge k over the touched vertices in ascending order.  A vertex no edge
-    # touches would be a zero column, and scaling every source coordinate by
-    # one factor scales every edge monomial by its square, so the last
-    # touched vertex is fixed to 1 and its column dropped: the image does
-    # not change.
-    columns = sorted({v for edge in G.edges for v in edge})[:-1]
-    last = [v in G.edges[-1] for v in columns]
-    point_map = [[(v in edge) - b for v, b in zip(columns, last)] for edge in G.edges[:-1]]
-    P = group_image(point_map, F.q - 1)
+    P = _point_grid(G, forest, F.q - 1)
     if P.size != expected:
         raise LengthMismatch(
             f"the point group has order {P.size} but the length formula gives {expected}"
@@ -279,12 +265,20 @@ def count_points(X):
     """|X| counted from the listed points, a check on the listing that does
     not trust the group order m: the rows of X.arr, as fixed-width byte
     strings, sorted, and 1 plus the number of strict steps between adjacent
-    ones.  A repeated row is no step, and the count falls below m.
+    ones.  A repeated row is no step, and the count falls below m.  The key
+    bytes are the coordinates in the order of the fastest grid axis each
+    moves along, the constant ones last, which groups the C-order listing by
+    leading bytes and changes no count; they are copied once and sorted in
+    place, so the peak is X.arr twice.
 
     Counting the rows equal to the identity point would be faster, but it
     is exact only because `values` is a homomorphism: it would miss a
     repeated non-identity row, which is what this check is for."""
     import numpy as np
 
-    keys = np.sort(X.arr.view(f"S{X.s}")[:, 0])
+    k = len(X.point_group.orders)  # past every axis
+    fastest = [max((i for i, a in enumerate(w) if a), default=k) for w in X.point_group.embed]
+    order = sorted(range(X.s), key=[*fastest, k].__getitem__)
+    keys = np.take(X.arr, order, axis=1).view(f"S{X.s}")[:, 0]
+    keys.sort()
     return 1 + int(np.count_nonzero(keys[1:] > keys[:-1]))

@@ -9,8 +9,11 @@ mapping every source tuple, the Hilbert function as a sumset over the whole
 character group (Z/(q-1))^r of the source torus and as boolean arrays over
 the grid of X translated by `np.roll`, the evaluation matrix of all
 degree-d monomials, its rank by Gaussian elimination, the dual code as
-a null space, the minimum distance by enumerating every message class, and
-the MacWilliams transform by expanding its polynomials.  A nested ear
+a null space, the minimum distance by enumerating every message class,
+the MacWilliams transform by expanding its polynomials, and the image of
+an integer matrix over Z/N, the point map's in particular, by a diagonal
+(Smith) form (`group_image`), against which the point grid written from
+the spanning forest is checked.  A nested ear
 decomposition is checked by searching every choice of nest intervals.  The
 ternary standard monomials B_d are the d-subsets of edges that contain no
 square-free grevlex leading term, each term a half of an even Eulerian
@@ -18,13 +21,14 @@ subgraph found by scanning every edge subset.
 """
 
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
 from conftest import eulerian_subsets_brute
 from graphcodes.errors import CapExceeded, NotADecomposition, NotNested, NotOpen
 from graphcodes.graph import EarDecomposition
+from graphcodes.toric import GroupImage
 
 DEFAULT_MONOMIAL_CAP = 10**6
 
@@ -253,10 +257,82 @@ def incidence_rows(G):
 
 def incidence_point_map(G):
     """The point map of G, l -> ((b_k - b_s) . l)_{k < s}, as s - 1 rows of
-    r ints, transposed from the incidence rows: the matrix `parameterize`
-    writes from the edges, built the other way round."""
+    r ints, transposed from the incidence rows: the map whose image
+    `parameterize` writes as a grid from the spanning forest."""
     B = incidence_rows(G)
     return [[b[k] - b[-1] for b in B] for k in range(G.s - 1)]
+
+
+def _pivot(M, p):
+    """(i, j) of the pivot in M[p:][p:]: the first entry +-1 in row order,
+    which clears its row and column in one pass, or else the smallest
+    nonzero entry, whose row and column remainders are smaller still; None
+    when every entry is zero."""
+    best = None
+    for i in range(p, len(M)):
+        row = M[i]
+        for j in range(p, len(row)):
+            a = abs(row[j])
+            if a == 1:
+                return i, j
+            if a and (best is None or a < best[0]):
+                best = a, i, j
+    return best and best[1:]
+
+
+def group_image(A, N):
+    """The image of the integer matrix A, t rows of c ints, over Z/N, as a
+    GroupImage.
+
+    Unimodular row and column operations (with exact Python ints) bring A
+    to a diagonal form U A V = diag(a), a_p = 0 past the rank; no
+    divisibility chain is needed, and only V is kept.  U maps the image
+    onto a_1 Z/N + ... + a_t Z/N, and a_p Z/N = e_p Z/N for
+    e_p = gcd(a_p, N), so onto the grid with d_p = N / e_p, whose element g
+    is sum_p g_p e_p u_p, u_p the column p of U^-1.  Column p of V has
+    A v_p = a_p u_p, so u_p mod d_p, column p of `embed`, is A v_p / a_p,
+    an exact division, summed over the nonzero entries of A alone."""
+    t, c = len(A), len(A[0]) if A else 0
+    M = [list(row) for row in A]
+    V = [[int(i == j) for j in range(c)] for i in range(c)]
+    p = 0
+    while p < min(t, c):
+        cell = _pivot(M, p)
+        if cell is None:
+            break
+        i, j = cell
+        M[p], M[i] = M[i], M[p]
+        for row in M[p:] + V:  # the rows above p are zero from column p on
+            row[p], row[j] = row[j], row[p]
+        pivot = M[p][p]
+        support = [(j, a) for j, a in enumerate(M[p]) if a and j >= p]
+        done = True
+        for row in M[p + 1 :]:
+            f = row[p] // pivot
+            if f:
+                for j, a in support:
+                    row[j] -= f * a
+            done = done and not row[p]
+        factors = [(j, f) for j, a in support if j > p and (f := a // pivot)]
+        for row in M[p:] + V:
+            x = row[p]
+            if x:
+                for j, f in factors:
+                    row[j] -= f * x
+        done = done and all(not M[p][j] for j, _ in support if j > p)
+        p += done
+    keep = [i for i in range(p) if M[i][i] % N]  # e_i = gcd(a_i, N) < N
+    pivots = [M[i][i] for i in keep]
+    orders = tuple(N // gcd(a, N) for a in pivots)
+    section = [[row[i] for i in keep] for row in V]
+    embed = []
+    for row in A:
+        image = [0] * len(keep)
+        for a, column in zip(row, section):
+            if a:
+                image = [x + a * y for x, y in zip(image, column)]
+        embed.append(tuple(x // a % d for x, a, d in zip(image, pivots, orders)))
+    return GroupImage(orders, tuple(embed))
 
 
 def source_exponents(X):

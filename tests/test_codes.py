@@ -657,6 +657,15 @@ def test_coset_bound_of_few_characters_on_larger_grids(X, data):
     assert 1 <= lower <= min_weight_enum(characters(X, S), X.F)
 
 
+def _edge_orders(G):
+    """G in its own edge order and in three fixed others: reversed, rotated
+    by one, and the odd positions first."""
+    s = G.s
+    perms = ([*range(s, 0, -1)], [*range(2, s + 1), 1],
+             [*range(1, s + 1, 2), *range(2, s + 1, 2)])
+    return [G, *(G.reorder_edges(perm) for perm in perms)]
+
+
 @pytest.mark.parametrize("family, params, q, d, bound, delta", [
     ("complete", [5], 4, 1, 36, 36),
     ("complete_bipartite", [3, 3], 5, 1, 144, mindist_complete_bipartite(3, 3, 1, 5)),
@@ -676,20 +685,41 @@ def test_coset_bound_of_few_characters_on_larger_grids(X, data):
 ])
 def test_coset_bound_pins(family, params, q, d, bound, delta):
     # The coset bound of T_d, and the distance it bounds, from the closed
-    # forms where one applies and from exact runs otherwise.
-    X = parameterize(build_family(family, params), make_field(q))
-    assert coset_bound(code_instance(X, d)) == bound <= delta
+    # forms where one applies and from exact runs otherwise.  The bound
+    # reads the axes of the point grid, which the edge order does not move.
+    for G in _edge_orders(build_family(family, params)):
+        X = parameterize(G, make_field(q))
+        assert coset_bound(code_instance(X, d)) == bound <= delta
 
 
 def test_coset_bound_ends_the_search_at_weight_one():
     # On K_{3,3} over GF(5) at d = 1 a weight-1 message reaches the coset
-    # bound, 144, so `code_distance` stops after the 9 messages of weight 1;
-    # without the bound the same search runs to weight 5 (18,521 messages,
-    # `test_last_weight_enumerates_only_the_fixed_rows`).
-    X = parameterize(build_family("complete_bipartite", [3, 3]), make_field(5))
-    with _counting_messages() as calls:
-        assert code_distance(code_instance(X, 1)) == 144
-    assert calls == [[1, 0, 9]]
+    # bound, 144, so `code_distance` stops after the 9 messages of weight 1
+    # in every edge order; without the bound the same search runs to weight
+    # 5 (18,521 messages, `test_last_weight_enumerates_only_the_fixed_rows`).
+    for G in _edge_orders(build_family("complete_bipartite", [3, 3])):
+        X = parameterize(G, make_field(5))
+        with _counting_messages() as calls:
+            assert code_distance(code_instance(X, 1)) == 144
+        assert calls == [[1, 0, 9]]
+
+
+def test_coset_bound_at_the_griesmer_bound_builds_nothing(monkeypatch):
+    # P_3 over GF(256) at d = 1: k = 3, m = 65,025, and the coset bound is
+    # the Griesmer bound, 64,770, so the distance is both and no generator
+    # is built.  A bound above the Griesmer bound is false, and the search
+    # says so.
+    X = parameterize(build_family("path", [3]), make_field(256))
+    inst = code_instance(X, 1)
+    built = _count_builds(monkeypatch)
+    assert (inst.k, inst.m) == (3, 65025)
+    assert coset_bound(inst) == codes._griesmer(3, 65025, 256) == 64770
+    assert code_distance(inst) == mindist_torus_formula(3, 1, 256) == 64770
+    assert built == []
+    monkeypatch.setattr(codes, "coset_bound", lambda inst: 64771)
+    with pytest.raises(AssertionError, match="lower bound"):
+        code_distance(inst)
+    assert built == [3]
 
 
 def test_a_word_below_the_bound_is_an_error():

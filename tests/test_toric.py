@@ -14,10 +14,10 @@ from graphcodes.errors import CapExceeded
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family, summarize
 from graphcodes.hilbert import hilbert_function
-from graphcodes.toric import (GroupImage, count_points, expected_length, group_image,
-                              parameterize, torus_points)
-from oracle import (degree_monomials, embed_array, evaluation_matrix, incidence_point_map,
-                    normalize_point, source_torus_hilbert_function, source_torus_points)
+from graphcodes.toric import GroupImage, count_points, expected_length, parameterize, torus_points
+from oracle import (degree_monomials, embed_array, evaluation_matrix, group_image,
+                    incidence_point_map, normalize_point, source_torus_hilbert_function,
+                    source_torus_points)
 
 
 def test_group_image_is_an_immutable_value():
@@ -101,14 +101,14 @@ def test_gf2_builds_no_exponent_rows():
 
 def test_gf2_reads_no_graph_structure(monkeypatch):
     # Over GF(2) the length formula gives 1 for every graph, so the graph
-    # is not summarized and no point-map row is walked: the empty grid
-    # keeps one empty embedding row per coordinate ratio, and the cap is
-    # still checked against the one point.
+    # is not walked and no grid is written: the empty grid keeps one empty
+    # embedding row per coordinate ratio, and the cap is still checked
+    # against the one point.
     def forbidden(*args):
         raise AssertionError("called over GF(2)")
 
-    monkeypatch.setattr(toric, "summarize", forbidden)
-    monkeypatch.setattr(toric, "group_image", forbidden)
+    for name in ("summarize", "_forest", "_point_grid"):
+        monkeypatch.setattr(toric, name, forbidden)
     F = make_field(2)
     X = parameterize(build_family("path", [100000]), F)
     assert X.m == 1 and X.point_group == GroupImage((), ((),) * 99999)
@@ -148,20 +148,25 @@ def graphs_in_any_edge_order(draw):
 @given(G=graphs_in_any_edge_order(), q=st.sampled_from([3, 4, 5, 7, 8, 9]))
 @settings(max_examples=150, deadline=None)
 def test_point_map_from_the_edges_matches_the_incidence_rows(G, q):
-    # `parameterize` writes the point map row by row from the edges; the
-    # oracle transposes the incidence rows of the touched vertices.  Both
-    # give the same matrix, so the same grid and embedding.  The cap is
-    # lifted: nothing of size |X| is built.
+    # `parameterize` writes the grid from the spanning forest; the oracle
+    # takes the Smith form of the point map transposed from the incidence
+    # rows.  With U the grid's generators (column i of `embed` times
+    # e_i = (q - 1) / d_i) and P the point map, the images of P, U and both
+    # side by side have one order, the grid's: U is one-to-one, and onto
+    # the image of P.  The cap is lifted: nothing of size |X| is built.
     F = make_field(q)
     X = parameterize(G, F, cap=float("inf"))
-    assert X.point_group == group_image(incidence_point_map(G), q - 1)
-    assert X.m == expected_length(summarize(G), F)
+    orders = X.point_group.orders
+    U = [[a * ((q - 1) // d) for a, d in zip(w, orders)] for w in X.point_group.embed]
+    P = incidence_point_map(G)
+    sizes = {group_image(A, q - 1).size for A in ([p + u for p, u in zip(P, U)], P, U)}
+    assert sizes == {X.m} and X.m == expected_length(summarize(G), F)
 
 
 def test_torus_grid_is_the_image_of_the_identity(monkeypatch):
     # The torus of P^{s-1} is its own grid: `torus_points` writes
     # (Z/(q-1))^(s-1) with identity rows (the empty grid over GF(2)), which is
-    # what the Smith form of the identity gives, and runs no form itself.
+    # what the Smith form of the identity gives, and walks no graph.
     images = {(q, s): group_image([[int(i == j) for j in range(s - 1)] for i in range(s - 1)],
                                   q - 1)
               for q in (2, 3, 4, 5, 7, 8, 9, 256) for s in range(1, 7)}
@@ -169,8 +174,8 @@ def test_torus_grid_is_the_image_of_the_identity(monkeypatch):
     def forbidden(*args):
         raise AssertionError("called for the torus")
 
-    monkeypatch.setattr(toric, "summarize", forbidden)
-    monkeypatch.setattr(toric, "group_image", forbidden)
+    for name in ("summarize", "_forest", "_point_grid"):
+        monkeypatch.setattr(toric, name, forbidden)
     for (q, s), image in images.items():
         T = torus_points(s, make_field(q), cap=float("inf"))
         assert T.point_group == image and T.m == (q - 1) ** (s - 1)
