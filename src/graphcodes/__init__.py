@@ -22,10 +22,7 @@ from .errors import (
     InvalidParams,
     LengthMismatch,
     MonotonicityViolation,
-    NotADecomposition,
     NotAPrimePower,
-    NotNested,
-    NotOpen,
     UnsupportedFamily,
     UnsupportedField,
 )
@@ -35,7 +32,6 @@ from .graph import (
     build_family,
     parse_graph,
     summarize,
-    validate_ear_decomposition,
 )
 
 # Public name -> the submodule that defines it, imported on first access.
@@ -78,10 +74,7 @@ __all__ = [
     "InvalidParams",
     "LengthMismatch",
     "MonotonicityViolation",
-    "NotADecomposition",
     "NotAPrimePower",
-    "NotNested",
-    "NotOpen",
     "ToricSet",
     "UnsupportedFamily",
     "UnsupportedField",
@@ -96,7 +89,6 @@ __all__ = [
     "regularity_index",
     "summarize",
     "torus_points",
-    "validate_ear_decomposition",
 ]
 
 __version__ = "0.1.0"

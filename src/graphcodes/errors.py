@@ -25,18 +25,6 @@ class UnsupportedFamily(GraphCodesError):
     pass
 
 
-class NotADecomposition(GraphCodesError):
-    pass
-
-
-class NotOpen(GraphCodesError):
-    pass
-
-
-class NotNested(GraphCodesError):
-    pass
-
-
 class LengthMismatch(GraphCodesError):
     """Internal consistency failure: the group order of X, or the number of
     distinct points listed from it, disagrees with the closed-form length.

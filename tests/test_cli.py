@@ -2,6 +2,7 @@ import io
 import json
 import time
 import tracemalloc
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -12,8 +13,8 @@ from graphcodes.cli import run_command
 from graphcodes.eulerian3 import dim_ternary
 from graphcodes.formulas import k_formula
 from graphcodes.gfq import make_field
-from graphcodes.graph import build_family, parse_graph
-from graphcodes.toric import ToricSet, parameterize
+from graphcodes.graph import build_family, parse_graph, summarize
+from graphcodes.toric import ToricSet, expected_length, parameterize
 from graphcodes.verify import verify
 
 
@@ -502,6 +503,47 @@ def test_verify_k3_nonbipartite_rows():
     checks = {r["check"] for r in report["rows"]}
     assert "non-bipartite lower bound" in checks
     assert report["ok"]
+
+
+def test_verify_checks_every_parallel_composition():
+    # Every composition of 3 or 4 paths of lengths 1 to 5 (at most one of
+    # length 1) with |X| <= 10^4 over GF(q), q <= 4.  The rows checked here
+    # read only the regularity index, so d_max = 0.
+    start = time.perf_counter()
+    cases = 0
+    for r in (3, 4):
+        for ks in combinations_with_replacement(range(1, 6), r):
+            if ks.count(1) > 1:
+                continue
+            G = build_family("parallel_composition", list(ks))
+            uniform = len({k % 2 for k in ks}) == 1
+            for q in (2, 3, 4):
+                if expected_length(summarize(G), make_field(q)) > 10**4:
+                    continue
+                report = verify(G, q, 0)
+                assert report["ok"], (ks, q)
+                checks = {row["check"] for row in report["rows"]}
+                assert ("reg parallel composition" in checks) == (q > 2)
+                assert ("reg nested ears" in checks) == (q > 2 and uniform)
+                assert ("mu parallel" in checks) == ("mu nested ears" in checks) == \
+                    (q == 3 and uniform)
+                cases += 1
+    assert cases == 204
+    assert time.perf_counter() - start < 2
+
+
+def test_verify_mu_rows_of_the_complete_families():
+    for family, params, check in (("complete", [4], "mu complete"),
+                                  ("complete_bipartite", [1, 3], "mu complete bipartite"),
+                                  ("complete_bipartite", [3, 3], "mu complete bipartite"),
+                                  ("complete_multipartite", [1, 1, 2], "mu complete multipartite"),
+                                  ("complete_multipartite", [2, 2, 2], "mu complete multipartite")):
+        G = build_family(family, params)
+        rows = [row for row in verify(G, 3, 1)["rows"] if row["check"] == check]
+        assert [row["status"] for row in rows] == ["PASS"]
+        assert not any(row["check"].startswith("mu ") for row in verify(G, 4, 1)["rows"])
+    for G in (build_family("complete", [3]), build_family("complete_multipartite", [1, 1, 1])):
+        assert not any(row["check"].startswith("mu ") for row in verify(G, 3, 1)["rows"])
 
 
 def test_verify_skips_over_budget_rows():

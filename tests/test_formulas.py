@@ -113,8 +113,8 @@ def test_reg_parallel_branches():
     assert reg_parallel([2, 3], 3) == 4  # the graph is C_5
     # One even path among several odd ones.
     assert reg_parallel([2, 3, 3], 3) == (2 + 1 + 1) * 1
-    # More evens than one, exactly one odd.
-    assert reg_parallel([2, 4, 3], 3) == (1 + 2 + 3) * 1
+    # More evens than one, exactly one odd: the brute-force value.
+    assert reg_parallel([2, 4, 3], 3) == (1 + 2 + 3 - 1) * 1
     # More evens than one, several odds.
     assert reg_parallel([2, 4, 3, 5], 3) == (1 + 2 + 1 + 2) * 1
     with pytest.raises(InvalidParams):

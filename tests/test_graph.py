@@ -1,4 +1,3 @@
-import time
 import tracemalloc
 from itertools import combinations
 
@@ -6,17 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import oracle
 from conftest import assert_value_type, eulerian_subsets_brute, two_triangles
 from graphcodes import eulerian3, graph
-from graphcodes.errors import (
-    CapExceeded,
-    GraphCodesError,
-    InvalidParams,
-    NotADecomposition,
-    NotNested,
-    NotOpen,
-)
+from graphcodes.errors import CapExceeded, InvalidParams
 from graphcodes.graph import (
     Graph,
     build_family,
@@ -25,9 +16,9 @@ from graphcodes.graph import (
     format_graph,
     is_even_cycle,
     mask_subset,
+    parallel_paths,
     parse_graph,
     summarize,
-    validate_ear_decomposition,
 )
 
 
@@ -44,16 +35,13 @@ def test_graph_validation():
         assert str(exc.value) == message
 
 
-def test_graph_types_are_immutable_values(c4):
+def test_graph_types_are_immutable_values():
     G = build_family("path", [2])
     assert repr(G) == "Graph(n=3, edges=((1, 2), (2, 3)))"
     assert_value_type(G, Graph(3, [[1, 2], [2, 3]]), "n", "edges")
     assert G != Graph(3, ((2, 3), (1, 2)))  # the edge order is part of the value
     assert_value_type(summarize(G), summarize(build_family("path", [2])),
                       "n", "s", "b0", "bipartite", "gamma")
-    ears = [[1, 2, 3, 4, 1]]
-    assert_value_type(validate_ear_decomposition(c4, ears), validate_ear_decomposition(c4, ears),
-                      "ears", "epsilon")
 
 
 def test_summarize_c4(c4):
@@ -74,6 +62,15 @@ def test_summarize_two_triangles():
 def test_summarize_edge_order_invariant(c6):
     perm = [3, 1, 6, 2, 5, 4]
     assert summarize(c6) == summarize(c6.reorder_edges(perm))
+
+
+def test_reorder_edges_keeps_the_checked_edges(c6):
+    perm = [3, 1, 6, 2, 5, 4]
+    assert c6.reorder_edges(perm) == Graph(6, tuple(c6.edges[p - 1] for p in perm))
+    assert type(c6.reorder_edges(perm)) is Graph
+    for bad in ([1, 2, 3, 4, 5], [1, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]):
+        with pytest.raises(InvalidParams, match="not a permutation"):
+            c6.reorder_edges(bad)
 
 
 def test_summarize_memory_is_linear_in_depth():
@@ -208,145 +205,6 @@ def test_cycle_space_dimension_property(n, picks):
     assert set(all_elems) == set(eulerian_subsets_brute(G))
 
 
-def test_ear_decomposition_single_cycle(c4):
-    dec = validate_ear_decomposition(c4, [[1, 2, 3, 4, 1]])
-    assert dec.epsilon == 1
-
-
-def test_ear_decomposition_parallel():
-    G = build_family("parallel_composition", [2, 2, 2])
-    # Paths are 1-3-2, 1-4-2, 1-5-2; first ear is the cycle through two of them.
-    dec = validate_ear_decomposition(G, [[1, 3, 2, 4, 1], [1, 5, 2]])
-    assert dec.epsilon == 2
-
-
-def test_ear_decomposition_not_partition(c4):
-    with pytest.raises(NotADecomposition):
-        validate_ear_decomposition(c4, [[1, 2, 3, 4, 1], [1, 2]])
-
-
-def test_ear_decomposition_not_open():
-    G = build_family("parallel_composition", [2, 2, 2])
-    # Second ear ends on its own fresh vertex.
-    with pytest.raises(NotOpen):
-        validate_ear_decomposition(G, [[1, 3, 2, 4, 1], [1, 5], [5, 2]])
-
-
-def test_ear_decomposition_nest_interval_required():
-    # Theta graph plus an ear whose endpoints sit on two different ears.
-    G = Graph(
-        6,
-        (
-            (1, 3), (3, 2),  # path A
-            (1, 4), (4, 2),  # path B
-            (1, 5), (5, 2),  # path C
-            (3, 6), (6, 5),  # ear between internals of A and C
-        ),
-    )
-    with pytest.raises(NotNested):
-        validate_ear_decomposition(
-            G, [[1, 3, 2, 4, 1], [1, 5, 2], [3, 6, 5]]
-        )
-
-
-def _cycle_with_chords(length, chords):
-    """The cycle 1, ..., length with the given chords, and its ears: the
-    cycle, then each chord as an ear of one edge."""
-    cycle = [(i, i + 1) for i in range(1, length)] + [(length, 1)]
-    ears = [list(range(1, length + 1)) + [1]] + [list(chord) for chord in chords]
-    return Graph(length, tuple(cycle + chords)), ears
-
-
-def test_ear_decomposition_crossing_chords_are_not_nested():
-    # Two crossing chords and 20 chords that cross nothing, 74 edges: each
-    # of the 2^22 choices of arcs crosses on its first two intervals, which
-    # one pass over the intervals finds.
-    chords = [(1, 3), (2, 4)] + [(i, i + 2) for i in range(6, 46, 2)]
-    G, ears = _cycle_with_chords(52, chords)
-    assert G.s == 74
-    start = time.perf_counter()
-    with pytest.raises(NotNested, match="neither disjoint nor nested"):
-        validate_ear_decomposition(G, ears)
-    assert time.perf_counter() - start < 0.1
-
-
-def test_ear_decomposition_found_early_passes_the_cap():
-    # 40 chords that cross nothing, each with two arcs to choose from.
-    G, ears = _cycle_with_chords(84, [(i, i + 2) for i in range(2, 82, 2)])
-    assert validate_ear_decomposition(G, ears).epsilon == 1
-
-
-def test_ear_decomposition_thousand_chords():
-    # 1,000 chords that cross nothing, on a cycle of 2,004: one interval
-    # each, and one sorted pass over them.
-    G, ears = _cycle_with_chords(2004, [(i, i + 2) for i in range(2, 2002, 2)])
-    assert G.s == 3004
-    start = time.perf_counter()
-    assert validate_ear_decomposition(G, ears).epsilon == 1
-    assert time.perf_counter() - start < 0.2
-
-
-@st.composite
-def ear_lists(draw):
-    """A graph and a list of vertex paths for it: a cycle, then ears between
-    earlier vertices, often the endpoints of an earlier ear (an ear with
-    several hosts), and at times an edit that makes the list no
-    decomposition: a swap of two ears, a dropped ear or an ear cut in two."""
-    length = draw(st.integers(3, 7))
-    ears = [list(range(1, length + 1)) + [1]]
-    edges = {frozenset(e) for e in zip(ears[0], ears[0][1:])}
-    n = length
-    for _ in range(draw(st.integers(0, 6))):
-        if len(ears) > 1 and draw(st.booleans()):
-            host = ears[draw(st.integers(1, len(ears) - 1))]
-            a, b = host[0], host[-1]
-        else:
-            a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
-        path = [a, *range(n + 1, n + 1 + draw(st.integers(0, 3))), b]
-        pairs = {frozenset(e) for e in zip(path, path[1:])}
-        if pairs & edges:
-            continue
-        edges |= pairs
-        n = max(n, *path)
-        ears.append(path)
-    G = Graph(n, tuple(sorted(tuple(sorted(e)) for e in edges)))
-    edit = draw(st.sampled_from(["none", "none", "swap", "drop", "cut"]))
-    if len(ears) > 1 and edit != "none":
-        i = draw(st.integers(1, len(ears) - 1))
-        if edit == "swap":
-            j = draw(st.integers(0, len(ears) - 1))
-            ears[i], ears[j] = ears[j], ears[i]
-        elif edit == "drop":
-            del ears[i]
-        elif len(ears[i]) > 2:
-            k = draw(st.integers(1, len(ears[i]) - 2))
-            ears[i:i + 1] = [ears[i][:k + 1], ears[i][k:]]
-    return G, ears
-
-
-def _outcome(validate, G, ears):
-    try:
-        return validate(G, ears)
-    except GraphCodesError as exc:
-        return type(exc), str(exc)
-
-
-@given(case=ear_lists())
-@example(case=_cycle_with_chords(6, [(1, 3), (2, 4)]))  # crossing chords
-@example(case=_cycle_with_chords(8, [(1, 5), (2, 4), (6, 8), (5, 8)]))  # nested arcs
-@example(case=(build_family("parallel_composition", [2, 2, 2, 2]),
-               [[1, 3, 2, 4, 1], [1, 5, 2], [1, 6, 2]]))  # hosts: the cycle and ear 2
-@example(case=(Graph(6, ((1, 2), (2, 3), (3, 4), (4, 1), (1, 5), (5, 3), (2, 6), (6, 4))),
-               [[1, 2, 3, 4, 1], [1, 5, 3], [2, 6, 4]]))  # the two ears cross on the cycle
-@settings(max_examples=400, deadline=None)
-def test_ear_decomposition_matches_search(case):
-    # The forced intervals against every choice of intervals: the same
-    # decomposition, or the same exception and message.
-    G, ears = case
-    assert _outcome(validate_ear_decomposition, G, ears) == \
-        _outcome(oracle.validate_ear_decomposition, G, ears)
-
-
 def test_graph_file_round_trip(c6):
     text = format_graph(c6)
     assert parse_graph(text) == c6
@@ -382,6 +240,42 @@ def test_recognizers(c6, k4):
     assert complete_multipartite_parts(build_family("complete_multipartite", [2, 2, 2])) == (2, 2, 2)
     assert complete_multipartite_parts(build_family("path", [1])) == (1, 1)
     assert complete_multipartite_parts(c6) is None
+
+
+@st.composite
+def relabelled_compositions(draw):
+    """Path lengths and their parallel composition, 3 to 5 paths of lengths
+    1 to 6 (at most one of length 1), with the vertices relabelled, the ends
+    of each edge swapped at random and the edges shuffled."""
+    ks = draw(st.lists(st.integers(1, 6), min_size=3, max_size=5)
+              .filter(lambda ks: ks.count(1) <= 1))
+    G = build_family("parallel_composition", ks)
+    label = draw(st.permutations(range(1, G.n + 1)))
+    edges = [(label[u - 1], label[v - 1])[::draw(st.sampled_from([1, -1]))]
+             for u, v in G.edges]
+    return ks, Graph(G.n, tuple(draw(st.permutations(edges))))
+
+
+@given(case=relabelled_compositions())
+@settings(max_examples=200, deadline=None)
+def test_parallel_paths_reads_the_lengths(case):
+    ks, G = case
+    assert parallel_paths(G) == sorted(ks)
+
+
+def test_parallel_paths_refuses_other_graphs(k4):
+    theta = build_family("parallel_composition", [2, 2, 3])  # hubs 1 and 2
+    n = theta.n
+    for G in (
+        build_family("cycle", [6]),  # two paths, no hub
+        k4,  # four hubs
+        Graph(n + 1, theta.edges + ((1, n + 1),)),  # a pendant edge at a hub
+        Graph(n + 1, theta.edges + ((3, n + 1),)),  # a pendant edge inside a path
+        Graph(n + 1, theta.edges),  # an isolated vertex
+        Graph(n + 2, theta.edges + ((1, n + 1), (n + 1, n + 2), (n + 2, 1))),  # a loop at a hub
+        Graph(n + 3, theta.edges + ((n + 1, n + 2), (n + 2, n + 3), (n + 3, n + 1))),  # a triangle apart
+    ):
+        assert parallel_paths(G) is None, G
 
 
 def _multipartite_by_complement(G):
