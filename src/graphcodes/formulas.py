@@ -87,6 +87,7 @@ def reg_closed_form(family, q):
 def reg_parallel(ks, q):
     """Regularity for a parallel composition of paths of lengths ks.
 
+    r = 2 is a cycle, and the value does not depend on the split.
     The branch of one odd path and at least two even ones, (sum of k/2 over
     the even paths + the odd length - 1)(q - 2), is checked by brute force:
     it equals the regularity index on every such composition of 3 or 4

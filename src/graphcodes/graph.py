@@ -107,16 +107,6 @@ def summarize(G, forest=None):
                         bipartite=(gamma == 0), gamma=gamma)
 
 
-def bipartition(G):
-    """2-coloring as (part0, part1) vertex sets, or None if non-bipartite.
-    A vertex no edge touches is the root of its component, in part0."""
-    color, _, odd = _forest(G)
-    if any(odd):
-        return None
-    return tuple(frozenset(v for v in range(1, G.n + 1) if color.get(v, 0) == side)
-                 for side in (0, 1))
-
-
 def mask_subset(mask):
     """Int mask -> edge subset."""
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
@@ -272,19 +262,6 @@ def format_graph(G):
 # Structure recognizers used by the verification harness.
 
 
-def is_even_cycle(G):
-    summary = summarize(G)
-    if summary.b0 != 1 or G.s != G.n or G.s % 2:
-        return None
-    degrees = {v: 0 for v in range(1, G.n + 1)}
-    for u, v in G.edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    if any(d != 2 for d in degrees.values()):
-        return None
-    return G.s // 2  # half-length
-
-
 def complete_multipartite_parts(G):
     """Ascending part sizes if G is complete multipartite, else None: K_n
     has n parts of one vertex, K_{a,b} two parts.
@@ -310,10 +287,10 @@ def parallel_paths(G):
     """Ascending path lengths if G is a parallel composition of paths, else
     None: exactly two hubs (vertices of degree at least 3), every other
     vertex of degree 2, and the paths from one hub, which end at the other,
-    cover every vertex.  So there are r >= 3 paths; two make a cycle, which
-    has no hub."""
+    cover every vertex.  A cycle (r = 2) has no vertex of degree 3, so its
+    hubs are the ends of the first edge: C_l reads [1, l - 1]."""
     degree = Counter(chain.from_iterable(G.edges))  # no sort, unlike adjacency
-    hubs = [v for v, d in degree.items() if d >= 3]
+    hubs = [v for v, d in degree.items() if d >= 3] or list(G.edges[0])
     if len(hubs) != 2 or min(degree.values()) < 2:
         return None
     adj = G.adjacency()
@@ -321,7 +298,7 @@ def parallel_paths(G):
     ks = []
     for v, _ in adj[a]:
         prev, k = a, 1
-        while len(adj[v]) == 2:
+        while len(adj[v]) == 2 and v != b:
             (x, _), (y, _) = adj[v]
             prev, v = v, y if x == prev else x
             k += 1

@@ -8,6 +8,10 @@ reaches the plateau dim = |X|; only a d_max below it takes a second pass
 (`hilbert.hilbert_function`).  The distance laws come from the list every
 profile obeys (`codes.distance_laws`); a degree refused by the budget or the
 generator cell cap builds nothing.
+
+The graph is read from one `graph._forest` pass (components, parity and
+sides) and one `graph.parallel_paths` call, which reads a cycle C_l as two
+paths of lengths 1 and l - 1; every r = 2 row is the same for any split.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ def verify(G, q, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_POINT_CAP):
     one whose generator exceeds the cell cap raises CapExceeded."""
     F = make_field(q)
     rows = []
-    summary = graphmod.summarize(G)
+    forest = graphmod._forest(G)
+    summary = graphmod.summarize(G, forest)
     X = toric.parameterize(G, F, cap=cap)  # asserts the group order itself
     rows.append(_row("length", toric.expected_length(summary, F), toric.count_points(X)))
 
@@ -47,17 +52,18 @@ def verify(G, q, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_POINT_CAP):
     is_torus = X.m == (q - 1) ** (s - 1)
     sizes = graphmod.complete_multipartite_parts(G) or ()
     kab = sizes if len(sizes) == 2 else None
-    n_complete = len(sizes) if sizes and max(sizes) == 1 else None
-    multiparts = sizes if len(sizes) > 2 else None
-    half_cycle = graphmod.is_even_cycle(G)
-    ks = graphmod.parallel_paths(G)
+    n_complete = len(sizes) if len(sizes) > 3 and max(sizes) == 1 else None
+    multiparts = sizes if len(sizes) > 2 and G.n > 3 else None
+    ks = graphmod.parallel_paths(G)  # [1, l - 1] on a cycle C_l
+    half_cycle = s // 2 if ks and len(ks) == 2 and s % 2 == 0 else None
     epsilon = None  # even ears, when the paths share one parity (bipartite)
     if ks and len({k % 2 for k in ks}) == 1:
         # Nested by construction: the cycle through two paths, then each
         # other path as an ear between the two hubs.
         epsilon = len(ks) - 1 if ks[0] % 2 == 0 else 1
     connected = summary.b0 == 1
-    parts = graphmod.bipartition(G) if connected else None  # None unless bipartite
+    ones = sum(forest[0].values())  # connected: every vertex is colored
+    sides = (G.n - ones, ones) if connected and summary.bipartite else None
 
     profile = codes.profile_rows(X, d_max, budget=budget)
     ternary = eulerian3.dims_ternary(G, d_max) if q == 3 else None
@@ -97,8 +103,8 @@ def verify(G, q, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_POINT_CAP):
             rows.append(_row("mindist complete bipartite",
                              formulas.mindist_complete_bipartite(a, b, d, q),
                              delta, d=d))
-        if parts and q >= 3:
-            a, b = len(parts[0]), len(parts[1])
+        if sides and q >= 3:
+            a, b = sides
             if min(a, b) >= 2:
                 lo, hi = formulas.mindist_bipartite_bounds(a, b, d, q)
                 rows.append(_row("bipartite bounds", True, lo <= delta <= hi, d=d))
@@ -116,13 +122,13 @@ def verify(G, q, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_POINT_CAP):
         if kab:
             rows.append(_row("reg complete bipartite",
                              formulas.reg_closed_form(formulas.RegFamily("complete_bipartite", kab), q), reg))
-        if n_complete and n_complete > 3:
+        if n_complete:
             rows.append(_row("reg complete",
                              formulas.reg_closed_form(formulas.RegFamily("complete", (n_complete,)), q), reg))
         if half_cycle:
             rows.append(_row("reg even cycle",
                              formulas.reg_closed_form(formulas.RegFamily("even_cycle", (half_cycle,)), q), reg))
-        if multiparts and G.n > 3:
+        if multiparts:
             rows.append(_row("reg complete multipartite",
                              formulas.reg_closed_form(formulas.RegFamily("complete_multipartite", multiparts), q), reg))
         if ks:
@@ -133,13 +139,13 @@ def verify(G, q, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_POINT_CAP):
     if q == 3:
         mu, _ = eulerian3.max_parity_join(G)
         rows.append(_row("reg ternary (mu - 1)", mu - 1, reg))
-        if n_complete and n_complete > 3:
+        if n_complete:
             rows.append(_row("mu complete",
                              formulas.mu_closed_form("complete", (n_complete,)), mu))
         if kab:
             rows.append(_row("mu complete bipartite",
                              formulas.mu_closed_form("complete_bipartite", kab), mu))
-        if multiparts and G.n > 3:
+        if multiparts:
             rows.append(_row("mu complete multipartite",
                              formulas.mu_closed_form("complete_multipartite", multiparts), mu))
         if epsilon:

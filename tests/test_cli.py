@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import time
 import tracemalloc
 from itertools import combinations_with_replacement
@@ -8,7 +9,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from graphcodes import codes, eulerian3, hilbert
+from graphcodes import codes, eulerian3, formulas, hilbert, toric
+from graphcodes import graph as graphmod
 from graphcodes.cli import run_command
 from graphcodes.eulerian3 import dim_ternary
 from graphcodes.formulas import k_formula
@@ -506,30 +508,67 @@ def test_verify_k3_nonbipartite_rows():
 
 
 def test_verify_checks_every_parallel_composition():
-    # Every composition of 3 or 4 paths of lengths 1 to 5 (at most one of
-    # length 1) with |X| <= 10^4 over GF(q), q <= 4.  The rows checked here
-    # read only the regularity index, so d_max = 0.
+    # Every composition of 2 to 4 paths of lengths 1 to 5 (at most one of
+    # length 1) with |X| <= 10^4 over GF(q), q <= 7, each under a seeded edge
+    # order.  Two paths are the cycle C_l, which parallel_paths reads as
+    # lengths 1 and l - 1 whatever the split.  The rows checked here read
+    # only the regularity index, so d_max = 0.
     start = time.perf_counter()
     cases = 0
-    for r in (3, 4):
+    for r in (2, 3, 4):
         for ks in combinations_with_replacement(range(1, 6), r):
             if ks.count(1) > 1:
                 continue
             G = build_family("parallel_composition", list(ks))
             uniform = len({k % 2 for k in ks}) == 1
-            for q in (2, 3, 4):
+            for q in (2, 3, 4, 5, 7):
                 if expected_length(summarize(G), make_field(q)) > 10**4:
                     continue
-                report = verify(G, q, 0)
+                perm = random.Random(repr((ks, q))).sample(range(1, G.s + 1), G.s)
+                report = verify(G.reorder_edges(perm), q, 0)
                 assert report["ok"], (ks, q)
-                checks = {row["check"] for row in report["rows"]}
-                assert ("reg parallel composition" in checks) == (q > 2)
-                assert ("reg nested ears" in checks) == (q > 2 and uniform)
-                assert ("mu parallel" in checks) == ("mu nested ears" in checks) == \
+                checks = [row["check"] for row in report["rows"]]
+                assert checks.count("reg parallel composition") == (q > 2)
+                assert checks.count("reg nested ears") == (q > 2 and uniform)
+                assert checks.count("mu parallel") == checks.count("mu nested ears") == \
                     (q == 3 and uniform)
                 cases += 1
-    assert cases == 204
+    assert cases == 296
     assert time.perf_counter() - start < 2
+
+
+def test_verify_bipartite_bounds_read_the_sides(monkeypatch):
+    # The two sides of a connected bipartite graph come from the coloring of
+    # verify's one forest pass; the bounds need both of size at least 2.
+    sides = []
+    real_bounds = formulas.mindist_bipartite_bounds
+
+    def bounds(a, b, d, q):
+        sides.append((a, b))
+        return real_bounds(a, b, d, q)
+
+    monkeypatch.setattr(formulas, "mindist_bipartite_bounds", bounds)
+    for family, params, expected in (("path", [4], [(3, 2)] * 2),
+                                     ("complete_bipartite", [1, 3], [])):
+        report = verify(build_family(family, params), 5, 2)
+        rows = [row["status"] for row in report["rows"] if row["check"] == "bipartite bounds"]
+        assert report["ok"] and sides == expected and rows == ["PASS"] * len(expected)
+        sides.clear()
+
+
+def test_verify_walks_the_graph_twice(monkeypatch):
+    # Once for verify's own reading of the graph, once in parameterize.
+    calls = []
+    real_forest = graphmod._forest
+
+    def forest(G):
+        calls.append(G.s)
+        return real_forest(G)
+
+    monkeypatch.setattr(graphmod, "_forest", forest)
+    monkeypatch.setattr(toric, "_forest", forest)
+    assert verify(build_family("complete_bipartite", [2, 3]), 4, 2)["ok"]
+    assert calls == [6, 6]
 
 
 def test_verify_mu_rows_of_the_complete_families():

@@ -126,6 +126,17 @@ def test_reg_parallel_input_order_free():
     assert reg_parallel([5, 2, 4, 3], 5) == reg_parallel([2, 3, 4, 5], 5)
 
 
+def test_reg_parallel_of_two_paths_is_the_cycle_row():
+    # r = 2 is the cycle C_l, whatever the split [a, l - a].
+    for l in range(3, 11):
+        for q in (3, 4, 5, 7):
+            (value,) = {reg_parallel([a, l - a], q) for a in range(1, l)}
+            if l % 2 == 0:
+                assert value == reg_closed_form(RegFamily("even_cycle", (l // 2,)), q)
+            else:
+                assert value == (l - 1) * (q - 2)  # the torus row: C_l has |X| = (q-1)^(l-1)
+
+
 def test_reg_nested_ears():
     for q in (3, 4, 5):
         assert reg_nested_ears(4, 1, q) == q - 2  # C_4 as a single ear

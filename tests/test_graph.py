@@ -14,7 +14,6 @@ from graphcodes.graph import (
     complete_multipartite_parts,
     eulerian_masks,
     format_graph,
-    is_even_cycle,
     mask_subset,
     parallel_paths,
     parse_graph,
@@ -233,8 +232,8 @@ def test_parse_graph_parses_or_refuses(text):
 
 
 def test_recognizers(c6, k4):
-    assert is_even_cycle(c6) == 3
-    assert is_even_cycle(build_family("cycle", [5])) is None
+    assert parallel_paths(c6) == [1, 5]
+    assert parallel_paths(build_family("cycle", [5])) == [1, 4]
     assert complete_multipartite_parts(k4) == (1, 1, 1, 1)
     assert complete_multipartite_parts(build_family("complete_bipartite", [3, 2])) == (2, 3)
     assert complete_multipartite_parts(build_family("complete_multipartite", [2, 2, 2])) == (2, 2, 2)
@@ -242,18 +241,22 @@ def test_recognizers(c6, k4):
     assert complete_multipartite_parts(c6) is None
 
 
-@st.composite
-def relabelled_compositions(draw):
-    """Path lengths and their parallel composition, 3 to 5 paths of lengths
-    1 to 6 (at most one of length 1), with the vertices relabelled, the ends
-    of each edge swapped at random and the edges shuffled."""
-    ks = draw(st.lists(st.integers(1, 6), min_size=3, max_size=5)
-              .filter(lambda ks: ks.count(1) <= 1))
-    G = build_family("parallel_composition", ks)
+def _relabel(draw, G):
+    """G with its vertices relabelled, the ends of each edge swapped at
+    random and the edges shuffled."""
     label = draw(st.permutations(range(1, G.n + 1)))
     edges = [(label[u - 1], label[v - 1])[::draw(st.sampled_from([1, -1]))]
              for u, v in G.edges]
-    return ks, Graph(G.n, tuple(draw(st.permutations(edges))))
+    return Graph(G.n, tuple(draw(st.permutations(edges))))
+
+
+@st.composite
+def relabelled_compositions(draw):
+    """Path lengths and their parallel composition, 3 to 5 paths of lengths
+    1 to 6 (at most one of length 1), relabelled."""
+    ks = draw(st.lists(st.integers(1, 6), min_size=3, max_size=5)
+              .filter(lambda ks: ks.count(1) <= 1))
+    return ks, _relabel(draw, build_family("parallel_composition", ks))
 
 
 @given(case=relabelled_compositions())
@@ -263,12 +266,27 @@ def test_parallel_paths_reads_the_lengths(case):
     assert parallel_paths(G) == sorted(ks)
 
 
+@st.composite
+def relabelled_cycles(draw):
+    """A cycle C_l, 3 <= l <= 12, relabelled."""
+    return _relabel(draw, build_family("cycle", [draw(st.integers(3, 12))]))
+
+
+@given(G=relabelled_cycles())
+@settings(max_examples=100, deadline=None)
+def test_parallel_paths_reads_a_cycle_as_two_paths(G):
+    # No vertex has degree 3: the first edge is one path, the rest the other.
+    assert parallel_paths(G) == [1, G.n - 1]
+
+
 def test_parallel_paths_refuses_other_graphs(k4):
     theta = build_family("parallel_composition", [2, 2, 3])  # hubs 1 and 2
     n = theta.n
     for G in (
-        build_family("cycle", [6]),  # two paths, no hub
         k4,  # four hubs
+        two_triangles(),  # two cycles, no hub
+        Graph(4, ((1, 2), (2, 3), (3, 1))),  # a triangle and an isolated vertex
+        Graph(5, ((1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 1))),  # one hub
         Graph(n + 1, theta.edges + ((1, n + 1),)),  # a pendant edge at a hub
         Graph(n + 1, theta.edges + ((3, n + 1),)),  # a pendant edge inside a path
         Graph(n + 1, theta.edges),  # an isolated vertex
