@@ -13,7 +13,8 @@ Minimum distance uses the translation action of X.  X acts regularly on
 the coordinates, its points, and since chi_c(x + g) = chi_c(g) chi_c(x) the
 action maps C_X(d) and its dual to themselves.  The primal side puts the
 character generator in systematic form on one information set I (the one
-GF(q) elimination in the package, `_systematic`) and runs Brouwer-Zimmermann
+GF(q) elimination in the package, `_systematic`, which updates all k rows
+at each pivot by gathers from the field tables) and runs Brouwer-Zimmermann
 (`_bz_min_weight`): every translate g + I is an information set, so after
 the messages of weight <= w a word not yet seen weighs at least
 ceil(m (w + 1) / k), and the search stops once that reaches the best weight
@@ -183,23 +184,30 @@ def _systematic(G, F):
     """The redundancy part A of G row-reduced over GF(q) to [I_k | A] on an
     information set I: a message u is the codeword's values on I, and u A
     its values elsewhere.  A is a C-contiguous uint8 k x (m - k) array; G
-    must have full row rank k."""
-    S = G.copy()
-    k, m = S.shape
-    add, mul = F.add_table, F.mul_table
-    info = []
+    must have full row rank k.
+
+    The pivot of row r is its first nonzero entry.  A step gathers the k
+    rows of the multiplication table at the negated pivot column, then their
+    entries at the scaled pivot row: the update of every row, k m cells
+    whatever q is, added through the flat addition table."""
+    S = G
+    k, m = G.shape
+    add, mul = F.add_table.ravel(), F.mul_table  # x + y at x q + y
+    info = np.zeros(m, dtype=bool)
     for r in range(k):
         # Earlier pivot columns are already zero in row r.
-        support = np.flatnonzero(S[r])
-        assert support.size, "generator rows are dependent"
-        p = int(support[0])
-        S[r] = mul[F.inv_table[S[r, p]], S[r]]
-        factors = F.neg_table[S[:, p]]
-        factors[r] = 0
-        rows = np.flatnonzero(factors)
-        S[rows] = add[S[rows], mul[factors[rows, None], S[r]]]
-        info.append(p)
-    return np.ascontiguousarray(np.delete(S, info, axis=1))
+        support = S[r] != 0
+        p = int(support.argmax())
+        assert support[p], "generator rows are dependent"
+        pivot = mul[F.inv_table[S[r, p]]].take(S[r])
+        update = mul.take(F.neg_table.take(S[:, p]), axis=0).take(pivot, axis=1)
+        S = S.astype(np.uint16)
+        S *= F.q
+        S += update
+        S = add.take(S)
+        S[r] = pivot
+        info[p] = True
+    return S.compress(~info, axis=1)
 
 
 def _combinations(A, t, F, limit, fixed=0):

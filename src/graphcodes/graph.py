@@ -268,12 +268,17 @@ def complete_multipartite_parts(G):
 
     Holds iff every vertex is joined to exactly the vertices outside its
     class, the vertices with the same neighbourhood; the classes are then
-    the parts, at least two as G has an edge.  A vertex no edge touches
-    fails, as its class is not all of V, so it is refused before anything
-    of size n exists."""
-    adj = G.adjacency()
-    if len(adj) < G.n:
+    the parts, at least two as G has an edge.  A vertex of degree d then
+    lies in a part of n - d vertices, so the vertices of degree d number a
+    multiple of n - d: degrees alone, counted as in `parallel_paths`, refuse
+    most graphs (a long cycle among them) before the adjacency is built.  A
+    vertex no edge touches fails, as its class is not all of V."""
+    degree = Counter(chain.from_iterable(G.edges))
+    if len(degree) < G.n:
         return None
+    if any(count % (G.n - d) for d, count in Counter(degree.values()).items()):
+        return None
+    adj = G.adjacency()
     everyone = frozenset(adj)
     classes = {}
     for v, edges in adj.items():

@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_value_type, two_triangles
@@ -417,6 +417,77 @@ def test_character_dual_matches_null_space_oracle(X):
         assert rank(np.vstack([D, N]), F) == m - k
         if F.q ** (m - k) <= 10**5:
             assert _weight_distribution(D, F) == _weight_distribution(N, F)
+
+
+_SYSTEMATIC_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 64, 256)
+
+
+@st.composite
+def full_rank_generators(draw):
+    """(G, F): the character generator of a random graph's or torus's toric
+    set at a degree whose k m cells stay small, or a random full-rank uint8
+    matrix, over GF(q) for q in _SYSTEMATIC_FIELDS."""
+    if draw(st.booleans()):
+        X = draw(toric_sets(max_source=4096, fields=_SYSTEMATIC_FIELDS))
+        degrees = [d for d, k in enumerate(hilbert_function(X)) if k <= 40 and k * X.m <= 20000]
+        inst = code_instance(X, draw(st.sampled_from(degrees)))
+        return characters(X, character_grid(inst)), X.F
+    F = make_field(draw(st.sampled_from(_SYSTEMATIC_FIELDS)))
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(k, 12))
+    cells = draw(st.lists(st.integers(0, F.q - 1), min_size=k * m, max_size=k * m))
+    G = np.array(cells, dtype=np.uint8).reshape(k, m)
+    assume(rank(G, F) == k)
+    return G, F
+
+
+@given(case=full_rank_generators())
+@settings(max_examples=150, deadline=None)
+def test_systematic_matches_the_rref_oracle(case):
+    # Row r's pivot is the column that the rows 0..r add to the oracle's
+    # pivots of rows 0..r - 1.  Together they are the oracle's pivots of G,
+    # and the rows of A, ordered by pivot column, are the non-pivot
+    # columns of rref(G).
+    G, F = case
+    k, m = G.shape
+    A = codes._systematic(G, F)
+    assert A.dtype == np.uint8 and A.shape == (k, m - k) and A.flags.c_contiguous
+    pivots = []
+    for r in range(k):
+        (p,) = set(rref(G[: r + 1], F)[1]) - set(rref(G[:r], F)[1])
+        pivots.append(p)
+    R, columns = rref(G, F)
+    assert sorted(pivots) == columns
+    rest = np.setdiff1d(np.arange(m), columns)
+    assert np.array_equal(A[np.argsort(pivots)], R[:, rest])
+
+
+@given(case=full_rank_generators(), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_systematic_refuses_a_repeated_row(case, data):
+    G, F = case
+    r = data.draw(st.integers(0, len(G) - 1))
+    at = data.draw(st.integers(0, len(G)))
+    with pytest.raises(AssertionError, match="generator rows are dependent"):
+        codes._systematic(np.insert(G, at, G[r], axis=0), F)
+
+
+def test_systematic_memory_per_generator_cell():
+    # P_3 over GF(256) at d = 1: 3 x 65,025 cells.  The step updates the k
+    # rows through gathers of k m cells, never a (q, m) table of the pivot
+    # row's multiples, q / k = 85 bytes a cell here on its own.
+    # code_distance builds no generator at this degree, so it is built
+    # directly.
+    F = make_field(256)
+    X = parameterize(build_family("path", [3]), F)
+    G = characters(X, character_grid(code_instance(X, 1)))
+    assert G.shape == (3, 65025)
+    tracemalloc.start()
+    A = codes._systematic(G, F)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert A.shape == (3, 65022)
+    assert peak <= 16 * G.size, peak / G.size
 
 
 @contextmanager

@@ -316,7 +316,24 @@ def small_graphs(draw):
     return Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))))
 
 
-@given(G=small_graphs())
+@st.composite
+def near_multipartite_graphs(draw):
+    """A complete multipartite graph of 2 to 4 parts of 1 to 3 vertices,
+    relabelled, unchanged or with one edge removed or added inside a part."""
+    parts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    G = _relabel(draw, build_family("complete_multipartite", parts))
+    present = {frozenset(e) for e in G.edges}
+    missing = [e for e in combinations(range(1, G.n + 1), 2) if frozenset(e) not in present]
+    change = draw(st.sampled_from(["none", "remove", "add"] if missing else ["none", "remove"]))
+    edges = list(G.edges)
+    if change == "remove" and len(edges) > 1:
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    elif change == "add":
+        edges.append(draw(st.sampled_from(missing)))
+    return Graph(G.n, tuple(edges))
+
+
+@given(G=st.one_of(small_graphs(), near_multipartite_graphs()))
 @example(G=build_family("complete_multipartite", [1, 2, 3]))
 @example(G=build_family("complete", [3]))
 @example(G=build_family("complete_bipartite", [1, 4]))
@@ -327,3 +344,36 @@ def test_complete_multipartite_matches_complement_cliques(G):
     # Neighbourhood classes against the definition: the complement is a
     # disjoint union of cliques, the parts; None otherwise.
     assert complete_multipartite_parts(G) == _multipartite_by_complement(G)
+
+
+_FAMILY_PARAMS = {
+    "path": [[k] for k in range(1, 7)],
+    "cycle": [[l] for l in range(3, 9)],
+    "complete": [[n] for n in range(2, 7)],
+    "complete_bipartite": [[a, b] for a in range(1, 4) for b in range(1, 5)],
+    "complete_multipartite": [[1, 1], [1, 2, 3], [2, 2, 2], [1, 1, 1, 1], [3, 1, 2, 1], [2, 2, 2, 2]],
+    "parallel_composition": [[1, 2], [2, 2], [1, 2, 2], [2, 2, 2], [2, 2, 3], [2, 2, 2, 2], [3, 3, 3]],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_PARAMS))
+def test_complete_multipartite_parts_of_every_family(family):
+    # Every built-in family, the degree refusal included, against the
+    # definition: K_{1,1} = P_1, C_4 = K_{2,2}, P_2 = K_{1,2} and
+    # Pc(2, .., 2) = K_{2,r} are multipartite; other paths, cycles and
+    # compositions are not.
+    for params in _FAMILY_PARAMS[family]:
+        G = build_family(family, params)
+        assert complete_multipartite_parts(G) == _multipartite_by_complement(G), (family, params)
+
+
+def test_complete_multipartite_refuses_a_long_cycle_from_degrees(monkeypatch):
+    # Every vertex of C_200000 has degree 2, and 200000 is no multiple of
+    # the part size n - 2 it would need: refused before any adjacency.
+    G = build_family("cycle", [200000])
+
+    def no_adjacency(self):
+        raise AssertionError("adjacency built")
+
+    monkeypatch.setattr(Graph, "adjacency", no_adjacency)
+    assert complete_multipartite_parts(G) is None
