@@ -37,19 +37,23 @@ translate of c is a weight-W message containing rows 0..j - 1.  j = 0 is
 the stop rule's own test, and a valid j makes j - 1 valid.  The dual is a
 character code as well, spanned by the characters
 outside -T_d (see `code_distance`), whose rows are the field inverses of the
-rows of the characters outside T_d.  The dual route reads dependent columns
-first, then the shortened dual: its basis is a parity-check matrix of
-C_X(d), so a distance of 2 or 3 is two proportional columns or a column in
-the span of two others, one of them at the identity point by translation
-(`_dependent_columns`); otherwise only the dual's words vanishing at the
-identity point are enumerated, transitivity gives the whole weight
-distribution (`_dual_distribution`) and MacWilliams the code's.  The side,
-the generator cap and the budget are decided from k, m and q before any
-matrix exists, and both routes stay independent of every closed-form
-formula.  Field elements are bytes (the uint8 tables of `gfq`), so both
-read weights from byte comparisons with no conversion and no fork on the
-kind of q, each block counted by one sum along its contiguous rows, into
-uint16 while the counts fit (`_count_type`).  Brouwer-Zimmermann compares prefixes, sums of w - r
+rows of the characters outside T_d.  The dual side reads the coset bound
+first: from 4 up, a product of at most d binomials that vanishes on the
+most points (`_product_witness`) is a word of that weight, and then the
+bound is the distance, with no dual built.  Otherwise it reads dependent
+columns, when the bound is at most 3, then the shortened dual: its basis
+is a parity-check matrix of C_X(d), so a distance of 2 or 3 is two
+proportional columns or a column in the span of two others, one of them at
+the identity point by translation (`_dependent_columns`); otherwise only
+the dual's words vanishing at the identity point are enumerated,
+transitivity gives the whole weight distribution (`_dual_distribution`)
+and MacWilliams the code's.  The side, the generator cap and the budget
+are decided from k, m and q before any matrix exists, and both routes stay
+independent of every closed-form formula.  Field elements are bytes (the
+uint8 tables of `gfq`), so both read weights from byte comparisons with no
+conversion and no fork on the kind of q, each block counted by one sum
+along its contiguous rows, into uint16 while the counts fit
+(`_count_type`).  Brouwer-Zimmermann compares prefixes, sums of w - r
 rows, with tails of r later rows: up to weight 3 the multiples of one row
 (r = 1), and from weight 4 a table of every two-row tail
 c_1 A_i + c_2 A_j (r = 2), built once per search from the field tables
@@ -69,7 +73,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -393,6 +397,116 @@ def coset_bound(inst):
     return _coset_bound(inst.X.point_group.orders, inst.bits)
 
 
+def _level_counts(labels, points, bins):
+    """The count of each value 0..bins - 1 in every row of `labels` over
+    the boolean mask `points`, as a (rows, bins) int64 array, in blocks of
+    about _CELLS cells."""
+    counts = np.empty((len(labels), bins), dtype=np.int64)
+    per = max(1, _CELLS // max(1, int(points.sum())))  # rows per block
+    for i in range(0, len(labels), per):
+        block = labels[i : i + per, points]
+        block = block + np.arange(len(block))[:, None] * bins  # row r counts in bins r
+        counts[i : i + len(block)] = np.bincount(
+            block.ravel(), minlength=len(block) * bins
+        ).reshape(-1, bins)
+    return counts
+
+
+def _product_witness(inst, lower):
+    """(weight, factors) of a nonzero word of C_X(d): a product of at most
+    d linear forms in the coordinates t, each a tuple of (coordinate,
+    coefficient) pairs, padded by a monomial, which is zero nowhere.  Its
+    weight is m less the points where some factor vanishes, so it is at
+    least `lower` when that bounds every nonzero word (`coset_bound`).
+
+    A factor t_i - l t_j vanishes where the ratio character P_i / P_j, the
+    cell w_i - w_j (w_s = 0), takes the value l.  On a 4-cycle a-c-b-e of
+    the graph, (x_a - l x_b)(x_c - u x_e) = t_ac - u t_ae - l t_bc + l u t_be
+    vanishes on the union of the level sets of P_ac / P_bc = x_a / x_b and
+    P_ac / P_ae = x_c / x_e.  The level sets of a cell and of its negation
+    are the same sets, so each pair {w, -w} is one row of labels, the
+    character's value at every point (`ToricSet.values`), and each 4-cycle
+    a pair of rows.  A greedy loop takes, d times at most, the factor that
+    vanishes on the most points where no earlier one does, never on all of
+    them, counted from per-row and per-cycle bincounts of the labels less
+    those of the points each step covers, and stops once the weight reaches
+    `lower`; a weight below it makes the bound false and is an error.  The
+    (rows + cycles) m labels are checked against DEFAULT_CELL_CAP before they
+    are built; over it the word is the monomial alone, (m, []).  A torus
+    with no graph has only the ratio factors."""
+    X, m = inst.X, inst.m
+    F, q = X.F, X.F.q
+    orders = X.point_group.orders
+    w = [*X.point_group.embed, (0,) * len(orders)]
+    rows, pairs = {}, []  # cell -> row; per row the (i, j) with that cell w_i - w_j
+
+    def row(i, j):  # the row of P_i / P_j, and whether it holds P_j / P_i
+        cell = tuple((a - b) % n for a, b, n in zip(w[i], w[j], orders))
+        key = min(cell, tuple(-a % n for a, n in zip(cell, orders)))
+        if key not in rows:
+            rows[key] = len(pairs)
+            pairs.append((i, j) if key == cell else (j, i))
+        return rows[key], key != cell
+
+    for i, j in combinations(range(X.s), 2):
+        row(i, j)
+    cycles = {}  # (row of x_a / x_b, row of x_c / x_e) -> edges (ac, ae, bc, be)
+    if X.graph is not None:
+        near = {v: {u: i - 1 for u, i in adj} for v, adj in X.graph.adjacency().items()}
+        for a, b in combinations(near, 2):
+            for c, e in combinations(sorted(near[a].keys() & near[b].keys()), 2):
+                if a < c:  # each 4-cycle once, from its diagonal {a, b} with the least vertex
+                    ac, ae, bc, be = near[a][c], near[a][e], near[b][c], near[b][e]
+                    (r1, flip1), (r2, flip2) = row(ac, bc), row(ac, ae)
+                    if flip1:  # swap a and b
+                        ac, ae, bc, be = bc, be, ac, ae
+                    if flip2:  # swap c and e
+                        ac, ae, bc, be = ae, ac, be, bc
+                    cycles.setdefault((r1, r2), (ac, ae, bc, be))
+    if (len(rows) + len(cycles)) * m > DEFAULT_CELL_CAP:
+        return m, []
+    labels = X.values(list(rows))
+    R1, R2 = np.array(list(cycles), dtype=np.intp).reshape(-1, 2).T
+    keys = labels[R1].astype(np.uint16)
+    keys *= q
+    keys += labels[R2]
+    uncovered = np.ones(m, dtype=bool)
+    level = _level_counts(labels, uncovered, q)
+    joint = _level_counts(keys, uncovered, q * q).reshape(-1, q, q)
+    quads = list(cycles.values())
+    weight, factors = m, []
+    neg, mul = F.neg_table, F.mul_table
+    for _ in range(inst.d):
+        if weight == lower:
+            break
+        single = level[:, 1:]
+        double = single[R1, :, None] + single[R2, None, :] - joint[:, 1:, 1:]
+        gains = np.concatenate([single.ravel(), double.ravel()])
+        gains[gains >= weight] = 0  # a factor zero at every point left
+        best = int(gains.argmax())
+        if not gains[best]:
+            break
+        if best < single.size:
+            r, l = divmod(best, q - 1)
+            l += 1
+            covered = labels[r] == l
+            i, j = pairs[r]
+            factors.append(((i, 1), (j, int(neg[l]))))
+        else:
+            c, lu = divmod(best - single.size, (q - 1) ** 2)
+            l, u = (x + 1 for x in divmod(lu, q - 1))
+            covered = (labels[R1[c]] == l) | (labels[R2[c]] == u)
+            ac, ae, bc, be = quads[c]
+            factors.append(((ac, 1), (ae, int(neg[u])), (bc, int(neg[l])), (be, int(mul[l, u]))))
+        covered &= uncovered
+        uncovered ^= covered
+        level -= _level_counts(labels, covered, q)
+        joint -= _level_counts(keys, covered, q * q).reshape(-1, q, q)
+        weight -= int(gains[best])
+        assert weight >= lower, "a word weighs less than the lower bound"
+    return weight, factors
+
+
 def _bz_min_weight(G, F, lower=0):
     """Minimum weight of the code spanned by G (k x m, full rank) when a
     group acting regularly on the m coordinates maps the code to itself
@@ -533,8 +647,8 @@ def _dependent_columns(D, F, classes):
     distance is 3 exactly when a column equals (1 + l N_b) / (1 + l) for
     some b >= 1 and l: (m - 1)(q - 2) candidates of r cells, looked up
     among the sorted columns, as byte strings, by binary search.  The
-    answer reads no bound on the distance, so on a dual degree the coset
-    bound stays an independent check (`distance_laws`)."""
+    answer reads no bound on the distance; `code_distance` calls it only
+    when the coset bound is at most 3."""
     r, m = D.shape
     add, mul, inv = F.add_table, F.mul_table, F.inv_table
     # N^T, C-contiguous: row x is the column x scaled by the inverse of
@@ -600,12 +714,17 @@ def code_distance(inst, budget=DEFAULT_BUDGET):
     characters satisfy <chi_a, chi_b> = m [a + b = 0], so C_X(d)^perp is
     spanned by the m - k cells of the point grid outside -T_d.  As
     chi_-b = 1 / chi_b, those rows are the rows of the characters outside
-    T_d through the field's inverse table (`dual_basis`).  The dual route
-    takes dependent columns first, then the shortened dual: that basis is a
+    T_d through the field's inverse table (`dual_basis`).  The dual side
+    starts from the coset bound: when it is at least 4 and a product
+    witness weighs exactly that (`_product_witness`), the bound is the
+    distance and no dual basis is built.  Otherwise the basis is built, a
     parity-check matrix, and a distance of 2 or 3 is read off its columns
-    (`_dependent_columns`), reading no bound; otherwise only the
+    (`_dependent_columns`, only when the bound is at most 3, as the
+    distance is at least 4 otherwise); failing that, the
     (q^(m-k-1) - 1)/(q - 1) classes of its words vanishing at the identity
     are enumerated (`_dual_distribution`), then transformed (MacWilliams).
+    The witness never runs on the primal side, where it costs more than
+    the generator it would save, nor before the budget check.
 
     The side is the cheaper one whose generator (k or m - k rows of m
     cells) fits DEFAULT_CELL_CAP, and its count is checked against the
@@ -613,7 +732,9 @@ def code_distance(inst, budget=DEFAULT_BUDGET):
     side is built, and a side over the cap is not even counted.  Nothing is
     built for a single character (k = 1), which is zero nowhere and so has
     distance m, nor for a full code (k = m), whose distance is 1, nor when
-    the primal side's coset bound is its Griesmer bound, the distance.
+    the primal side's coset bound is its Griesmer bound, the distance, nor
+    when a dual-side witness meets the bound.  The bound is computed once,
+    after the cap and budget checks.
     """
     k, m = inst.k, inst.m
     if k == m:
@@ -634,14 +755,16 @@ def code_distance(inst, budget=DEFAULT_BUDGET):
         raise BudgetExceeded(
             f"{needed} message classes required, budget is {budget}", required=needed
         )
+    lower = coset_bound(inst)
     if primal <= dual:
-        lower = coset_bound(inst)
         if lower == _griesmer(k, m, q):  # delta lies between the two
             return lower
         G = characters(inst.X, character_grid(inst))
         return _bz_min_weight(G, F, lower)
+    if lower >= 4 and _product_witness(inst, lower)[0] == lower:
+        return lower
     D = dual_basis(inst)
-    return _dependent_columns(D, F, dual) or _macwilliams_min_weight(
+    return (lower <= 3 and _dependent_columns(D, F, dual)) or _macwilliams_min_weight(
         _dual_distribution(D, F), q, k
     )
 
@@ -680,7 +803,8 @@ def profile_rows(X, d_max, budget=DEFAULT_BUDGET):
 def distance_laws(rows):
     """Yield (check, d, expected, actual) for each law the distances of
     profile rows obey: delta within the Singleton bound; delta at least the
-    coset bound, which the dual route, blind to it, tests independently;
+    coset bound, which the search and the shortened dual, blind to it,
+    test independently (a degree answered by the bound passes it);
     delta below the last delta computed while that exceeds 1, and 1 once it
     is 1; and delta = 1 from the regularity plateau (dim = m, Singleton
     bound 1) on.  A refused degree has no delta and no check."""

@@ -68,8 +68,9 @@ class GraphSummary(namedtuple("GraphSummary", "n s b0 bipartite gamma")):
     __slots__ = ()
 
 
-def _forest(G):
-    """One breadth-first pass over every component of G that has an edge.
+def _forest(G, adj=None):
+    """One breadth-first pass over every component of G that has an edge,
+    over `adj`, G.adjacency() unless the caller has it already.
 
     Returns (color, parent, odd): color[v] is the depth parity of v,
     parent[v] the link (u, i) from v to its parent u over tree edge i, None
@@ -79,7 +80,7 @@ def _forest(G):
     component of its own, counted, not stored.  Component k is rooted at
     its least vertex, and color and parent list it whole before k + 1.
     """
-    adj = G.adjacency()
+    adj = G.adjacency() if adj is None else adj
     color, parent, odd = {}, {}, []
     for start in adj:
         if start in color:
@@ -177,24 +178,21 @@ def build_family(family, params):
         raise InvalidParams("family parameters must be positive")
     if family == "path":
         (k,) = params
-        return Graph(k + 1, tuple((i, i + 1) for i in range(1, k + 1)))
-    if family == "cycle":
+        n, edges = k + 1, [(i, i + 1) for i in range(1, k + 1)]
+    elif family == "cycle":
         (l,) = params
         if l < 3:
             raise InvalidParams("cycle length must be at least 3")
-        edges = [(i, i + 1) for i in range(1, l)] + [(l, 1)]
-        return Graph(l, tuple(edges))
-    if family == "complete":
+        n, edges = l, [(i, i + 1) for i in range(1, l)] + [(l, 1)]
+    elif family == "complete":
         (n,) = params
         if n < 2:
             raise InvalidParams("complete graph needs at least 2 vertices")
-        return Graph(n, tuple((u, v) for u in range(1, n) for v in range(u + 1, n + 1)))
-    if family == "complete_bipartite":
+        edges = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
+    elif family == "complete_bipartite":
         a, b = params
-        return Graph(
-            a + b, tuple((i, a + j) for i in range(1, a + 1) for j in range(1, b + 1))
-        )
-    if family == "complete_multipartite":
+        n, edges = a + b, [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)]
+    elif family == "complete_multipartite":
         n = sum(params)
         part = {}
         v = 1
@@ -202,16 +200,15 @@ def build_family(family, params):
             for _ in range(a):
                 part[v] = idx
                 v += 1
-        edges = tuple(
+        edges = [
             (u, w)
             for u in range(1, n)
             for w in range(u + 1, n + 1)
             if part[u] != part[w]
-        )
+        ]
         if not edges:
             raise InvalidParams("graph would have no edges")
-        return Graph(n, edges)
-    if family == "parallel_composition":
+    else:  # parallel_composition
         ks = params
         if sum(1 for k in ks if k == 1) > 1:
             raise InvalidParams("two paths of length 1 would create a multi-edge")
@@ -224,7 +221,9 @@ def build_family(family, params):
             chain = [1] + list(range(next_v, next_v + k - 1)) + [2]
             next_v += k - 1
             edges.extend((chain[i], chain[i + 1]) for i in range(k))
-        return Graph(next_v - 1, tuple(edges))
+        n = next_v - 1
+    # Simple by construction, so the edges are not checked again (Graph._make).
+    return Graph._make((n, tuple(edges)))
 
 
 def parse_graph(text):
@@ -288,17 +287,18 @@ def complete_multipartite_parts(G):
     return tuple(sorted(len(part) for part in classes.values()))
 
 
-def parallel_paths(G):
+def parallel_paths(G, adj=None):
     """Ascending path lengths if G is a parallel composition of paths, else
     None: exactly two hubs (vertices of degree at least 3), every other
     vertex of degree 2, and the paths from one hub, which end at the other,
     cover every vertex.  A cycle (r = 2) has no vertex of degree 3, so its
-    hubs are the ends of the first edge: C_l reads [1, l - 1]."""
+    hubs are the ends of the first edge: C_l reads [1, l - 1].  The paths
+    are walked over `adj`, G.adjacency() unless the caller has it already."""
     degree = Counter(chain.from_iterable(G.edges))  # no sort, unlike adjacency
     hubs = [v for v, d in degree.items() if d >= 3] or list(G.edges[0])
     if len(hubs) != 2 or min(degree.values()) < 2:
         return None
-    adj = G.adjacency()
+    adj = G.adjacency() if adj is None else adj
     a, b = hubs
     ks = []
     for v, _ in adj[a]:

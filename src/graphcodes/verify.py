@@ -11,7 +11,8 @@ generator cell cap builds nothing.
 
 The graph is read from one `graph._forest` pass (components, parity and
 sides) and one `graph.parallel_paths` call, which reads a cycle C_l as two
-paths of lengths 1 and l - 1; every r = 2 row is the same for any split.
+paths of lengths 1 and l - 1 (every r = 2 row is the same for any split);
+both walk one `Graph.adjacency`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ def verify(G, q, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_POINT_CAP):
     one whose generator exceeds the cell cap raises CapExceeded."""
     F = make_field(q)
     rows = []
-    forest = graphmod._forest(G)
+    adj = G.adjacency()  # shared by the forest and the parallel paths
+    forest = graphmod._forest(G, adj)
     summary = graphmod.summarize(G, forest)
     X = toric.parameterize(G, F, cap=cap)  # asserts the group order itself
     rows.append(_row("length", toric.expected_length(summary, F), toric.count_points(X)))
@@ -54,7 +56,7 @@ def verify(G, q, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_POINT_CAP):
     kab = sizes if len(sizes) == 2 else None
     n_complete = len(sizes) if len(sizes) > 3 and max(sizes) == 1 else None
     multiparts = sizes if len(sizes) > 2 and G.n > 3 else None
-    ks = graphmod.parallel_paths(G)  # [1, l - 1] on a cycle C_l
+    ks = graphmod.parallel_paths(G, adj)  # [1, l - 1] on a cycle C_l
     half_cycle = s // 2 if ks and len(ks) == 2 and s % 2 == 0 else None
     epsilon = None  # even ears, when the paths share one parity (bipartite)
     if ks and len({k % 2 for k in ks}) == 1:

@@ -558,17 +558,29 @@ def test_verify_bipartite_bounds_read_the_sides(monkeypatch):
 
 def test_verify_walks_the_graph_twice(monkeypatch):
     # Once for verify's own reading of the graph, once in parameterize.
+    # verify's walk and `parallel_paths` share one adjacency, so over GF(2),
+    # where parameterize walks nothing, a cycle's adjacency is built once.
     calls = []
     real_forest = graphmod._forest
 
-    def forest(G):
+    def forest(G, adj=None):
         calls.append(G.s)
-        return real_forest(G)
+        return real_forest(G, adj)
 
     monkeypatch.setattr(graphmod, "_forest", forest)
     monkeypatch.setattr(toric, "_forest", forest)
     assert verify(build_family("complete_bipartite", [2, 3]), 4, 2)["ok"]
     assert calls == [6, 6]
+    built = []
+    real_adjacency = graphmod.Graph.adjacency
+
+    def adjacency(G):
+        built.append(G.s)
+        return real_adjacency(G)
+
+    monkeypatch.setattr(graphmod.Graph, "adjacency", adjacency)
+    assert verify(build_family("cycle", [8]), 2, 0)["ok"]
+    assert built == [8]
 
 
 def test_verify_mu_rows_of_the_complete_families():

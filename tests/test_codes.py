@@ -598,8 +598,9 @@ def test_distance_routes_match_exhaustive_search(X, data):
 ])
 def test_dependent_columns_of_dual_degrees(family, params, q, d, found, delta):
     # Dual-route degrees: a distance of 2 or 3 is read off the columns of
-    # the dual basis, and the shortened dual is not enumerated; a distance
-    # of 4 (P_3/GF(9) at d = 11) falls through to it.
+    # the dual basis, and a distance of 4 (P_3/GF(9) at d = 11), which the
+    # columns do not give, is the coset bound met by a product witness; the
+    # shortened dual is enumerated on none of them.
     X = parameterize(build_family(family, params), make_field(q))
     inst = code_instance(X, d)
     k, m = inst.k, inst.m
@@ -617,7 +618,7 @@ def test_dependent_columns_of_dual_degrees(family, params, q, d, found, delta):
 
     with patch.object(codes, "_dual_distribution", counting):
         assert code_distance(inst) == delta
-    assert enumerated == ([] if found else [D.shape])
+    assert enumerated == []
     assert (found or 4) == delta
 
 
@@ -793,6 +794,113 @@ def test_coset_bound_at_the_griesmer_bound_builds_nothing(monkeypatch):
     assert built == [3]
 
 
+_SWEEP_GRAPHS = [("cycle", [4]), ("cycle", [5]), ("cycle", [6]), ("path", [3]), ("path", [4]),
+                 ("complete", [4]), ("complete", [5]), ("complete_bipartite", [1, 3]),
+                 ("complete_bipartite", [2, 3]), ("complete_bipartite", [3, 3]),
+                 ("complete_bipartite", [2, 4])]
+
+
+@pytest.mark.parametrize("family, params", _SWEEP_GRAPHS)
+def test_dual_side_distances_against_macwilliams(family, params):
+    # Every degree below the plateau that takes the dual side within the
+    # default budget, q <= 9 and |X| <= 5000: the distance equals the
+    # shortened dual's MacWilliams minimum, or on a torus with more than
+    # 10^6 shortened-dual classes (P_4/GF(9) at d = 18 takes seconds) the
+    # closed form.  From distance 4 up a product witness meets the coset
+    # bound exactly where the bound is the distance; the one miss of the
+    # sweep is C_5/GF(3) at d = 2, bound 2 against distance 4.
+    G = build_family(family, params)
+    misses = []
+    for q in (3, 4, 5, 7, 8, 9):
+        X = parameterize(G, make_field(q))
+        if X.m > 5000:
+            continue
+        for d in range(1, len(hilbert_function(X)) - 1):
+            inst = code_instance(X, d)
+            k, m = inst.k, inst.m
+            classes = (q ** (m - k - 1) - 1) // (q - 1)
+            if _bz_messages(k, m, q) <= classes or classes > codes.DEFAULT_BUDGET:
+                continue
+            delta = code_distance(inst)
+            if classes > 10**6 and X.m == (q - 1) ** (G.s - 1):
+                assert delta == mindist_torus_formula(G.s, d, q)
+            else:
+                B = _dual_distribution(dual_basis(inst), X.F)
+                assert delta == _macwilliams_min_weight(B, q, k)
+            lower = coset_bound(inst)
+            if delta >= 4 and codes._product_witness(inst, lower)[0] != lower:
+                misses.append((q, d, lower, delta))
+    assert misses == ([(3, 2, 2, 4)] if (family, params) == ("cycle", [5]) else [])
+
+
+def _witness_word(X, factors):
+    """The values on X.arr of the product of the linear forms `factors`,
+    each a tuple of (coordinate, coefficient) pairs."""
+    add, mul = X.F.add_table, X.F.mul_table
+    word = np.ones(X.m, dtype=np.uint8)
+    for form in factors:
+        value = np.zeros(X.m, dtype=np.uint8)
+        for j, c in form:
+            value = add[value, mul[c, X.arr[:, j]]]
+        word = mul[word, value]
+    return word
+
+
+@given(X=toric_sets(max_source=64, fields=(3, 4, 5, 7, 8, 9)), data=st.data())
+@example(X=parameterize(build_family("complete_bipartite", [2, 2]), make_field(5)), data=None)
+@example(X=parameterize(build_family("complete_bipartite", [2, 3]), make_field(7)), data=None)
+@example(X=parameterize(build_family("complete_bipartite", [3, 3]), make_field(5)), data=None)
+@example(X=parameterize(build_family("complete", [4]), make_field(8)), data=None)
+@example(X=parameterize(build_family("complete", [5]), make_field(4)), data=None)
+@settings(max_examples=60, deadline=None)
+def test_product_witness_is_a_word_of_the_code(X, data):
+    # The witness, evaluated through the field tables, has the weight it
+    # claims, at most d factors and at least the bound; scaled by P_1^-d it
+    # lies in the span of the characters T_d, and it weighs at least the
+    # exhaustive minimum.
+    dims = hilbert_function(X)
+    assume(len(dims) > 2)
+    d = 1 if data is None else data.draw(st.integers(1, len(dims) - 2))
+    inst = code_instance(X, d)
+    F = X.F
+    lower = coset_bound(inst)
+    weight, factors = codes._product_witness(inst, lower)
+    word = _witness_word(X, factors)
+    assert np.count_nonzero(word) == weight >= lower
+    assert len(factors) <= d
+    G = characters(X, character_grid(inst))
+    scaled = F.mul_table[word, F.inv_table[X.arr[:, 0]]]
+    for _ in range(d - 1):
+        scaled = F.mul_table[scaled, F.inv_table[X.arr[:, 0]]]
+    assert rank(np.vstack([G, scaled]), F) == inst.k
+    if F.q ** (inst.k - 1) <= 10**5:
+        assert weight >= min_weight_enum(G, F)
+
+
+def test_product_witness_memory_per_label(monkeypatch):
+    # K_{3,3} over GF(16) at d = 1: m = 50,625.  With the cap out of the
+    # way the witness holds one byte a label, the uint16 cycle keys and
+    # blocks of about 2^20 cells; under a cap of 0 it builds nothing and
+    # returns the monomial alone.
+    X = parameterize(build_family("complete_bipartite", [3, 3]), make_field(16))
+    inst = code_instance(X, 1)
+    lower = coset_bound(inst)
+    X.F.add_table  # the field tables, built on first access, outside the trace
+    rows = []
+    values = X.values
+    monkeypatch.setattr(X, "values", lambda cells: rows.append(len(cells)) or values(cells))
+    monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 0)
+    assert codes._product_witness(inst, lower) == (X.m, [])
+    assert rows == []
+    monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 10**12)
+    tracemalloc.start()
+    weight, factors = codes._product_witness(inst, lower)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert weight == lower == mindist_complete_bipartite(3, 3, 1, 16)
+    assert peak <= 16 * rows[0] * X.m, peak / (rows[0] * X.m)
+
+
 def test_a_word_below_the_bound_is_an_error():
     # The search stops once its best weight reaches the bound, so a bound
     # above the minimum weight is caught when a lighter word turns up
@@ -960,9 +1068,19 @@ def test_cap_leaves_the_side_that_fits(monkeypatch):
     # messages, 9 x 16 cells) is cheaper than the shortened dual (3906
     # classes, 7 x 16 cells).  A cap between the two generators leaves the
     # dual, and a cap below both refuses, naming the smaller generator.
+    # On the dual side a product witness meets the coset bound, 4, so no
+    # dual generator is built: the witness calls show the side taken.
     X = parameterize(build_family("cycle", [4]), make_field(5))
     default = codes.DEFAULT_CELL_CAP
     built = _count_builds(monkeypatch)
+    witnesses = []
+    real = codes._product_witness
+
+    def witness(inst, lower):
+        witnesses.append(lower)
+        return real(inst, lower)
+
+    monkeypatch.setattr(codes, "_product_witness", witness)
     with pytest.raises(BudgetExceeded) as exc:
         minimum_distance(X, 2, budget=0)
     assert exc.value.required == 1497
@@ -979,8 +1097,9 @@ def test_cap_leaves_the_side_that_fits(monkeypatch):
     monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 9 * 16 - 1)
     dual = minimum_distance(X, 2)
     monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", default)
-    assert dual == minimum_distance(X, 2) == expected
-    assert built == [7, 9]
+    assert dual == minimum_distance(X, 2) == expected == 4
+    assert built == [9]
+    assert witnesses == [4]
 
 
 def test_stalled_hilbert_function_is_a_violation():

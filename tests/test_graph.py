@@ -72,6 +72,22 @@ def test_reorder_edges_keeps_the_checked_edges(c6):
             c6.reorder_edges(bad)
 
 
+@pytest.mark.parametrize("family, grid", [
+    ("path", [[k] for k in range(1, 8)]),
+    ("cycle", [[l] for l in range(3, 9)]),
+    ("complete", [[n] for n in range(2, 8)]),
+    ("complete_bipartite", [[a, b] for a in range(1, 5) for b in range(1, 5)]),
+    ("complete_multipartite", [[1, 1], [1, 2], [2, 2, 1], [1, 1, 1, 1], [3, 1, 2]]),
+    ("parallel_composition", [[1, 2], [2, 2], [1, 2, 3], [3, 3, 3], [2, 4, 1, 5]]),
+])
+def test_families_are_the_checked_graphs(family, grid):
+    # build_family skips Graph's edge checks; the checked graph is the same.
+    for params in grid:
+        G = build_family(family, params)
+        assert type(G) is Graph and G == Graph(G.n, G.edges), (family, params)
+        assert all(type(e) is tuple for e in G.edges)
+
+
 def test_summarize_memory_is_linear_in_depth():
     # A path of 20,000 edges is one tree of depth 20,000: a mask of the tree
     # path to every vertex alone would hold about 25 MB.
