@@ -35,38 +35,38 @@ coordinates of rows 0..j - 1 of at least j wt(c) - (j - 1) m translates.
 When (W + 1 - j) m > (k - j)(b - 1) the two sets of translates meet: some
 translate of c is a weight-W message containing rows 0..j - 1.  j = 0 is
 the stop rule's own test, and a valid j makes j - 1 valid.  The dual is a
-character code as well, spanned by the characters
-outside -T_d (see `code_distance`), whose rows are the field inverses of the
-rows of the characters outside T_d.  The dual side reads the coset bound
-first: from 4 up, a product of at most d binomials that vanishes on the
-most points (`_product_witness`) is a word of that weight, and then the
-bound is the distance, with no dual built.  Otherwise it reads dependent
-columns, when the bound is at most 3, then the shortened dual: its basis
-is a parity-check matrix of C_X(d), so a distance of 2 or 3 is two
-proportional columns or a column in the span of two others, one of them at
-the identity point by translation (`_dependent_columns`); otherwise only
-the dual's words vanishing at the identity point are enumerated,
-transitivity gives the whole weight distribution (`_dual_distribution`)
-and MacWilliams the code's.  The side, the generator cap and the budget
-are decided from k, m and q before any matrix exists, and both routes stay
-independent of every closed-form formula.  Field elements are bytes (the
-uint8 tables of `gfq`), so both read weights from byte comparisons with no
-conversion and no fork on the kind of q, each block counted by one sum
-along its contiguous rows, into uint16 while the counts fit
-(`_count_type`).  Brouwer-Zimmermann compares prefixes, sums of w - r
-rows, with tails of r later rows: up to weight 3 the multiples of one row
-(r = 1), and from weight 4 a table of every two-row tail
-c_1 A_i + c_2 A_j (r = 2), built once per search from the field tables
-when its C(k - 2, 2) (q - 1)^2 (m - k) cells fit the cell cap, a check
-made before it is allocated (over the cap, r stays 1).  The dual's
-enumeration compares "high" vectors h with a span table of all q^r
-combinations l of the last r rows (wt(h + l) is the count of positions
-where l differs from -h).  The add/mul tables only build the vectors
-compared, at several times the cost of a compared cell; within a weight
-each prefix is built once, by extending a block of the sums one row
-shorter with the multiples of every higher row, in blocks of about _CELLS
-compared cells.  Exact rank, null spaces and the exhaustive primal search
-stay in the tests (`tests/oracle.py`) as an independent check.
+character code as well, spanned by the characters outside -T_d (see
+`code_distance`), whose rows are the field inverses of the rows of the
+characters outside T_d, and its basis is a parity-check matrix of C_X(d).
+The dual side, taken for high-rate codes, reads the coset bound first.
+When the bound is at most 3, a distance of 2 or 3 is two proportional
+columns of that basis or a column in the span of two others, one of them
+at the identity point by translation (`_dependent_columns`).  Failing
+that, a product of at most d binomials that vanishes on the most points
+(`_product_witness`) is a word of C_X(d), and when it weighs the bound the
+bound is the distance.  Otherwise its weight, attained and so at least
+the distance, is the best weight Brouwer-Zimmermann starts from on the
+primal generator, which ends the search at a far lower weight than the
+Griesmer bound would.  The side, the generator cap and the budget are
+decided from k, m and q before any matrix exists, a seeded search is
+checked again from the witness weight before its generator is built, and
+every route stays independent of every closed-form formula.  Field
+elements are bytes (the uint8 tables of `gfq`), so the search reads
+weights from byte comparisons with no conversion and no fork on the kind
+of q, each block counted by one sum along its contiguous rows, into uint16
+while the counts fit (`_count_type`).  Brouwer-Zimmermann compares
+prefixes, sums of w - r rows, with tails of r later rows: up to weight 3
+the multiples of one row (r = 1), and from weight 4 a table of every
+two-row tail c_1 A_i + c_2 A_j (r = 2), built once per search from the
+field tables when its C(k - 2, 2) (q - 1)^2 (m - k) cells fit the cell
+cap, a check made before it is allocated (over the cap, r stays 1).  The
+add/mul tables only build the vectors compared, at several times the cost
+of a compared cell; within a weight each prefix is built once, by
+extending a block of the sums one row shorter with the multiples of every
+higher row, in blocks of about _CELLS compared cells.  Exact rank, null
+spaces, the exhaustive primal search and the shortened dual with its
+MacWilliams transform stay in the tests (`tests/oracle.py`) as an
+independent check.
 """
 
 from __future__ import annotations
@@ -113,75 +113,11 @@ def characters(X, S):
     return X.values(np.argwhere(S))
 
 
-def _spans(base, rows, F, limit):
-    """Yield base + c @ rows for every c in GF(q)^len(rows), as uint8 blocks
-    of at most `limit` rows (limit >= 1).  The first row is the most
-    significant digit of the enumeration order, so the first q^t rows of a
-    single block are base plus the span of the last t rows."""
-    if len(rows) == 0:
-        yield base[None, :]
-        return
-    add, mul = F.add_table, F.mul_table
-    tail = F.q ** (len(rows) - 1)
-    if tail > limit:
-        for c in range(F.q):
-            yield from _spans(add[base, mul[c, rows[0]]], rows[1:], F, limit)
-        return
-    low = next(_spans(base, rows[1:], F, tail))
-    step = limit // tail  # coefficients of rows[0] per block
-    for c in range(0, F.q, step):
-        multiples = mul[c : c + step, rows[0]]
-        yield add[multiples[:, None, :], low[None, :, :]].reshape(-1, base.size)
-
-
 def _count_type(n):
     """The narrowest unsigned type that holds the counts 0..n of a row sum
     over a byte comparison: a sum into uint16 runs about 1.5 times as fast
     as one into uint32, and 8 bits would wrap past 255."""
     return np.uint16 if n < 1 << 16 else np.uint32
-
-
-def _class_weights(G, F):
-    """Hamming weights of one codeword per projective class of the code
-    spanned by G (first nonzero message coordinate 1), in blocks of at most
-    _CELLS compared cells (or one codeword, when that is longer).
-
-    A codeword is h + l: l is a row of a span table holding all q^r
-    combinations of the last r generator rows, and h is the lead row plus a
-    combination of the rows between.  wt(h + l) = #{j : -l_j != h_j}, so
-    with the table negated once a block is one byte comparison, the same
-    for every q, counted by a sum along its contiguous rows.  r is at most
-    half the rows and fits a fixed cell bound:
-    the table and the high vectors, q^r and about q^(k-1-r) gathered rows,
-    then cost far less than the q^(k-1) compared rows."""
-    k, m = G.shape
-    q = F.q
-    r = 0
-    while r < k // 2 and q ** (r + 1) * m <= _CELLS:
-        r += 1
-    table = next(_spans(np.zeros(m, dtype=np.uint8), G[k - r :], F, q**r))
-    neg_low = F.neg_table[table]
-    batch = max(1, _CELLS // neg_low.size)  # high vectors per comparison
-    count = _count_type(m)
-    for lead in range(k):
-        free = k - 1 - lead
-        if free <= r:
-            yield (neg_low[: q**free] != G[lead]).sum(axis=1, dtype=count)
-            continue
-        for high in _spans(G[lead], G[lead + 1 : k - r], F, batch):
-            differ = neg_low[None, :, :] != high[:, None, :]
-            yield differ.sum(axis=2, dtype=count).ravel()
-
-
-def _weight_distribution(G, F):
-    """Exact weight distribution of the code spanned by G (all codewords)."""
-    m = G.shape[1]
-    counts = np.zeros(m + 1, dtype=np.int64)
-    for weights in _class_weights(G, F):
-        counts += np.bincount(weights, minlength=m + 1)
-    dist = [int(c) * (F.q - 1) for c in counts]  # q - 1 scalings per class
-    dist[0] += 1  # the zero message
-    return dist
 
 
 def _systematic(G, F):
@@ -413,11 +349,13 @@ def _level_counts(labels, points, bins):
 
 
 def _product_witness(inst, lower):
-    """(weight, factors) of a nonzero word of C_X(d): a product of at most
-    d linear forms in the coordinates t, each a tuple of (coordinate,
-    coefficient) pairs, padded by a monomial, which is zero nowhere.  Its
-    weight is m less the points where some factor vanishes, so it is at
-    least `lower` when that bounds every nonzero word (`coset_bound`).
+    """(weight, factors, nonzero) of a nonzero word of C_X(d): a product of
+    at most d linear forms in the coordinates t, each a tuple of
+    (coordinate, coefficient) pairs, padded by a monomial, which is zero
+    nowhere.  `nonzero` is the boolean mask over X.arr of the points where
+    no factor vanishes, the word's support, and the weight is its count, so
+    it is at least `lower` when that bounds every nonzero word
+    (`coset_bound`).
 
     A factor t_i - l t_j vanishes where the ratio character P_i / P_j, the
     cell w_i - w_j (w_s = 0), takes the value l.  On a 4-cycle a-c-b-e of
@@ -432,8 +370,8 @@ def _product_witness(inst, lower):
     those of the points each step covers, and stops once the weight reaches
     `lower`; a weight below it makes the bound false and is an error.  The
     (rows + cycles) m labels are checked against DEFAULT_CELL_CAP before they
-    are built; over it the word is the monomial alone, (m, []).  A torus
-    with no graph has only the ratio factors."""
+    are built; over it the word is the monomial alone, of weight m.  A
+    torus with no graph has only the ratio factors."""
     X, m = inst.X, inst.m
     F, q = X.F, X.F.q
     orders = X.point_group.orders
@@ -463,14 +401,14 @@ def _product_witness(inst, lower):
                     if flip2:  # swap c and e
                         ac, ae, bc, be = ae, ac, be, bc
                     cycles.setdefault((r1, r2), (ac, ae, bc, be))
+    uncovered = np.ones(m, dtype=bool)
     if (len(rows) + len(cycles)) * m > DEFAULT_CELL_CAP:
-        return m, []
+        return m, [], uncovered
     labels = X.values(list(rows))
     R1, R2 = np.array(list(cycles), dtype=np.intp).reshape(-1, 2).T
     keys = labels[R1].astype(np.uint16)
     keys *= q
     keys += labels[R2]
-    uncovered = np.ones(m, dtype=bool)
     level = _level_counts(labels, uncovered, q)
     joint = _level_counts(keys, uncovered, q * q).reshape(-1, q, q)
     quads = list(cycles.values())
@@ -504,10 +442,10 @@ def _product_witness(inst, lower):
         joint -= _level_counts(keys, covered, q * q).reshape(-1, q, q)
         weight -= int(gains[best])
         assert weight >= lower, "a word weighs less than the lower bound"
-    return weight, factors
+    return weight, factors, uncovered
 
 
-def _bz_min_weight(G, F, lower=0):
+def _bz_min_weight(G, F, lower=0, best=None):
     """Minimum weight of the code spanned by G (k x m, full rank) when a
     group acting regularly on the m coordinates maps the code to itself
     (Brouwer-Zimmermann over the translates of one information set).
@@ -518,7 +456,9 @@ def _bz_min_weight(G, F, lower=0):
     word not yet seen weighs at least w on each of the m translates; each
     coordinate lies in exactly k of them, so the word weighs at least
     ceil(m w / k).  The search stops when that reaches the best weight,
-    which starts at the Griesmer bound (no [m, k]_q code weighs more).
+    which starts at `best`, the weight of a known word, or else at the
+    Griesmer bound (no [m, k]_q code weighs more).  Either is at least the
+    minimum, so a search that finds nothing lighter returns it.
 
     At the last weight W, where ceil(m (W + 1) / k) reaches the best
     weight b, only a word c with wt(c) <= b - 1 is left to rule out.  Each
@@ -553,7 +493,7 @@ def _bz_min_weight(G, F, lower=0):
     word found below it would make the bound false, and is an error."""
     k, m = G.shape
     A = _systematic(G, F)
-    best = _griesmer(k, m, F.q)
+    best = _griesmer(k, m, F.q) if best is None else best
     tails = None
     for w in range(1, k + 1):
         floor = -(-m * w // k)  # least weight of a word not yet seen
@@ -589,46 +529,29 @@ def _griesmer(k, m, q):
     return lo
 
 
-def _bz_messages(k, m, q):
-    """The most messages `_bz_min_weight` enumerates for an [m, k]_q code:
-    those of weight <= W, W the least w >= 1 with ceil(m (w + 1) / k) above
-    the Griesmer bound, since by then the minimum word is found and the
-    floor exceeds it.  At most (q^k - 1) / (q - 1), the weights <= k."""
+def _bz_messages(k, m, q, bound):
+    """The most messages `_bz_min_weight` enumerates for an [m, k]_q code
+    whose best weight starts at most at `bound`: those of weight
+    w <= floor(k (bound - 1) / m), and of weight 1 always, as the search
+    cannot reach a weight whose floor ceil(m w / k) is at least its best.
+    The primal side counts against the Griesmer bound plus 1, one weight
+    more than its start needs at some (k, m); the dual side against the
+    weight of its product witness.  At most (q^k - 1) / (q - 1), the
+    weights <= k."""
     total, term = 0, k  # term: the C(k, w) (q - 1)^(w - 1) of weight w
-    for w in range(1, max(1, k * _griesmer(k, m, q) // m) + 1):
+    for w in range(1, max(1, k * (bound - 1) // m) + 1):
         total += term
         term = term * (k - w) * (q - 1) // (w + 1)
     return total
 
 
-def _dual_distribution(D, F):
-    """Weight distribution B of the code spanned by the r rows of D, r
-    characters of X, from the r - 1 differences chi_c - chi_c0 alone.
-
-    The differences span the words that vanish at the identity point, where
-    every character is 1.  Translations act regularly on the coordinates
-    and map the code to itself, so each coordinate is zero in the same
-    number B0_w of weight-w words, and counting the zeros of the weight-w
-    words two ways gives B_w (m - w) = m B0_w for w < m; B_m is the rest of
-    the q^r words."""
-    r, m = D.shape
-    B0 = _weight_distribution(F.add_table[D[1:], F.neg_table[D[0]]], F)
-    B = []
-    for w in range(m):
-        Bw, rest = divmod(m * B0[w], m - w)
-        assert not rest, "the translations do not act regularly"
-        B.append(Bw)
-    B.append(F.q**r - sum(B))
-    return B
-
-
-def _dependent_columns(D, F, classes):
+def _dependent_columns(D, F):
     """2 or 3, the minimum distance of the code whose parity-check matrix
     is the dual basis D (`dual_basis`, r x m, column 0 at the identity
     point) when it is one of these; None when it is at least 4, or when it
-    is not 2 and the three-column search would compare more cells than the
-    shortened dual's `classes` do or than DEFAULT_CELL_CAP, a check made
-    before anything is allocated for it.
+    is not 2 and the (m - 1)(q - 2) r cells of the three-column search
+    would pass DEFAULT_CELL_CAP, a check made before anything is allocated
+    for it.
 
     The minimum distance of a code is the least number of linearly
     dependent columns of a parity-check matrix (MacWilliams-Sloane).  Every
@@ -657,7 +580,7 @@ def _dependent_columns(D, F, classes):
     keys = np.sort(NT.view(f"S{r}")[:, 0])
     if np.any(keys[1:] == keys[:-1]):
         return 2
-    if (m - 1) * (F.q - 2) * r > min(classes * m, DEFAULT_CELL_CAP):
+    if (m - 1) * (F.q - 2) * r > DEFAULT_CELL_CAP:
         return None
     scales = np.arange(1, F.q)
     scales = scales[add[1, scales] != 0]  # l, with 1 + l != 0
@@ -672,29 +595,17 @@ def _dependent_columns(D, F, classes):
     return None
 
 
-def _macwilliams_min_weight(B, q, k):
-    """Minimum weight of an [m, k]_q code whose dual has the weight
-    distribution B = (B_0, ..., B_m), by the MacWilliams transform
-    A_j = q^(k - m) sum_w B_w K_j(w).  The Krawtchouk values K_j(w) follow
-    the three-term recurrence
-    (j + 1) K_{j+1} = ((m - j)(q - 1) + j - q w) K_j - (q - 1)(m - j + 1) K_{j-1}
-    from K_0 = 1, in exact integers: O(m) per weight of the dual.  Every
-    A_j must divide exactly by q^(m - k), A_0 be 1 and the A_j sum to q^k."""
-    m = len(B) - 1
-    A = [0] * (m + 1)
-    for w, Bw in enumerate(B):
-        if not Bw:
-            continue
-        previous, K = 0, 1
-        for j in range(m + 1):
-            A[j] += Bw * K
-            previous, K = K, (
-                ((m - j) * (q - 1) + j - q * w) * K - (q - 1) * (m - j + 1) * previous
-            ) // (j + 1)
-    A, rests = zip(*(divmod(a, q ** (m - k)) for a in A))
-    assert not any(rests), "MacWilliams transform is not integral"
-    assert A[0] == 1 and sum(A) == q**k, "MacWilliams transform sanity check"
-    return next(w for w in range(1, m + 1) if A[w] > 0)
+def _refuse(cells, needed, budget):
+    """Raise CapExceeded when a generator of `cells` cells would pass
+    DEFAULT_CELL_CAP, and otherwise BudgetExceeded when the `needed`
+    messages or classes of its search would pass the budget."""
+    cap = DEFAULT_CELL_CAP
+    if cells > cap:
+        raise CapExceeded(f"generator needs {cells} cells, cap is {cap}", required=cells)
+    if needed > budget:
+        raise BudgetExceeded(
+            f"{needed} message classes required, budget is {budget}", required=needed
+        )
 
 
 def minimum_distance(X, d, budget=DEFAULT_BUDGET):
@@ -702,71 +613,68 @@ def minimum_distance(X, d, budget=DEFAULT_BUDGET):
     return code_distance(code_instance(X, d), budget=budget)
 
 
-def code_distance(inst, budget=DEFAULT_BUDGET):
-    """Exact minimum Hamming weight of a code instance.
+def code_distance(inst, budget=DEFAULT_BUDGET, lower=None):
+    """Exact minimum Hamming weight of a code instance; `lower` is its
+    coset bound (`coset_bound`) when the caller has it.
 
     X acts regularly on the coordinates by translation and maps C_X(d) and
     its dual to themselves (chi_c(x + g) = chi_c(g) chi_c(x)).  The primal
     side runs Brouwer-Zimmermann over the translates of one information set
     (`_bz_min_weight`), at most `_bz_messages` messages, and ends it at the
-    coset bound of T_d (`coset_bound`).  The dual side is a
-    character code: m = |X| divides (q-1)^r, so m != 0 in GF(q), and the
-    characters satisfy <chi_a, chi_b> = m [a + b = 0], so C_X(d)^perp is
-    spanned by the m - k cells of the point grid outside -T_d.  As
-    chi_-b = 1 / chi_b, those rows are the rows of the characters outside
-    T_d through the field's inverse table (`dual_basis`).  The dual side
-    starts from the coset bound: when it is at least 4 and a product
-    witness weighs exactly that (`_product_witness`), the bound is the
-    distance and no dual basis is built.  Otherwise the basis is built, a
-    parity-check matrix, and a distance of 2 or 3 is read off its columns
-    (`_dependent_columns`, only when the bound is at most 3, as the
-    distance is at least 4 otherwise); failing that, the
-    (q^(m-k-1) - 1)/(q - 1) classes of its words vanishing at the identity
-    are enumerated (`_dual_distribution`), then transformed (MacWilliams).
-    The witness never runs on the primal side, where it costs more than
-    the generator it would save, nor before the budget check.
+    coset bound of T_d.  The dual side is a character code: m = |X|
+    divides (q-1)^r, so m != 0 in GF(q), and the characters satisfy
+    <chi_a, chi_b> = m [a + b = 0], so C_X(d)^perp is spanned by the
+    m - k cells of the point grid outside -T_d, the inverses of the rows of
+    the characters outside T_d (`dual_basis`), a parity-check matrix.  On
+    that side a bound of at most 3 is tried on its columns
+    (`_dependent_columns`), then a product witness (`_product_witness`):
+    at the bound it is the distance, and otherwise its weight b, attained
+    and so at least the distance, is where the search on the primal
+    generator starts, so that only messages of weight up to
+    floor(k (b - 1) / m) are enumerated.  The witness never runs on the
+    primal side, where it costs more than the generator it would save.
 
     The side is the cheaper one whose generator (k or m - k rows of m
-    cells) fits DEFAULT_CELL_CAP, and its count is checked against the
-    budget, all from k, m and q before any matrix is built; only the chosen
-    side is built, and a side over the cap is not even counted.  Nothing is
-    built for a single character (k = 1), which is zero nowhere and so has
-    distance m, nor for a full code (k = m), whose distance is 1, nor when
-    the primal side's coset bound is its Griesmer bound, the distance, nor
-    when a dual-side witness meets the bound.  The bound is computed once,
-    after the cap and budget checks.
+    cells) fits DEFAULT_CELL_CAP, priced at the messages of a search from
+    the Griesmer bound or, as when the dual's words vanishing at the
+    identity were enumerated, at their (q^(m-k-1) - 1)/(q - 1) classes;
+    the price is checked against the budget, all from k, m and q before
+    any matrix is built, and a side over the cap is not priced.  A seeded
+    search checks its k m cells and messages again before it builds.
+    Nothing is built for a single character (k = 1), which is zero nowhere
+    and so has distance m, nor for a full code (k = m), whose distance is
+    1, nor when the primal side's coset bound is its Griesmer bound, the
+    distance, nor when a dual-side witness meets the bound.  The bound is
+    computed after the cap and budget checks, unless it is given.
     """
     k, m = inst.k, inst.m
     if k == m:
         return 1
     if k == 1:
         return m
-    cap = DEFAULT_CELL_CAP
-    cells = min(k, m - k) * m  # the smaller generator
-    if cells > cap:
-        raise CapExceeded(f"generator needs {cells} cells, cap is {cap}", required=cells)
     F = inst.X.F
     q = F.q
+    cap = DEFAULT_CELL_CAP
     out = float("inf")  # the count of a side over the cap
-    primal = _bz_messages(k, m, q) if k * m <= cap else out
+    primal = _bz_messages(k, m, q, _griesmer(k, m, q) + 1) if k * m <= cap else out
     dual = (q ** (m - k - 1) - 1) // (q - 1) if (m - k) * m <= cap else out
-    needed = min(primal, dual)
-    if needed > budget:
-        raise BudgetExceeded(
-            f"{needed} message classes required, budget is {budget}", required=needed
-        )
-    lower = coset_bound(inst)
+    _refuse(min(k, m - k) * m, min(primal, dual), budget)  # the smaller generator
+    if lower is None:
+        lower = coset_bound(inst)
     if primal <= dual:
         if lower == _griesmer(k, m, q):  # delta lies between the two
             return lower
-        G = characters(inst.X, character_grid(inst))
-        return _bz_min_weight(G, F, lower)
-    if lower >= 4 and _product_witness(inst, lower)[0] == lower:
-        return lower
-    D = dual_basis(inst)
-    return (lower <= 3 and _dependent_columns(D, F, dual)) or _macwilliams_min_weight(
-        _dual_distribution(D, F), q, k
-    )
+        best = None  # the search starts from the Griesmer bound
+    else:
+        found = lower <= 3 and _dependent_columns(dual_basis(inst), F)
+        if found:
+            return found
+        best = _product_witness(inst, lower)[0]
+        if best == lower:
+            return lower
+        _refuse(k * m, _bz_messages(k, m, q, best), budget)
+    G = characters(inst.X, character_grid(inst))
+    return _bz_min_weight(G, F, lower, best)
 
 
 class ProfileRow(
@@ -785,17 +693,18 @@ class ProfileRow(
 
 def profile_rows(X, d_max, budget=DEFAULT_BUDGET):
     """Per-degree (dim, delta, Singleton bound, coset bound) records for
-    d = 0..d_max from one pass of the sumset, with no law checked.  A
-    degree the budget refuses has no delta and no coset bound, and records
-    the classes it required."""
+    d = 0..d_max from one pass of the sumset, with no law checked; each
+    degree's coset bound is computed once and handed to `code_distance`.
+    A degree the budget refuses has no delta and no coset bound, and
+    records the classes it required."""
     rows = []
     for d, (T, k) in enumerate(islice(hilbert._sumsets(X), d_max + 1)):
         inst = CodeInstance(X, d, T, k)
+        bound = coset_bound(inst)
         try:
-            delta, required = code_distance(inst, budget=budget), None
+            delta, required = code_distance(inst, budget=budget, lower=bound), None
         except BudgetExceeded as exc:
-            delta, required = None, exc.required
-        bound = None if delta is None else coset_bound(inst)
+            delta, required, bound = None, exc.required, None
         rows.append(ProfileRow(d, k, delta, X.m - k + 1, required, bound))
     return rows
 
@@ -803,8 +712,9 @@ def profile_rows(X, d_max, budget=DEFAULT_BUDGET):
 def distance_laws(rows):
     """Yield (check, d, expected, actual) for each law the distances of
     profile rows obey: delta within the Singleton bound; delta at least the
-    coset bound, which the search and the shortened dual, blind to it,
-    test independently (a degree answered by the bound passes it);
+    coset bound, which the dependent columns, blind to it, test
+    independently (the search stops at the bound and raises on a word
+    below it, and a degree answered by the bound passes it);
     delta below the last delta computed while that exceeds 1, and 1 once it
     is 1; and delta = 1 from the regularity plateau (dim = m, Singleton
     bound 1) on.  A refused degree has no delta and no check."""

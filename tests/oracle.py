@@ -13,10 +13,15 @@ a null space, the minimum distance by enumerating every message class,
 the MacWilliams transform by expanding its polynomials, and the image of
 an integer matrix over Z/N, the point map's in particular, by a diagonal
 (Smith) form (`group_image`), against which the point grid written from
-the spanning forest is checked.  The ternary standard monomials B_d are the
-d-subsets of edges that contain no square-free grevlex leading term, each
-term a half of an even Eulerian subgraph found by scanning every edge
-subset.
+the spanning forest is checked.  The minimum distance of a high-rate code
+also comes from its dual, independently of the package's search: the
+weight distribution of the dual's words vanishing at the identity point,
+enumerated against a span table (`_class_weights`), gives the whole dual
+distribution by transitivity (`_dual_distribution`), and the Krawtchouk
+recurrence the code's minimum weight (`_macwilliams_min_weight`).  The
+ternary standard monomials B_d are the d-subsets of edges that contain no
+square-free grevlex leading term, each term a half of an even Eulerian
+subgraph found by scanning every edge subset.
 """
 
 from itertools import combinations, product
@@ -25,6 +30,7 @@ from math import comb, gcd
 import numpy as np
 
 from conftest import eulerian_subsets_brute
+from graphcodes.codes import _CELLS, _count_type
 from graphcodes.errors import CapExceeded
 from graphcodes.toric import GroupImage
 
@@ -120,6 +126,116 @@ def macwilliams(B, q, k):
     scale = q ** (m - k)
     assert all(a % scale == 0 for a in A)
     return [a // scale for a in A]
+
+
+def _spans(base, rows, F, limit):
+    """Yield base + c @ rows for every c in GF(q)^len(rows), as uint8 blocks
+    of at most `limit` rows (limit >= 1).  The first row is the most
+    significant digit of the enumeration order, so the first q^t rows of a
+    single block are base plus the span of the last t rows."""
+    if len(rows) == 0:
+        yield base[None, :]
+        return
+    add, mul = F.add_table, F.mul_table
+    tail = F.q ** (len(rows) - 1)
+    if tail > limit:
+        for c in range(F.q):
+            yield from _spans(add[base, mul[c, rows[0]]], rows[1:], F, limit)
+        return
+    low = next(_spans(base, rows[1:], F, tail))
+    step = limit // tail  # coefficients of rows[0] per block
+    for c in range(0, F.q, step):
+        multiples = mul[c : c + step, rows[0]]
+        yield add[multiples[:, None, :], low[None, :, :]].reshape(-1, base.size)
+
+
+def _class_weights(G, F):
+    """Hamming weights of one codeword per projective class of the code
+    spanned by G (first nonzero message coordinate 1), in blocks of at most
+    _CELLS compared cells (or one codeword, when that is longer).
+
+    A codeword is h + l: l is a row of a span table holding all q^r
+    combinations of the last r generator rows, and h is the lead row plus a
+    combination of the rows between.  wt(h + l) = #{j : -l_j != h_j}, so
+    with the table negated once a block is one byte comparison, the same
+    for every q, counted by a sum along its contiguous rows.  r is at most
+    half the rows and fits a fixed cell bound:
+    the table and the high vectors, q^r and about q^(k-1-r) gathered rows,
+    then cost far less than the q^(k-1) compared rows."""
+    k, m = G.shape
+    q = F.q
+    r = 0
+    while r < k // 2 and q ** (r + 1) * m <= _CELLS:
+        r += 1
+    table = next(_spans(np.zeros(m, dtype=np.uint8), G[k - r :], F, q**r))
+    neg_low = F.neg_table[table]
+    batch = max(1, _CELLS // neg_low.size)  # high vectors per comparison
+    count = _count_type(m)
+    for lead in range(k):
+        free = k - 1 - lead
+        if free <= r:
+            yield (neg_low[: q**free] != G[lead]).sum(axis=1, dtype=count)
+            continue
+        for high in _spans(G[lead], G[lead + 1 : k - r], F, batch):
+            differ = neg_low[None, :, :] != high[:, None, :]
+            yield differ.sum(axis=2, dtype=count).ravel()
+
+
+def _weight_distribution(G, F):
+    """Exact weight distribution of the code spanned by G (all codewords)."""
+    m = G.shape[1]
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for weights in _class_weights(G, F):
+        counts += np.bincount(weights, minlength=m + 1)
+    dist = [int(c) * (F.q - 1) for c in counts]  # q - 1 scalings per class
+    dist[0] += 1  # the zero message
+    return dist
+
+
+def _dual_distribution(D, F):
+    """Weight distribution B of the code spanned by the r rows of D, r
+    characters of X, from the r - 1 differences chi_c - chi_c0 alone.
+
+    The differences span the words that vanish at the identity point, where
+    every character is 1.  Translations act regularly on the coordinates
+    and map the code to itself, so each coordinate is zero in the same
+    number B0_w of weight-w words, and counting the zeros of the weight-w
+    words two ways gives B_w (m - w) = m B0_w for w < m; B_m is the rest of
+    the q^r words."""
+    r, m = D.shape
+    B0 = _weight_distribution(F.add_table[D[1:], F.neg_table[D[0]]], F)
+    B = []
+    for w in range(m):
+        Bw, rest = divmod(m * B0[w], m - w)
+        assert not rest, "the translations do not act regularly"
+        B.append(Bw)
+    B.append(F.q**r - sum(B))
+    return B
+
+
+def _macwilliams_min_weight(B, q, k):
+    """Minimum weight of an [m, k]_q code whose dual has the weight
+    distribution B = (B_0, ..., B_m), by the MacWilliams transform
+    A_j = q^(k - m) sum_w B_w K_j(w).  The Krawtchouk values K_j(w) follow
+    the three-term recurrence
+    (j + 1) K_{j+1} = ((m - j)(q - 1) + j - q w) K_j - (q - 1)(m - j + 1) K_{j-1}
+    from K_0 = 1, in exact integers: O(m) per weight of the dual.  Every
+    A_j must divide exactly by q^(m - k), A_0 be 1 and the A_j sum to q^k."""
+    m = len(B) - 1
+    A = [0] * (m + 1)
+    for w, Bw in enumerate(B):
+        if not Bw:
+            continue
+        previous, K = 0, 1
+        for j in range(m + 1):
+            A[j] += Bw * K
+            previous, K = K, (
+                ((m - j) * (q - 1) + j - q * w) * K - (q - 1) * (m - j + 1) * previous
+            ) // (j + 1)
+    A, rests = zip(*(divmod(a, q ** (m - k)) for a in A))
+    assert not any(rests), "MacWilliams transform is not integral"
+    assert A[0] == 1 and sum(A) == q**k, "MacWilliams transform sanity check"
+    return next(w for w in range(1, m + 1) if A[w] > 0)
 
 
 def from_support(subset, s):

@@ -253,7 +253,10 @@ def test_verify_generator_cap_is_a_refusal(monkeypatch):
     # Brouwer-Zimmermann's message counts, each below the (256^k - 1) / 255
     # classes of an exhaustive search; d = 1 needs the 3 + 3 * 255 messages
     # of weight <= 2.
-    needed = [codes._bz_messages(hilbert.dimension(X, d), X.m, 256) for d in range(1, 17)]
+    needed = []
+    for d in range(1, 17):
+        k = hilbert.dimension(X, d)
+        needed.append(codes._bz_messages(k, X.m, 256, codes._griesmer(k, X.m, 256) + 1))
     assert needed[0] == 768
     assert all(n < (256 ** hilbert.dimension(X, d) - 1) // 255 for d, n in enumerate(needed, 1))
     assert [r["status"] for r in report["rows"] if r["check"] == "mindist brute force"] == [

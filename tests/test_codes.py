@@ -9,15 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import assert_value_type, two_triangles
 from graphcodes import codes
 from graphcodes.codes import (
     _bz_messages,
     _bz_min_weight,
-    _class_weights,
-    _dual_distribution,
-    _macwilliams_min_weight,
-    _weight_distribution,
     character_grid,
     characters,
     code_distance,
@@ -39,6 +36,10 @@ from graphcodes.graph import Graph, build_family
 from graphcodes.hilbert import code_instance, dimension, hilbert_function, regularity_index
 from graphcodes.toric import GroupImage, ToricSet, parameterize, torus_points
 from oracle import (
+    _class_weights,
+    _dual_distribution,
+    _macwilliams_min_weight,
+    _weight_distribution,
     evaluation_matrix,
     grid_sumsets,
     macwilliams,
@@ -135,6 +136,18 @@ def test_code_instance_and_profile_row_are_immutable_values():
     assert_value_type(row, codes.ProfileRow(1, 4, 9, 13, None, None),
                       "d", "dim", "delta", "singleton", "required", "bound")
     assert codes.ProfileRow(2, 9, None, 8, 120).skipped == "budget: 120 classes required"
+
+
+def test_profile_computes_each_coset_bound_once(monkeypatch):
+    # `profile_rows` hands each degree's coset bound to `code_distance`,
+    # which computes it only when it is not given.
+    X = parameterize(build_family("complete_bipartite", [2, 3]), make_field(4))
+    calls = []
+    real = codes.coset_bound
+    monkeypatch.setattr(codes, "coset_bound", lambda inst: calls.append(inst.d) or real(inst))
+    rows = codes.profile_rows(X, 3)
+    assert calls == [0, 1, 2, 3]
+    assert [r.bound for r in rows] == [X.m, *(coset_bound(code_instance(X, d)) for d in (1, 2, 3))]
 
 
 def test_regularity_torus_p1_gf5():
@@ -259,7 +272,7 @@ def _scalar_combinations(A, F, t):
 def test_weight_distribution_matches_scalar_brute_force(case):
     F, G, cells = case
     k, m = G.shape
-    with patch.object(codes, "_CELLS", cells):
+    with patch.object(oracle, "_CELLS", cells):
         blocks = list(_class_weights(G, F))
         assert sum(len(b) for b in blocks) == (F.q**k - 1) // (F.q - 1)
         assert all(len(b) * m <= max(cells, m) for b in blocks)
@@ -491,6 +504,21 @@ def test_systematic_memory_per_generator_cell():
 
 
 @contextmanager
+def _counting_systematic():
+    """Patch `codes._systematic` to record the shape of every generator it
+    puts in systematic form, one per search."""
+    shapes = []
+    real = codes._systematic
+
+    def counting(G, F):
+        shapes.append(G.shape)
+        return real(G, F)
+
+    with patch.object(codes, "_systematic", counting):
+        yield shapes
+
+
+@contextmanager
 def _counting_messages():
     """Patch `codes._message_weights` to record [w, fixed, messages] for
     each weight the search enumerates."""
@@ -528,21 +556,30 @@ def _bits(S):
     return int.from_bytes(np.packbits(S.ravel(), bitorder="little").tobytes(), "little")
 
 
-def _three_columns_searched(D, F, classes):
+def _three_columns_searched(D, F):
     """Whether `_dependent_columns` looks for three dependent columns of D
     (the guard it checks before allocating the candidates)."""
     r, m = D.shape
-    return (m - 1) * (F.q - 2) * r <= min(classes * m, codes.DEFAULT_CELL_CAP)
+    return (m - 1) * (F.q - 2) * r <= codes.DEFAULT_CELL_CAP
+
+
+def _primal_messages(k, m, q):
+    """The messages the primal side is priced at: a search from the
+    Griesmer bound."""
+    return _bz_messages(k, m, q, codes._griesmer(k, m, q) + 1)
 
 
 def _check_distance_routes(X, S):
     """Brouwer-Zimmermann, the dependent columns of the dual basis and the
-    shortened dual on the code spanned by the characters in S
+    oracle's shortened dual on the code spanned by the characters in S
     (1 <= |S| < m), against the exhaustive search over the smaller side
     (`_exhaustive_min_weight`); Brouwer-Zimmermann also with the coset
-    bound of S, which it must not pass.  The dependent columns give the
-    minimum when they give anything, and give nothing only when it is at
-    least 4, or at least 3 when the guard skipped the three-column search."""
+    bound of S, which it must not pass, and seeded with the weight of the
+    lightest row of its systematic generator, a word of the code, as the
+    dual side seeds it with a witness.  Each search enumerates at most the
+    messages it is priced at.  The dependent columns give the minimum when
+    they give anything, and give nothing only when it is at least 4, or at
+    least 3 when the guard skipped the three-column search."""
     F = X.F
     q = F.q
     G = characters(X, S)
@@ -553,14 +590,17 @@ def _check_distance_routes(X, S):
     assert _bz_min_weight(G, F, lower) == expected
     with _counting_messages() as calls:
         assert _bz_min_weight(G, F) == expected
-    assert sum(n for _, _, n in calls) <= _bz_messages(k, m, q) <= (q**k - 1) // (q - 1)
+    assert sum(n for _, _, n in calls) <= _primal_messages(k, m, q) <= (q**k - 1) // (q - 1)
+    seed = 1 + int(np.count_nonzero(codes._systematic(G, F), axis=1).min())
+    with _counting_messages() as calls:
+        assert _bz_min_weight(G, F, best=seed) == expected
+    assert sum(n for _, _, n in calls) <= _bz_messages(k, m, q, seed)
     D = F.inv_table[characters(X, ~S)]
-    classes = (q ** (m - k - 1) - 1) // (q - 1)
-    found = codes._dependent_columns(D, F, classes)
+    found = codes._dependent_columns(D, F)
     if found is not None:
         assert found == expected
     else:
-        assert expected >= (4 if _three_columns_searched(D, F, classes) else 3)
+        assert expected >= (4 if _three_columns_searched(D, F) else 3)
     if m - k <= k:
         B = _dual_distribution(D, F)
         assert B == _weight_distribution(D, F)
@@ -599,45 +639,86 @@ def test_distance_routes_match_exhaustive_search(X, data):
 def test_dependent_columns_of_dual_degrees(family, params, q, d, found, delta):
     # Dual-route degrees: a distance of 2 or 3 is read off the columns of
     # the dual basis, and a distance of 4 (P_3/GF(9) at d = 11), which the
-    # columns do not give, is the coset bound met by a product witness; the
-    # shortened dual is enumerated on none of them.
+    # columns do not give, is the coset bound met by a product witness; no
+    # search runs on any of them.
     X = parameterize(build_family(family, params), make_field(q))
     inst = code_instance(X, d)
     k, m = inst.k, inst.m
     classes = (q ** (m - k - 1) - 1) // (q - 1)
-    assert _bz_messages(k, m, q) > classes  # `code_distance` takes the dual side
+    assert _primal_messages(k, m, q) > classes  # `code_distance` takes the dual side
     D = dual_basis(inst)
-    assert _three_columns_searched(D, X.F, classes)
-    assert codes._dependent_columns(D, X.F, classes) == found
-    enumerated = []
-    real = codes._dual_distribution
-
-    def counting(D, F):
-        enumerated.append(D.shape)
-        return real(D, F)
-
-    with patch.object(codes, "_dual_distribution", counting):
+    assert _three_columns_searched(D, X.F)
+    assert codes._dependent_columns(D, X.F) == found
+    with _counting_systematic() as searched:
         assert code_distance(inst) == delta
-    assert enumerated == []
+    assert searched == []
     assert (found or 4) == delta
+
+
+_INNER_ROOTED_P4 = Graph(5, ((1, 2), (1, 3), (2, 4), (3, 5)))
+
+
+@pytest.mark.parametrize("G, q, d, lower, delta", [
+    (build_family("cycle", [5]), 3, 2, 2, 4),
+    (_INNER_ROOTED_P4, 4, 3, 3, mindist_torus_formula(4, 3, 4)),
+    (_INNER_ROOTED_P4, 7, 12, 3, mindist_torus_formula(4, 12, 7)),
+], ids=["C5-GF3-d2", "inner-rooted-P4-GF4-d3", "inner-rooted-P4-GF7-d12"])
+def test_seeded_search_ends_the_dual_side(G, q, d, lower, delta):
+    # Dual-side degrees whose coset bound, at most 3, is below the distance
+    # and whose product witness weighs the distance: C_5 over GF(3), and
+    # the 4-edge path with vertex 1 inside it, a tree, so X is the 3-torus
+    # (distance 6 and 4).  The columns give nothing and the witness misses
+    # the bound, so its weight seeds one search on the primal generator,
+    # whose answer is the oracle's MacWilliams minimum of the dual.
+    X = parameterize(G, make_field(q))
+    inst = code_instance(X, d)
+    k, m = inst.k, inst.m
+    assert _primal_messages(k, m, q) > (q ** (m - k - 1) - 1) // (q - 1)  # the dual side
+    assert coset_bound(inst) == lower
+    D = dual_basis(inst)
+    assert _macwilliams_min_weight(_dual_distribution(D, X.F), q, k) == delta
+    assert codes._dependent_columns(D, X.F) is None
+    assert codes._product_witness(inst, lower)[0] == delta > lower
+    with _counting_systematic() as searched:
+        assert code_distance(inst) == delta
+    assert searched == [(k, m)]
+
+
+def test_seeded_search_is_priced_before_its_generator(monkeypatch):
+    # C_5 over GF(3) at d = 2: k = 11 of m = 16.  The dual side's 40 classes
+    # pass a budget of 100, the witness weighs 4 against a bound of 2, and
+    # the search from 4 needs the 11 + 55 * 2 = 121 messages of weight <= 2,
+    # floor(11 * 3 / 16) = 2: refused before the generator is built.  Only
+    # the 5-row dual basis the columns read is built.
+    X = parameterize(build_family("cycle", [5]), make_field(3))
+    inst = code_instance(X, 2)
+    assert (inst.k, inst.m) == (11, 16)
+    built = _count_builds(monkeypatch)
+    with pytest.raises(BudgetExceeded) as exc:
+        code_distance(inst, budget=39)
+    assert exc.value.required == 40
+    assert built == []
+    with pytest.raises(BudgetExceeded) as exc:
+        code_distance(inst, budget=100)
+    assert exc.value.required == _bz_messages(11, 16, 3, 4) == 121
+    assert built == [5]
+    assert code_distance(inst, budget=121) == 4
+    assert built == [5, 5, 11]
 
 
 def test_three_column_search_is_guarded(monkeypatch):
     # K_{2,3} over GF(4) at d = 2: m = 27, r = 9, so (m - 1)(q - 2) r = 468
-    # candidate cells.  Under a cell cap or a class count that leaves them
-    # out, the search gives nothing and the shortened dual finds the 3.
+    # candidate cells.  Under a cell cap that leaves them out, the search
+    # gives nothing, and a product witness of weight 3 meets the coset
+    # bound.
     X = parameterize(build_family("complete_bipartite", [2, 3]), make_field(4))
     inst = code_instance(X, 2)
     D = dual_basis(inst)
     assert D.shape == (9, 27)
-    classes = (4**8 - 1) // 3
-    assert codes._dependent_columns(D, X.F, classes) == 3
-    assert codes._dependent_columns(D, X.F, 18) == 3  # 18 * 27 = 486 cells
-    assert codes._dependent_columns(D, X.F, 17) is None  # 459 cells
     monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 468)
-    assert codes._dependent_columns(D, X.F, classes) == 3
+    assert codes._dependent_columns(D, X.F) == 3
     monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 467)
-    assert codes._dependent_columns(D, X.F, classes) is None
+    assert codes._dependent_columns(D, X.F) is None
     assert code_distance(inst) == mindist_complete_bipartite(2, 3, 2, 4) == 3
 
 
@@ -804,11 +885,12 @@ _SWEEP_GRAPHS = [("cycle", [4]), ("cycle", [5]), ("cycle", [6]), ("path", [3]), 
 def test_dual_side_distances_against_macwilliams(family, params):
     # Every degree below the plateau that takes the dual side within the
     # default budget, q <= 9 and |X| <= 5000: the distance equals the
-    # shortened dual's MacWilliams minimum, or on a torus with more than
-    # 10^6 shortened-dual classes (P_4/GF(9) at d = 18 takes seconds) the
-    # closed form.  From distance 4 up a product witness meets the coset
+    # oracle's shortened-dual MacWilliams minimum, or on a torus with more
+    # than 10^6 shortened-dual classes (P_4/GF(9) at d = 18 takes seconds)
+    # the closed form.  From distance 4 up a product witness meets the coset
     # bound exactly where the bound is the distance; the one miss of the
-    # sweep is C_5/GF(3) at d = 2, bound 2 against distance 4.
+    # sweep is C_5/GF(3) at d = 2, bound 2 against distance 4, which the
+    # search seeded by the witness answers.
     G = build_family(family, params)
     misses = []
     for q in (3, 4, 5, 7, 8, 9):
@@ -819,7 +901,7 @@ def test_dual_side_distances_against_macwilliams(family, params):
             inst = code_instance(X, d)
             k, m = inst.k, inst.m
             classes = (q ** (m - k - 1) - 1) // (q - 1)
-            if _bz_messages(k, m, q) <= classes or classes > codes.DEFAULT_BUDGET:
+            if _primal_messages(k, m, q) <= classes or classes > codes.DEFAULT_BUDGET:
                 continue
             delta = code_distance(inst)
             if classes > 10**6 and X.m == (q - 1) ** (G.s - 1):
@@ -846,26 +928,43 @@ def _witness_word(X, factors):
     return word
 
 
-@given(X=toric_sets(max_source=64, fields=(3, 4, 5, 7, 8, 9)), data=st.data())
-@example(X=parameterize(build_family("complete_bipartite", [2, 2]), make_field(5)), data=None)
-@example(X=parameterize(build_family("complete_bipartite", [2, 3]), make_field(7)), data=None)
-@example(X=parameterize(build_family("complete_bipartite", [3, 3]), make_field(5)), data=None)
-@example(X=parameterize(build_family("complete", [4]), make_field(8)), data=None)
-@example(X=parameterize(build_family("complete", [5]), make_field(4)), data=None)
-@settings(max_examples=60, deadline=None)
-def test_product_witness_is_a_word_of_the_code(X, data):
-    # The witness, evaluated through the field tables, has the weight it
-    # claims, at most d factors and at least the bound; scaled by P_1^-d it
-    # lies in the span of the characters T_d, and it weighs at least the
-    # exhaustive minimum.
+@st.composite
+def _witness_degrees(draw):
+    """(X, d): a toric set of at most 64 source points over q <= 9 and a
+    degree d below its plateau."""
+    X = draw(toric_sets(max_source=64, fields=(3, 4, 5, 7, 8, 9)))
     dims = hilbert_function(X)
     assume(len(dims) > 2)
-    d = 1 if data is None else data.draw(st.integers(1, len(dims) - 2))
+    return X, draw(st.integers(1, len(dims) - 2))
+
+
+def _at(family, params, q, d=1):
+    return parameterize(build_family(family, params), make_field(q)), d
+
+
+@given(case=_witness_degrees())
+@example(case=_at("complete_bipartite", [2, 2], 5))
+@example(case=_at("complete_bipartite", [2, 3], 7))
+@example(case=_at("complete_bipartite", [3, 3], 5))
+@example(case=_at("complete", [4], 8))
+@example(case=_at("complete", [5], 4))
+# A 4-cycle whose second ratio row holds x_e / x_c, not x_c / x_e: its
+# factor is written with c and e swapped, or it would vanish on level 1/u.
+@example(case=(parameterize(Graph(4, ((2, 4), (1, 2), (1, 3), (3, 4))), make_field(5)), 2))
+@settings(max_examples=60, deadline=None)
+def test_product_witness_is_a_word_of_the_code(case):
+    # The witness, evaluated through the field tables, is nonzero exactly on
+    # the points the greedy counted, as many as the weight it claims, has
+    # at most d factors and weighs at least the bound; scaled by P_1^-d it
+    # lies in the span of the characters T_d, and it weighs at least the
+    # exhaustive minimum.
+    X, d = case
     inst = code_instance(X, d)
     F = X.F
     lower = coset_bound(inst)
-    weight, factors = codes._product_witness(inst, lower)
+    weight, factors, nonzero = codes._product_witness(inst, lower)
     word = _witness_word(X, factors)
+    assert np.array_equal(word != 0, nonzero)
     assert np.count_nonzero(word) == weight >= lower
     assert len(factors) <= d
     G = characters(X, character_grid(inst))
@@ -881,7 +980,7 @@ def test_product_witness_memory_per_label(monkeypatch):
     # K_{3,3} over GF(16) at d = 1: m = 50,625.  With the cap out of the
     # way the witness holds one byte a label, the uint16 cycle keys and
     # blocks of about 2^20 cells; under a cap of 0 it builds nothing and
-    # returns the monomial alone.
+    # returns the monomial alone, nonzero everywhere.
     X = parameterize(build_family("complete_bipartite", [3, 3]), make_field(16))
     inst = code_instance(X, 1)
     lower = coset_bound(inst)
@@ -890,11 +989,12 @@ def test_product_witness_memory_per_label(monkeypatch):
     values = X.values
     monkeypatch.setattr(X, "values", lambda cells: rows.append(len(cells)) or values(cells))
     monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 0)
-    assert codes._product_witness(inst, lower) == (X.m, [])
+    weight, factors, nonzero = codes._product_witness(inst, lower)
+    assert (weight, factors) == (X.m, []) and nonzero.all() and len(nonzero) == X.m
     assert rows == []
     monkeypatch.setattr(codes, "DEFAULT_CELL_CAP", 10**12)
     tracemalloc.start()
-    weight, factors = codes._product_witness(inst, lower)
+    weight = codes._product_witness(inst, lower)[0]
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert weight == lower == mindist_complete_bipartite(3, 3, 1, 16)
@@ -1003,7 +1103,7 @@ def test_distance_frontier():
     with pytest.raises(BudgetExceeded) as exc:
         minimum_distance(C4, 3)
     bound = exc.value.required
-    assert bound == _bz_messages(16, 36, 7) and 4 * 10**9 < bound < 5 * 10**9
+    assert bound == _primal_messages(16, 36, 7) and 4 * 10**9 < bound < 5 * 10**9
     assert minimum_distance(C4, 3, budget=bound) == mindist_complete_bipartite(2, 2, 3, 7) == 9
     K44 = parameterize(build_family("complete_bipartite", [4, 4]), make_field(3))
     assert minimum_distance(K44, 1) == mindist_complete_bipartite(4, 4, 1, 3) == 16
