@@ -7,9 +7,10 @@ The graph and error names are imported with the package.  The names from
 `codes`, `gfq`, `hilbert` and `toric` are imported on first access
 (PEP 562), so a program loads only the modules it uses.  numpy comes with
 `codes` (the generator and the distance search), and with `gfq` and `toric`
-only when a field's tables are first read or the points of X are listed:
-a program that uses only graphs, or only dimension and regularity
-(`hilbert`), never loads it.  The value types are namedtuples, so the
+only when a field's tables are first read or characters are evaluated on
+the grid of X (`ToricSet.values`): a program that uses only graphs, or
+only length, dimension and regularity (`toric.count_points`, `hilbert`),
+never loads it.  The value types are namedtuples, so the
 import path loads neither the standard library's data-class module nor
 the `inspect` that module imports."""
 

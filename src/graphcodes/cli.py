@@ -11,16 +11,17 @@ Exit codes: 0 ok, 1 verify found a FAIL or a domain error, 2 usage error,
 Under --json an error is printed as {"schema": 1, "error": {"type", "message"}},
 plus "required" for a refusal.
 
-Each handler imports what it computes with.  Only the subcommands that list
-points or build a generator (length, mindist, profile, verify) import numpy
-and build the GF(q) tables; dim and reg count characters over the group of
-X in exact ints (`hilbert`) from q alone, and summarize, family and ternary
-need no field.  The ternary theory (`eulerian3`) is imported by the ternary
-and verify handlers only; `ternary basis` prints B_d from its supports J_d.
-The package itself loads neither the data-class module nor `inspect`, so
-the subcommands without numpy, which imports `inspect`, load neither.  The
-console script (`main`) also keeps OpenBLAS to one thread, since the package
-does no float linear algebra.
+Each handler imports what it computes with.  Only the subcommands that
+build a generator (mindist, profile, verify) import numpy and build the
+GF(q) tables; length counts the points of X from the kernel of its point
+map (`toric.count_points`), and dim and reg count characters over the
+group of X (`hilbert`), all in exact ints from q alone, and summarize,
+family and ternary need no field.  The ternary theory (`eulerian3`) is
+imported by the ternary and verify handlers only; `ternary basis` prints
+B_d from its supports J_d.  The package itself loads neither the
+data-class module nor `inspect`, so the subcommands without numpy, which
+imports `inspect`, load neither.  The console script (`main`) also keeps
+OpenBLAS to one thread, since the package does no float linear algebra.
 
 A cold process pays about 50-60 ms for an empty interpreter and about
 70-90 ms more for `import numpy`.  Interpreter shutdown would then run full
@@ -131,12 +132,12 @@ def _cmd_length(G, args):
     from . import toric
 
     # `parameterize` has checked the group order X.m against the length
-    # formula, so the listed points are counted against X.m.
+    # formula, so the points the grid maps onto are counted against X.m.
     X = _parameterize(G, args)
     length = toric.count_points(X)
     if length != X.m:
         raise LengthMismatch(
-            f"enumerated {length} distinct points but the length formula gives {X.m}"
+            f"counted {length} distinct points but the length formula gives {X.m}"
         )
     return 0, {"length": length, "degenerate": X.degenerate}, str(length)
 
@@ -241,8 +242,8 @@ def build_parser():
     _add_common(p)
     p.set_defaults(handler=_cmd_summarize)
 
-    p = sub.add_parser("length", help="|X|: its distinct points, listed from the "
-                       "group structure of X and counted against the formula")
+    p = sub.add_parser("length", help="|X|: its distinct points, counted from the "
+                       "kernel of the point map of its grid against the formula")
     _add_common(p, q=True, cap=True)
     p.set_defaults(handler=_cmd_length)
 

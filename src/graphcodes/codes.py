@@ -6,8 +6,8 @@ which needs no numpy.  `profile_rows` takes every degree of a profile from
 one pass of its sumset.  This module holds what needs numpy and the field
 tables: T_d as a boolean grid (`character_grid`), the generator of C_X(d),
 one row per element of T_d, the character's values at every cell of the
-point grid, in the order `ToricSet.arr` lists the points (`characters`),
-the basis of the dual (`dual_basis`) and the distance search.
+point grid in C order, the order of the coordinates (`characters`), the
+basis of the dual (`dual_basis`) and the distance search.
 
 Minimum distance uses the translation action of X.  X acts regularly on
 the coordinates, its points, and since chi_c(x + g) = chi_c(g) chi_c(x) the
@@ -107,7 +107,7 @@ def dual_basis(inst):
 def characters(X, S):
     """One row per element of the boolean set S over the point grid of X,
     in grid-index order: the character of the cell c at every grid cell in
-    C order, the order in which X.arr lists the points (`ToricSet.values`).
+    C order, the order of the coordinates (`ToricSet.values`).
     Distinct characters, so the rows are independent; for S = T_d they are
     a basis of C_X(d)."""
     return X.values(np.argwhere(S))
@@ -352,8 +352,8 @@ def _product_witness(inst, lower):
     """(weight, factors, nonzero) of a nonzero word of C_X(d): a product of
     at most d linear forms in the coordinates t, each a tuple of
     (coordinate, coefficient) pairs, padded by a monomial, which is zero
-    nowhere.  `nonzero` is the boolean mask over X.arr of the points where
-    no factor vanishes, the word's support, and the weight is its count, so
+    nowhere.  `nonzero` is the boolean mask over the grid cells, in C
+    order, of the points where no factor vanishes, the word's support, and the weight is its count, so
     it is at least `lower` when that bounds every nonzero word
     (`coset_bound`).
 

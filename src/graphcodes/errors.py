@@ -27,8 +27,8 @@ class UnsupportedFamily(GraphCodesError):
 
 class LengthMismatch(GraphCodesError):
     """Internal consistency failure: the group order of X, or the number of
-    distinct points listed from it, disagrees with the closed-form length.
-    Indicates a bug, never swallowed."""
+    distinct points its grid maps onto (`toric.count_points`), disagrees
+    with the closed-form length.  Indicates a bug, never swallowed."""
 
 
 class MonotonicityViolation(GraphCodesError):

@@ -11,36 +11,33 @@ is built, and the order m = |X| of the grid against the closed form,
 before anything of size m exists.  Over GF(3) and up, a cap on |X| bounds
 the rows as well; over GF(2), where X is one point whatever the graph, the
 graph is not walked, no rows are built, and X is the empty grid.  The
-points are listed from the grid, one cell per point, only when a caller
-needs them; the source torus, (q-1)^r tuples, is never enumerated.  The
-grid also indexes the characters of X (X, a finite abelian group, is
-isomorphic to its dual).  It is exact Python ints, built from the field
-size alone: numpy is imported, and the field tables built, only where
-characters are evaluated on the grid (`ToricSet.values`, which lists the
-points and builds every generator) and in `count_points`, so dimension and
-regularity use neither.
+source torus, (q-1)^r tuples, is never enumerated, and the points of X are
+never listed: `count_points` counts them from the kernel of the point map
+on the grid.  The grid also indexes the characters of X (X, a finite
+abelian group, is isomorphic to its dual).  It is exact Python ints, built
+from the field size alone: numpy is imported, and the field tables built,
+only where characters are evaluated on the grid (`ToricSet.values`, which
+builds every generator row), so length, dimension and regularity use
+neither.
 
 Points of the torus in P^{s-1} are normalized so the last coordinate is 1
-(all torus coordinates are nonzero) and stored as uint8 rows of field
-elements, row i the point of grid cell i in C order.  X acts on its points
-by translation, and length, dimension and minimum distance do not change
-when the coordinates are permuted, so that order is as canonical as any;
-it is the order of the coordinates of every code, and nothing sorts the
-points.  The evaluation matrix of all degree-d monomials, the enumeration
-of the whole source torus, and a Smith form of the point map are built
-only by the tests, as independent oracles (`tests/oracle.py`).
+(all torus coordinates are nonzero), and the point of grid cell i in C
+order is coordinate i of every code.  X acts on its points by translation,
+and length, dimension and minimum distance do not change when the
+coordinates are permuted, so that order is as canonical as any, and
+nothing sorts the points.  The listing of the points, the evaluation
+matrix of all degree-d monomials, the enumeration of the whole source
+torus, and a Smith form of the point map are built only by the tests, as
+independent oracles (`tests/oracle.py`).
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 
 from .errors import DEFAULT_POINT_CAP, CapExceeded, LengthMismatch
 from .graph import _forest, summarize
-
-_COLUMN_CELLS = 1 << 23  # cells of the coordinates `ToricSet.arr` lists at a time
 
 
 class GroupImage(namedtuple("GroupImage", "orders embed")):
@@ -129,9 +126,8 @@ def _point_grid(G, forest, N):
 
 
 class ToricSet:
-    """A finite set of torus points in P^{s-1} over GF(q).  `arr` is the
-    (m, s) uint8 array of normalized coordinates, row i the point of grid
-    cell i in C order.
+    """A finite set of torus points in P^{s-1} over GF(q), the point of
+    grid cell i in C order being its i-th point.
 
     X is the image of a source torus T = (GF(q)^*)^r under the monomial map
     phi(t) = (t^{b_1} : ... : t^{b_s}), a group homomorphism, so X is a
@@ -140,9 +136,8 @@ class ToricSet:
     Z/d_1 + ... + Z/d_k of m = |X| cells, one per point: `parameterize`
     writes it for a graph from its spanning forest (`_point_grid`), and
     `torus_points` writes the grid of the torus of P^{s-1} itself.
-    `values` evaluates characters at every cell, which lists the points on
-    first use of `arr` and builds every generator row; dimension and
-    regularity never list them.
+    `values` evaluates characters at every cell, which builds every
+    generator row; length, dimension and regularity never list the points.
 
     The same grid indexes the characters of X: a finite abelian group is
     isomorphic to its dual, the cell w being the character
@@ -165,10 +160,10 @@ class ToricSet:
     def values(self, cells):
         """The character of each cell w of the point grid (one int per axis)
         at every cell g, cells in C order: exp_table[(w e) . g mod (q - 1)],
-        e_i = (q - 1) / d_i, a (len(cells), m) uint8 array.  This is the one
-        place the cells are scaled by e.  The logs are outer sums along the
-        axes, mod q - 1 in uint16, so no array holds the cell of each
-        point."""
+        e_i = (q - 1) / d_i, a (len(cells), m) uint8 array.  Only here and
+        in the point count (`_zero_set`) are cells scaled by e.  The logs
+        are outer sums along the axes, mod q - 1 in uint16, so no array
+        holds the cell of each point."""
         import numpy as np
 
         n, orders = self.F.q - 1, self.point_group.orders
@@ -179,24 +174,6 @@ class ToricSet:
             step = (a[:, None] * np.arange(d) % n).astype(np.uint16)
             logs = ((logs[:, :, None] + step[:, None, :]) % n).reshape(len(A), -1)
         return self.F.exp_table[logs]
-
-    @cached_property
-    def arr(self):
-        """The (m, s) uint8 points, row i the point of grid cell i in C
-        order: its coordinate ratio P_j / P_s is the character
-        `point_group.embed`[j], and P_s = 1.  The coordinates are listed in
-        chunks of about _COLUMN_CELLS cells, so the temporaries of `values`
-        stay near one column of K_6/GF(25) and a long graph over a small
-        field takes few calls (one for path(10^5) over GF(2))."""
-        import numpy as np
-
-        embed = self.point_group.embed
-        listed = np.ones((self.m, self.s), dtype=np.uint8)
-        step = max(1, _COLUMN_CELLS // self.m)
-        for j in range(0, len(embed), step):
-            chunk = embed[j : j + step]
-            listed[:, j : j + len(chunk)] = self.values(chunk).T
-        return listed
 
     @property
     def degenerate(self):
@@ -261,24 +238,45 @@ def parameterize(G, F, cap=DEFAULT_POINT_CAP):
     return ToricSet(F, G.s, P, G)
 
 
+def _zero_set(w, orders, N):
+    """The cells g of the grid Z/d_1 + ... + Z/d_k at which the log of the
+    character of the cell w is 0, (w e) . g = 0 mod N with e_i = N / d_i,
+    as an int whose bit sum_i g_i st_i marks g (C order, as `hilbert`'s
+    sets).  It is built from the fastest axis outward, one level set per
+    residue of the log over the axes so far; at the outermost axis only
+    the cells of residue 0 are kept.  The grid has at least one axis."""
+    levels, size = {0: 1}, 1
+    for d, a in zip(orders[:0:-1], w[:0:-1]):
+        grown, step = {}, a * (N // d)
+        for x in range(d):
+            for r, bits in levels.items():
+                t = (r + step * x) % N
+                grown[t] = grown.get(t, 0) | bits << x * size
+        levels, size = grown, size * d
+    step, zeros = w[0] * (N // orders[0]), 0
+    for x in range(orders[0]):
+        zeros |= levels.get(-step * x % N, 0) << x * size
+    return zeros
+
+
 def count_points(X):
-    """|X| counted from the listed points, a check on the listing that does
-    not trust the group order m: the rows of X.arr, as fixed-width byte
-    strings, sorted, and 1 plus the number of strict steps between adjacent
-    ones.  A repeated row is no step, and the count falls below m.  The key
-    bytes are the coordinates in the order of the fastest grid axis each
-    moves along, the constant ones last, which groups the C-order listing by
-    leading bytes and changes no count; they are copied once and sorted in
-    place, so the peak is X.arr twice.
+    """|X| counted from the point map of its grid, a check that the grid is
+    one-to-one onto X: m / |ker phi|, in exact ints and without numpy or
+    the field tables.
 
-    Counting the rows equal to the identity point would be faster, but it
-    is exact only because `values` is a homomorphism: it would miss a
-    repeated non-identity row, which is what this check is for."""
-    import numpy as np
-
-    k = len(X.point_group.orders)  # past every axis
-    fastest = [max((i for i, a in enumerate(w) if a), default=k) for w in X.point_group.embed]
-    order = sorted(range(X.s), key=[*fastest, k].__getitem__)
-    keys = np.take(X.arr, order, axis=1).view(f"S{X.s}")[:, 0]
-    keys.sort()
-    return 1 + int(np.count_nonzero(keys[1:] > keys[:-1]))
+    The point of grid cell g has the coordinate ratios P_j / P_s =
+    zeta^(phi(g)_j), phi(g)_j = (w_j e) . g mod (q - 1) over the `embed`
+    rows w_j.  phi is a homomorphism in exact arithmetic, so every fibre is
+    a coset of its kernel and phi takes m / |ker phi| values; exp is a
+    bijection of Z/(q - 1) onto GF(q)^*, so distinct log tuples are
+    distinct points, and that is the number of points.  The kernel is the
+    intersection of the zero sets of the w_j (`_zero_set`), stopped once
+    only cell 0, which every zero set holds, is left: the grid of one
+    cell, which has no axis (X over GF(2)), reads no row."""
+    N, group = X.F.q - 1, X.point_group
+    kernel = (1 << X.m) - 1
+    for w in group.embed:
+        if kernel == 1:
+            break
+        kernel &= _zero_set(w, group.orders, N)
+    return X.m // kernel.bit_count()

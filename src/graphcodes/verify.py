@@ -41,14 +41,20 @@ def _skip(check, reason, d=None):
 def verify(G, q, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_POINT_CAP):
     """Cross-check every applicable closed form against brute force.  A
     degree whose distance search exceeds the budget becomes a SKIPPED row;
-    one whose generator exceeds the cell cap raises CapExceeded."""
+    one whose generator exceeds the cell cap raises CapExceeded.  A failed
+    length row, a point grid that does not map one-to-one onto X, ends the
+    report with regularity None: every later row would be about the grid,
+    whose Hilbert function cannot reach its order."""
     F = make_field(q)
     rows = []
     adj = G.adjacency()  # shared by the forest and the parallel paths
     forest = graphmod._forest(G, adj)
     summary = graphmod.summarize(G, forest)
     X = toric.parameterize(G, F, cap=cap)  # asserts the group order itself
-    rows.append(_row("length", toric.expected_length(summary, F), toric.count_points(X)))
+    length = toric.count_points(X)
+    rows.append(_row("length", toric.expected_length(summary, F), length))
+    if length != X.m:  # the grid is not one-to-one onto X, so no later row is about X
+        return _report(q, d_max, X, None, rows)
 
     s = G.s
     is_torus = X.m == (q - 1) ** (s - 1)
@@ -155,6 +161,10 @@ def verify(G, q, d_max, budget=DEFAULT_BUDGET, cap=DEFAULT_POINT_CAP):
             rows.append(_row("mu nested ears",
                              formulas.mu_closed_form("nested_ears", (G.n, epsilon)), mu))
 
+    return _report(q, d_max, X, reg, rows)
+
+
+def _report(q, d_max, X, reg, rows):
     failed = any(r["status"] == "FAIL" for r in rows)
     return {"schema": SCHEMA, "q": q, "d_max": d_max, "length": X.m,
             "regularity": reg, "degenerate": X.degenerate,

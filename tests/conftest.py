@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from graphcodes import toric
 from graphcodes.graph import Graph, build_family
 
 
@@ -59,6 +60,20 @@ def assert_value_type(a, b, *fields):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(b, name))
+
+
+def double_the_grid(monkeypatch):
+    """Patch `toric._point_grid` to double every `embed` entry: the grid
+    keeps its order, which `parameterize` checks, but maps onto fewer
+    points where 2 is no unit modulo an axis order."""
+    real = toric._point_grid
+
+    def doubled(*args):
+        P = real(*args)
+        return toric.GroupImage(P.orders, tuple(tuple(2 * a % d for a, d in zip(w, P.orders))
+                                                for w in P.embed))
+
+    monkeypatch.setattr(toric, "_point_grid", doubled)
 
 
 def two_triangles():

@@ -4,24 +4,26 @@ over GF(q), kept as an independent oracle for the tests.
 The package computes every code parameter from characters of X, written on
 a grid of |X| cells, never enumerates the source torus, and eliminates only
 to put a generator in systematic form for its minimum-distance search;
-these routes recompute the same quantities the textbook way: the points by
-mapping every source tuple, the Hilbert function as a sumset over the whole
-character group (Z/(q-1))^r of the source torus and as boolean arrays over
-the grid of X translated by `np.roll`, the evaluation matrix of all
-degree-d monomials, its rank by Gaussian elimination, the dual code as
-a null space, the minimum distance by enumerating every message class,
-the MacWilliams transform by expanding its polynomials, and the image of
-an integer matrix over Z/N, the point map's in particular, by a diagonal
-(Smith) form (`group_image`), against which the point grid written from
-the spanning forest is checked.  The minimum distance of a high-rate code
-also comes from its dual, independently of the package's search: the
-weight distribution of the dual's words vanishing at the identity point,
-enumerated against a span table (`_class_weights`), gives the whole dual
-distribution by transitivity (`_dual_distribution`), and the Krawtchouk
-recurrence the code's minimum weight (`_macwilliams_min_weight`).  The
-ternary standard monomials B_d are the d-subsets of edges that contain no
-square-free grevlex leading term, each term a half of an even Eulerian
-subgraph found by scanning every edge subset.
+these routes recompute the same quantities the textbook way: the points
+listed one per grid cell through the field tables (`points`), which the
+package only counts, and by mapping every source tuple, the Hilbert
+function as a sumset over the whole character group (Z/(q-1))^r of the
+source torus and as boolean arrays over the grid of X translated by
+`np.roll`, the evaluation matrix of all degree-d monomials, its rank by
+Gaussian elimination, the dual code as a null space, the minimum distance
+by enumerating every message class, the MacWilliams transform by expanding
+its polynomials, and the image of an integer matrix over Z/N, the point
+map's in particular, by a diagonal (Smith) form (`group_image`), against
+which the point grid written from the spanning forest is checked.  The
+minimum distance of a high-rate code also comes from its dual,
+independently of the package's search: the weight distribution of the
+dual's words vanishing at the identity point, enumerated against a span
+table (`_class_weights`), gives the whole dual distribution by transitivity
+(`_dual_distribution`), and the Krawtchouk recurrence the code's minimum
+weight (`_macwilliams_min_weight`).  The ternary standard monomials B_d are
+the d-subsets of edges that contain no square-free grevlex leading term,
+each term a half of an even Eulerian subgraph found by scanning every edge
+subset.
 """
 
 from itertools import combinations, product
@@ -35,6 +37,7 @@ from graphcodes.errors import CapExceeded
 from graphcodes.toric import GroupImage
 
 DEFAULT_MONOMIAL_CAP = 10**6
+_COLUMN_CELLS = 1 << 23  # cells of the coordinates `points` lists at a time
 
 
 def rref(M, F):
@@ -341,6 +344,22 @@ def normalize_point(coords, F):
     return tuple(int(F.mul_table[c, scale]) for c in coords)
 
 
+def points(X):
+    """The (m, s) uint8 points of X, row i the point of grid cell i in C
+    order: its coordinate ratio P_j / P_s is the character
+    `point_group.embed`[j] (`ToricSet.values`), and P_s = 1.  The
+    coordinates are listed in chunks of about _COLUMN_CELLS cells, so the
+    temporaries of `values` stay near one column of K_6/GF(25) and a long
+    graph over a small field takes few calls."""
+    embed = X.point_group.embed
+    listed = np.ones((X.m, X.s), dtype=np.uint8)
+    step = max(1, _COLUMN_CELLS // X.m)
+    for j in range(0, len(embed), step):
+        chunk = embed[j : j + step]
+        listed[:, j : j + len(chunk)] = X.values(chunk).T
+    return listed
+
+
 def evaluation_matrix(X, d, cap=DEFAULT_MONOMIAL_CAP):
     """Rows = degree-d monomials (descending grevlex), columns = points of X;
     entry = f(P) / t_1^d(P).  Representative-independent on the torus."""
@@ -353,7 +372,7 @@ def evaluation_matrix(X, d, cap=DEFAULT_MONOMIAL_CAP):
         raise CapExceeded(f"{nmon} monomials needed, cap is {cap}", required=nmon)
     mons = degree_monomials(X.s, d)
     A = np.array(mons, dtype=np.int64).reshape(nmon, X.s)
-    logs = discrete_logs(F)[X.arr]  # all coordinates nonzero
+    logs = discrete_logs(F)[points(X)]  # all coordinates nonzero
     raw = A @ logs.T - d * logs[:, 0][None, :]
     return F.exp_table[raw % (q - 1)].astype(np.int16)
 
@@ -458,9 +477,9 @@ def source_exponents(X):
 
 
 def source_torus_points(X):
-    """X.arr by enumeration: all (q-1)^r tuples of the source torus, mapped
-    through the exponent matrix, normalized so the last coordinate is 1,
-    deduplicated and sorted."""
+    """The points of X by enumeration: all (q-1)^r tuples of the source
+    torus, mapped through the exponent matrix, normalized so the last
+    coordinate is 1, deduplicated and sorted."""
     F = X.F
     q1 = F.q - 1
     B = source_exponents(X)

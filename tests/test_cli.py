@@ -6,9 +6,9 @@ import tracemalloc
 from itertools import combinations_with_replacement
 from math import comb
 
-import numpy as np
 import pytest
 
+from conftest import double_the_grid
 from graphcodes import codes, eulerian3, formulas, hilbert, toric
 from graphcodes import graph as graphmod
 from graphcodes.cli import run_command
@@ -16,7 +16,7 @@ from graphcodes.eulerian3 import dim_ternary
 from graphcodes.formulas import k_formula
 from graphcodes.gfq import make_field
 from graphcodes.graph import build_family, parse_graph, summarize
-from graphcodes.toric import ToricSet, expected_length, parameterize
+from graphcodes.toric import expected_length, parameterize
 from graphcodes.verify import verify
 
 
@@ -41,27 +41,22 @@ def test_length_past_the_source_torus():
 
 
 def test_length_counts_distinct_points(monkeypatch):
-    # A listing with one point twice has the right number of rows and the
-    # right group order, but one distinct point too few: the length
-    # subcommand refuses it and verify fails its length row.
-    real = ToricSet.arr.func
-
-    def doubled(X):
-        arr = real(X)
-        return np.vstack([arr[:-1], arr[:1]])
-
-    monkeypatch.setattr(ToricSet, "arr", property(doubled))
+    # A faulty grid whose embedding is doubled keeps the group order, but
+    # its 256 cells, on axes of order 4, map onto 16 points: the length
+    # subcommand refuses it, and verify fails its length row and stops
+    # there, since the Hilbert function of the grid stalls at 16.
+    double_the_grid(monkeypatch)
     status, text = run(["length", "--family", "cycle", "--params", "6", "--q", "5",
                         "--json"])
     assert status == 1
     assert json.loads(text)["error"] == {
         "type": "LengthMismatch",
-        "message": "enumerated 255 distinct points but the length formula gives 256",
+        "message": "counted 16 distinct points but the length formula gives 256",
     }
     report = verify(build_family("cycle", [6]), 5, 1)
-    assert not report["ok"]
-    assert report["rows"][0] == {"check": "length", "expected": 256, "actual": 255,
-                                 "status": "FAIL"}
+    assert not report["ok"] and report["regularity"] is None
+    assert report["rows"] == [{"check": "length", "expected": 256, "actual": 16,
+                               "status": "FAIL"}]
 
 
 def test_dim_hexagon_ternary():

@@ -43,6 +43,7 @@ from oracle import (
     evaluation_matrix,
     grid_sumsets,
     macwilliams,
+    points,
     min_weight_enum,
     null_space,
     rank,
@@ -916,14 +917,15 @@ def test_dual_side_distances_against_macwilliams(family, params):
 
 
 def _witness_word(X, factors):
-    """The values on X.arr of the product of the linear forms `factors`,
-    each a tuple of (coordinate, coefficient) pairs."""
+    """The values on the listed points of X of the product of the linear
+    forms `factors`, each a tuple of (coordinate, coefficient) pairs."""
     add, mul = X.F.add_table, X.F.mul_table
+    listed = points(X)
     word = np.ones(X.m, dtype=np.uint8)
     for form in factors:
         value = np.zeros(X.m, dtype=np.uint8)
         for j, c in form:
-            value = add[value, mul[c, X.arr[:, j]]]
+            value = add[value, mul[c, listed[:, j]]]
         word = mul[word, value]
     return word
 
@@ -968,9 +970,10 @@ def test_product_witness_is_a_word_of_the_code(case):
     assert np.count_nonzero(word) == weight >= lower
     assert len(factors) <= d
     G = characters(X, character_grid(inst))
-    scaled = F.mul_table[word, F.inv_table[X.arr[:, 0]]]
+    first = F.inv_table[points(X)[:, 0]]
+    scaled = F.mul_table[word, first]
     for _ in range(d - 1):
-        scaled = F.mul_table[scaled, F.inv_table[X.arr[:, 0]]]
+        scaled = F.mul_table[scaled, first]
     assert rank(np.vstack([G, scaled]), F) == inst.k
     if F.q ** (inst.k - 1) <= 10**5:
         assert weight >= min_weight_enum(G, F)
@@ -1211,7 +1214,7 @@ def test_stalled_hilbert_function_is_a_violation():
     P = T.point_group
     twice = GroupImage((2, *P.orders), tuple((0, *row) for row in P.embed))
     X = ToricSet(T.F, T.s, twice)
-    assert X.m == 8 and np.array_equal(np.unique(X.arr, axis=0), np.unique(T.arr, axis=0))
+    assert X.m == 8 and np.array_equal(np.unique(points(X), axis=0), np.unique(points(T), axis=0))
     with pytest.raises(MonotonicityViolation):
         regularity_index(X)
 

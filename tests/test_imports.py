@@ -1,8 +1,8 @@
-"""What a cold process loads: graph-only subcommands, dim and reg start
-without numpy, neither they nor the package import with its fields load
-dataclasses or inspect, the package resolves its submodule names on first
-access, and the console script keeps OpenBLAS to one thread and freezes the
-collector before it exits."""
+"""What a cold process loads: graph-only subcommands, length, dim and reg
+start without numpy or a field table, neither they nor the package import
+with its fields load dataclasses or inspect, the package resolves its
+submodule names on first access, and the console script keeps OpenBLAS to
+one thread and freezes the collector before it exits."""
 
 import gc
 import importlib
@@ -38,11 +38,15 @@ def run_python(code, **env):
 
 
 def test_graph_and_hilbert_subcommands_leave_numpy_unloaded():
-    # dim and reg count characters in exact ints from q alone, answered,
-    # refused or in error; the other subcommands here need no field.
+    # length counts the points of X, and dim and reg its characters, in
+    # exact ints from q alone, answered, refused or in error, and build no
+    # field table; the other subcommands here need no field.
     code = """
 import io, json, sys
 from graphcodes.cli import run_command
+from graphcodes.gfq import FieldSpec
+built, build = [], FieldSpec._build_tables
+FieldSpec._build_tables = lambda F: built.append(F.q) or build(F)
 graph = ["--family", "cycle", "--params", "4"]
 big = ["--family", "complete", "--params", "9"]
 loaded = []
@@ -54,18 +58,23 @@ for argv in (["summarize", *graph], ["family", *graph],
              ["dim", *big, "--q", "16", "--d", "2"],
              ["reg", "--family", "complete", "--params", "5", "--q", "7", "--json"],
              ["reg", *graph, "--q", "6"], ["reg", *graph, "--q", "257"],
-             ["reg", *big, "--q", "16", "--json"]):
+             ["reg", *big, "--q", "16", "--json"],
+             ["length", *graph, "--q", "5"],
+             ["length", "--family", "cycle", "--params", "3", "--q", "256", "--json"],
+             ["length", *big, "--q", "16"]):
     out = io.StringIO()
     status = run_command(argv, out=out)
     loaded.append([status, out.getvalue(), "numpy" in sys.modules])
-print(json.dumps([loaded, sorted({"dataclasses", "inspect"} & sys.modules.keys())]))
+print(json.dumps([loaded, sorted({"dataclasses", "inspect"} & sys.modules.keys()), built]))
 """
-    loaded, slow_imports = json.loads(run_python(code))
-    assert [status for status, _, _ in loaded] == [0, 0, 0, 0, 0, 0, 2, 0, 3, 0, 1, 1, 3]
+    loaded, slow_imports, built = json.loads(run_python(code))
+    assert [status for status, _, _ in loaded] == [0, 0, 0, 0, 0, 0, 2, 0, 3, 0, 1, 1, 3, 0, 0, 3]
     assert loaded[7][1] == "4\n" and json.loads(loaded[9][1])["reg"] == 10
     assert json.loads(loaded[12][1])["error"]["required"] == 15**8
+    assert loaded[13][1] == "16\n" and json.loads(loaded[14][1])["length"] == 255**2
+    assert loaded[15][1].endswith("(required: 2562890625)\n")
     assert not any(numpy for *_, numpy in loaded), loaded
-    assert slow_imports == []
+    assert slow_imports == [] and built == []
 
 
 def test_package_and_fields_leave_dataclasses_and_inspect_unloaded():
@@ -81,7 +90,6 @@ print(sorted({"dataclasses", "inspect"} & sys.modules.keys()))
 
 
 @pytest.mark.parametrize("argv", [
-    ["length", "--q", "5"],
     ["mindist", "--q", "5", "--d", "1"],
     ["profile", "--q", "5", "--dmax", "1"],
     ["verify", "--q", "5", "--dmax", "1"],

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_value_type, toric_points_brute, two_triangles
+from conftest import assert_value_type, double_the_grid, toric_points_brute, two_triangles
 from graphcodes import toric
 from graphcodes.codes import characters
 from graphcodes.errors import CapExceeded
 from graphcodes.gfq import make_field
 from graphcodes.graph import Graph, build_family, summarize
 from graphcodes.hilbert import hilbert_function
-from graphcodes.toric import GroupImage, count_points, expected_length, parameterize, torus_points
+from graphcodes.toric import (GroupImage, ToricSet, count_points, expected_length, parameterize,
+                             torus_points)
 from oracle import (degree_monomials, embed_array, evaluation_matrix, group_image,
-                    incidence_point_map, normalize_point, source_torus_hilbert_function,
-                    source_torus_points)
+                    incidence_point_map, normalize_point, points,
+                    source_torus_hilbert_function, source_torus_points)
 
 
 def test_group_image_is_an_immutable_value():
@@ -30,12 +31,12 @@ def test_group_image_is_an_immutable_value():
 
 def test_torus_points_p1_gf3():
     T = torus_points(2, make_field(3))
-    assert T.arr.tolist() == [[1, 1], [2, 1]]
+    assert points(T).tolist() == [[1, 1], [2, 1]]
 
 
 def test_torus_points_single_coordinate():
     for q in (3, 5, 9):
-        assert torus_points(1, make_field(q)).arr.tolist() == [[1]]
+        assert points(torus_points(1, make_field(q))).tolist() == [[1]]
 
 
 def test_torus_points_count():
@@ -96,7 +97,7 @@ def test_gf2_builds_no_exponent_rows():
     assert X.m == T.m == 1
     assert X.point_group == T.point_group == GroupImage((), ((),) * 2999)
     assert group_image([[1, 0, 2], [0, 1, 1]], 1) == GroupImage((), ((), ()))
-    assert X.arr.tolist() == [[1] * 3000]
+    assert points(X).tolist() == [[1] * 3000]
 
 
 def test_gf2_reads_no_graph_structure(monkeypatch):
@@ -194,14 +195,14 @@ def test_parameterize_counts(G, q, count):
     F = make_field(q)
     X = parameterize(G, F)
     assert X.m == count
-    assert set(map(tuple, X.arr.tolist())) == toric_points_brute(G, F)
+    assert set(map(tuple, points(X).tolist())) == toric_points_brute(G, F)
 
 
 def test_tree_gives_full_torus():
     F = make_field(5)
     X = parameterize(build_family("path", [2]), F)
     assert X.m == 4
-    assert np.array_equal(X.arr, torus_points(2, F).arr)
+    assert np.array_equal(points(X), points(torus_points(2, F)))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
@@ -254,7 +255,7 @@ def test_evaluation_representative_independent():
     M = evaluation_matrix(X, 2)
     mul = F.mul_table
     col = 1
-    scaled = mul[X.arr[col], 3]
+    scaled = mul[points(X)[col], 3]
     for row, mon in enumerate(degree_monomials(X.s, 2)):
         num = 1
         for i, e in enumerate(mon):
@@ -267,7 +268,7 @@ def test_evaluation_representative_independent():
 def test_toric_set_closed_under_pointwise_product():
     F = make_field(3)
     X = parameterize(build_family("cycle", [6]), F)
-    pts = set(map(tuple, X.arr.tolist()))
+    pts = set(map(tuple, points(X).tolist()))
     for a in pts:
         for b in pts:
             prod = tuple(int(F.mul_table[x, y]) for x, y in zip(a, b))
@@ -289,7 +290,7 @@ def test_normalize_point_general_position():
 def test_grid_cells_are_the_coordinate_ratio_characters(X):
     # The grid of X is isomorphic to its dual: the cell w_j = embed_j is the
     # character P -> P_j / P_s.  At grid cell i in C order, the cell of row i
-    # of arr, w_j e gives the log of P_j / P_s, the ratio taken through the
+    # of the listing, w_j e gives the log of P_j / P_s, the ratio taken through the
     # field tables, and its generator row is that ratio at every point.
     F, q1 = X.F, X.F.q - 1
     grid = X.point_group
@@ -297,12 +298,13 @@ def test_grid_cells_are_the_coordinate_ratio_characters(X):
     w = embed_array(grid)
     assert np.all((0 <= w) & (w < np.array(grid.orders, dtype=np.int64)))
     cells = np.indices(grid.orders).reshape(len(grid.orders), X.m).T.tolist()  # C order
-    assert len(X.arr) == len(cells) == X.m
+    listed = points(X)
+    assert len(listed) == len(cells) == X.m
     for j in range(X.s - 1):
         onehot = np.zeros(grid.orders, dtype=bool)
         onehot[tuple(w[j])] = True
         row = characters(X, onehot)[0].tolist()
-        for point, cell, value in zip(X.arr, cells, row):
+        for point, cell, value in zip(listed, cells, row):
             ratio = F.mul_table[point[j], F.inv_table[point[-1]]]
             assert F.exp_table[int(w[j] * e @ cell) % q1] == ratio
             assert value == ratio
@@ -333,20 +335,21 @@ def test_group_points_match_source_torus_enumeration(X):
     # found by mapping every source tuple; the Hilbert function over the
     # point grid against the sumset over the whole source character group.
     F, q1 = X.F, X.F.q - 1
-    assert X.arr.dtype == np.uint8 and X.arr.shape == (X.m, X.s)
-    assert np.array_equal(np.unique(X.arr, axis=0), source_torus_points(X))
+    listed = points(X)
+    assert listed.dtype == np.uint8 and listed.shape == (X.m, X.s)
+    assert np.array_equal(np.unique(listed, axis=0), source_torus_points(X))
     if X.graph is None:
         assert X.m == q1 ** (X.s - 1)
     else:
         assert X.m == expected_length(summarize(X.graph), F)
-        assert set(map(tuple, X.arr.tolist())) == toric_points_brute(X.graph, F)
-    # Row i of arr is the image of grid cell i in C order, and the m cells of
+        assert set(map(tuple, listed.tolist())) == toric_points_brute(X.graph, F)
+    # Row i of the listing is the image of grid cell i in C order, and the m cells of
     # the grid are m distinct characters of X.
     orders = X.point_group.orders
     cells = np.indices(orders).reshape(len(orders), X.m)
     e = np.array([q1 // d for d in orders], dtype=np.int64)
     assert np.array_equal(F.exp_table[embed_array(X.point_group) * e @ cells % q1],
-                          X.arr[:, :-1].T)
+                          listed[:, :-1].T)
     grid = characters(X, np.ones(X.point_group.orders, dtype=bool))
     assert len({tuple(row) for row in grid.tolist()}) == X.m
     assert hilbert_function(X) == source_torus_hilbert_function(X)
@@ -377,20 +380,51 @@ def test_group_image_against_enumeration(N, t, c, data):
     assert set(embedded) == expected
 
 
+
+
 @pytest.mark.parametrize("family, params, q", [("cycle", [6], 5), ("path", [2], 256)])
-def test_count_points_counts_strict_steps(family, params, q):
-    # The listing counts every point, in its own order or any other; one row
-    # listed twice, next to itself or far from it, counts one short.  GF(256)
-    # rows hold bytes past 127, which compare unsigned.
-    X = parameterize(build_family(family, params), make_field(q))
-    arr = X.arr
-    assert count_points(X) == len({tuple(row) for row in arr.tolist()}) == X.m
-    i = X.m // 2
-    adjacent, apart = arr.copy(), arr.copy()
-    adjacent[i + 1] = arr[i]
-    apart[-1] = arr[0]
-    permuted = arr[np.random.default_rng(0).permutation(X.m)]
-    for listing, expected in ((adjacent, X.m - 1), (apart, X.m - 1), (permuted, X.m),
-                              (arr[::-1], X.m)):
-        X.__dict__["arr"] = listing
-        assert count_points(X) == expected
+def test_count_points_counts_strict_steps(monkeypatch, family, params, q):
+    # The count is the number of distinct listed points on the true grid,
+    # and on a faulty one whose doubled embedding keeps the grid order: the
+    # 256 cells of C_6/GF(5), on axes of order 4, map onto 16 points, while
+    # 2 is a unit mod 255 and the doubled grid of P_2/GF(256) is still
+    # one-to-one.
+    G, F = build_family(family, params), make_field(q)
+    X = parameterize(G, F)
+    assert count_points(X) == len(np.unique(points(X), axis=0)) == X.m
+    double_the_grid(monkeypatch)
+    faulty = parameterize(G, F)
+    assert faulty.m == X.m
+    assert count_points(faulty) == len(np.unique(points(faulty), axis=0)) == {5: 16, 256: 255}[q]
+
+
+@st.composite
+def group_images(draw):
+    """A ToricSet over GF(q), q <= 16, on a grid of up to three axes, each
+    of an order dividing q - 1, with up to four `embed` rows drawn at
+    random: injective or not, and not necessarily the image of a graph."""
+    F = make_field(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16])))
+    N = F.q - 1
+    divisors = [d for d in range(2, N + 1) if N % d == 0]
+    orders = tuple(draw(st.lists(st.sampled_from(divisors), max_size=3))) if divisors else ()
+    embed = draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in orders)), max_size=4))
+    return ToricSet(F, len(embed) + 1, GroupImage(orders, tuple(embed)))
+
+
+@given(X=group_images())
+@settings(max_examples=200, deadline=None)
+def test_count_points_is_the_number_of_distinct_listed_points(X):
+    assert count_points(X) == len(np.unique(points(X), axis=0))
+
+
+def test_count_points_reads_no_row_of_a_one_point_grid(monkeypatch):
+    # Over GF(2) the grid has one cell, the kernel is cell 0 before any row
+    # is read, and the 99,999 empty rows of P_100000 cost no zero set.
+    # Elsewhere at most one zero set is built per row.
+    calls = []
+    real = toric._zero_set
+    monkeypatch.setattr(toric, "_zero_set", lambda *args: calls.append(args) or real(*args))
+    X = parameterize(build_family("path", [100000]), make_field(2))
+    assert count_points(X) == 1 and calls == []
+    X = parameterize(build_family("complete", [4]), make_field(5))
+    assert count_points(X) == X.m and 0 < len(calls) <= len(X.point_group.embed)
